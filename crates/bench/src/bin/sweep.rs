@@ -35,7 +35,8 @@
 
 use digiq_bench::cli::CommonArgs;
 use digiq_core::engine::{
-    default_workers, DistributedConfig, EvalEngine, PassCacheStats, SweepReport, SweepSpec,
+    default_workers, DistributedConfig, EvalEngine, PassCacheStats, RunControl, SweepReport,
+    SweepSpec,
 };
 use digiq_core::store::{ArtifactStore, SweepJournal};
 use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
@@ -158,8 +159,8 @@ fn json_with_pass_stats(
 }
 
 /// Parse an optional non-negative integer flag, exiting with a usage
-/// error on malformed values (matches `--interrupt-after` handling).
-fn dist_count(flag: &str) -> Option<usize> {
+/// error on malformed values.
+fn count_flag(flag: &str) -> Option<usize> {
     digiq_bench::arg_value(flag).map(|v| {
         v.parse::<usize>().unwrap_or_else(|_| {
             eprintln!("error: `{flag}` needs a non-negative integer, got `{v}`");
@@ -257,13 +258,14 @@ fn main() {
     }
 
     let engine = args.engine();
+    let session = engine.root_session();
 
     // Distributed modes, all anchored on one shared `--cache-dir`:
     // `--worker-id N` runs one claiming worker (normally spawned as a
     // child of `--distributed`), `--distributed` spawns `--n-workers`
     // such children and merges once they exit, and `--merge` assembles
     // a report from whatever shard journals are already on disk.
-    let worker_id = dist_count("--worker-id");
+    let worker_id = count_flag("--worker-id");
     let distributed = digiq_bench::has_flag("--distributed");
     let merge_only = digiq_bench::has_flag("--merge");
 
@@ -273,7 +275,7 @@ fn main() {
             std::process::exit(2);
         };
         let dir = Path::new(dir);
-        let n_workers = dist_count("--n-workers").unwrap_or(4).max(1);
+        let n_workers = count_flag("--n-workers").unwrap_or(4).max(1);
 
         if let Some(id) = worker_id {
             // Worker process: claim → evaluate → shard-journal until the
@@ -281,11 +283,11 @@ fn main() {
             // coordinator (or `--merge`) owns the report.
             let mut cfg = DistributedConfig::new(format!("w{id}"));
             cfg.scan_offset = id * spec.job_count() / n_workers;
-            if let Some(ms) = dist_count("--claim-ttl-ms") {
+            if let Some(ms) = count_flag("--claim-ttl-ms") {
                 cfg.claim_ttl = Duration::from_millis(ms as u64);
             }
-            cfg.hold = dist_count("--dist-hold-ms").map(|ms| Duration::from_millis(ms as u64));
-            if let Err(e) = engine.run_distributed(&spec, dir, &cfg, None) {
+            cfg.hold = count_flag("--dist-hold-ms").map(|ms| Duration::from_millis(ms as u64));
+            if let Err(e) = session.run_distributed(&spec, dir, &cfg, RunControl::default()) {
                 eprintln!("error: worker w{id}: {e}");
                 std::process::exit(1);
             }
@@ -334,13 +336,13 @@ fn main() {
         // Merge (runs for both the coordinator and `--merge`): assemble
         // the report from every shard journal under the cache dir. The
         // result is byte-identical to a serial in-process run.
-        engine.merge_distributed(&spec, dir).unwrap_or_else(|e| {
+        session.merge_distributed(&spec, dir).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
         })
     } else {
         match &args.cache_dir {
-            None => engine.run(&spec, workers),
+            None => session.run(&spec, workers),
             Some(dir) => {
                 // Persistent mode: journal completed jobs under the cache
                 // dir (keyed by the spec fingerprint) so `--resume` can skip
@@ -353,20 +355,17 @@ fn main() {
                         eprintln!("error: cannot open sweep journal under `{dir}`: {e}");
                         std::process::exit(1);
                     });
-                let interrupt_after =
-                    digiq_bench::arg_value("--interrupt-after").map(|v| {
-                        v.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("error: `--interrupt-after` needs a non-negative integer, got `{v}`");
-                    std::process::exit(2);
-                })
-                    });
-                match engine.run_journaled(&spec, workers, &journal, args.resume, interrupt_after) {
+                let ctl = RunControl {
+                    interrupt_after: count_flag("--interrupt-after"),
+                    stop: None,
+                };
+                match session.run_journaled(&spec, workers, &journal, args.resume, ctl) {
                     Some(report) => report,
                     None => {
                         eprintln!(
                             "sweep interrupted after {} fresh job(s); journal at {} — \
                          rerun with --resume to finish",
-                            interrupt_after.unwrap_or(0),
+                            ctl.interrupt_after.unwrap_or(0),
                             journal.path().display()
                         );
                         return;

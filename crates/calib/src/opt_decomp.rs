@@ -141,9 +141,7 @@ fn fid_free_out2(m: &[C64; 4], td: &[C64; 4]) -> (f64, C64, C64) {
 /// Building the tables is one pass over the delay lattice; decomposing
 /// against prebuilt tables is then allocation-free in the scan loops.
 /// Batched callers (the error model decomposes 24 targets per qubit
-/// against one basis) build the tables once and reuse them —
-/// `digiq_core::error_model` memoizes them through the artifact store's
-/// `calib/memo` namespace.
+/// against one basis) build the tables once and reuse them.
 #[derive(Debug, Clone)]
 pub struct OptTables {
     /// θ_d for `d ∈ [0, n_delays]`.

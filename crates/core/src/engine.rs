@@ -9,8 +9,18 @@
 //!
 //! * a declarative [`SweepSpec`] enumerates the jobs (design-major, then
 //!   benchmark, then seed — the job index is the merge order);
-//! * [`EvalEngine::run`] shards jobs across `std::thread::scope` workers
-//!   pulling from an atomic counter;
+//! * **one run loop** executes them: scoped workers each take the next
+//!   job from a *source*, evaluate it, append the record to a *sink* and
+//!   mark the job done, until the source is exhausted or the
+//!   [`RunControl`] stops the run (a fresh-job budget or a stop flag).
+//!   There are two sources — an atomic
+//!   counter over the jobs not yet journaled, or the claim-file scan of
+//!   a distributed worker ([`crate::store::JobClaims`], one thread per
+//!   process) — and three sinks: none, the base [`SweepJournal`], or a
+//!   worker's shard journal. Every run mode of [`EvalSession`] is one
+//!   pick of source × sink, and all of them hand their records to one
+//!   report assembly that stamps either the live cache delta or the
+//!   deterministic cold-run accounting;
 //! * expensive shared artifacts are memoized build-once in the engine's
 //!   [`ArtifactStore`] (see [`crate::store`]) so no artifact is built
 //!   twice across the sweep: synthesized [`DesignHardware`] per
@@ -27,9 +37,14 @@
 //!   disk-backed store ([`StoreConfig::cache_dir`], `--cache-dir`),
 //!   compiled stages, baselines and co-simulations additionally persist
 //!   across processes, so a second run warm-starts with **zero pass
-//!   builds**; with [`EvalEngine::run_journaled`] a sweep journals every
+//!   builds**; with [`EvalSession::run_journaled`] a sweep journals every
 //!   completed job and an interrupted run resumes (`sweep --resume`)
 //!   byte-identically to an uninterrupted one.
+//!
+//! Accounting lives in sessions: [`EvalEngine::session`] opens an
+//! isolated one per request, and the engine's own evaluation methods
+//! ([`EvalEngine::run`], [`EvalEngine::run_job`], …) charge its
+//! cumulative [`EvalEngine::root_session`].
 //!
 //! Per-pass cache accounting lives in [`PassCacheStats`]
 //! ([`EvalEngine::pass_cache_stats`]) and store-wide counters in
@@ -78,7 +93,8 @@ use crate::design::{ControllerDesign, SystemConfig};
 use crate::exec::{checkerboard_groups, execute, ExecParams, ExecReport};
 use crate::hardware::{build_hardware, DesignHardware};
 use crate::store::{
-    self, lock_unpoisoned, ns, ArtifactStore, JobClaims, StoreConfig, StoreStats, SweepJournal,
+    self, lock_unpoisoned, ns, ArtifactStore, ClaimHeartbeat, JobClaims, StoreConfig, StoreStats,
+    SweepJournal,
 };
 use crate::system::{measured_min_lengths_with_db, BenchmarkReport, MinBasisKind};
 use calib::min_decomp::{SequenceDb, SharedSequenceDb};
@@ -105,6 +121,17 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
+/// The crate's one worker pool: `workers` (at least one) scoped threads,
+/// each calling `step` until it returns `false`. Both the sweep executor
+/// and [`par_map_ordered`] run on it.
+fn run_pool(workers: usize, step: impl Fn() -> bool + Sync) {
+    std::thread::scope(|s| {
+        for _ in 0..workers.max(1) {
+            s.spawn(|| while step() {});
+        }
+    });
+}
+
 /// Order-preserving parallel map: `f(i, &items[i])` runs on a pool of
 /// `workers` scoped threads pulling indices from an atomic counter, and
 /// the results are returned **in input order** regardless of worker count
@@ -119,20 +146,15 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = workers.max(1).min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *lock_unpoisoned(&slots[i]) = Some(r);
-            });
-        }
+    run_pool(workers.min(items.len()), || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            return false;
+        };
+        *lock_unpoisoned(&slots[i]) = Some(f(i, item));
+        true
     });
     slots
         .into_iter()
@@ -608,40 +630,29 @@ impl CacheStats {
     /// run out of a long-lived engine.
     #[must_use]
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            circuit_hits: self.circuit_hits - earlier.circuit_hits,
-            circuit_misses: self.circuit_misses - earlier.circuit_misses,
-            compile_hits: self.compile_hits - earlier.compile_hits,
-            compile_misses: self.compile_misses - earlier.compile_misses,
-            hardware_hits: self.hardware_hits - earlier.hardware_hits,
-            hardware_misses: self.hardware_misses - earlier.hardware_misses,
-            seq_db_hits: self.seq_db_hits - earlier.seq_db_hits,
-            seq_db_misses: self.seq_db_misses - earlier.seq_db_misses,
-            min_lengths_hits: self.min_lengths_hits - earlier.min_lengths_hits,
-            min_lengths_misses: self.min_lengths_misses - earlier.min_lengths_misses,
-            baseline_hits: self.baseline_hits - earlier.baseline_hits,
-            baseline_misses: self.baseline_misses - earlier.baseline_misses,
+        let mut out = *self;
+        for name in CACHE_FIELDS {
+            *out.field_mut(name) -= earlier.field(name);
         }
+        out
     }
 
     /// Total lookups that reused an artifact.
     pub fn total_hits(&self) -> u64 {
-        self.circuit_hits
-            + self.compile_hits
-            + self.hardware_hits
-            + self.seq_db_hits
-            + self.min_lengths_hits
-            + self.baseline_hits
+        self.sum_of("_hits")
     }
 
     /// Total artifacts built.
     pub fn total_misses(&self) -> u64 {
-        self.circuit_misses
-            + self.compile_misses
-            + self.hardware_misses
-            + self.seq_db_misses
-            + self.min_lengths_misses
-            + self.baseline_misses
+        self.sum_of("_misses")
+    }
+
+    fn sum_of(&self, suffix: &str) -> u64 {
+        CACHE_FIELDS
+            .iter()
+            .filter(|name| name.ends_with(suffix))
+            .map(|name| self.field(name))
+            .sum()
     }
 }
 
@@ -662,21 +673,8 @@ const CACHE_FIELDS: [&str; 12] = [
 
 impl CacheStats {
     fn field(&self, name: &str) -> u64 {
-        match name {
-            "circuit_hits" => self.circuit_hits,
-            "circuit_misses" => self.circuit_misses,
-            "compile_hits" => self.compile_hits,
-            "compile_misses" => self.compile_misses,
-            "hardware_hits" => self.hardware_hits,
-            "hardware_misses" => self.hardware_misses,
-            "seq_db_hits" => self.seq_db_hits,
-            "seq_db_misses" => self.seq_db_misses,
-            "min_lengths_hits" => self.min_lengths_hits,
-            "min_lengths_misses" => self.min_lengths_misses,
-            "baseline_hits" => self.baseline_hits,
-            "baseline_misses" => self.baseline_misses,
-            _ => unreachable!("unknown cache field"),
-        }
+        let mut copy = *self;
+        *copy.field_mut(name)
     }
 
     fn field_mut(&mut self, name: &str) -> &mut u64 {
@@ -843,20 +841,9 @@ impl SweepReport {
     }
 }
 
-/// Per-pass build accounting accumulated on stage-cache misses (the only
-/// time a pass actually runs inside the engine).
-#[derive(Debug, Clone, Copy, Default)]
-struct PassBuildAgg {
-    wall_ns: f64,
-    gates_in: u64,
-    gates_out: u64,
-    swaps_added: u64,
-    slots_out: u64,
-}
-
 /// Cache accounting of one pipeline stage: the per-pass counters behind
 /// [`EvalEngine::pass_cache_stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PassCacheStat {
     /// Stage label (`lower`, `route`, `lower_swaps`, `schedule`, …).
     pub pass: String,
@@ -978,25 +965,21 @@ pub struct EvalEngine {
     /// The unified artifact store (shareable with `DigiqSystem`s via
     /// [`EvalEngine::store`]; note that sharing also shares counters).
     store: Arc<ArtifactStore>,
-    /// The engine's own accounting state: every legacy `EvalEngine`
-    /// method charges here, cumulative across runs.
-    root: SessionState,
+    /// The accounting of the engine's own session
+    /// ([`EvalEngine::root_session`]), cumulative across runs.
+    root: Arc<SessionState>,
 }
 
-/// The per-request (or per-driver) accounting an evaluation carries:
-/// final-stage compile hit/miss counters ([`CacheStats::compile_hits`] /
-/// `compile_misses`, numerically identical to the historical
-/// whole-compile cache) and per-pass build aggregates. Historically
-/// these lived directly on [`EvalEngine`], which assumed one driving
-/// process per engine; extracting them lets one shared engine serve many
-/// concurrent sessions ([`EvalEngine::session`]) with independent
-/// accounting, while the engine's own `root` state keeps the legacy
-/// cumulative behaviour.
+/// The accounting one [`EvalSession`] owns: final-stage compile hit/miss
+/// counters ([`CacheStats::compile_hits`] / `compile_misses`) and
+/// per-pass build aggregates.
 #[derive(Debug, Default)]
 struct SessionState {
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
-    pass_builds: Mutex<BTreeMap<String, PassBuildAgg>>,
+    /// Build metrics per stage label, accumulated on stage-cache misses
+    /// (the only time a pass actually runs inside the engine).
+    pass_builds: Mutex<BTreeMap<String, PassCacheStat>>,
 }
 
 impl Default for EvalEngine {
@@ -1005,7 +988,7 @@ impl Default for EvalEngine {
     }
 }
 
-/// The shared per-job artifact bundle assembled by `EvalEngine::job_context`
+/// The shared per-job artifact bundle assembled by `EvalSession::job_context`
 /// for both evaluation modes.
 struct JobContext {
     key: CompileKey,
@@ -1092,7 +1075,7 @@ impl EvalEngine {
         EvalEngine {
             model,
             store,
-            root: SessionState::default(),
+            root: Arc::default(),
         }
     }
 
@@ -1128,34 +1111,13 @@ impl EvalEngine {
             })
     }
 
-    /// Folds one pass build's metrics into a session's accounting.
-    fn record_pass_build(state: &SessionState, m: &PassMetrics) {
-        let mut map = lock_unpoisoned(&state.pass_builds);
-        let agg = map.entry(m.pass.clone()).or_default();
-        agg.wall_ns += m.wall_ns;
-        agg.gates_in += m.gates_before as u64;
-        agg.gates_out += m.gates_after as u64;
-        agg.swaps_added += m.swap_delta() as u64;
-        agg.slots_out += m.slots_after.unwrap_or(0) as u64;
-    }
-
-    /// The fully compiled artifact of `circuit` on `grid` under the
-    /// **default** pipeline (snake initial layout) — see
-    /// [`EvalEngine::compiled_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit needs more qubits than the grid has.
-    pub fn compiled(&self, circuit: &Circuit, grid: &Grid) -> Arc<CompileArtifact> {
-        self.compiled_with(circuit, grid, &PipelineConfig::default())
-    }
-
     /// Compiles `circuit` on `grid` (snake initial layout) through the
     /// shared [`Pipeline::standard`] for `cfg`, memoizing **every stage**
     /// under its chained stable key: each pass runs at most once per
     /// distinct (input, pass-prefix) fingerprint, and pipelines sharing a
     /// prefix (all designs and seeds of a sweep; different schedulers
     /// over one routed circuit) share the cached prefix artifacts.
+    /// Charged to the root session.
     ///
     /// # Panics
     ///
@@ -1168,26 +1130,7 @@ impl EvalEngine {
         grid: &Grid,
         cfg: &PipelineConfig,
     ) -> Arc<CompileArtifact> {
-        self.compiled_in(&self.root, circuit, grid, cfg)
-    }
-
-    fn compiled_in(
-        &self,
-        state: &SessionState,
-        circuit: &Circuit,
-        grid: &Grid,
-        cfg: &PipelineConfig,
-    ) -> Arc<CompileArtifact> {
-        let (artifact, final_missed) =
-            store::compile_cached(&self.store, circuit, grid, cfg, |m| {
-                Self::record_pass_build(state, m)
-            });
-        if final_missed {
-            state.compile_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            state.compile_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        artifact
+        self.root_session().compiled_with(circuit, grid, cfg)
     }
 
     /// The synthesized hardware of a design point (paper-default system
@@ -1238,33 +1181,7 @@ impl EvalEngine {
     /// per-namespace counters (compile hits/misses account the final
     /// pipeline stage of this engine's own compiles).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache_stats_in(&self.root)
-    }
-
-    fn cache_stats_in(&self, state: &SessionState) -> CacheStats {
-        let counts = |name: &str| {
-            let s = self.store.namespace_stats(name);
-            (s.hits, s.misses)
-        };
-        let (circuit_hits, circuit_misses) = counts(ns::CIRCUIT);
-        let (hardware_hits, hardware_misses) = counts(ns::HARDWARE);
-        let (seq_db_hits, seq_db_misses) = counts(ns::SEQ_DB);
-        let (min_lengths_hits, min_lengths_misses) = counts(ns::MIN_LENGTHS);
-        let (baseline_hits, baseline_misses) = counts(ns::BASELINE);
-        CacheStats {
-            circuit_hits,
-            circuit_misses,
-            compile_hits: state.compile_hits.load(Ordering::Relaxed),
-            compile_misses: state.compile_misses.load(Ordering::Relaxed),
-            hardware_hits,
-            hardware_misses,
-            seq_db_hits,
-            seq_db_misses,
-            min_lengths_hits,
-            min_lengths_misses,
-            baseline_hits,
-            baseline_misses,
-        }
+        self.root_session().cache_stats()
     }
 
     /// Per-pass cache accounting across every pipeline stage in the
@@ -1272,44 +1189,7 @@ impl EvalEngine {
     /// for a fixed job set regardless of worker count (under the default
     /// unbounded in-memory store).
     pub fn pass_cache_stats(&self) -> PassCacheStats {
-        self.pass_cache_stats_in(&self.root, None)
-    }
-
-    /// Per-pass accounting of `state`; with a `base` store snapshot the
-    /// stage hit/miss counters are the delta since that snapshot (what a
-    /// per-request [`EvalSession`] reports), otherwise they are the
-    /// store's cumulative counters.
-    fn pass_cache_stats_in(
-        &self,
-        state: &SessionState,
-        base: Option<&StoreStats>,
-    ) -> PassCacheStats {
-        let builds = lock_unpoisoned(&state.pass_builds);
-        let stats = self.store.stats();
-        let stats = match base {
-            Some(base) => stats.since(base),
-            None => stats,
-        };
-        let passes = stats
-            .namespaces
-            .iter()
-            .filter(|n| n.namespace.starts_with(ns::STAGE_PREFIX))
-            .map(|n| {
-                let label = &n.namespace[ns::STAGE_PREFIX.len()..];
-                let agg = builds.get(label).copied().unwrap_or_default();
-                PassCacheStat {
-                    pass: label.to_string(),
-                    hits: n.hits,
-                    misses: n.misses,
-                    wall_ns: agg.wall_ns,
-                    gates_in: agg.gates_in,
-                    gates_out: agg.gates_out,
-                    swaps_added: agg.swaps_added,
-                    slots_out: agg.slots_out,
-                }
-            })
-            .collect();
-        PassCacheStats { passes }
+        self.root_session().pass_cache_stats()
     }
 
     /// [`CacheStats`] of a **cold, uninterrupted** run of `spec` on a
@@ -1318,19 +1198,18 @@ impl EvalEngine {
     /// distinct content keys (circuits are generated once per distinct
     /// benchmark instance to fingerprint the compile inputs). Pinned
     /// equal to live accounting by `crates/core/tests/store_persist.rs`;
-    /// journaled runs ([`EvalEngine::run_journaled`]) report this, so a
-    /// resumed sweep serializes byte-identically to an uninterrupted one.
+    /// journaled, distributed and served runs report this, so a resumed
+    /// sweep serializes byte-identically to an uninterrupted one.
     pub fn cold_cache_stats(spec: &SweepSpec) -> CacheStats {
         Self::cold_cache_stats_with(spec, |b| generate_circuit(b, spec.base_seed).into())
     }
 
     /// [`EvalEngine::cold_cache_stats`] reusing this engine's already
     /// resident benchmark circuits (a counter-neutral
-    /// [`ArtifactStore::peek`]) instead of regenerating them — what
-    /// [`EvalEngine::run_journaled`] calls, so a journaled sweep does
-    /// not re-run the paper-scale circuit generators just to
-    /// fingerprint the compile inputs. Circuits a resumed run skipped
-    /// entirely are still generated on demand.
+    /// [`ArtifactStore::peek`]) instead of regenerating them, so a
+    /// journaled sweep does not re-run the paper-scale circuit
+    /// generators just to fingerprint the compile inputs. Circuits a
+    /// resumed run skipped entirely are still generated on demand.
     fn cold_cache_stats_warm(&self, spec: &SweepSpec) -> CacheStats {
         Self::cold_cache_stats_with(spec, |b| {
             self.store
@@ -1400,175 +1279,24 @@ impl EvalEngine {
         }
     }
 
-    /// Assembles the shared per-job artifacts — identical for the
-    /// analytic and co-simulation modes.
-    fn job_context(&self, state: &SessionState, spec: &SweepSpec, job: &JobSpec) -> JobContext {
-        let grid = Grid::new(spec.grid_rows, spec.grid_cols);
-        let circuit = self.benchmark_circuit(job.bench, spec.base_seed);
-        let compiled = self.compiled_in(state, &circuit, &grid, &spec.pipeline);
-        let key = compile_key(&circuit, &grid, &spec.pipeline);
-
-        let mut config = SystemConfig::paper_default(job.point.design, job.point.groups);
-        config.n_qubits = grid.n_qubits();
-        let mut params = ExecParams::new(config);
-        params.seed = derive_seed(spec.base_seed, job.seed);
-        if let Some(lengths) = self.min_lengths(job.point.design) {
-            params.min_lengths = (*lengths).clone();
-        }
-
-        let groups =
-            checkerboard_groups(grid.cols(), grid.n_qubits(), job.point.groups.min(2).max(1));
-        JobContext {
-            key,
-            circuit,
-            compiled,
-            params,
-            groups,
-        }
-    }
-
     /// Evaluates one job (pure given the spec; used by [`EvalEngine::run`]
-    /// and directly by tests).
+    /// and directly by tests). Charged to the root session.
     pub fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
-        self.run_job_in(&self.root, spec, job)
-    }
-
-    fn run_job_in(&self, state: &SessionState, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
-        let JobContext {
-            key,
-            circuit,
-            compiled,
-            params,
-            groups,
-        } = self.job_context(state, spec, job);
-        let exec = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
-        // The Impossible MIMD normalization baseline ignores the seed,
-        // the group map and the decomposition distribution, so it is a
-        // pure function of the compiled artifact — memoize it per
-        // compile key instead of re-running it for every design and seed
-        // (and persist it: with a disk-backed store a warm-started sweep
-        // skips the baseline executions too).
-        let base_exec =
-            self.store
-                .get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
-                    let mut base = params.clone();
-                    base.config.design = ControllerDesign::ImpossibleMimd;
-                    execute(&compiled.circuit, compiled.scheduled(), &groups, &base)
-                });
-
-        let power_w = if spec.synthesize_hardware {
-            self.hardware(job.point.design, job.point.groups)
-                .map(|hw| hw.report.power_w)
-        } else {
-            None
-        };
-
-        JobRecord {
-            design: job.point.design,
-            groups: job.point.groups,
-            benchmark: job.bench.bench.name().to_string(),
-            n_qubits: circuit.n_qubits(),
-            seed: job.seed,
-            power_w,
-            report: BenchmarkReport {
-                benchmark: job.bench.bench.name().to_string(),
-                logical_gates: compiled.logical_gates,
-                swaps: compiled.swaps,
-                slots: compiled.scheduled().len(),
-                normalized_time: exec.total_ns / base_exec.total_ns.max(f64::MIN_POSITIVE),
-                exec,
-            },
-        }
+        self.root_session().run_job(spec, job)
     }
 
     /// Runs the whole sweep on `workers` scoped threads and merges the
     /// records in job-index order. The report (including its cache
-    /// accounting) is identical for any worker count.
+    /// accounting) is identical for any worker count. Charged to the
+    /// root session.
     pub fn run(&self, spec: &SweepSpec, workers: usize) -> SweepReport {
-        self.run_in(&self.root, spec, workers)
+        self.root_session().run(spec, workers)
     }
 
-    fn run_in(&self, state: &SessionState, spec: &SweepSpec, workers: usize) -> SweepReport {
-        let before = self.cache_stats_in(state);
-        let jobs = spec.jobs();
-        let records = par_map_ordered(&jobs, workers, |_, job| self.run_job_in(state, spec, job));
-        SweepReport {
-            grid_rows: spec.grid_rows,
-            grid_cols: spec.grid_cols,
-            jobs: records,
-            cache: self.cache_stats_in(state).since(&before),
-        }
-    }
-
-    /// Co-simulates one job: the cycle-accurate machine and the analytic
-    /// model run on the *same* compiled artifact, parameters, and group
-    /// map, so the record carries both sides of the differential check.
-    /// Co-simulations are memoized per (compiled artifact, design point,
-    /// derived seed).
-    pub fn run_cosim_job(&self, spec: &SweepSpec, job: &JobSpec) -> CosimRecord {
-        self.run_cosim_job_in(&self.root, spec, job)
-    }
-
-    fn run_cosim_job_in(
-        &self,
-        state: &SessionState,
-        spec: &SweepSpec,
-        job: &JobSpec,
-    ) -> CosimRecord {
-        let JobContext {
-            key,
-            circuit,
-            compiled,
-            params,
-            groups,
-        } = self.job_context(state, spec, job);
-        let cosim = self.store.get_or_build_artifact(
-            ns::COSIM,
-            cosim_store_key(key, job.point.design, job.point.groups, params.seed),
-            || {
-                cosim::simulate(
-                    &compiled.circuit,
-                    compiled.scheduled(),
-                    &groups,
-                    &CosimParams::new(params.clone()),
-                )
-            },
-        );
-        let analytic = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
-        CosimRecord {
-            design: job.point.design,
-            groups: job.point.groups,
-            benchmark: job.bench.bench.name().to_string(),
-            n_qubits: circuit.n_qubits(),
-            seed: job.seed,
-            cosim: (*cosim).clone(),
-            analytic,
-        }
-    }
-
-    /// The co-simulation evaluation mode: the same sweep sharding and
-    /// job-index merge as [`EvalEngine::run`], but every job runs the
-    /// cycle-accurate machine alongside the analytic model. Byte-identical
-    /// serialized output for any worker count.
+    /// The co-simulation sweep ([`EvalSession::run_cosim`]), charged to
+    /// the root session.
     pub fn run_cosim(&self, spec: &SweepSpec, workers: usize) -> CosimSweepReport {
-        self.run_cosim_in(&self.root, spec, workers)
-    }
-
-    fn run_cosim_in(
-        &self,
-        state: &SessionState,
-        spec: &SweepSpec,
-        workers: usize,
-    ) -> CosimSweepReport {
-        let jobs = spec.jobs();
-        let records = par_map_ordered(&jobs, workers, |_, job| {
-            self.run_cosim_job_in(state, spec, job)
-        });
-        CosimSweepReport {
-            grid_rows: spec.grid_rows,
-            grid_cols: spec.grid_cols,
-            jobs: records,
-        }
+        self.root_session().run_cosim(spec, workers)
     }
 
     /// Co-simulation cache accounting: `(hits, misses)`. Kept out of
@@ -1579,266 +1307,16 @@ impl EvalEngine {
         (s.hits, s.misses)
     }
 
-    /// [`EvalEngine::run`] with a job-completion journal: every finished
-    /// job is appended (and flushed) to `journal`, and with `resume` the
-    /// jobs already journaled are loaded instead of re-run — an
-    /// interrupted sweep picks up exactly where it stopped. The merged
-    /// report's cache accounting is [`EvalEngine::cold_cache_stats`]
-    /// (the deterministic accounting of an uninterrupted cold run), so a
-    /// resumed sweep serializes **byte-identically** to an uninterrupted
-    /// one.
-    ///
-    /// `interrupt_after` deliberately stops the run after that many
-    /// fresh jobs (the testing hook behind `sweep --interrupt-after`);
-    /// an interrupted run returns `None`.
-    pub fn run_journaled(
-        &self,
-        spec: &SweepSpec,
-        workers: usize,
-        journal: &SweepJournal,
-        resume: bool,
-        interrupt_after: Option<usize>,
-    ) -> Option<SweepReport> {
-        self.run_journaled_in(
-            &self.root,
-            spec,
-            workers,
-            journal,
-            resume,
-            RunControl {
-                interrupt_after,
-                stop: None,
-            },
-        )
-    }
-
-    fn run_journaled_in(
-        &self,
-        state: &SessionState,
-        spec: &SweepSpec,
-        workers: usize,
-        journal: &SweepJournal,
-        resume: bool,
-        ctl: RunControl<'_>,
-    ) -> Option<SweepReport> {
-        let jobs = spec.jobs();
-        let mut merged: BTreeMap<usize, JobRecord> = BTreeMap::new();
-        if resume {
-            for (index, record) in journal.load() {
-                let index = index as usize;
-                if index < jobs.len() {
-                    if let Ok(record) = JobRecord::from_json(&record) {
-                        merged.insert(index, record);
-                    }
-                }
-            }
+    /// The engine's own session: its counters are cumulative over the
+    /// engine's lifetime, and every `EvalEngine` evaluation method
+    /// charges it. Batch drivers that want the journaled or distributed
+    /// run modes call them here.
+    pub fn root_session(&self) -> EvalSession<'_> {
+        EvalSession {
+            engine: self,
+            state: Arc::clone(&self.root),
+            store_base: None,
         }
-        let mut pending: Vec<JobSpec> = jobs
-            .iter()
-            .filter(|j| !merged.contains_key(&j.index))
-            .copied()
-            .collect();
-        let interrupted = ctl.interrupt_after.is_some_and(|n| n < pending.len());
-        if let Some(n) = ctl.interrupt_after {
-            pending.truncate(n);
-        }
-        // A hand-rolled pool rather than `par_map_ordered`: workers check
-        // the external stop flag before claiming each job, so a draining
-        // server stops between jobs while every job already claimed still
-        // finishes and journals (the journal is what makes the drain
-        // recoverable).
-        let workers = workers.max(1).min(pending.len().max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobRecord>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    if ctl.stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pending.len() {
-                        break;
-                    }
-                    let job = &pending[i];
-                    let record = self.run_job_in(state, spec, job);
-                    journal.append(job.index as u64, &record.to_json());
-                    *lock_unpoisoned(&slots[i]) = Some(record);
-                });
-            }
-        });
-        let mut completed = 0usize;
-        for (job, slot) in pending.iter().zip(slots) {
-            let record = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(record) = record {
-                merged.insert(job.index, record);
-                completed += 1;
-            }
-        }
-        if interrupted || completed < pending.len() {
-            return None;
-        }
-        debug_assert_eq!(merged.len(), jobs.len());
-        Some(SweepReport {
-            grid_rows: spec.grid_rows,
-            grid_cols: spec.grid_cols,
-            jobs: merged.into_values().collect(),
-            cache: self.cold_cache_stats_warm(spec),
-        })
-    }
-
-    /// Runs `spec` as one worker of a **distributed** sweep: any number
-    /// of processes sharing one cache dir cooperate with no coordinator,
-    /// each claiming jobs through the store's claim files
-    /// ([`crate::store::JobClaims`]), evaluating them single-file, and
-    /// streaming completions into its own shard journal
-    /// (`<spec key>.<worker>.jsonl`) so no two processes ever append to
-    /// the same file. A worker whose scan finds every remaining job
-    /// claimed by someone else waits and rescans — a killed worker's
-    /// claims stop being heartbeated, go stale after the TTL, and are
-    /// reclaimed by the survivors — and every worker returns only once
-    /// all jobs are journaled, handing back the merged report (identical
-    /// bytes to [`EvalEngine::merge_distributed`], the serial run, and
-    /// the journaled run: pure job records merged in index order with
-    /// the deterministic cold-run cache accounting stamped on top).
-    ///
-    /// `stop` aborts between jobs (returning `Ok(None)`) the way a
-    /// draining server stops a journaled sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns the IO error if the claim directory or shard journal
-    /// cannot be created.
-    pub fn run_distributed(
-        &self,
-        spec: &SweepSpec,
-        cache_dir: &Path,
-        cfg: &DistributedConfig,
-        stop: Option<&AtomicBool>,
-    ) -> std::io::Result<Option<SweepReport>> {
-        self.run_distributed_in(&self.root, spec, cache_dir, cfg, stop)
-    }
-
-    fn run_distributed_in(
-        &self,
-        state: &SessionState,
-        spec: &SweepSpec,
-        cache_dir: &Path,
-        cfg: &DistributedConfig,
-        stop: Option<&AtomicBool>,
-    ) -> std::io::Result<Option<SweepReport>> {
-        let key = spec.stable_key();
-        let journal_dir = ArtifactStore::journal_dir(cache_dir);
-        let claims = JobClaims::open(cache_dir, key, &cfg.worker, cfg.claim_ttl)?;
-        let shard = SweepJournal::open_shard(&journal_dir, key, &cfg.worker)?;
-        let jobs = spec.jobs();
-        let load_done = || -> BTreeMap<usize, JobRecord> {
-            let mut done = BTreeMap::new();
-            for (index, record) in SweepJournal::load_all(&journal_dir, key) {
-                let index = index as usize;
-                if index < jobs.len() {
-                    if let Ok(record) = JobRecord::from_json(&record) {
-                        done.insert(index, record);
-                    }
-                }
-            }
-            done
-        };
-        let mut done = load_done();
-        while done.len() < jobs.len() {
-            if stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                return Ok(None);
-            }
-            let mut progressed = false;
-            // Scan from this worker's offset so workers spread over
-            // disjoint regions first and only contend at the end.
-            for k in 0..jobs.len() {
-                if stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                    return Ok(None);
-                }
-                let job = &jobs[(k + cfg.scan_offset) % jobs.len()];
-                if done.contains_key(&job.index) || !claims.try_claim(job.index as u64) {
-                    continue;
-                }
-                // Between our last journal scan and winning the claim,
-                // another worker may have journaled this job and released
-                // — re-check before evaluating so a job is never
-                // journaled twice.
-                done = load_done();
-                if done.contains_key(&job.index) {
-                    claims.release(job.index as u64);
-                    continue;
-                }
-                let _hb = claims.heartbeat(job.index as u64);
-                if let Some(hold) = cfg.hold {
-                    std::thread::sleep(hold);
-                }
-                let record = self.run_job_in(state, spec, job);
-                shard.append(job.index as u64, &record.to_json());
-                claims.release(job.index as u64);
-                done.insert(job.index, record);
-                progressed = true;
-            }
-            if !progressed && done.len() < jobs.len() {
-                // Everything left is claimed elsewhere: wait for those
-                // workers to journal — or for their claims to go stale.
-                std::thread::sleep(cfg.poll);
-                done = load_done();
-            }
-        }
-        Ok(Some(SweepReport {
-            grid_rows: spec.grid_rows,
-            grid_cols: spec.grid_cols,
-            jobs: done.into_values().collect(),
-            cache: self.cold_cache_stats_warm(spec),
-        }))
-    }
-
-    /// Assembles the final report of a distributed sweep from whatever
-    /// shard layout the workers left behind: loads the base journal plus
-    /// every worker shard, merges records in job-index order, and stamps
-    /// the deterministic cold-run cache accounting — so the merged bytes
-    /// are identical to a serial [`EvalEngine::run`] of the same spec no
-    /// matter how many workers ran, which worker evaluated which job, or
-    /// how often a job was re-run after a claim expired.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when any job is missing from the journals
-    /// (the sweep is still running, or a worker died un-reclaimed).
-    pub fn merge_distributed(
-        &self,
-        spec: &SweepSpec,
-        cache_dir: &Path,
-    ) -> Result<SweepReport, String> {
-        let journal_dir = ArtifactStore::journal_dir(cache_dir);
-        let jobs = spec.job_count();
-        let mut merged: BTreeMap<usize, JobRecord> = BTreeMap::new();
-        for (index, record) in SweepJournal::load_all(&journal_dir, spec.stable_key()) {
-            let index = index as usize;
-            if index < jobs {
-                if let Ok(record) = JobRecord::from_json(&record) {
-                    merged.insert(index, record);
-                }
-            }
-        }
-        if merged.len() < jobs {
-            return Err(format!(
-                "distributed sweep incomplete: {}/{} jobs journaled under {}",
-                merged.len(),
-                jobs,
-                journal_dir.display()
-            ));
-        }
-        Ok(SweepReport {
-            grid_rows: spec.grid_rows,
-            grid_cols: spec.grid_cols,
-            jobs: merged.into_values().collect(),
-            cache: self.cold_cache_stats_warm(spec),
-        })
     }
 
     /// Opens a per-request [`EvalSession`] over this engine — the unit
@@ -1848,15 +1326,14 @@ impl EvalEngine {
     pub fn session(&self) -> EvalSession<'_> {
         EvalSession {
             engine: self,
-            state: SessionState::default(),
-            base: self.cache_stats_in(&SessionState::default()),
-            store_base: self.store.stats(),
+            state: Arc::default(),
+            store_base: Some(self.store.stats()),
         }
     }
 }
 
 /// Configuration of one distributed sweep worker
-/// ([`EvalEngine::run_distributed`]).
+/// ([`EvalSession::run_distributed`]).
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
     /// Worker label: names the shard journal file and is written into
@@ -1891,9 +1368,9 @@ impl DistributedConfig {
     }
 }
 
-/// Cooperative run controls for a journaled sweep: an optional
-/// fresh-job budget (the deterministic `--interrupt-after` testing
-/// hook) and an optional external stop flag (how a draining
+/// Cooperative run controls, the only way to stop a run early: an
+/// optional fresh-job budget (the deterministic `--interrupt-after`
+/// testing hook) and an optional external stop flag (how a draining
 /// digiq-serve stops an in-flight sweep between jobs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunControl<'a> {
@@ -1905,33 +1382,278 @@ pub struct RunControl<'a> {
     pub stop: Option<&'a AtomicBool>,
 }
 
-/// Per-request evaluation state over a shared [`EvalEngine`].
+/// Evaluation state over a shared [`EvalEngine`], and the home of every
+/// run mode — each one a pick of job source × record sink for the
+/// module's single run loop (see the module docs).
 ///
-/// digiq-serve shares one engine — one compile cache, one artifact
-/// store — across every worker thread; each client request opens a
-/// session ([`EvalEngine::session`]) so the per-request state that used
-/// to assume a single driving process (compile counters, pass-build
-/// aggregates, cache-stats snapshots, journal handles) is isolated from
-/// every concurrent request, while the artifacts themselves stay shared
-/// build-once in the store (identical in-flight requests coalesce onto
-/// one build).
+/// digiq-serve shares one engine and its store across every worker
+/// thread and opens a session per request ([`EvalEngine::session`]), so
+/// the accounting (compile counters, pass-build aggregates, store
+/// snapshots) is isolated per request while the artifacts stay shared
+/// build-once. The engine's own cumulative accounting is an ordinary
+/// session too ([`EvalEngine::root_session`]).
 #[derive(Debug)]
 pub struct EvalSession<'e> {
     engine: &'e EvalEngine,
-    state: SessionState,
-    base: CacheStats,
-    store_base: StoreStats,
+    state: Arc<SessionState>,
+    /// Store counters when the session opened; `None` for the root
+    /// session, which reports the store's cumulative counters.
+    store_base: Option<StoreStats>,
 }
 
-impl<'e> EvalSession<'e> {
-    /// The shared engine underneath.
-    pub fn engine(&self) -> &'e EvalEngine {
-        self.engine
+impl EvalSession<'_> {
+    /// Folds one pass build's metrics into this session's accounting.
+    fn record_pass_build(&self, m: &PassMetrics) {
+        let mut map = lock_unpoisoned(&self.state.pass_builds);
+        let agg = map.entry(m.pass.clone()).or_default();
+        agg.wall_ns += m.wall_ns;
+        agg.gates_in += m.gates_before as u64;
+        agg.gates_out += m.gates_after as u64;
+        agg.swaps_added += m.swap_delta() as u64;
+        agg.slots_out += m.slots_after.unwrap_or(0) as u64;
     }
 
-    /// [`EvalEngine::run`] charged to this session's counters.
+    /// [`EvalEngine::compiled_with`] charged to this session.
+    fn compiled_with(
+        &self,
+        circuit: &Circuit,
+        grid: &Grid,
+        cfg: &PipelineConfig,
+    ) -> Arc<CompileArtifact> {
+        let (artifact, final_missed) =
+            store::compile_cached(&self.engine.store, circuit, grid, cfg, |m| {
+                self.record_pass_build(m)
+            });
+        let counter = if final_missed {
+            &self.state.compile_misses
+        } else {
+            &self.state.compile_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        artifact
+    }
+
+    /// The store's counters since this session opened.
+    fn store_stats(&self) -> StoreStats {
+        let stats = self.engine.store.stats();
+        match &self.store_base {
+            Some(base) => stats.since(base),
+            None => stats,
+        }
+    }
+
+    /// Cache accounting since this session opened: compile counters are
+    /// exactly this session's; the store-backed counters are the store
+    /// delta since the session opened (concurrent sessions sharing the
+    /// store bleed into them — per-request exact accounting is what
+    /// [`EvalSession::run_deterministic`] stamps instead).
+    pub fn cache_stats(&self) -> CacheStats {
+        let store = self.store_stats();
+        let mut stats = CacheStats {
+            compile_hits: self.state.compile_hits.load(Ordering::Relaxed),
+            compile_misses: self.state.compile_misses.load(Ordering::Relaxed),
+            ..CacheStats::default()
+        };
+        for (namespace, [hits, misses]) in [
+            (ns::CIRCUIT, ["circuit_hits", "circuit_misses"]),
+            (ns::HARDWARE, ["hardware_hits", "hardware_misses"]),
+            (ns::SEQ_DB, ["seq_db_hits", "seq_db_misses"]),
+            (ns::MIN_LENGTHS, ["min_lengths_hits", "min_lengths_misses"]),
+            (ns::BASELINE, ["baseline_hits", "baseline_misses"]),
+        ] {
+            if let Some(s) = store.get(namespace) {
+                *stats.field_mut(hits) = s.hits;
+                *stats.field_mut(misses) = s.misses;
+            }
+        }
+        stats
+    }
+
+    /// Per-pass pipeline accounting: builds and build metrics are
+    /// exactly this session's; hits/misses are the store delta since the
+    /// session opened (the store's cumulative counters for the root
+    /// session).
+    pub fn pass_cache_stats(&self) -> PassCacheStats {
+        let builds = lock_unpoisoned(&self.state.pass_builds);
+        let passes = self
+            .store_stats()
+            .namespaces
+            .iter()
+            .filter(|n| n.namespace.starts_with(ns::STAGE_PREFIX))
+            .map(|n| {
+                let label = &n.namespace[ns::STAGE_PREFIX.len()..];
+                PassCacheStat {
+                    pass: label.to_string(),
+                    hits: n.hits,
+                    misses: n.misses,
+                    ..builds.get(label).cloned().unwrap_or_default()
+                }
+            })
+            .collect();
+        PassCacheStats { passes }
+    }
+
+    /// Assembles the shared per-job artifacts — identical for the
+    /// analytic and co-simulation modes.
+    fn job_context(&self, spec: &SweepSpec, job: &JobSpec) -> JobContext {
+        let engine = self.engine;
+        let grid = Grid::new(spec.grid_rows, spec.grid_cols);
+        let circuit = engine.benchmark_circuit(job.bench, spec.base_seed);
+        let compiled = self.compiled_with(&circuit, &grid, &spec.pipeline);
+        let key = compile_key(&circuit, &grid, &spec.pipeline);
+
+        let mut config = SystemConfig::paper_default(job.point.design, job.point.groups);
+        config.n_qubits = grid.n_qubits();
+        let mut params = ExecParams::new(config);
+        params.seed = derive_seed(spec.base_seed, job.seed);
+        if let Some(lengths) = engine.min_lengths(job.point.design) {
+            params.min_lengths = (*lengths).clone();
+        }
+
+        let groups =
+            checkerboard_groups(grid.cols(), grid.n_qubits(), job.point.groups.clamp(1, 2));
+        JobContext {
+            key,
+            circuit,
+            compiled,
+            params,
+            groups,
+        }
+    }
+
+    /// Evaluates one job (pure given the spec).
+    fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
+        let JobContext {
+            key,
+            circuit,
+            compiled,
+            params,
+            groups,
+        } = self.job_context(spec, job);
+        let exec = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
+        // The Impossible MIMD normalization baseline ignores the seed,
+        // the group map and the decomposition distribution, so it is a
+        // pure function of the compiled artifact — memoize it per
+        // compile key instead of re-running it for every design and seed
+        // (and persist it: with a disk-backed store a warm-started sweep
+        // skips the baseline executions too).
+        let store = &self.engine.store;
+        let base_exec = store.get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
+            let mut base = params.clone();
+            base.config.design = ControllerDesign::ImpossibleMimd;
+            execute(&compiled.circuit, compiled.scheduled(), &groups, &base)
+        });
+
+        let power_w = if spec.synthesize_hardware {
+            self.engine
+                .hardware(job.point.design, job.point.groups)
+                .map(|hw| hw.report.power_w)
+        } else {
+            None
+        };
+
+        JobRecord {
+            design: job.point.design,
+            groups: job.point.groups,
+            benchmark: job.bench.bench.name().to_string(),
+            n_qubits: circuit.n_qubits(),
+            seed: job.seed,
+            power_w,
+            report: BenchmarkReport {
+                benchmark: job.bench.bench.name().to_string(),
+                logical_gates: compiled.logical_gates,
+                swaps: compiled.swaps,
+                slots: compiled.scheduled().len(),
+                normalized_time: exec.total_ns / base_exec.total_ns.max(f64::MIN_POSITIVE),
+                exec,
+            },
+        }
+    }
+
+    /// Co-simulates one job: the cycle-accurate machine and the analytic
+    /// model run on the *same* compiled artifact, parameters, and group
+    /// map, so the record carries both sides of the differential check.
+    /// Co-simulations are memoized per (compiled artifact, design point,
+    /// derived seed).
+    fn run_cosim_job(&self, spec: &SweepSpec, job: &JobSpec) -> CosimRecord {
+        let JobContext {
+            key,
+            circuit,
+            compiled,
+            params,
+            groups,
+        } = self.job_context(spec, job);
+        let cosim = self.engine.store.get_or_build_artifact(
+            ns::COSIM,
+            cosim_store_key(key, job.point.design, job.point.groups, params.seed),
+            || {
+                cosim::simulate(
+                    &compiled.circuit,
+                    compiled.scheduled(),
+                    &groups,
+                    &CosimParams::new(params.clone()),
+                )
+            },
+        );
+        let analytic = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
+        CosimRecord {
+            design: job.point.design,
+            groups: job.point.groups,
+            benchmark: job.bench.bench.name().to_string(),
+            n_qubits: circuit.n_qubits(),
+            seed: job.seed,
+            cosim: (*cosim).clone(),
+            analytic,
+        }
+    }
+
+    /// The one place a [`SweepReport`] is assembled: `None` unless
+    /// `records` covers every job of `spec`. The cache accounting is the
+    /// live delta since `live_since` or, without it, the deterministic
+    /// cold-run accounting ([`EvalEngine::cold_cache_stats`]) — which is
+    /// what makes journaled, resumed, distributed and served runs
+    /// serialize byte-identically to a cold uninterrupted one.
+    fn finish(
+        &self,
+        spec: &SweepSpec,
+        records: BTreeMap<usize, JobRecord>,
+        live_since: Option<CacheStats>,
+    ) -> Option<SweepReport> {
+        if records.len() < spec.job_count() {
+            return None;
+        }
+        let cache = match live_since {
+            Some(before) => self.cache_stats().since(&before),
+            None => self.engine.cold_cache_stats_warm(spec),
+        };
+        Some(SweepReport {
+            grid_rows: spec.grid_rows,
+            grid_cols: spec.grid_cols,
+            jobs: records.into_values().collect(),
+            cache,
+        })
+    }
+
+    /// Every job of `spec` on `workers` threads, no journal.
+    fn run_all(
+        &self,
+        spec: &SweepSpec,
+        workers: usize,
+        live_since: Option<CacheStats>,
+    ) -> SweepReport {
+        let source = Source::Counter(spec.jobs(), AtomicUsize::default());
+        let records = execute_jobs(source, workers, None, RunControl::default(), |job| {
+            self.run_job(spec, job)
+        });
+        self.finish(spec, records, live_since)
+            .expect("an unstoppable run completes every job")
+    }
+
+    /// Runs the whole sweep on `workers` scoped threads and merges the
+    /// records in job-index order, reporting the live cache delta of
+    /// this session. The report is identical for any worker count.
     pub fn run(&self, spec: &SweepSpec, workers: usize) -> SweepReport {
-        self.engine.run_in(&self.state, spec, workers)
+        self.run_all(spec, workers, Some(self.cache_stats()))
     }
 
     /// [`EvalSession::run`] with the report's cache accounting replaced
@@ -1941,22 +1663,74 @@ impl<'e> EvalSession<'e> {
     /// same spec no matter how warm the shared store already is or what
     /// other requests run concurrently.
     pub fn run_deterministic(&self, spec: &SweepSpec, workers: usize) -> SweepReport {
-        let mut report = self.engine.run_in(&self.state, spec, workers);
-        report.cache = self.engine.cold_cache_stats_warm(spec);
-        report
+        self.run_all(spec, workers, None)
     }
 
-    /// [`EvalEngine::run_cosim`] charged to this session's counters
-    /// (the cosim report carries no cache accounting, so its bytes are
-    /// already independent of store warmth).
+    /// The co-simulation evaluation mode: the same sweep sharding and
+    /// job-index merge as [`EvalSession::run`], but every job runs the
+    /// cycle-accurate machine alongside the analytic model. The cosim
+    /// report carries no cache accounting, so its bytes are independent
+    /// of worker count and store warmth.
     pub fn run_cosim(&self, spec: &SweepSpec, workers: usize) -> CosimSweepReport {
-        self.engine.run_cosim_in(&self.state, spec, workers)
+        let source = Source::Counter(spec.jobs(), AtomicUsize::default());
+        let records = execute_jobs(source, workers, None, RunControl::default(), |job| {
+            self.run_cosim_job(spec, job)
+        });
+        CosimSweepReport {
+            grid_rows: spec.grid_rows,
+            grid_cols: spec.grid_cols,
+            jobs: records.into_values().collect(),
+        }
     }
 
-    /// [`EvalEngine::run_distributed`] charged to this session's
-    /// counters — how a serve daemon's eval worker joins a distributed
-    /// sweep over the shared cache dir instead of evaluating every job
-    /// itself.
+    /// [`EvalSession::run`] with a job-completion journal: every
+    /// finished job is appended (and flushed) to `journal`, and with
+    /// `resume` the jobs already journaled are loaded instead of re-run
+    /// — an interrupted sweep picks up exactly where it stopped. The
+    /// report carries the cold-run cache accounting, so a resumed sweep
+    /// serializes **byte-identically** to an uninterrupted one.
+    ///
+    /// `ctl` stops the run early (see [`RunControl`]); jobs already
+    /// started still finish and journal, and an interrupted run returns
+    /// `None`.
+    pub fn run_journaled(
+        &self,
+        spec: &SweepSpec,
+        workers: usize,
+        journal: &SweepJournal,
+        resume: bool,
+        ctl: RunControl<'_>,
+    ) -> Option<SweepReport> {
+        let mut records = if resume {
+            journaled_records(journal.load(), spec)
+        } else {
+            BTreeMap::new()
+        };
+        let mut pending: Vec<JobSpec> = spec.jobs();
+        pending.retain(|j| !records.contains_key(&j.index));
+        let source = Source::Counter(pending, AtomicUsize::default());
+        records.extend(execute_jobs(source, workers, Some(journal), ctl, |job| {
+            self.run_job(spec, job)
+        }));
+        self.finish(spec, records, None)
+    }
+
+    /// Runs `spec` as one worker of a **distributed** sweep: any number
+    /// of processes sharing one cache dir cooperate with no coordinator,
+    /// each claiming jobs through the store's claim files
+    /// ([`crate::store::JobClaims`]), evaluating them single-file, and
+    /// streaming completions into its own shard journal
+    /// (`<spec key>.<worker>.jsonl`) so no two processes ever append to
+    /// the same file. A worker whose scan finds every remaining job
+    /// claimed by someone else waits and rescans — a killed worker's
+    /// claims stop being heartbeated, go stale after the TTL, and are
+    /// reclaimed by the survivors — and every worker returns only once
+    /// all jobs are journaled, handing back the merged report (identical
+    /// bytes to [`EvalSession::merge_distributed`], the serial run, and
+    /// the journaled run).
+    ///
+    /// `ctl` stops the worker between jobs (returning `Ok(None)`), the
+    /// same way it stops a journaled sweep.
     ///
     /// # Errors
     ///
@@ -1967,43 +1741,203 @@ impl<'e> EvalSession<'e> {
         spec: &SweepSpec,
         cache_dir: &Path,
         cfg: &DistributedConfig,
-        stop: Option<&AtomicBool>,
+        ctl: RunControl<'_>,
     ) -> std::io::Result<Option<SweepReport>> {
-        self.engine
-            .run_distributed_in(&self.state, spec, cache_dir, cfg, stop)
+        let spec_key = spec.stable_key();
+        let journal_dir = ArtifactStore::journal_dir(cache_dir);
+        let shard = SweepJournal::open_shard(&journal_dir, spec_key, &cfg.worker)?;
+        let mut scan = ClaimScan {
+            claims: JobClaims::open(cache_dir, spec_key, &cfg.worker, cfg.claim_ttl)?,
+            cfg,
+            journal_dir: &journal_dir,
+            spec,
+            jobs: spec.jobs(),
+            done: BTreeSet::new(),
+        };
+        scan.rescan();
+        let source = Source::Claims(Mutex::new(scan));
+        let executed = execute_jobs(source, 1, Some(&shard), ctl, |job| self.run_job(spec, job));
+        let mut records = journaled_records(SweepJournal::load_all(&journal_dir, spec_key), spec);
+        records.extend(executed);
+        Ok(self.finish(spec, records, None))
     }
 
-    /// [`EvalEngine::run_journaled`] charged to this session, with the
-    /// full [`RunControl`] surface (fresh-job budget plus external stop
-    /// flag).
-    pub fn run_journaled(
+    /// Assembles the final report of a distributed sweep from whatever
+    /// shard layout the workers left behind: the base journal plus every
+    /// worker shard, merged in job-index order with the cold-run cache
+    /// accounting — byte-identical to a serial [`EvalSession::run`] of
+    /// the same spec no matter how many workers ran, which worker
+    /// evaluated which job, or how often a job was re-run after a claim
+    /// expired.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when any job is missing from the journals
+    /// (the sweep is still running, or a worker died un-reclaimed).
+    pub fn merge_distributed(
         &self,
         spec: &SweepSpec,
-        workers: usize,
-        journal: &SweepJournal,
-        resume: bool,
-        ctl: RunControl<'_>,
-    ) -> Option<SweepReport> {
-        self.engine
-            .run_journaled_in(&self.state, spec, workers, journal, resume, ctl)
+        cache_dir: &Path,
+    ) -> Result<SweepReport, String> {
+        let journal_dir = ArtifactStore::journal_dir(cache_dir);
+        let records = journaled_records(
+            SweepJournal::load_all(&journal_dir, spec.stable_key()),
+            spec,
+        );
+        let found = records.len();
+        self.finish(spec, records, None).ok_or_else(|| {
+            format!(
+                "distributed sweep incomplete: {found}/{} jobs journaled under {}",
+                spec.job_count(),
+                journal_dir.display()
+            )
+        })
+    }
+}
+
+/// The one decoder of journal lines: the valid records of `spec`'s jobs
+/// by index. Out-of-range indices and undecodable records are skipped
+/// (the job simply re-runs); a later line for an index wins.
+fn journaled_records(lines: Vec<(u64, Json)>, spec: &SweepSpec) -> BTreeMap<usize, JobRecord> {
+    let jobs = spec.job_count() as u64;
+    lines
+        .into_iter()
+        .filter(|(index, _)| *index < jobs)
+        .filter_map(|(index, j)| Some((index as usize, JobRecord::from_json(&j).ok()?)))
+        .collect()
+}
+
+/// Where the run loop's workers take their next job from.
+enum Source<'a> {
+    /// The in-process counter over the jobs not yet journaled.
+    Counter(Vec<JobSpec>, AtomicUsize),
+    /// A distributed worker's claim-file scan (run it on one thread).
+    Claims(Mutex<ClaimScan<'a>>),
+}
+
+impl Source<'_> {
+    /// The next job (with its claim's heartbeat, for a claimed job), or
+    /// `None` once the source is exhausted or `stopped`.
+    fn take(&self, stopped: &dyn Fn() -> bool) -> Option<(JobSpec, Option<ClaimHeartbeat>)> {
+        match self {
+            Source::Counter(..) if stopped() => None,
+            Source::Counter(jobs, next) => {
+                Some((*jobs.get(next.fetch_add(1, Ordering::Relaxed))?, None))
+            }
+            Source::Claims(scan) => lock_unpoisoned(scan).take(stopped),
+        }
     }
 
-    /// Cache accounting since this session opened: compile counters are
-    /// exactly this session's; the store-backed counters are the store
-    /// delta since the session opened (concurrent sessions sharing the
-    /// store bleed into them — per-request exact accounting is what
-    /// [`EvalSession::run_deterministic`] stamps instead).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats_in(&self.state).since(&self.base)
+    /// Marks a taken job done once its record is in the sink. The claim
+    /// heartbeat stops **before** the claim is released, so no refresher
+    /// tick can outlive the claim.
+    fn done(&self, job: &JobSpec, heartbeat: Option<ClaimHeartbeat>) {
+        drop(heartbeat);
+        if let Source::Claims(scan) = self {
+            lock_unpoisoned(scan).release(job.index);
+        }
+    }
+}
+
+/// The claim-file scan of one distributed worker. Each take walks the
+/// jobs from the worker's scan offset (so workers spread over disjoint
+/// regions first and only contend at the end) and claims the first job
+/// that is neither journaled nor held. When every remaining job is held
+/// elsewhere it waits a poll interval and rescans the journals, until
+/// those workers journal or their claims go stale.
+struct ClaimScan<'a> {
+    claims: JobClaims,
+    cfg: &'a DistributedConfig,
+    journal_dir: &'a Path,
+    spec: &'a SweepSpec,
+    jobs: Vec<JobSpec>,
+    /// Jobs journaled by any worker as of the last rescan, plus this
+    /// worker's own completions since.
+    done: BTreeSet<usize>,
+}
+
+impl ClaimScan<'_> {
+    fn rescan(&mut self) {
+        let lines = SweepJournal::load_all(self.journal_dir, self.spec.stable_key());
+        self.done = journaled_records(lines, self.spec).into_keys().collect();
     }
 
-    /// Per-pass pipeline accounting since this session opened: builds
-    /// and build metrics are exactly this session's; hits/misses are
-    /// the store delta since the session opened.
-    pub fn pass_cache_stats(&self) -> PassCacheStats {
-        self.engine
-            .pass_cache_stats_in(&self.state, Some(&self.store_base))
+    fn take(&mut self, stopped: &dyn Fn() -> bool) -> Option<(JobSpec, Option<ClaimHeartbeat>)> {
+        let n = self.jobs.len();
+        while self.done.len() < n {
+            for k in 0..n {
+                if stopped() {
+                    return None;
+                }
+                let job = self.jobs[(k + self.cfg.scan_offset) % n];
+                let index = job.index as u64;
+                if self.done.contains(&job.index) || !self.claims.try_claim(index) {
+                    continue;
+                }
+                // Between the last rescan and winning the claim, another
+                // worker may have journaled this job and released it —
+                // re-check so a job is never journaled twice.
+                self.rescan();
+                if self.done.contains(&job.index) {
+                    self.claims.release(index);
+                    continue;
+                }
+                let heartbeat = self.claims.heartbeat(index);
+                if let Some(hold) = self.cfg.hold {
+                    std::thread::sleep(hold);
+                }
+                return Some((job, Some(heartbeat)));
+            }
+            std::thread::sleep(self.cfg.poll);
+            self.rescan();
+        }
+        None
     }
+
+    fn release(&mut self, index: usize) {
+        self.claims.release(index as u64);
+        self.done.insert(index);
+    }
+}
+
+/// The one run loop behind every run mode: `workers` scoped threads each
+/// take the next job from `source`, evaluate it, append the record to
+/// `sink` (if any) and mark the job done, until the source is exhausted
+/// or `ctl` stops the run. Returns the records this call evaluated, by
+/// job index.
+fn execute_jobs<R: ToJson + Send>(
+    source: Source<'_>,
+    workers: usize,
+    sink: Option<&SweepJournal>,
+    ctl: RunControl<'_>,
+    eval: impl Fn(&JobSpec) -> R + Sync,
+) -> BTreeMap<usize, R> {
+    let stopped = || ctl.stop.is_some_and(|f| f.load(Ordering::Relaxed));
+    let started = AtomicUsize::new(0);
+    let records = Mutex::new(BTreeMap::new());
+    run_pool(workers, || {
+        // Reserve a slot in the fresh-job budget before taking a job, so
+        // a worker never claims a job it will not run.
+        if ctl
+            .interrupt_after
+            .is_some_and(|n| started.fetch_add(1, Ordering::Relaxed) >= n)
+        {
+            return false;
+        }
+        let Some((job, heartbeat)) = source.take(&stopped) else {
+            return false;
+        };
+        let record = eval(&job);
+        if let Some(sink) = sink {
+            sink.append(job.index as u64, &record.to_json());
+        }
+        lock_unpoisoned(&records).insert(job.index, record);
+        source.done(&job, heartbeat);
+        true
+    });
+    records
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One merged co-simulation sweep row: the cycle-accurate report and the

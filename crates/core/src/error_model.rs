@@ -13,18 +13,18 @@
 //!   `calib::cz` composes the best 1–2-pulse CZ, and the surrounding
 //!   single-qubit gates contribute their own decomposition error.
 //!
-//! Work is parallelized over qubits/couplers with scoped threads.
+//! Work is parallelized over qubits/couplers with
+//! [`crate::engine::par_map_ordered`].
 
-use crate::store::{ns, ArtifactStore};
+use crate::engine::par_map_ordered;
 use calib::bitstream::{basis_op_for_qubit, find_bitstream, SearchConfig, ZFreedom};
 use calib::cz::{calibrate_shared_pulse, cz_error_with_local_1q, uqq_for_drift, SharedCzPulse};
-use calib::drift::{sample_population, DriftModel, SampledQubit};
+use calib::drift::{sample_population, DriftModel};
 use calib::min_decomp::{decompose_min, MinBasis, SequenceDb};
 use calib::opt_decomp::{decompose_opt_with, OptBasis, OptTables};
 use qsim::matrix::CMat;
 use qsim::optimize::GaConfig;
 use qsim::pulse::SfqParams;
-use qsim::rng::stable_hash_str;
 use qsim::rng::StdRng;
 use qsim::transmon::Transmon;
 use qsim::two_qubit::CoupledTransmons;
@@ -144,33 +144,6 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Content key for a drifted qubit's memoized [`OptTables`]: exact bits
-/// of the basis block plus the delay-lattice parameters.
-fn opt_tables_key(basis: &OptBasis) -> u64 {
-    let mut words = Vec::with_capacity(10);
-    for e in basis.ubs.as_slice() {
-        words.push(e.re.to_bits());
-        words.push(e.im.to_bits());
-    }
-    words.push(basis.phase_per_tick.to_bits());
-    words.push(basis.n_delays as u64);
-    stable_hash_str("calib/opt_tables", &words)
-}
-
-/// Content key for a drifted qubit's memoized [`SequenceDb`]: exact bits
-/// of every basis block plus the half depth.
-fn seq_db_key(basis: &MinBasis, half_depth: usize) -> u64 {
-    let mut words = Vec::with_capacity(basis.ops.len() * 8 + 1);
-    for op in &basis.ops {
-        for e in op.as_slice() {
-            words.push(e.re.to_bits());
-            words.push(e.im.to_bits());
-        }
-    }
-    words.push(half_depth as u64);
-    stable_hash_str("calib/seq_db", &words)
-}
-
 /// The shared calibration artifacts (found once, broadcast to all qubits —
 /// this is what makes the architecture SIMD).
 #[derive(Debug, Clone)]
@@ -236,20 +209,6 @@ pub fn calibrate_shared(config: &ErrorModelConfig) -> SharedCalibration {
 /// Evaluates Fig 10a: per-qubit median single-qubit gate error for both
 /// DigiQ designs, over the sampled drift population.
 pub fn fig10a(config: &ErrorModelConfig, shared: &SharedCalibration) -> Vec<QubitErrorRow> {
-    fig10a_with_store(config, shared, &ArtifactStore::in_memory())
-}
-
-/// [`fig10a`] with an explicit artifact store: the per-qubit search
-/// artifacts (prebuilt [`OptTables`] and [`SequenceDb`]) are memoized in
-/// the store's [`ns::CALIB_MEMO`] namespace, keyed by exact basis
-/// content. Qubits whose drifted bases coincide (zero-drift populations,
-/// repeat sweeps over the same population) share one build instead of
-/// redoing the dominant per-qubit setup cost.
-pub fn fig10a_with_store(
-    config: &ErrorModelConfig,
-    shared: &SharedCalibration,
-    store: &ArtifactStore,
-) -> Vec<QubitErrorRow> {
     let population = sample_population(
         config.grid_cols,
         config.n_qubits,
@@ -258,7 +217,7 @@ pub fn fig10a_with_store(
     );
     let targets = target_sample(config.n_targets, 0xF160_10A0);
 
-    let eval_qubit = |q: &SampledQubit| -> QubitErrorRow {
+    par_map_ordered(&population, config.threads, |_, q| {
         let class = config
             .parking_ghz
             .iter()
@@ -267,29 +226,23 @@ pub fn fig10a_with_store(
         let actual = Transmon::new(q.actual_ghz);
 
         // DigiQ_opt: recompute the basis op under drift, then decompose
-        // against the memoized delay tables.
+        // every target against one set of prebuilt delay tables.
         let ubs = basis_op_for_qubit(&shared.ry_bits[class], actual, shared.opt_params);
         let basis = OptBasis::new(&ubs, q.actual_ghz, shared.opt_params.clock_period_ns, 255);
-        let tables = store.get_or_build(ns::CALIB_MEMO, opt_tables_key(&basis), || {
-            OptTables::build(&basis)
-        });
+        let tables = OptTables::build(&basis);
         let opt_errors: Vec<f64> = targets
             .iter()
             .map(|t| decompose_opt_with(&tables, t, 0.0, 3, 1e-4).error)
             .collect();
 
-        // DigiQ_min: drifted discrete basis, sequence search over the
-        // memoized database.
+        // DigiQ_min: drifted discrete basis, sequence search over one
+        // database.
         let b0 = basis_op_for_qubit(&shared.min_bits[class][0], actual, shared.min_params)
             .top_left_block(2);
         let b1 = basis_op_for_qubit(&shared.min_bits[class][1], actual, shared.min_params)
             .top_left_block(2);
         let min_basis = MinBasis::new(vec![b0, b1]);
-        let db = store.get_or_build(
-            ns::CALIB_MEMO,
-            seq_db_key(&min_basis, config.min_half_depth),
-            || SequenceDb::build(&min_basis, config.min_half_depth),
-        );
+        let db = SequenceDb::build(&min_basis, config.min_half_depth);
         let min_errors: Vec<f64> = targets
             .iter()
             .map(|t| decompose_min(t, &min_basis, &db, 1e-4).error)
@@ -301,23 +254,7 @@ pub fn fig10a_with_store(
             opt_median: median(opt_errors),
             min_median: median(min_errors),
         }
-    };
-
-    // Scoped parallel map over the population.
-    let threads = config.threads.max(1);
-    let chunk = population.len().div_ceil(threads);
-    let mut rows: Vec<QubitErrorRow> = Vec::with_capacity(population.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = population
-            .chunks(chunk)
-            .map(|part| s.spawn(|| part.iter().map(&eval_qubit).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("worker panicked"));
-        }
-    });
-    rows.sort_by_key(|r| r.qubit);
-    rows
+    })
 }
 
 /// Per-coupler Fig 10b record.
@@ -370,7 +307,7 @@ pub fn fig10b(
         .step_by(coupler_stride.max(1))
         .collect();
 
-    let eval = |&(idx, (a, b)): &(usize, (usize, usize))| -> CouplerErrorRow {
+    par_map_ordered(&couplers, config.threads, |_, &(idx, (a, b))| {
         // Identify the high-frequency (flux-tuned) qubit of the pair.
         let (hi, lo) = if population[a].nominal_ghz >= population[b].nominal_ghz {
             (a, b)
@@ -396,22 +333,7 @@ pub fn fig10b(
             qubits: (a, b),
             cz_error: qsim::fidelity::circuit_error([echo, oneq]),
         }
-    };
-
-    let threads = config.threads.max(1);
-    let chunk = couplers.len().div_ceil(threads);
-    let mut rows: Vec<CouplerErrorRow> = Vec::with_capacity(couplers.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = couplers
-            .chunks(chunk)
-            .map(|part| s.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("worker panicked"));
-        }
-    });
-    rows.sort_by_key(|r| r.coupler);
-    rows
+    })
 }
 
 #[cfg(test)]
@@ -448,28 +370,6 @@ mod tests {
                 r.qubit
             );
             assert!(r.opt_median >= 0.0 && r.min_median >= 0.0);
-        }
-    }
-
-    #[test]
-    fn fig10a_memoizes_search_artifacts_per_basis() {
-        let config = ErrorModelConfig::small(4);
-        let shared = calibrate_shared(&config);
-        let store = ArtifactStore::in_memory();
-        let first = fig10a_with_store(&config, &shared, &store);
-        let after_first = store.namespace_stats(ns::CALIB_MEMO);
-        // One OptTables + one SequenceDb per distinct drifted basis.
-        assert!(after_first.builds >= 2, "nothing memoized");
-        let second = fig10a_with_store(&config, &shared, &store);
-        let after_second = store.namespace_stats(ns::CALIB_MEMO);
-        assert_eq!(
-            after_second.builds, after_first.builds,
-            "repeat sweep must reuse every memoized artifact"
-        );
-        assert!(after_second.hits > after_first.hits);
-        for (a, b) in first.iter().zip(second.iter()) {
-            assert_eq!(a.opt_median.to_bits(), b.opt_median.to_bits());
-            assert_eq!(a.min_median.to_bits(), b.min_median.to_bits());
         }
     }
 

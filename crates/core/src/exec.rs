@@ -30,7 +30,6 @@ use crate::design::{ControllerDesign, SystemConfig};
 use qcircuit::ir::{Circuit, Gate};
 use qcircuit::schedule::Slot;
 use sfq_hw::json::{Json, ToJson};
-use std::collections::{HashMap, HashSet};
 
 /// Tunables of the statistical execution model.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,8 +148,8 @@ pub fn opt_slot_cost(
     model: &DelayModel<'_>,
     bs: usize,
 ) -> OptSlotCost {
-    // Group → firing position → distinct delay classes.
-    let mut demands: HashMap<(usize, usize), HashSet<u64>> = HashMap::new();
+    // Every (group, firing position, delay class) the slot demands.
+    let mut demands: Vec<(usize, usize, u64)> = Vec::with_capacity(3 * slot.len());
     let mut cost = OptSlotCost::default();
     for &gi in slot {
         match circuit.gates()[gi] {
@@ -158,22 +157,27 @@ pub fn opt_slot_cost(
             Gate::OneQ { q, kind } => {
                 let group = group_of.get(q).copied().unwrap_or(0);
                 for pos in 0..model.firing_count(kind) {
-                    let class = model.delay_class(kind, pos, group, q);
-                    demands.entry((group, pos)).or_default().insert(class);
+                    demands.push((group, pos, model.delay_class(kind, pos, group, q)));
                 }
             }
             _ => panic!("executor requires a lowered circuit"),
         }
     }
-    // Per group: sum over firing positions of the contention-expanded
-    // sub-cycles; the slot waits for the slowest group.
-    let mut per_group: HashMap<usize, u64> = HashMap::new();
-    for ((group, _pos), classes) in &demands {
-        let sub = (classes.len() as u64).div_ceil(bs as u64);
-        *per_group.entry(*group).or_insert(0) += sub;
+    demands.sort_unstable();
+    demands.dedup();
+    // Per group: sum over firing positions (one run of distinct classes
+    // each) of the contention-expanded sub-cycles; the slot waits for
+    // the slowest group.
+    let (mut group, mut group_cycles) = (usize::MAX, 0u64);
+    for run in demands.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let sub = (run.len() as u64).div_ceil(bs as u64);
         cost.serialization_cycles += sub - 1;
+        if run[0].0 != group {
+            (group, group_cycles) = (run[0].0, 0);
+        }
+        group_cycles += sub;
+        cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
     }
-    cost.oneq_cycles = per_group.values().copied().max().unwrap_or(0);
     cost
 }
 
@@ -268,21 +272,6 @@ pub fn execute(
         report.slots += 1;
     }
     report
-}
-
-/// Convenience for Fig 9: execution time of `circuit` under `design`,
-/// normalized to the Impossible MIMD baseline.
-pub fn normalized_exec_time(
-    circuit: &Circuit,
-    slots: &[Slot],
-    group_of: &[usize],
-    params: &ExecParams,
-) -> f64 {
-    let this = execute(circuit, slots, group_of, params);
-    let mut base_params = params.clone();
-    base_params.config.design = ControllerDesign::ImpossibleMimd;
-    let base = execute(circuit, slots, group_of, &base_params);
-    this.total_ns / base.total_ns.max(f64::MIN_POSITIVE)
 }
 
 /// Builds the checkerboard group map used by the paper's evaluation
@@ -420,12 +409,15 @@ mod tests {
             2,
         ));
         p.config.n_qubits = 16;
-        let ratio16 = normalized_exec_time(&c, &slots, &groups, &p);
+        let mut base = p.clone();
+        base.config.design = ControllerDesign::ImpossibleMimd;
+        let base_ns = execute(&c, &slots, &groups, &base).total_ns;
+        let ratio16 = execute(&c, &slots, &groups, &p).total_ns / base_ns;
         // CZ time dominates this small circuit: BS=16 sits just above 1×.
         assert!((1.0..12.0).contains(&ratio16), "ratio {ratio16}");
         // BS=2 must serialize the 16 distinct rotations much harder.
         p.config.design = ControllerDesign::DigiqOpt { bs: 2 };
-        let ratio2 = normalized_exec_time(&c, &slots, &groups, &p);
+        let ratio2 = execute(&c, &slots, &groups, &p).total_ns / base_ns;
         assert!(ratio2 > ratio16, "BS=2 {ratio2} vs BS=16 {ratio16}");
     }
 

@@ -85,12 +85,6 @@ pub mod ns {
     pub const SEQ_DB: &str = "seq_db";
     /// Measured decomposition-length distributions (in-memory only).
     pub const MIN_LENGTHS: &str = "min_lengths";
-    /// Memoized calibration-search artifacts keyed by exact basis
-    /// content: prebuilt `OptTables` delay products and DigiQ_min
-    /// sequence databases shared across qubits and repeat evaluations
-    /// (in-memory only — cheap to rebuild, expensive to redo per qubit).
-    /// Not part of [`crate::engine::CacheStats`] accounting.
-    pub const CALIB_MEMO: &str = "calib/memo";
     /// Memoized per-module synthesis results keyed by (generator,
     /// params, cost-model hash): the Fig 8 sweep instantiates the same
     /// small module (one-hot mux, circulating register, …) at every
@@ -1204,13 +1198,12 @@ impl SweepJournal {
     /// Corrupt or truncated lines are skipped; duplicate indices are
     /// returned as-is (callers keep the last occurrence).
     pub fn load(&self) -> Vec<(u64, Json)> {
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
-            return Vec::new();
-        };
-        Self::parse_lines(&text)
+        Self::load_file(&self.path)
     }
 
-    fn parse_lines(text: &str) -> Vec<(u64, Json)> {
+    /// The valid lines of one journal file (none if it is unreadable).
+    fn load_file(path: &Path) -> Vec<(u64, Json)> {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
         text.lines()
             .filter_map(|line| {
                 let j = Json::parse(line).ok()?;
@@ -1245,13 +1238,7 @@ impl SweepJournal {
             })
             .collect();
         files.sort();
-        let mut out = Vec::new();
-        for p in files {
-            if let Ok(text) = std::fs::read_to_string(&p) {
-                out.extend(Self::parse_lines(&text));
-            }
-        }
-        out
+        files.iter().flat_map(|p| Self::load_file(p)).collect()
     }
 
     /// Appends one completed job, flushing so the line survives an
@@ -1398,11 +1385,6 @@ impl JobClaims {
             .is_some_and(|age| age > self.ttl)
     }
 
-    /// Rewrites the claim file for job `index`, refreshing its mtime.
-    pub fn refresh(&self, index: u64) {
-        let _ = std::fs::write(self.claim_path(index), self.body.as_bytes());
-    }
-
     /// Releases the claim on job `index` (after its record is safely
     /// journaled). Best-effort: an unreleased claim merely goes stale.
     pub fn release(&self, index: u64) {
@@ -1415,6 +1397,10 @@ impl JobClaims {
     /// killed outright loses the refresher with the process, so its
     /// claim goes stale and gets reclaimed — exactly the expiry story
     /// the distributed tests kill a real worker to prove.
+    ///
+    /// The refresher only rewrites an existing claim file, never creates
+    /// one: a tick that lands after [`JobClaims::release`] cannot bring
+    /// the released claim back. Drop the guard before releasing.
     pub fn heartbeat(&self, index: u64) -> ClaimHeartbeat {
         let period = (self.ttl / 4).max(Duration::from_millis(5));
         let path = self.claim_path(index);
@@ -1427,7 +1413,13 @@ impl JobClaims {
                 if thread_stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let _ = std::fs::write(&path, body.as_bytes());
+                if let Ok(mut f) = std::fs::OpenOptions::new()
+                    .write(true)
+                    .truncate(true)
+                    .open(&path)
+                {
+                    let _ = f.write_all(body.as_bytes());
+                }
             }
         });
         ClaimHeartbeat {
@@ -1805,6 +1797,26 @@ mod tests {
         // Releasing vacates the name for a plain re-acquisition.
         b.release(3);
         assert!(a.try_claim(3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_heartbeat_never_recreates_a_released_claim() {
+        let dir = std::env::temp_dir().join(format!(
+            "digiq-store-zombie-{}-{:x}",
+            std::process::id(),
+            qsim::rng::stable_hash_str("zombie", &[line!() as u64])
+        ));
+        // TTL 40 ms: the refresher ticks every 10 ms.
+        let claims = JobClaims::open(&dir, 7, "a", Duration::from_millis(40)).unwrap();
+        assert!(claims.try_claim(1));
+        let _hb = claims.heartbeat(1);
+        claims.release(1);
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            !claims.claim_path(1).exists(),
+            "a refresher tick after release recreated the claim"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,6 @@ use crate::exec::{checkerboard_groups, execute, ExecParams, ExecReport};
 use crate::hardware::{build_hardware, DesignHardware};
 use crate::store::{self, ns, ArtifactStore};
 use calib::min_decomp::{decompose_min, MinBasis, SequenceDb};
-use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{CompileArtifact, PassMetrics, Pipeline, PipelineConfig};
@@ -222,12 +221,6 @@ impl DigiqSystem {
         }
     }
 
-    /// Evaluates one of the paper's Table IV benchmarks at paper scale.
-    pub fn evaluate_benchmark(&self, bench: Benchmark) -> BenchmarkReport {
-        let circuit = bench.paper_scale();
-        self.evaluate_circuit(bench.name(), &circuit)
-    }
-
     /// Runs the cycle-accurate co-simulator ([`crate::cosim`]) on a
     /// circuit through the same compile pipeline as
     /// [`DigiqSystem::evaluate_circuit`] (shared `compile` helper) —
@@ -317,32 +310,6 @@ pub fn measured_min_lengths_with_db(basis: &MinBasis, db: &SequenceDb) -> Vec<us
         .collect();
     lengths.sort_unstable();
     lengths
-}
-
-/// Runs the full Fig 9 matrix: every Table IV benchmark × the paper's
-/// five plotted configurations, returning `(design, benchmark, ratio)`
-/// rows.
-pub fn fig9_sweep(model: &CostModel) -> Vec<(String, String, f64)> {
-    let designs = [
-        ControllerDesign::DigiqMin { bs: 2 },
-        ControllerDesign::DigiqMin { bs: 4 },
-        ControllerDesign::DigiqOpt { bs: 4 },
-        ControllerDesign::DigiqOpt { bs: 8 },
-        ControllerDesign::DigiqOpt { bs: 16 },
-    ];
-    let mut rows = Vec::new();
-    for design in designs {
-        let system = DigiqSystem::build(design, 2, model);
-        for bench in qcircuit::bench::ALL_BENCHMARKS {
-            let report = system.evaluate_benchmark(bench);
-            rows.push((
-                design.to_string(),
-                bench.name().to_string(),
-                report.normalized_time,
-            ));
-        }
-    }
-    rows
 }
 
 #[cfg(test)]

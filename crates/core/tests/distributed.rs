@@ -6,7 +6,7 @@
 //! workers included — live in `crates/bench/tests/distributed.rs`,
 //! where the `sweep` binary is available.)
 
-use digiq_core::engine::{DistributedConfig, EvalEngine, SweepSpec};
+use digiq_core::engine::{DistributedConfig, EvalEngine, RunControl, SweepSpec};
 use digiq_core::store::{ArtifactStore, JobClaims, SweepJournal};
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
@@ -89,7 +89,8 @@ fn concurrent_workers_merge_byte_identical_to_serial_without_double_journaling()
                 let engine = EvalEngine::new(CostModel::default());
                 let cfg = worker_cfg(&format!("w{w}"), w * jobs / n);
                 let report = engine
-                    .run_distributed(spec, dir, &cfg, None)
+                    .root_session()
+                    .run_distributed(spec, dir, &cfg, RunControl::default())
                     .expect("worker IO")
                     .expect("no stop flag, so the worker runs to completion");
                 // Every worker hands back the full merged report.
@@ -99,6 +100,7 @@ fn concurrent_workers_merge_byte_identical_to_serial_without_double_journaling()
     });
 
     let merged = EvalEngine::new(CostModel::default())
+        .root_session()
         .merge_distributed(&spec, dir.path())
         .expect("all jobs journaled");
     assert_eq!(merged.to_json_string(), serial);
@@ -141,7 +143,8 @@ fn abandoned_claim_expires_and_survivor_finishes_with_identical_bytes() {
     let mut cfg = worker_cfg("survivor", 0);
     cfg.claim_ttl = ttl;
     let report = engine
-        .run_distributed(&spec, dir.path(), &cfg, None)
+        .root_session()
+        .run_distributed(&spec, dir.path(), &cfg, RunControl::default())
         .expect("worker IO")
         .expect("runs to completion");
     assert_eq!(report.to_json_string(), serial);
@@ -153,6 +156,7 @@ fn merge_of_incomplete_sweep_reports_progress() {
     let spec = SweepSpec::smoke();
     let engine = EvalEngine::new(CostModel::default());
     let err = engine
+        .root_session()
         .merge_distributed(&spec, dir.path())
         .expect_err("nothing journaled yet");
     assert!(

@@ -5,7 +5,7 @@
 //! journaled sweeps that merge byte-identically with uninterrupted runs.
 
 use digiq_core::design::ControllerDesign;
-use digiq_core::engine::{EvalEngine, SweepSpec};
+use digiq_core::engine::{EvalEngine, RunControl, SweepSpec};
 use digiq_core::store::{
     ns, Artifact, ArtifactStore, StoreConfig, SweepJournal, DISK_FORMAT_VERSION,
 };
@@ -206,6 +206,14 @@ fn capped_store_keeps_reports_byte_identical_and_counts_evictions() {
     }
 }
 
+/// Run controls that stop a journaled sweep after `n` fresh jobs.
+fn interrupt_after(n: usize) -> RunControl<'static> {
+    RunControl {
+        interrupt_after: Some(n),
+        stop: None,
+    }
+}
+
 #[test]
 fn journaled_sweep_resumes_byte_identically() {
     let spec = full_coverage_spec();
@@ -217,7 +225,8 @@ fn journaled_sweep_resumes_byte_identically() {
     let journal_a =
         SweepJournal::open(&ArtifactStore::journal_dir(dir_a.path()), spec.stable_key()).unwrap();
     let uninterrupted = engine_a
-        .run_journaled(&spec, workers, &journal_a, true, None)
+        .root_session()
+        .run_journaled(&spec, workers, &journal_a, true, RunControl::default())
         .expect("uninterrupted run completes");
 
     // It also matches a plain (non-journaled) run: same rows, and the
@@ -233,7 +242,8 @@ fn journaled_sweep_resumes_byte_identically() {
         let journal = SweepJournal::open(&journal_dir, spec.stable_key()).unwrap();
         assert!(
             engine
-                .run_journaled(&spec, workers, &journal, true, Some(3))
+                .root_session()
+                .run_journaled(&spec, workers, &journal, true, interrupt_after(3))
                 .is_none(),
             "interrupted run returns no report"
         );
@@ -242,7 +252,8 @@ fn journaled_sweep_resumes_byte_identically() {
     let engine = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir_b)));
     let journal = SweepJournal::open(&journal_dir, spec.stable_key()).unwrap();
     let resumed = engine
-        .run_journaled(&spec, workers, &journal, true, None)
+        .root_session()
+        .run_journaled(&spec, workers, &journal, true, RunControl::default())
         .expect("resumed run completes");
     assert_eq!(
         resumed.to_json_string(),
@@ -282,7 +293,8 @@ fn journal_tolerates_corrupt_lines_and_foreign_specs() {
     // run re-runs that job instead of trusting it.
     let engine = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
     let report = engine
-        .run_journaled(&spec, 1, &journal, true, None)
+        .root_session()
+        .run_journaled(&spec, 1, &journal, true, RunControl::default())
         .unwrap();
     let reference = EvalEngine::new(CostModel::default()).run(&spec, 1);
     assert_eq!(report.to_json_string(), reference.to_json_string());

@@ -120,6 +120,7 @@ impl StableHasher {
 }
 
 /// Stable digest of a word sequence (see [`StableHasher`]).
+#[inline]
 pub fn stable_hash(parts: &[u64]) -> u64 {
     let mut h = StableHasher::new();
     for &p in parts {

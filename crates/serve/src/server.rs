@@ -27,12 +27,11 @@
 //!
 //! **Graceful drain** (a [`Request::Shutdown`], or the `drain_after`
 //! testing hook): the server stops admitting work, flushes queued jobs
-//! with [`Response::Draining`], and stops in-flight *journaled* sweeps
-//! between jobs via [`RunControl::stop`] — completed jobs are already
-//! in the PR-5 `SweepJournal`, so a restarted server resumes them and
-//! the merged report is byte-identical to an uninterrupted run.
-//! Non-journaled sweeps (no `cache_dir`) run to completion before the
-//! drain finishes.
+//! with [`Response::Draining`], and stops in-flight sweeps over a
+//! `cache_dir` between jobs via [`RunControl::stop`] — completed jobs
+//! are already journaled, so a restarted server resumes them and the
+//! merged report is byte-identical to an uninterrupted run. Sweeps
+//! without a `cache_dir` run to completion before the drain finishes.
 
 use crate::proto::{read_json, write_frame, write_json, Request, Response};
 use digiq_core::engine::{DistributedConfig, EvalEngine, RunControl, SweepSpec};
@@ -42,7 +41,6 @@ use sfq_hw::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -179,10 +177,16 @@ struct Shared {
 
 impl Shared {
     fn initiate_drain(&self) {
-        if self.draining.swap(true, Ordering::SeqCst) {
-            return;
+        // Flip the flag and notify under the queue lock: an eval worker
+        // checks the flag and starts waiting under that same lock, so it
+        // either sees the flag or is already waiting for this wakeup.
+        {
+            let _queue = lock_unpoisoned(&self.queue);
+            if self.draining.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            self.available.notify_all();
         }
-        self.available.notify_all();
         // Unblock the acceptor, which re-checks the flag per connection.
         let _ = TcpStream::connect(self.addr);
     }
@@ -249,41 +253,32 @@ impl Shared {
         }
     }
 
-    /// One analytic sweep: journaled (resumable, drain-stoppable) when
-    /// the store persists to disk, otherwise a plain deterministic run.
-    /// Either way the rendered bytes equal a cold `sweep` CLI run.
+    /// One analytic sweep in the run mode the config selects: with a
+    /// cache dir, the claim protocol (`dist_claims_ttl`, cooperating with
+    /// external `sweep --worker-id` processes) or the resumable journal,
+    /// both stopped between jobs by a drain; without one, a plain run.
+    /// An unusable cache dir falls back to the plain run too. Every mode
+    /// renders the bytes of a cold `sweep` CLI run.
     fn run_sweep(&self, spec: &SweepSpec, workers: usize) -> Option<String> {
         let session = self.engine.session();
-        if let Some(dir) = &self.cfg.store.cache_dir {
+        let ctl = RunControl {
+            interrupt_after: self.cfg.interrupt_after,
+            stop: Some(&self.draining),
+        };
+        let persisted = self.cfg.store.cache_dir.as_ref().map(|dir| {
             if let Some(ttl) = self.cfg.dist_claims_ttl {
-                // Claim-protocol mode: this daemon acts as one more
-                // distributed worker over the shared cache dir, so
-                // external `sweep --worker-id` processes can share the
-                // job pool. Falls back to a plain run if the claims dir
-                // is unusable.
                 let mut dcfg = DistributedConfig::new(format!("serve-{}", std::process::id()));
                 dcfg.claim_ttl = ttl;
-                return match session.run_distributed(spec, dir, &dcfg, Some(&self.draining)) {
-                    Ok(report) => report.map(|r| r.to_json_string()),
-                    Err(_) => Some(session.run_deterministic(spec, workers).to_json_string()),
-                };
+                return session.run_distributed(spec, dir, &dcfg, ctl);
             }
-            let journal_dir = ArtifactStore::journal_dir(dir);
-            let Ok(journal) = SweepJournal::open(&journal_dir, spec.stable_key()) else {
-                // Journal unavailable: fall back to a plain run (still
-                // byte-identical, just not drain-resumable).
-                return Some(session.run_deterministic(spec, workers).to_json_string());
-            };
-            let ctl = RunControl {
-                interrupt_after: self.cfg.interrupt_after,
-                stop: Some(&self.draining),
-            };
-            session
-                .run_journaled(spec, workers, &journal, true, ctl)
-                .map(|report| report.to_json_string())
-        } else {
-            Some(session.run_deterministic(spec, workers).to_json_string())
-        }
+            let journal = SweepJournal::open(&ArtifactStore::journal_dir(dir), spec.stable_key())?;
+            Ok(session.run_journaled(spec, workers, &journal, true, ctl))
+        });
+        let report = match persisted {
+            Some(Ok(report)) => report,
+            _ => Some(session.run_deterministic(spec, workers)),
+        };
+        report.map(|r| r.to_json_string())
     }
 
     fn worker_loop(&self) {
@@ -504,12 +499,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         acceptor,
         workers,
     })
-}
-
-/// The directory a `--cache-dir` flag hands the server (mirrors the
-/// batch CLI so serve and `sweep` share journals and artifacts).
-pub fn cache_dir_of(cfg: &ServeConfig) -> Option<PathBuf> {
-    cfg.store.cache_dir.clone()
 }
 
 #[cfg(test)]

@@ -216,3 +216,57 @@ fn drain_interrupts_a_journaled_sweep_and_a_restart_resumes_byte_identically() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn claim_protocol_mode_matches_the_golden_and_leaves_a_worker_shard() {
+    let dir = temp_dir("claims");
+    let spec = SweepSpec::smoke();
+    let handle = serve(ServeConfig {
+        store: StoreConfig {
+            capacity: None,
+            cache_dir: Some(dir.clone()),
+        },
+        dist_claims_ttl: Some(std::time::Duration::from_secs(5)),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let report = expect_report(client.sweep(&spec, 2).unwrap());
+    assert_eq!(report, golden("engine_smoke.json"));
+    handle.drain();
+    handle.join();
+
+    // The daemon ran as one claiming worker: every record went to its
+    // own shard journal, none to the plain journal.
+    let journal_dir = ArtifactStore::journal_dir(&dir);
+    let shard = journal_dir.join(format!(
+        "{:016x}.serve-{}.jsonl",
+        spec.stable_key(),
+        std::process::id()
+    ));
+    let lines = std::fs::read_to_string(&shard).expect("worker shard written");
+    assert_eq!(lines.lines().count(), spec.job_count());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_immediate_drain_wakes_every_idle_eval_worker() {
+    // Many eval workers racing from spawn into their first wait while
+    // the drain flips: a wakeup lost between a worker's `draining` check
+    // and its condvar wait would leave `join` blocked forever.
+    for round in 0..100 {
+        let handle = serve(ServeConfig {
+            eval_workers: 16,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        handle.drain();
+        let (joined, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.join();
+            let _ = joined.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("round {round}: join still blocked after drain"));
+    }
+}

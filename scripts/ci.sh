@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the digiq workspace, runnable fully offline.
 #
-#   scripts/ci.sh                # build + tests + fmt check
+#   scripts/ci.sh                # build + tests (workspace and perfbench)
+#                                # + fmt check
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
@@ -57,6 +58,12 @@ cargo build --release --offline
 
 echo "==> cargo test -q"
 cargo test -q --offline
+
+# perfbench is its own package (not a workspace member), so the test run
+# above never builds it; this catches an engine API change that would
+# break the benchmark.
+echo "==> perfbench self-tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
