@@ -176,8 +176,8 @@ mod naive_eigen {
 fn bench_eigen(h: &mut Bench) {
     let pair = qsim::two_qubit::CoupledTransmons::paper_pair(6.21286, 4.14238);
     let ham = pair.hamiltonian(-1.8);
-    // "cold" = no eigendecomposition memo in play: the raw workspace
-    // Jacobi core, the deepest numeric tier under every propagator.
+    // The raw workspace Jacobi core, the deepest numeric tier under
+    // every propagator.
     h.bench("eigh_9x9_cold", || qsim::eigen::eigh(black_box(&ham)));
     h.bench("eigh_9x9_naive", || {
         naive_eigen::naive_eigh(black_box(&ham))
@@ -288,17 +288,22 @@ fn bench_synthesis(h: &mut Bench) {
         2,
     );
     let model = sfq_hw::cost::CostModel::default();
-    // Reset the module memo *outside* the closure: the counted (first)
-    // run is then deterministically cold regardless of which kernels ran
-    // before, while the timed iterations measure the memoized steady
-    // state the Fig 8 sweep actually sees.
-    digiq_core::hardware::clear_module_memo();
+    // `build_hardware` keeps no state between calls, so the counted
+    // (first) run and every timed iteration do the same cold synthesis.
     h.bench("build_hardware_opt_bs8", || {
         digiq_core::hardware::build_hardware(black_box(&cfg), &model)
     });
-    digiq_core::hardware::clear_module_memo();
+    // Every Fig 8 row built on the calling thread: `fig8_sweep` maps the
+    // points on a scoped worker thread, whose synthesis counters this
+    // thread's tally would never see.
+    let points = digiq_core::hardware::fig8_points();
     h.bench("fig8_sweep_serial", || {
-        digiq_core::hardware::fig8_sweep(black_box(&model)).len()
+        points
+            .iter()
+            .map(|&(design, groups)| {
+                digiq_core::hardware::fig8_row(design, black_box(groups), &model)
+            })
+            .collect::<Vec<_>>()
     });
 }
 

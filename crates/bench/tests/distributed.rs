@@ -3,8 +3,9 @@
 //! merge byte-identical to the serial run and to the committed engine
 //! golden; a worker killed while holding a claim leaves a sweep the
 //! survivors finish (stale-claim expiry) with the same bytes; and two
-//! workers racing the same claims never double-journal a job. The
-//! in-process claim-protocol tests live in
+//! workers racing the same claims never double-journal a job. A cache
+//! dir vandalized with deeply nested JSON reads as misses, never as a
+//! crash. The in-process claim-protocol tests live in
 //! `crates/core/tests/distributed.rs`.
 
 use std::path::{Path, PathBuf};
@@ -177,4 +178,54 @@ fn racing_workers_never_double_journal_a_job() {
         sweep_stdout(&["--smoke", "--merge", "--cache-dir", dir.path_str()]),
         serial_smoke()
     );
+}
+
+/// Every file under `root`, recursively.
+fn files_under(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(root).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+#[test]
+fn deeply_nested_artifacts_and_journal_lines_read_as_misses() {
+    let dir = TempDir::new("deep");
+    let args = ["--smoke", "--resume", "--cache-dir", dir.path_str()];
+    assert_eq!(sweep_stdout(&args).trim_end(), golden_smoke().trim_end());
+
+    // Replace every persisted artifact with, and every journal line by a
+    // record holding, 100,000 nested arrays: unbounded recursive descent
+    // overflows the stack on these and aborts the sweep.
+    let deep = "[".repeat(100_000);
+    let (mut artifacts, mut lines) = (0, 0);
+    for path in files_under(&dir.path().join("v1")) {
+        match path.extension().and_then(|e| e.to_str()) {
+            Some("json") => {
+                std::fs::write(&path, &deep).unwrap();
+                artifacts += 1;
+            }
+            Some("jsonl") => {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let vandalized: String = (0..text.lines().count())
+                    .map(|index| format!("{{\"index\":{index},\"record\":{deep}\n"))
+                    .collect();
+                lines += text.lines().count();
+                std::fs::write(&path, vandalized).unwrap();
+            }
+            _ => {}
+        }
+    }
+    assert!(artifacts > 0, "expected persisted artifacts");
+    assert_eq!(lines, 4, "expected one journal line per smoke job");
+
+    // Every vandalized file is a miss: the jobs re-run, the artifacts are
+    // rebuilt, and the bytes still match the golden.
+    assert_eq!(sweep_stdout(&args).trim_end(), golden_smoke().trim_end());
 }

@@ -14,22 +14,18 @@
 //! * per **chip**: the controller-cycle counter and an SFQ PLL for
 //!   multi-chip clock sync (§VI-A3).
 //!
-//! Module synthesis is memoized process-wide through the
-//! [`ns::HARDWARE_MODULE`] store namespace, keyed by (generator, params,
-//! cost-model fingerprint): the Fig 8 sweep re-instantiates the same few
-//! small modules at every design point, so each distinct module is
-//! synthesized exactly once per process. [`clear_module_memo`] restores a
-//! deterministic cold state for benches and tests.
+//! Every call synthesizes its modules afresh and keeps no state between
+//! calls: two builds of one design point do the same work and return the
+//! same bits. The engine's artifact store caches whole design points for
+//! the sweeps and the serve daemon.
 
 use crate::design::{ControllerDesign, SystemConfig};
-use crate::store::{lock_unpoisoned, ns, ArtifactStore};
 use sfq_hw::cables::{cable_count, CableSpec};
 use sfq_hw::cost::{CostModel, CostReport};
 use sfq_hw::generators as gen;
 use sfq_hw::json::{Json, ToJson};
 use sfq_hw::netlist::{Netlist, NetlistStats};
 use sfq_hw::passes::synthesize;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// SFQ/DC blocks per qubit current generator (Fig 4: 25).
 pub const SFQDC_BLOCKS_PER_QUBIT: usize = 25;
@@ -87,114 +83,6 @@ impl ToJson for DesignHardware {
     }
 }
 
-fn synthesized(mut nl: Netlist, model: &CostModel) -> (NetlistStats, f64) {
-    synthesize(&mut nl);
-    let stage = model.worst_stage_ps(&nl);
-    (nl.stats(), stage)
-}
-
-/// A structural module generator plus its parameters — the memo key
-/// domain of [`ns::HARDWARE_MODULE`]. The Fig 8 sweep instantiates the
-/// same few small modules at every design point; describing them by value
-/// lets [`build_hardware`] defer (and share) the actual synthesis.
-#[derive(Debug, Clone)]
-enum ModuleGen {
-    CirculatingRegister(usize),
-    OneHotMux(usize),
-    BroadcastTree(usize),
-    TappedDelayLine(usize, Vec<usize>),
-    BinaryCounter(usize),
-    EqualityComparator(usize),
-    NdroBank(usize),
-    SfqdcArray(usize),
-    DoubleBuffer(usize),
-}
-
-impl ModuleGen {
-    fn build(&self) -> Netlist {
-        match self {
-            ModuleGen::CirculatingRegister(bits) => gen::circulating_register(*bits),
-            ModuleGen::OneHotMux(bs) => gen::one_hot_mux(*bs),
-            ModuleGen::BroadcastTree(sinks) => gen::broadcast_tree(*sinks),
-            ModuleGen::TappedDelayLine(n, taps) => gen::tapped_delay_line(*n, taps),
-            ModuleGen::BinaryCounter(bits) => gen::binary_counter(*bits),
-            ModuleGen::EqualityComparator(bits) => gen::equality_comparator(*bits),
-            ModuleGen::NdroBank(bits) => gen::ndro_bank(*bits),
-            ModuleGen::SfqdcArray(blocks) => gen::sfqdc_array(*blocks),
-            ModuleGen::DoubleBuffer(bits) => gen::double_buffer(*bits),
-        }
-    }
-
-    /// Memo key: generator tag, every parameter, and the cost-model
-    /// fingerprint (the stage delay depends on the model).
-    fn key(&self, model_hash: u64) -> u64 {
-        let (tag, a, extra): (u64, usize, &[usize]) = match self {
-            ModuleGen::CirculatingRegister(b) => (1, *b, &[]),
-            ModuleGen::OneHotMux(b) => (2, *b, &[]),
-            ModuleGen::BroadcastTree(b) => (3, *b, &[]),
-            ModuleGen::TappedDelayLine(n, taps) => (4, *n, taps.as_slice()),
-            ModuleGen::BinaryCounter(b) => (5, *b, &[]),
-            ModuleGen::EqualityComparator(b) => (6, *b, &[]),
-            ModuleGen::NdroBank(b) => (7, *b, &[]),
-            ModuleGen::SfqdcArray(b) => (8, *b, &[]),
-            ModuleGen::DoubleBuffer(b) => (9, *b, &[]),
-        };
-        let mut words = vec![tag, a as u64, model_hash];
-        words.extend(extra.iter().map(|&t| t as u64));
-        qsim::rng::stable_hash_str("hw_module", &words)
-    }
-}
-
-/// Exact-content fingerprint of a cost model (bit patterns, so two models
-/// share a memo entry only when every field is bitwise identical).
-fn model_fingerprint(model: &CostModel) -> u64 {
-    qsim::rng::stable_hash_str(
-        "cost_model",
-        &[
-            model.bias_current_per_jj_ua.to_bits(),
-            model.bias_voltage_mv.to_bits(),
-            model.wiring_jj_overhead.to_bits(),
-            model.area_utilization.to_bits(),
-            model.jtl_hops_per_edge.to_bits(),
-            model.clock_ghz.to_bits(),
-            model.switching_activity.to_bits(),
-            model.sfqdc_analog_nw.to_bits(),
-        ],
-    )
-}
-
-/// Memo value: one module's synthesized statistics and priced worst stage.
-#[derive(Debug, Clone)]
-struct ModuleSynth {
-    stats: NetlistStats,
-    worst_stage_ps: f64,
-}
-
-static MODULE_STORE: OnceLock<Mutex<Arc<ArtifactStore>>> = OnceLock::new();
-
-fn module_store_cell() -> &'static Mutex<Arc<ArtifactStore>> {
-    MODULE_STORE.get_or_init(|| Mutex::new(Arc::new(ArtifactStore::in_memory())))
-}
-
-/// The process-wide [`ns::HARDWARE_MODULE`] memo. Deliberately *not* the
-/// engine's store: engine cache accounting (and the goldens pinning it)
-/// stays untouched, mirroring `qsim::expm`'s eigendecomposition memo.
-fn module_store() -> Arc<ArtifactStore> {
-    lock_unpoisoned(module_store_cell()).clone()
-}
-
-/// Drops every memoized module synthesis (bench/test hygiene: makes a
-/// subsequent [`build_hardware`] deterministically cold).
-pub fn clear_module_memo() {
-    *lock_unpoisoned(module_store_cell()) = Arc::new(ArtifactStore::in_memory());
-}
-
-/// Number of distinct modules currently memoized (observability for
-/// tests).
-pub fn module_memo_len() -> usize {
-    module_store().stats().resident as usize
-}
-
 /// Composes and synthesizes the hardware for a configuration.
 ///
 /// # Panics
@@ -211,22 +99,13 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
     let per_group_qubits = config.qubits_per_group();
     let mut modules: Vec<ModuleInstance> = Vec::new();
 
-    let store = module_store();
-    let model_hash = model_fingerprint(model);
-    let mut push = |name: &str, count: u64, g: ModuleGen| {
-        let key = g.key(model_hash);
-        let synth = store.get_or_build(ns::HARDWARE_MODULE, key, || {
-            let (stats, worst_stage_ps) = synthesized(g.build(), model);
-            ModuleSynth {
-                stats,
-                worst_stage_ps,
-            }
-        });
+    let mut push = |name: &str, count: u64, mut nl: Netlist| {
+        synthesize(&mut nl);
         modules.push(ModuleInstance {
             name: name.to_string(),
             count,
-            stats: synth.stats.clone(),
-            worst_stage_ps: synth.worst_stage_ps,
+            worst_stage_ps: model.worst_stage_ps(&nl),
+            stats: nl.stats(),
         });
     };
 
@@ -235,36 +114,36 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
             push(
                 "per-qubit bitstream register",
                 nq,
-                ModuleGen::CirculatingRegister(config.register_bits),
+                gen::circulating_register(config.register_bits),
             );
-            push("per-qubit gate mux", nq, ModuleGen::OneHotMux(1));
+            push("per-qubit gate mux", nq, gen::one_hot_mux(1));
         }
         ControllerDesign::SfqMimdDecomp => {
             push(
                 "per-qubit basis registers",
                 2 * nq,
-                ModuleGen::CirculatingRegister(config.register_bits),
+                gen::circulating_register(config.register_bits),
             );
-            push("per-qubit gate mux", nq, ModuleGen::OneHotMux(2));
+            push("per-qubit gate mux", nq, gen::one_hot_mux(2));
         }
         ControllerDesign::DigiqMin { bs } => {
             push(
                 "per-group basis registers",
                 groups * bs as u64,
-                ModuleGen::CirculatingRegister(config.register_bits),
+                gen::circulating_register(config.register_bits),
             );
             push(
                 "per-group broadcast trees",
                 groups * bs as u64,
-                ModuleGen::BroadcastTree(per_group_qubits),
+                gen::broadcast_tree(per_group_qubits),
             );
-            push("per-qubit bitstream mux", nq, ModuleGen::OneHotMux(bs));
+            push("per-qubit bitstream mux", nq, gen::one_hot_mux(bs));
         }
         ControllerDesign::DigiqOpt { bs } => {
             push(
                 "per-group Ry register",
                 groups,
-                ModuleGen::CirculatingRegister(config.register_bits),
+                gen::circulating_register(config.register_bits),
             );
             // Tap positions are dynamic: the line exposes every BS-worth
             // of taps via comparators; the line itself is shared.
@@ -272,29 +151,25 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
             push(
                 "per-group delay line",
                 groups,
-                ModuleGen::TappedDelayLine(config.n_delays, taps),
+                gen::tapped_delay_line(config.n_delays, &taps),
             );
-            push(
-                "per-group delay counter",
-                groups,
-                ModuleGen::BinaryCounter(8),
-            );
+            push("per-group delay counter", groups, gen::binary_counter(8));
             push(
                 "per-group tap selectors (comparator+latch)",
                 groups * bs as u64,
-                ModuleGen::EqualityComparator(8),
+                gen::equality_comparator(8),
             );
             push(
                 "per-group tap delay registers",
                 groups * bs as u64,
-                ModuleGen::NdroBank(8),
+                gen::ndro_bank(8),
             );
             push(
                 "per-group broadcast trees",
                 groups * bs as u64,
-                ModuleGen::BroadcastTree(per_group_qubits),
+                gen::broadcast_tree(per_group_qubits),
             );
-            push("per-qubit bitstream mux", nq, ModuleGen::OneHotMux(bs));
+            push("per-qubit bitstream mux", nq, gen::one_hot_mux(bs));
         }
         ControllerDesign::ImpossibleMimd => unreachable!(),
     }
@@ -303,7 +178,7 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
     push(
         "per-qubit SFQ/DC flux driver",
         nq,
-        ModuleGen::SfqdcArray(SFQDC_BLOCKS_PER_QUBIT),
+        gen::sfqdc_array(SFQDC_BLOCKS_PER_QUBIT),
     );
     // Control staging: the SIMD designs double-buffer their select bits;
     // the MIMD baselines stream bits straight into their registers and
@@ -316,7 +191,7 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
     push(
         "per-qubit control double-buffer",
         nq,
-        ModuleGen::DoubleBuffer(buffer_bits),
+        gen::double_buffer(buffer_bits),
     );
     // Per-chip controller-cycle counter (counts SFQ ticks in a cycle:
     // 508 ticks → 9 bits for DigiQ_opt).
@@ -325,7 +200,7 @@ pub fn build_hardware(config: &SystemConfig, model: &CostModel) -> DesignHardwar
     push(
         "per-chip cycle counter",
         groups,
-        ModuleGen::BinaryCounter(counter_bits),
+        gen::binary_counter(counter_bits),
     );
 
     // Roll up.
@@ -416,17 +291,22 @@ pub fn fig8_sweep(model: &CostModel) -> Vec<Fig8Row> {
 pub fn fig8_sweep_parallel(model: &CostModel, workers: usize) -> Vec<Fig8Row> {
     let points = fig8_points();
     crate::engine::par_map_ordered(&points, workers, |_, &(design, groups)| {
-        let cfg = SystemConfig::paper_default(design, groups);
-        let hw = build_hardware(&cfg, model);
-        Fig8Row {
-            design: design.to_string(),
-            groups,
-            power_w: hw.report.power_w,
-            area_mm2: hw.report.area_mm2,
-            cables: hw.cables,
-            worst_stage_ps: hw.report.worst_stage_ps,
-        }
+        fig8_row(design, groups, model)
     })
+}
+
+/// Builds one Fig 8 row on the calling thread: the paper-default
+/// configuration of `design` with `groups` groups, synthesized and priced.
+pub fn fig8_row(design: ControllerDesign, groups: usize, model: &CostModel) -> Fig8Row {
+    let hw = build_hardware(&SystemConfig::paper_default(design, groups), model);
+    Fig8Row {
+        design: design.to_string(),
+        groups,
+        power_w: hw.report.power_w,
+        area_mm2: hw.report.area_mm2,
+        cables: hw.cables,
+        worst_stage_ps: hw.report.worst_stage_ps,
+    }
 }
 
 #[cfg(test)]
@@ -590,22 +470,16 @@ mod tests {
     }
 
     #[test]
-    fn module_memo_deduplicates_synthesis() {
-        clear_module_memo();
-        let cold = hw(ControllerDesign::DigiqOpt { bs: 8 }, 2);
-        let n = module_memo_len();
-        assert!(n > 0, "cold build must populate the module memo");
-        // A warm rebuild of the same point hits the memo for every
-        // module: no netlist is materialized at all, and the results are
-        // the very same synthesized statistics.
-        let (warm, tally) =
-            sfq_hw::counters::counted(|| hw(ControllerDesign::DigiqOpt { bs: 8 }, 2));
-        assert_eq!(tally.allocs, 0, "warm build must synthesize no modules");
-        assert_eq!(tally.cells, 0, "warm build must run no passes");
-        assert_eq!(warm.total.total_jj, cold.total.total_jj);
-        assert_eq!(warm.report.power_w, cold.report.power_w);
-        assert_eq!(warm.report.worst_stage_ps, cold.report.worst_stage_ps);
-        // Other concurrently running tests may add entries, never remove.
-        assert!(module_memo_len() >= n);
+    fn build_hardware_keeps_no_state_between_calls() {
+        // Two back-to-back builds of one point must do identical work:
+        // every module is synthesized afresh, nothing is served from a
+        // memo that a previous call left behind.
+        let run = || sfq_hw::counters::counted(|| hw(ControllerDesign::DigiqOpt { bs: 8 }, 2));
+        let (first, first_tally) = run();
+        let (second, second_tally) = run();
+        assert!(first_tally.cells > 0 && first_tally.allocs > 0);
+        assert_eq!(first_tally, second_tally, "second build must cost the same");
+        assert_eq!(first.total, second.total);
+        assert_eq!(first.report, second.report);
     }
 }

@@ -26,6 +26,11 @@
 //!   eviction counters ([`ArtifactStore::stats`]), surfaced beside the
 //!   engine's `PassCacheStats`.
 //!
+//! It is the workspace's only result cache that outlives a call: the
+//! numeric kernels (`qsim::expm`, `qsim::two_qubit`) and module synthesis
+//! ([`crate::hardware`]) keep no process-wide memos, so every reuse shows
+//! up in these counters (`scripts/ci.sh` rejects new `static` memos).
+//!
 //! The default configuration (in-memory, unbounded) reproduces the
 //! historical per-process cache behaviour bit for bit — the golden files
 //! `tests/golden/engine_smoke.json` and `tests/golden/cosim_smoke.json`
@@ -85,13 +90,6 @@ pub mod ns {
     pub const SEQ_DB: &str = "seq_db";
     /// Measured decomposition-length distributions (in-memory only).
     pub const MIN_LENGTHS: &str = "min_lengths";
-    /// Memoized per-module synthesis results keyed by (generator,
-    /// params, cost-model hash): the Fig 8 sweep instantiates the same
-    /// small module (one-hot mux, circulating register, …) at every
-    /// design point, so each distinct module is synthesized exactly once
-    /// per process (in-memory only). Not part of
-    /// [`crate::engine::CacheStats`] accounting.
-    pub const HARDWARE_MODULE: &str = "hardware/module";
     /// Impossible-MIMD baseline executions (persistent).
     pub const BASELINE: &str = "baseline";
     /// Cycle-accurate co-simulation reports (persistent).

@@ -6,6 +6,8 @@
 //!   computes `U = exp(−i·H·t)` exactly through the spectral decomposition
 //!   (`qsim::eigen`), which is unconditionally stable for the
 //!   piecewise-constant Hamiltonians used in the CZ flux-pulse simulation.
+//!   It is a pure function: no memo outlives a call, so two calls with the
+//!   same input cost the same and return the same bits.
 //! * [`expm_taylor`] — a scaled-and-squared Taylor series for *general*
 //!   matrices, used in tests as an independent cross-check of the spectral
 //!   path and for small non-Hermitian experiments.
@@ -24,89 +26,24 @@
 //! ```
 
 use crate::complex::C64;
-use crate::eigen::{eigh, EigH};
+use crate::eigen::eigh;
 use crate::matrix::CMat;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Upper bound on memoized eigendecompositions; the memo is cleared
-/// wholesale when a new entry would exceed it (a sweep that churns through
-/// more distinct Hamiltonians than this gets cache misses, never wrong
-/// results or unbounded memory).
-const EIGH_MEMO_CAP: usize = 512;
-
-/// Process-wide memo of Hermitian eigendecompositions, keyed by the exact
-/// bit pattern of the input matrix.
-///
-/// Pulse workloads exponentiate the *same* Hamiltonian at many evolution
-/// times (hold-time scans, piecewise-constant waveforms with repeated
-/// samples), and the O(n³)-per-sweep Jacobi iteration dominates each call.
-/// Because the key is the full bitwise contents — not a lossy hash — a hit
-/// returns exactly what [`eigh`] would recompute, so memoization is
-/// invisible to results (bit-for-bit) and only changes wall time.
-fn eigh_memo() -> &'static Mutex<HashMap<Vec<u64>, Arc<EigH>>> {
-    static MEMO: OnceLock<Mutex<HashMap<Vec<u64>, Arc<EigH>>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The exact-content key: dimension followed by every entry's re/im bits.
-fn eigh_key(h: &CMat) -> Vec<u64> {
-    let mut key = Vec::with_capacity(1 + 2 * h.as_slice().len());
-    key.push(h.rows() as u64);
-    for z in h.as_slice() {
-        key.push(z.re.to_bits());
-        key.push(z.im.to_bits());
-    }
-    key
-}
-
-/// Returns the memoized eigendecomposition of `h`, computing it on a miss.
-fn memoized_eigh(h: &CMat) -> Arc<EigH> {
-    let key = eigh_key(h);
-    if let Some(e) = eigh_memo().lock().unwrap().get(&key) {
-        return e.clone();
-    }
-    // Decompose outside the lock: eigh is the expensive part, and a rare
-    // duplicate build is cheaper than serializing every caller through it.
-    let e = Arc::new(eigh(h));
-    let mut memo = eigh_memo().lock().unwrap();
-    if memo.len() >= EIGH_MEMO_CAP {
-        memo.clear();
-    }
-    memo.entry(key).or_insert(e).clone()
-}
-
-/// Empties the process-wide eigendecomposition memo.
-///
-/// Only needed by tests and benchmarks that assert on cold-path behavior
-/// (e.g. the exact allocation counters of an uncached propagator build).
-pub fn clear_eigh_memo() {
-    eigh_memo().lock().unwrap().clear();
-}
-
-/// Number of Hamiltonians currently held in the eigendecomposition memo.
-pub fn eigh_memo_len() -> usize {
-    eigh_memo().lock().unwrap().len()
-}
 
 /// Computes the unitary propagator `U = exp(−i·H·t)` for Hermitian `H`.
 ///
 /// `t` is the evolution time in the same units that make `H·t`
 /// dimensionless (this crate uses angular frequency × seconds).
 ///
-/// The eigendecomposition is memoized process-wide by the exact bitwise
-/// contents of `h` (see [`clear_eigh_memo`]): repeated propagators of the
-/// same Hamiltonian — the dominant pattern in piecewise-constant pulse
-/// simulation and hold-time calibration scans — pay the Jacobi iteration
-/// once and only the spectral reassembly per call. Results are identical
-/// to the uncached path to the bit.
+/// Every call pays one Jacobi eigendecomposition plus the spectral
+/// reassembly and keeps no state between calls. Callers that step the
+/// same Hamiltonian many times reuse whole step propagators instead (see
+/// [`crate::two_qubit::PropagatorCache`]).
 ///
 /// # Panics
 ///
 /// Panics if `h` is not square.
 pub fn expm_hermitian_propagator(h: &CMat, t: f64) -> CMat {
-    let e = memoized_eigh(h);
-    e.map_spectrum(|lambda| C64::cis(-lambda * t))
+    eigh(h).map_spectrum(|lambda| C64::cis(-lambda * t))
 }
 
 /// Computes `exp(A)` for a general complex square matrix using a

@@ -13,6 +13,10 @@
 //! The paper computes the resulting `Uqq` "by numerically integrating the
 //! Schrödinger equation" — here propagation is piecewise-constant over the
 //! sampled current waveform using exact Hermitian matrix exponentials.
+//! Each distinct sample's step propagator is built once per call through a
+//! [`PropagatorCache`]; the module keeps no process-wide state, and a
+//! caller that scans many waveforms of one pair (the CZ hold-time search)
+//! owns and threads its own cache.
 //!
 //! # Examples
 //!
@@ -31,7 +35,7 @@ use crate::matrix::CMat;
 use crate::transmon::Transmon;
 use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of levels per transmon in the two-qubit model. Three levels
 /// suffice to capture the |20⟩ state that mediates the CZ interaction and
@@ -216,49 +220,18 @@ impl CoupledTransmons {
         })
     }
 
-    /// The exact-content identity of this pair for the process-wide
-    /// propagator cache registry: every physical parameter's bit pattern.
-    fn cache_key(&self) -> [u64; 5] {
-        [
-            self.q1.frequency_ghz.to_bits(),
-            self.q1.anharmonicity_ghz.to_bits(),
-            self.q2.frequency_ghz.to_bits(),
-            self.q2.anharmonicity_ghz.to_bits(),
-            self.coupling_ghz.to_bits(),
-        ]
-    }
-
-    /// The process-wide step-propagator cache for this pair's exact
-    /// physical parameters (created on first use).
-    ///
-    /// [`CoupledTransmons::propagate`] routes through this registry so that
-    /// repeated propagation of the same pair — pulse sweeps, calibration
-    /// scans, benchmarks — reuses every step propagator across calls
-    /// without the caller having to thread a [`PropagatorCache`] through.
-    /// Keys are exact bit patterns, so two pairs share a cache only when
-    /// they are physically identical; the registry is cleared wholesale if
-    /// more than 32 distinct pairs accumulate.
-    pub fn shared_cache(&self) -> Arc<PropagatorCache> {
-        static REGISTRY: OnceLock<Mutex<HashMap<[u64; 5], Arc<PropagatorCache>>>> = OnceLock::new();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = registry.lock().unwrap();
-        if map.len() >= 32 && !map.contains_key(&self.cache_key()) {
-            map.clear();
-        }
-        map.entry(self.cache_key()).or_default().clone()
-    }
-
     /// Propagates the pair through a detuning waveform and returns the
     /// rotating-frame evolution `Uqq = R(T)† · U_lab` (9×9 unitary).
     ///
     /// Step propagators are memoized by the exact bit pattern of the
-    /// detuning — in the pair's [`CoupledTransmons::shared_cache`], so the
-    /// memo persists across calls — and a symmetric pulse (rise mirrored
-    /// into the fall, long plateau) costs one `expm` per *distinct* sample,
-    /// not per sample; the per-step products ping-pong between two reused
-    /// buffers.
+    /// detuning in a [`PropagatorCache`] that lives for this one call, so
+    /// a symmetric pulse (rise mirrored into the fall, long plateau) costs
+    /// one `expm` per *distinct* sample, not per sample; the per-step
+    /// products ping-pong between two reused buffers. Nothing outlives the
+    /// call: to share steps across waveforms, thread one cache through
+    /// [`CoupledTransmons::propagate_with_cache`].
     pub fn propagate(&self, waveform: &DetuningWaveform) -> CMat {
-        self.propagate_with_cache(waveform, &self.shared_cache())
+        self.propagate_with_cache(waveform, &PropagatorCache::new())
     }
 
     /// [`CoupledTransmons::propagate`] with a caller-owned step-propagator

@@ -38,6 +38,27 @@ fn garbage_json_gets_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_a_typed_error_and_the_server_survives() {
+    let (handle, addr) = start();
+    let mut client = Client::connect(&addr).unwrap();
+    // 100,000 nested arrays (200 KB, far under MAX_FRAME): unbounded
+    // recursive descent would overflow the reader thread's stack and
+    // abort the whole daemon.
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    client.send_raw(&raw_frame(deep.as_bytes())).unwrap();
+    match client.read_response().unwrap() {
+        Response::Error(msg) => assert!(msg.contains("nesting too deep"), "{msg}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    client.ping().unwrap();
+    // The next connection is served too.
+    let mut next = Client::connect(&addr).unwrap();
+    next.ping().unwrap();
+    handle.drain();
+    handle.join();
+}
+
+#[test]
 fn bad_protocol_version_is_a_typed_error_not_a_disconnect() {
     let (handle, addr) = start();
     let mut client = Client::connect(&addr).unwrap();

@@ -138,10 +138,16 @@ impl Json {
 
     /// Parses a JSON document (strict enough for round-trips of our own
     /// output plus ordinary hand-written JSON).
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] on malformed input, including nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -278,9 +284,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one hostile document (a
+/// serve frame, a cache file, a journal line) could overflow the stack and
+/// abort the process; past this depth the parse fails with a
+/// [`JsonError`] instead. Our own documents nest fewer than ten levels;
+/// an unoptimized build overflows a 2 MiB thread stack somewhere between
+/// 2,000 and 2,500 levels, so the bound leaves a 4x margin.
+pub const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -323,8 +340,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(&open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(_) => self.number(),
         }
     }

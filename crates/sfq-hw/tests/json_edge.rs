@@ -2,10 +2,11 @@
 //!
 //! The happy paths are covered by the unit tests in `sfq_hw::json`; this
 //! suite pins the corners every golden file and report reader leans on:
-//! escape handling, unicode, non-finite floats, deep nesting, duplicate
-//! keys, and the 2⁵³ exact-integer boundary of `count_field`.
+//! escape handling, unicode, non-finite floats, deep nesting (and the
+//! depth bound that keeps hostile input from overflowing the stack),
+//! duplicate keys, and the 2⁵³ exact-integer boundary of `count_field`.
 
-use sfq_hw::json::{Json, ToJson};
+use sfq_hw::json::{Json, ToJson, MAX_DEPTH};
 
 #[test]
 fn escapes_round_trip_through_render_and_parse() {
@@ -79,6 +80,42 @@ fn deep_nesting_round_trips() {
     assert_eq!(Json::parse(&compact).unwrap(), j);
     let pretty = j.render_pretty(1);
     assert_eq!(Json::parse(&pretty).unwrap(), j);
+}
+
+#[test]
+fn nesting_is_accepted_up_to_max_depth_and_rejected_past_it() {
+    let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+    let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+    assert_eq!(err.msg, "nesting too deep");
+    assert_eq!(err.at, MAX_DEPTH);
+    // Objects and mixed nesting count the same levels.
+    let objects = |n: usize| format!("{}1{}", r#"{"k":"#.repeat(n), "}".repeat(n));
+    assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+    assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+    let mixed = format!("{}{}", r#"[{"k":"#.repeat(MAX_DEPTH / 2 + 1), "x");
+    assert_eq!(
+        Json::parse(&mixed).unwrap_err().msg,
+        "nesting too deep",
+        "the bound must trip before the malformed tail is reached"
+    );
+}
+
+#[test]
+fn hostile_deep_document_fails_closed_on_a_small_stack() {
+    // 100,000 unclosed arrays: 100 KB of input, far under any frame or
+    // file cap. Unbounded recursive descent overflows the stack and
+    // aborts the process; the bounded parser returns an error. Run on a
+    // thread with the default 2 MiB spawned-thread stack so the test does
+    // not depend on the runner's main-thread stack size.
+    let doc = "[".repeat(100_000);
+    let result = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Json::parse(&doc).map(|_| ()))
+        .unwrap()
+        .join()
+        .expect("parser thread must not crash");
+    assert_eq!(result.unwrap_err().msg, "nesting too deep");
 }
 
 #[test]

@@ -82,6 +82,25 @@ if [[ -n "$externals" ]]; then
 fi
 echo "dependency graph is workspace-only"
 
+# One cache surface (see ROADMAP.md): results that outlive a call live in
+# the engine's ArtifactStore, where StoreStats accounts for them. A
+# `static` OnceLock/LazyLock/Mutex/RwLock in library code, at module level
+# or nested in a function, is a hidden process-wide memo beside it.
+# `thread_local!` scratch workspaces and `#[cfg(test)]` modules are exempt.
+echo "==> no process-wide memos in crates/*/src"
+memos=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+    !in_test && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?static[[:space:]]+[A-Za-z_0-9]+[[:space:]]*:[[:space:]]*([A-Za-z_0-9]+::)*(OnceLock|LazyLock|Mutex|RwLock)[[:space:]]*</ {
+        print FILENAME ":" FNR ":" $0
+    }')
+if [[ -n "$memos" ]]; then
+    echo "process-wide memo declared outside the artifact store:" >&2
+    echo "$memos" >&2
+    exit 1
+fi
+echo "no hidden memos: the artifact store is the only cache surface"
+
 # golden_smoke <label> <bin> <golden>: run `<bin> --smoke` (2 designs x
 # 2 benchmarks, 2 workers) and diff its JSON against the committed golden.
 golden_smoke() {
