@@ -134,22 +134,66 @@ fn fid_free_out2(m: &[C64; 4], td: &[C64; 4]) -> (f64, C64, C64) {
     (fid, a, b)
 }
 
+/// Row-major 2×2 blocks (or diagonals, `K = 2`) stored as a struct of
+/// arrays: `re[k][i]`/`im[k][i]` hold entry `k` of element `i`, so a map
+/// over `i` loads whole vectors instead of gathering from an array of
+/// structs.
+#[derive(Debug, Clone)]
+struct Soa<const K: usize> {
+    re: [Vec<f64>; K],
+    im: [Vec<f64>; K],
+}
+
+impl<const K: usize> Soa<K> {
+    fn build(items: impl IntoIterator<Item = [C64; K]>) -> Self {
+        let mut soa = Soa {
+            re: std::array::from_fn(|_| Vec::new()),
+            im: std::array::from_fn(|_| Vec::new()),
+        };
+        for item in items {
+            for (k, z) in item.into_iter().enumerate() {
+                soa.re[k].push(z.re);
+                soa.im[k].push(z.im);
+            }
+        }
+        soa
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> [C64; K] {
+        std::array::from_fn(|k| C64::new(self.re[k][i], self.im[k][i]))
+    }
+
+    /// The columns cut to `n` entries, so a loop over `0..n` indexes them
+    /// without bounds checks.
+    #[inline]
+    fn cut(&self, n: usize) -> ([&[f64]; K], [&[f64]; K]) {
+        (
+            self.re.each_ref().map(|c| &c[..n]),
+            self.im.each_ref().map(|c| &c[..n]),
+        )
+    }
+}
+
 /// Precomputed per-basis tables for [`decompose_opt`]: the reachable
 /// angles plus the basis products every scan re-derives — `G·Rz(θ_d)` and
-/// `W(d) = G·Rz(θ_d)·G` for all `n_delays + 1` delay values, as stack 2×2s.
+/// `W(d) = G·Rz(θ_d)·G` for all `n_delays + 1` delay values.
 ///
-/// Building the tables is one pass over the delay lattice; decomposing
-/// against prebuilt tables is then allocation-free in the scan loops.
-/// Batched callers (the error model decomposes 24 targets per qubit
-/// against one basis) build the tables once and reuse them.
+/// Building the tables is one pass over the delay lattice. Batched
+/// callers (the error model decomposes 24 targets per qubit against one
+/// basis) build the tables once and reuse them. Each decomposition
+/// against them allocates its own scratch, with `N = n_delays`: the
+/// incoming-boundary diagonals (4·(N+1) f64) and one row of N+1 errors;
+/// from L = 2 on, the (N+1)² L=2 errors (512 KiB at N = 255); at L = 3,
+/// (N+1)² `u32` stem candidates (256 KiB) cut to the kept stems.
 #[derive(Debug, Clone)]
 pub struct OptTables {
     /// θ_d for `d ∈ [0, n_delays]`.
     thetas: Vec<f64>,
     /// The 2×2 basis block `G`, row-major.
     g: [C64; 4],
-    /// `G·Rz(θ_d)` per delay.
-    gz: Vec<[C64; 4]>,
+    /// `G·Rz(θ_d)` per delay, as a struct of arrays for the L=3 scan.
+    gz: Soa<4>,
     /// `W(d) = G·Rz(θ_d)·G` per delay.
     w: Vec<[C64; 4]>,
 }
@@ -169,13 +213,78 @@ impl OptTables {
             .map(|&th| col_scale2(&g, C64::cis(-th / 2.0), C64::cis(th / 2.0)))
             .collect();
         let w: Vec<[C64; 4]> = gz.iter().map(|gzd| mul2(gzd, &g)).collect();
-        OptTables { thetas, g, gz, w }
+        OptTables {
+            thetas,
+            g,
+            gz: Soa::build(gz),
+            w,
+        }
     }
 
     /// Number of delay steps `N` (the tables cover `d ∈ [0, N]`).
     pub fn n_delays(&self) -> usize {
         self.thetas.len() - 1
     }
+}
+
+/// L = 2 stems kept from the best of the full L=2 scan.
+const L3_STEMS: usize = 96;
+
+/// Errors of `M = left·Rz(θ_{d0} + φ_in)` for every `d0`: `out[d0]`, the
+/// L=1 row (`left = G`) or one L=2 row (`left = W(d1)`). `zin` holds the
+/// incoming diagonals. A loop of its own, so that it vectorizes.
+#[inline(never)]
+fn row_errors(left: &[C64; 4], zin: &Soa<2>, td: &[C64; 4], out: &mut [f64]) {
+    let (re, im) = zin.cut(out.len());
+    for (i, e) in out.iter_mut().enumerate() {
+        let z0 = C64::new(re[0][i], im[0][i]);
+        let z1 = C64::new(re[1][i], im[1][i]);
+        *e = 1.0 - fid_free_out2(&col_scale2(left, z0, z1), td).0;
+    }
+}
+
+/// Errors of `M = G·Rz(θ_{d2})·stem` for every `d2`: `out[d2]`, one L=3
+/// stem. A loop of its own, so that it vectorizes.
+#[inline(never)]
+fn stem_errors(gz: &Soa<4>, stem: &[C64; 4], td: &[C64; 4], out: &mut [f64]) {
+    let (re, im) = gz.cut(out.len());
+    for (i, e) in out.iter_mut().enumerate() {
+        let gzd = std::array::from_fn(|k| C64::new(re[k][i], im[k][i]));
+        *e = 1.0 - fid_free_out2(&mul2(&gzd, stem), td).0;
+    }
+}
+
+/// The `keep` (> 0) smallest entries of `errs` by `(error, index)`, in
+/// that order: the first `keep` of a stable sort by `f64::total_cmp`,
+/// ties in index order, without sorting the rest.
+fn best_indices(errs: &[f64], keep: usize) -> Vec<u32> {
+    let by_err = |i: &u32, j: &u32| {
+        errs[*i as usize]
+            .total_cmp(&errs[*j as usize])
+            .then(i.cmp(j))
+    };
+    let len = u32::try_from(errs.len()).expect("stem candidates are u32-indexable");
+    let mut kept: Vec<u32> = (0..len).collect();
+    if kept.len() > keep {
+        kept.select_nth_unstable_by(keep - 1, by_err);
+        kept.truncate(keep);
+    }
+    kept.sort_unstable_by(by_err);
+    kept
+}
+
+/// The sequential argmin: scans `errs` in order, lowering `best` at every
+/// strict improvement, and returns the index of the last improvement (the
+/// first minimum), if any.
+fn first_min(errs: &[f64], best: &mut f64) -> Option<usize> {
+    let mut win = None;
+    for (i, &err) in errs.iter().enumerate() {
+        if err < *best {
+            *best = err;
+            win = Some(i);
+        }
+    }
+    win
 }
 
 /// Decomposes `target` (2×2 unitary) on the given basis, consuming an
@@ -207,6 +316,12 @@ pub fn decompose_opt(
 
 /// [`decompose_opt`] against prebuilt delay tables.
 ///
+/// Ties: the first minimum in scan order wins — L = 1 before L = 2
+/// before L = 3, and within a level `d0` fastest, then `d1`, then the
+/// stem order (kept L=2 stems by error, ties by scan order, then the
+/// coarse grid), then `d2`. A later candidate replaces the best only
+/// when its error is strictly lower.
+///
 /// # Panics
 ///
 /// Panics if `max_cycles == 0` or `target` is not 2×2.
@@ -227,32 +342,31 @@ pub fn decompose_opt_with(
         target[(1, 1)].conj(),
     ];
     // Incoming boundary diagonal per d0: Rz(θ_{d0} + φ_in).
-    let zin: Vec<(C64, C64)> = tables
-        .thetas
-        .iter()
-        .map(|&th| {
-            let z = th + phi_in;
-            (C64::cis(-z / 2.0), C64::cis(z / 2.0))
-        })
-        .collect();
+    let zin = Soa::build(tables.thetas.iter().map(|&th| {
+        let z = th + phi_in;
+        [C64::cis(-z / 2.0), C64::cis(z / 2.0)]
+    }));
+    // `M = left·Rz(θ_{d0} + φ_in)` with the ops of `row_errors`, for the
+    // winner of a row scan.
+    let row_entry = |left: &[C64; 4], d0: usize| {
+        let [z0, z1] = zin.get(d0);
+        col_scale2(left, z0, z1)
+    };
 
     // Best candidate so far: delay tuple + the M·T† diagonal that yields
-    // its φ_out (converted to an angle once, at the end).
+    // its φ_out (converted to an angle once, at the end). Each scan fills
+    // an error buffer, and only its winner's diagonal is recomputed.
     let mut best_delays = ([0u16; 3], 1u8);
     let mut best_ab = (C64::ONE, C64::ONE);
     let mut best_err = f64::INFINITY;
+    let mut row = vec![0.0; n + 1];
 
     // L = 1: M = G·Rz(θ_{d0} + φ_in).
-    for d0 in 0..=n {
-        let (z0, z1) = zin[d0];
-        let m = col_scale2(&tables.g, z0, z1);
-        let (fid, a, b) = fid_free_out2(&m, &td);
-        let err = 1.0 - fid;
-        if err < best_err {
-            best_delays = ([d0 as u16, 0, 0], 1);
-            best_ab = (a, b);
-            best_err = err;
-        }
+    row_errors(&tables.g, &zin, &td, &mut row);
+    if let Some(d0) = first_min(&row, &mut best_err) {
+        let (_, a, b) = fid_free_out2(&row_entry(&tables.g, d0), &td);
+        best_delays = ([d0 as u16, 0, 0], 1);
+        best_ab = (a, b);
     }
     let finish = |delays: ([u16; 3], u8), (a, b): (C64, C64), error: f64| OptDecomposition {
         delays: delays.0[..delays.1 as usize].to_vec(),
@@ -264,24 +378,17 @@ pub fn decompose_opt_with(
         return finish(best_delays, best_ab, best_err);
     }
 
-    // L = 2: M = W(d1)·Rz(θ_{d0}+φ_in) with W = G·Rz·G prebuilt; the scan
-    // body is a column scale + the closed-form fidelity, nothing else.
-    let mut order2: Vec<(usize, usize, f64)> = Vec::new();
-    for (d1, wm) in tables.w.iter().enumerate() {
-        for d0 in 0..=n {
-            let (z0, z1) = zin[d0];
-            let m = col_scale2(wm, z0, z1);
-            let (fid, a, b) = fid_free_out2(&m, &td);
-            let err = 1.0 - fid;
-            if err < best_err {
-                best_delays = ([d0 as u16, d1 as u16, 0], 2);
-                best_ab = (a, b);
-                best_err = err;
-            }
-            if max_cycles >= 3 {
-                order2.push((d0, d1, err));
-            }
-        }
+    // L = 2: M = W(d1)·Rz(θ_{d0}+φ_in) with W = G·Rz·G prebuilt, into one
+    // flat buffer in scan order: `errs2[d1·(n+1) + d0]`.
+    let mut errs2 = vec![0.0; (n + 1) * (n + 1)];
+    for (wm, out) in tables.w.iter().zip(errs2.chunks_exact_mut(n + 1)) {
+        row_errors(wm, &zin, &td, out);
+    }
+    if let Some(i) = first_min(&errs2, &mut best_err) {
+        let (d0, d1) = (i % (n + 1), i / (n + 1));
+        let (_, a, b) = fid_free_out2(&row_entry(&tables.w[d1], d0), &td);
+        best_delays = ([d0 as u16, d1 as u16, 0], 2);
+        best_ab = (a, b);
     }
     if best_err <= err_target || max_cycles == 2 {
         return finish(best_delays, best_ab, best_err);
@@ -290,25 +397,19 @@ pub fn decompose_opt_with(
     // L = 3 (the paper: "a subset of gates nearing π rotations … need
     // L = 3"): extend the best L=2 stems, plus a coarse uniform stem grid
     // (the optimal L=3 region need not contain any good L=2 prefix).
-    order2.sort_by(|a, b| a.2.total_cmp(&b.2));
-    order2.truncate(96);
-    for d0 in (0..=n).step_by(8) {
-        for d1 in (0..=n).step_by(8) {
-            order2.push((d0, d1, f64::NAN));
-        }
-    }
-    for &(d0, d1, _) in &order2 {
-        let (z0, z1) = zin[d0];
-        let stem = col_scale2(&tables.w[d1], z0, z1);
-        for (d2, gzd) in tables.gz.iter().enumerate() {
-            let m = mul2(gzd, &stem);
-            let (fid, a, b) = fid_free_out2(&m, &td);
-            let err = 1.0 - fid;
-            if err < best_err {
-                best_delays = ([d0 as u16, d1 as u16, d2 as u16], 3);
-                best_ab = (a, b);
-                best_err = err;
-            }
+    let kept = best_indices(&errs2, L3_STEMS)
+        .into_iter()
+        .map(|i| (i as usize % (n + 1), i as usize / (n + 1)));
+    let grid = (0..=n)
+        .step_by(8)
+        .flat_map(|d0| (0..=n).step_by(8).map(move |d1| (d0, d1)));
+    for (d0, d1) in kept.chain(grid) {
+        let stem = row_entry(&tables.w[d1], d0);
+        stem_errors(&tables.gz, &stem, &td, &mut row);
+        if let Some(d2) = first_min(&row, &mut best_err) {
+            let (_, a, b) = fid_free_out2(&mul2(&tables.gz.get(d2), &stem), &td);
+            best_delays = ([d0 as u16, d1 as u16, d2 as u16], 3);
+            best_ab = (a, b);
         }
         if best_err <= err_target {
             break;
@@ -329,10 +430,9 @@ pub fn decompose_opt_with(
                     }
                     let mut delays = best_delays.0;
                     delays[pos] = cand as u16;
-                    let (z0, z1) = zin[delays[0] as usize];
-                    let mut m = col_scale2(&tables.g, z0, z1);
+                    let mut m = row_entry(&tables.g, delays[0] as usize);
                     for &d in &delays[1..] {
-                        m = mul2(&tables.gz[d as usize], &m);
+                        m = mul2(&tables.gz.get(d as usize), &m);
                     }
                     let (fid, a, b) = fid_free_out2(&m, &td);
                     let err = 1.0 - fid;
@@ -449,6 +549,25 @@ mod tests {
         let dec = decompose_opt(&gates::t(), &ideal(), 0.0, 3, 1e-6);
         for &d in &dec.delays {
             assert!((d as usize) <= 255);
+        }
+    }
+
+    #[test]
+    fn best_indices_are_a_stable_sort_prefix() {
+        // Few distinct values (signed zeros and NaNs among them) give many
+        // ties across the cut; lengths straddle the kept count.
+        let mut rng = qsim::rng::StdRng::seed_from_u64(0x57E4);
+        let values = [0.5, 0.25, 0.0, -0.0, f64::NAN, 1e-3, 0.5, f64::INFINITY];
+        for len in [0, 1, 7, 95, 96, 97, 200, 4096] {
+            for levels in [1, 3, values.len()] {
+                let errs: Vec<f64> = (0..len)
+                    .map(|_| values[rng.gen_range(0..levels as u64) as usize])
+                    .collect();
+                let mut want: Vec<u32> = (0..len as u32).collect();
+                want.sort_by(|&i, &j| errs[i as usize].total_cmp(&errs[j as usize]));
+                want.truncate(96);
+                assert_eq!(best_indices(&errs, 96), want, "len {len}, {levels} levels");
+            }
         }
     }
 

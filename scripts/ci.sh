@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the digiq workspace, runnable fully offline.
 #
-#   scripts/ci.sh                # build + tests (workspace and perfbench)
-#                                # + fmt check
+#   scripts/ci.sh                # build + tests (workspace and perfbench,
+#                                # plus the opt decomposition differential
+#                                # test in release) + fmt check
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
@@ -64,6 +65,12 @@ cargo test -q --offline
 # break the benchmark.
 echo "==> perfbench self-tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+# The opt decomposition's scans vectorize only in optimized code
+# (`target-cpu=native`), and the test run above builds debug: run their
+# bit-exact differential test once more, in release, on the full matrix.
+echo "==> opt decomposition differential test (release)"
+cargo test -q --release --offline -p calib --test opt_decomp_differential
 
 echo "==> cargo fmt --check"
 cargo fmt --check
