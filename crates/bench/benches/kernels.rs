@@ -11,24 +11,24 @@
 //! records in `BENCH_<date>.json`).
 //!
 //! Besides wall time, each kernel is run once under
-//! `qsim::counters::counted` to record its deterministic flop and
-//! allocation counts. `--compare FILE` diffs the fresh run against a
-//! committed `BENCH_<date>.json` record: counter regressions are hard
-//! failures (exit 1), wall-time regressions only warn — the CI container
-//! timing is too noisy to gate on.
+//! `qsim::counters::counted` to record its deterministic counters, one
+//! row column per entry of `KernelCounters::fields`.
+//! `--compare FILE` diffs the fresh run against a committed
+//! `BENCH_<date>.json` record through `digiq_bench::record` with the gate
+//! `record::counter_gate`: counter regressions are hard failures
+//! (exit 1), wall-time regressions only warn — the CI container timing
+//! is too noisy to gate on.
 
-use digiq_bench::timing::{fmt_ns, Harness, Stats};
+use digiq_bench::record::{self, RecordRow};
+use digiq_bench::timing::{Harness, Stats};
 use qsim::counters::KernelCounters;
-use sfq_hw::counters::SynthCounters;
 use sfq_hw::json::{Json, ToJson};
 use std::hint::black_box;
 
-/// The timing harness plus one deterministic counter snapshot per kernel
-/// (both tiers: qsim flops/allocs and sfq-hw cells/DFFs/allocs).
+/// The timing harness plus one deterministic counter snapshot per kernel.
 struct Bench {
     h: Harness,
     counters: Vec<KernelCounters>,
-    synth: Vec<SynthCounters>,
     /// `--filter SUBSTR`: only kernels whose name contains this run.
     filter: Option<String>,
 }
@@ -40,9 +40,8 @@ impl Bench {
                 return;
             }
         }
-        let ((_, sc), c) = qsim::counters::counted(|| sfq_hw::counters::counted(|| black_box(f())));
+        let (_, c) = qsim::counters::counted(|| black_box(f()));
         self.counters.push(c);
-        self.synth.push(sc);
         self.h.bench(name, f);
     }
 }
@@ -323,127 +322,31 @@ fn bench_synthesis(h: &mut Bench) {
 }
 
 /// One fresh result row: timing stats plus the deterministic counters.
-struct Row {
-    name: String,
-    stats: Stats,
+struct Row<'a> {
+    name: &'a str,
+    stats: &'a Stats,
     counters: KernelCounters,
-    synth: SynthCounters,
 }
 
-impl Row {
-    /// The deterministic counter fields of this row, in record order —
-    /// the single source of truth for both `--json-out` and `--compare`.
-    fn counter_fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("flops", self.counters.flops),
-            ("allocs", self.counters.allocs),
-            ("cells", self.synth.cells),
-            ("dffs_moved", self.synth.dffs_moved),
-            ("synth_allocs", self.synth.allocs),
-        ]
+impl RecordRow for Row<'_> {
+    fn name(&self) -> &str {
+        self.name
     }
-}
 
-/// Extracts the kernel rows from a committed benchmark record — either a
-/// full `BENCH_<date>.json` object (`{"kernels": [...]}`) or a bare array
-/// as written by `--json-out`.
-fn baseline_rows(j: &Json) -> Result<&[Json], String> {
-    match j {
-        Json::Arr(items) => Ok(items),
-        Json::Obj(_) => j.arr_field("kernels", "benchmark record"),
-        _ => Err("benchmark record is neither an array nor an object".to_string()),
+    fn wall_ns(&self) -> f64 {
+        self.stats.median_ns
     }
-}
 
-/// Diffs the fresh rows against a committed record. Returns `false` (fail)
-/// if any kernel's flop or allocation count exceeds its baseline; wall-time
-/// regressions only print a warning.
-fn compare(rows: &[Row], baseline_path: &str, baseline: &Json) -> bool {
-    let base = match baseline_rows(baseline) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read baseline `{baseline_path}`: {e}");
-            return false;
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("name".to_string(), self.name.to_json())];
+        if let Json::Obj(stat_fields) = self.stats.to_json() {
+            fields.extend(stat_fields);
         }
-    };
-    println!("\ncomparison vs {baseline_path}:");
-    println!(
-        "{:<32} {:>12} {:>12} {:>8}  counters",
-        "kernel", "base median", "median", "speedup"
-    );
-    let mut ok = true;
-    for row in rows {
-        let Some(b) = base
-            .iter()
-            .find(|b| b.str_field("name", "row") == Ok(row.name.as_str()))
-        else {
-            println!("{:<32} (new kernel, no baseline)", row.name);
-            continue;
-        };
-        let base_median = b.num_field("median_ns", "row").unwrap_or(f64::NAN);
-        let speedup = base_median / row.stats.median_ns;
-        // Counters are exact and deterministic: any increase is a real
-        // regression, not noise. Fields the baseline lacks (older records
-        // predate the synthesis counters) are skipped — the fresh record
-        // picks up the gate from there.
-        let covered: Vec<(&str, u64, u64)> = row
-            .counter_fields()
-            .into_iter()
-            .filter_map(|(field, fresh)| {
-                b.count_field(field, "row")
-                    .ok()
-                    .map(|bv| (field, bv, fresh))
-            })
-            .collect();
-        let counter_note = if covered.is_empty() {
-            "baseline has none".to_string()
-        } else if covered.iter().all(|&(_, bv, _)| bv == 0)
-            && row.counter_fields().iter().any(|&(_, fresh)| fresh > 0)
-        {
-            // An all-zero baseline against a counting kernel means the
-            // record predates counter coverage of this path (not a
-            // regression from literally zero work); a fresh record picks
-            // up the gate from here.
-            let now: Vec<String> = row
-                .counter_fields()
-                .iter()
-                .map(|(f, v)| format!("{f} {v}"))
-                .collect();
-            format!(
-                "baseline predates counter coverage (now {})",
-                now.join(", ")
-            )
-        } else if covered.iter().any(|&(_, bv, fresh)| fresh > bv) {
-            ok = false;
-            let diffs: Vec<String> = covered
-                .iter()
-                .map(|(f, bv, fresh)| format!("{f} {bv} -> {fresh}"))
-                .collect();
-            format!("REGRESSED {}", diffs.join(", "))
-        } else {
-            let diffs: Vec<String> = covered
-                .iter()
-                .map(|(f, bv, fresh)| format!("{f} {bv} -> {fresh}"))
-                .collect();
-            format!("ok ({})", diffs.join(", "))
-        };
-        println!(
-            "{:<32} {:>12} {:>12} {:>7.2}x  {}",
-            row.name,
-            fmt_ns(base_median),
-            fmt_ns(row.stats.median_ns),
-            speedup,
-            counter_note
-        );
-        if row.stats.median_ns > base_median * 1.5 {
-            eprintln!(
-                "warning: {} wall time regressed {:.2}x (warn-only: timing is noisy in CI)",
-                row.name,
-                row.stats.median_ns / base_median
-            );
+        for (field, value) in self.counters.fields() {
+            fields.push((field.to_string(), value.to_json()));
         }
+        Json::Obj(fields)
     }
-    ok
 }
 
 fn main() {
@@ -454,7 +357,6 @@ fn main() {
             Harness::standard()
         },
         counters: Vec::new(),
-        synth: Vec::new(),
         filter: digiq_bench::arg_value("--filter"),
     };
     bench_eigen(&mut h);
@@ -467,49 +369,14 @@ fn main() {
     let rows: Vec<Row> =
         h.h.results
             .iter()
-            .zip(h.counters.iter())
-            .zip(h.synth.iter())
-            .map(|(((name, stats), &counters), &synth)| Row {
-                name: name.clone(),
-                stats: *stats,
+            .zip(&h.counters)
+            .map(|((name, stats), &counters)| Row {
+                name,
+                stats,
                 counters,
-                synth,
             })
             .collect();
-    if let Some(path) = digiq_bench::arg_value("--json-out") {
-        let out = Json::Arr(
-            rows.iter()
-                .map(|row| {
-                    let mut fields = vec![("name".to_string(), row.name.to_json())];
-                    if let Json::Obj(stat_fields) = row.stats.to_json() {
-                        fields.extend(stat_fields);
-                    }
-                    for (field, value) in row.counter_fields() {
-                        fields.push((field.to_string(), value.to_json()));
-                    }
-                    Json::Obj(fields)
-                })
-                .collect(),
-        );
-        std::fs::write(&path, out.render()).unwrap_or_else(|e| {
-            eprintln!("error: cannot write `{path}`: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("kernel stats written to {path}");
-    }
-    if let Some(path) = digiq_bench::arg_value("--compare") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read `{path}`: {e}");
-            std::process::exit(1);
-        });
-        let baseline = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse `{path}`: {e:?}");
-            std::process::exit(1);
-        });
-        if !compare(&rows, &path, &baseline) {
-            eprintln!("error: deterministic counter regression vs {path}");
-            std::process::exit(1);
-        }
-        println!("bench compare OK vs {path}");
-    }
+    record::finish(&rows, &record::KERNELS, |row, base| {
+        record::counter_gate(&row.counters, base)
+    });
 }

@@ -21,18 +21,21 @@
 //!   note when they are not built).
 //!
 //! Every row records `wall_ns` plus a `checks` object of deterministic
-//! fields (job counts, FNV-1a digests of the numeric output). `--compare
-//! FILE` diffs against a committed record's `"e2e"` section: `checks`
-//! mismatches are hard failures (exit 1) — the outputs are seeded and
-//! sharding-order-independent, so any drift is a real behaviour change —
-//! while wall time only warns (CI timing is noisy). Records that predate
-//! the e2e section pass with a note, and a fresh record picks up the
-//! gate from there. `--json-out FILE` writes the row array (what
-//! `scripts/ci.sh --bench-e2e` and `bench_record` embed under `"e2e"`).
+//! fields (job counts, FNV-1a digests of the numeric output).
+//! `--json-out FILE` writes the row array (what `scripts/ci.sh
+//! --bench-e2e` and `bench_record` embed under `"e2e"`), and `--compare
+//! FILE` diffs against a committed record's `"e2e"` section through
+//! `digiq_bench::record` with the gate `record::checks_gate`: any
+//! `checks` mismatch is a hard failure (exit 1) — the outputs are seeded
+//! and sharding-order-independent, so any drift is a real behaviour
+//! change — while wall time only warns (CI timing is noisy). Records
+//! that predate the e2e section pass with a note, and a fresh record
+//! picks up the gate from there.
 //!
 //! Sizes are bounded so the whole set finishes in well under a minute of
 //! compute on a single-CPU container (the fig10 row dominates).
 
+use digiq_bench::record::{self, RecordRow};
 use digiq_core::engine::{
     default_workers, par_map_ordered, BenchScale, BenchmarkSpec, EvalEngine, SweepSpec,
 };
@@ -41,6 +44,7 @@ use qcircuit::bench::ALL_BENCHMARKS;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::io::BufRead;
+use std::process::{Child, Command};
 use std::time::Instant;
 
 /// One end-to-end row: wall time (warn-only in compares) plus the
@@ -53,7 +57,15 @@ struct Row {
     info: Vec<(String, Json)>,
 }
 
-impl Row {
+impl RecordRow for Row {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn wall_ns(&self) -> f64 {
+        self.wall_ns
+    }
+
     fn to_json(&self) -> Json {
         Json::obj([
             ("name", self.name.to_json()),
@@ -201,7 +213,7 @@ fn serve_loadgen() -> Option<Row> {
         );
         return None;
     }
-    let mut daemon = std::process::Command::new(&serve)
+    let mut daemon = Command::new(&serve)
         .args(["--workers", "2"])
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -228,12 +240,15 @@ fn serve_loadgen() -> Option<Row> {
         return None;
     };
     let (output, wall_ns) = timed(|| {
-        std::process::Command::new(&loadgen)
+        Command::new(&loadgen)
             .args(["--addr", &addr, "--clients", "4", "--requests", "2"])
             .args(["--json", "--shutdown"])
             .output()
     });
-    let _ = daemon.wait();
+    reap_daemon(
+        &mut daemon,
+        output.as_ref().is_ok_and(|o| o.status.success()),
+    );
     drop(reader);
     let output = output
         .map_err(|e| eprintln!("note: skipping serve_loadgen row (cannot run loadgen: {e})"))
@@ -280,85 +295,15 @@ fn serve_loadgen() -> Option<Row> {
     })
 }
 
-/// Extracts the e2e rows from a committed record: a full
-/// `BENCH_<date>.json` object (its `"e2e"` key), or a bare row array as
-/// written by `--json-out`. `Ok(None)` means the record predates the e2e
-/// section — the compare passes with a note.
-fn baseline_rows(j: &Json) -> Result<Option<&[Json]>, String> {
-    match j {
-        Json::Arr(items) => Ok(Some(items)),
-        Json::Obj(_) => match j.get("e2e") {
-            None => Ok(None),
-            Some(e2e) => match e2e {
-                Json::Arr(items) => Ok(Some(items)),
-                _ => Err("`e2e` section is not an array".to_string()),
-            },
-        },
-        _ => Err("benchmark record is neither an array nor an object".to_string()),
+/// Waits for the serve daemon after its loadgen round. Loadgen drains
+/// the daemon (`--shutdown`) only when it runs to the end, so after a
+/// loadgen that failed to spawn, exited early or panicked, the daemon is
+/// killed first: waiting on a daemon nobody shut down never returns.
+fn reap_daemon(daemon: &mut Child, loadgen_ok: bool) {
+    if !loadgen_ok {
+        let _ = daemon.kill();
     }
-}
-
-/// Diffs fresh rows against a committed record. `checks` fields are
-/// deterministic, so any mismatch is a hard failure; wall time warns.
-fn compare(rows: &[Row], baseline_path: &str, baseline: &Json) -> bool {
-    let base = match baseline_rows(baseline) {
-        Ok(Some(b)) => b,
-        Ok(None) => {
-            println!("baseline {baseline_path} predates the e2e section; nothing to compare");
-            return true;
-        }
-        Err(e) => {
-            eprintln!("error: cannot read baseline `{baseline_path}`: {e}");
-            return false;
-        }
-    };
-    println!("\ne2e comparison vs {baseline_path}:");
-    let mut ok = true;
-    for row in rows {
-        let Some(b) = base
-            .iter()
-            .find(|b| b.str_field("name", "e2e row") == Ok(row.name))
-        else {
-            println!("{:<18} (new e2e row, no baseline)", row.name);
-            continue;
-        };
-        let base_wall = b.num_field("wall_ns", "e2e row").unwrap_or(f64::NAN);
-        let mut drift: Vec<String> = Vec::new();
-        if let Some(Json::Obj(base_checks)) = b.get("checks") {
-            for (key, base_val) in base_checks {
-                let fresh = row.checks.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                if fresh != Some(base_val) {
-                    drift.push(format!(
-                        "{key} {} -> {}",
-                        base_val.render(),
-                        fresh.map_or("<missing>".to_string(), Json::render)
-                    ));
-                }
-            }
-        }
-        let note = if drift.is_empty() {
-            "checks ok".to_string()
-        } else {
-            ok = false;
-            format!("DRIFTED {}", drift.join(", "))
-        };
-        println!(
-            "{:<18} {:>12} -> {:>12} ({:>5.2}x)  {}",
-            row.name,
-            digiq_bench::timing::fmt_ns(base_wall),
-            digiq_bench::timing::fmt_ns(row.wall_ns),
-            base_wall / row.wall_ns,
-            note
-        );
-        if row.wall_ns > base_wall * 1.5 {
-            eprintln!(
-                "warning: {} wall time regressed {:.2}x (warn-only: timing is noisy in CI)",
-                row.name,
-                row.wall_ns / base_wall
-            );
-        }
-    }
-    ok
+    let _ = daemon.wait();
 }
 
 fn main() {
@@ -395,27 +340,38 @@ fn main() {
             checks.join(" ")
         );
     }
-    if let Some(path) = digiq_bench::arg_value("--json-out") {
-        let out = Json::Arr(rows.iter().map(Row::to_json).collect());
-        std::fs::write(&path, out.render()).unwrap_or_else(|e| {
-            eprintln!("error: cannot write `{path}`: {e}");
-            std::process::exit(1);
+    record::finish(&rows, &record::E2E, |row, base| {
+        record::checks_gate(&row.checks, base)
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn failed_loadgen_never_hangs_on_the_daemon() {
+        // A daemon that never exits by itself, as after a loadgen that
+        // died before sending `Shutdown`. The reap runs on its own thread
+        // so a regression fails here in bounded time instead of hanging.
+        let mut daemon = Command::new("sleep").arg("600").spawn().unwrap();
+        let pid = daemon.id();
+        let (tx, rx) = mpsc::channel();
+        let reaper = std::thread::spawn(move || {
+            reap_daemon(&mut daemon, false);
+            let _ = tx.send(());
         });
-        eprintln!("e2e rows written to {path}");
-    }
-    if let Some(path) = digiq_bench::arg_value("--compare") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read `{path}`: {e}");
-            std::process::exit(1);
-        });
-        let baseline = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: cannot parse `{path}`: {e:?}");
-            std::process::exit(1);
-        });
-        if !compare(&rows, &path, &baseline) {
-            eprintln!("error: deterministic e2e drift vs {path}");
-            std::process::exit(1);
+        let hung = rx.recv_timeout(Duration::from_secs(30)).is_err();
+        if hung {
+            // Unblock the reaper so it can be joined.
+            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
         }
-        println!("e2e compare OK vs {path}");
+        reaper.join().unwrap();
+        assert!(
+            !hung,
+            "reap_daemon blocked on a daemon that loadgen never shut down"
+        );
     }
 }

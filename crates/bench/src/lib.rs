@@ -38,7 +38,8 @@
 //! paper scale). The `benches/` directory holds std-only timing kernels
 //! (see [`timing`]) for the computational hot paths; run them with
 //! `cargo bench -p digiq-bench --bench kernels` (add `-- --quick` for
-//! smoke mode, `--json-out FILE` to record the stats).
+//! smoke mode, `--json-out FILE` to record the stats, `--compare FILE`
+//! to diff against a committed record; both go through [`record`]).
 //!
 //! The same evaluations are also served over TCP by the `digiq-serve`
 //! crate: its `serve` daemon shares one engine across clients (with
@@ -48,6 +49,7 @@
 //! and service numbers in `BENCH_<date>.json`.
 
 pub mod cli;
+pub mod record;
 pub mod timing;
 
 /// Parses a `--flag` style boolean from argv.

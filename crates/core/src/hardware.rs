@@ -474,10 +474,10 @@ mod tests {
         // Two back-to-back builds of one point must do identical work:
         // every module is synthesized afresh, nothing is served from a
         // memo that a previous call left behind.
-        let run = || sfq_hw::counters::counted(|| hw(ControllerDesign::DigiqOpt { bs: 8 }, 2));
+        let run = || qsim::counters::counted(|| hw(ControllerDesign::DigiqOpt { bs: 8 }, 2));
         let (first, first_tally) = run();
         let (second, second_tally) = run();
-        assert!(first_tally.cells > 0 && first_tally.allocs > 0);
+        assert!(first_tally.cells > 0 && first_tally.synth_allocs > 0);
         assert_eq!(first_tally, second_tally, "second build must cost the same");
         assert_eq!(first.total, second.total);
         assert_eq!(first.report, second.report);

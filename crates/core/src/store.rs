@@ -599,15 +599,25 @@ impl ArtifactStore {
         key: u64,
         build: impl FnOnce() -> T,
     ) -> (Arc<T>, bool) {
+        let (any, initialized) = self.lookup(ns, key, || (Arc::new(build()) as ArcAny, false));
+        (Self::downcast(ns, any), initialized)
+    }
+
+    /// The one lookup behind [`ArtifactStore::fetch`] and
+    /// [`ArtifactStore::fetch_artifact`]: `init` produces a missing value
+    /// and says whether it came from disk. The miss is counted inside the
+    /// slot's initializer, before the value becomes visible (see
+    /// [`ArtifactStore::count_lookup`]).
+    fn lookup(&self, ns: &str, key: u64, init: impl FnOnce() -> (ArcAny, bool)) -> (ArcAny, bool) {
         let slot = self.slot(ns, key);
         let pending = slot.get().is_none();
         let mut initialized = false;
         let any = slot
             .get_or_init(|| {
                 initialized = true;
-                let value = Arc::new(build()) as ArcAny;
+                let (value, from_disk) = init();
                 self.resident.fetch_add(1, Ordering::Relaxed);
-                self.count_lookup(ns, true, false, false);
+                self.count_lookup(ns, true, from_disk, false);
                 value
             })
             .clone();
@@ -616,7 +626,7 @@ impl ArtifactStore {
         } else {
             self.count_lookup(ns, false, false, pending);
         }
-        (Self::downcast(ns, any), initialized)
+        (any, initialized)
     }
 
     /// [`ArtifactStore::fetch`] without the miss flag.
@@ -640,34 +650,14 @@ impl ArtifactStore {
         key: u64,
         build: impl FnOnce() -> T,
     ) -> (Arc<T>, bool) {
-        let slot = self.slot(ns, key);
-        let pending = slot.get().is_none();
-        let mut initialized = false;
-        let any = slot
-            .get_or_init(|| {
-                initialized = true;
-                let mut from_disk = false;
-                let value = match self.disk_load::<T>(ns, key) {
-                    Some(v) => {
-                        from_disk = true;
-                        Arc::new(v) as ArcAny
-                    }
-                    None => {
-                        let v = build();
-                        self.disk_store(ns, key, &v);
-                        Arc::new(v) as ArcAny
-                    }
-                };
-                self.resident.fetch_add(1, Ordering::Relaxed);
-                self.count_lookup(ns, true, from_disk, false);
-                value
-            })
-            .clone();
-        if initialized {
-            self.evict_to_capacity();
-        } else {
-            self.count_lookup(ns, false, false, pending);
-        }
+        let (any, initialized) = self.lookup(ns, key, || match self.disk_load::<T>(ns, key) {
+            Some(v) => (Arc::new(v) as ArcAny, true),
+            None => {
+                let v = build();
+                self.disk_store(ns, key, &v);
+                (Arc::new(v) as ArcAny, false)
+            }
+        });
         (Self::downcast(ns, any), initialized)
     }
 

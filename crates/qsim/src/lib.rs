@@ -6,7 +6,8 @@
 //!
 //! * [`complex`] / [`matrix`] — complex arithmetic and small dense matrices
 //!   with allocation-free in-place kernels ([`counters`] tallies their
-//!   flops/allocations deterministically for perf regression tests);
+//!   flops/allocations deterministically for perf regression tests, in
+//!   the one counter table the compile and synthesis passes share);
 //! * [`eigen`] / [`expm`] — Hermitian eigendecomposition (Jacobi) and
 //!   matrix exponentials for exact piecewise-constant propagation;
 //! * [`gates`] — ideal gate targets, ZYZ/paper-form Euler decomposition,

@@ -13,8 +13,6 @@
 //!   counters, comparators, broadcast trees, SFQ/DC arrays, double
 //!   buffers);
 //! * [`passes`] — splitter insertion, full path balancing, retiming;
-//! * [`counters`] — deterministic cell/DFF/allocation tallies for the
-//!   passes (bench-compare gate inputs);
 //! * [`workspace`] — per-thread node pool and pass scratch keeping the
 //!   synthesis iteration path allocation-free;
 //! * [`cost`] — calibrated power/area/delay roll-up;
@@ -40,7 +38,6 @@ pub mod analog;
 pub mod cables;
 pub mod cells;
 pub mod cost;
-pub mod counters;
 pub mod generators;
 pub mod json;
 pub mod netlist;

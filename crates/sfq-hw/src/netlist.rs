@@ -200,11 +200,11 @@ pub struct Netlist {
 impl Netlist {
     /// Creates an empty netlist with a diagnostic name.
     ///
-    /// Tallied as one materialized artifact by [`crate::counters`]; node
-    /// storage is drawn from the per-thread pool in [`crate::workspace`],
-    /// so warm construction is allocation-light.
+    /// Tallied as one `synth_allocs` in `qsim::counters`; node storage
+    /// is drawn from the per-thread pool in [`crate::workspace`], so warm
+    /// construction is allocation-light.
     pub fn new(name: impl Into<String>) -> Self {
-        crate::counters::tally_allocs(1);
+        qsim::counters::tally_synth_allocs(1);
         Netlist {
             name: name.into(),
             nodes: Vec::new(),

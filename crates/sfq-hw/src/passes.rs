@@ -38,9 +38,9 @@
 //! ```
 
 use crate::cells::CellType;
-use crate::counters;
 use crate::netlist::{Netlist, NetlistError, NodeId};
 use crate::workspace::{put_scratch, take_scratch, PassScratch};
+use qsim::counters;
 
 /// Builds the CSR fanout adjacency of `nl` into the scratch buffers:
 /// `csr_sinks[csr_off[i]..csr_off[i+1]]` lists node `i`'s `(sink, pin)`

@@ -19,7 +19,7 @@
 //!
 //! Pooling is invisible to every contract: construction order, node ids
 //! and pass results are untouched, and none of the pooled buffers are
-//! tallied by [`crate::counters`] (outputs only).
+//! tallied by `qsim::counters` (outputs only).
 
 use crate::netlist::{Node, NodeId};
 use std::cell::RefCell;

@@ -161,7 +161,7 @@ fn stats_scale_linearly() {
 
 #[test]
 fn pass_counters_match_returned_work() {
-    use sfq_hw::counters;
+    use qsim::counters;
     let mut nl = Netlist::new("cnt");
     let ins = nl.inputs("i", 4);
     let a = nl.gate(CellType::And2, &[ins[0], ins[1]]);
@@ -180,12 +180,15 @@ fn pass_counters_match_returned_work() {
         tally.cells >= nl.len() as u64,
         "retime tallies at least one full fixpoint sweep"
     );
-    assert_eq!(tally.allocs, 0, "passes must not materialize netlists");
+    assert_eq!(
+        tally.synth_allocs, 0,
+        "passes must not materialize netlists"
+    );
 }
 
 #[test]
 fn synthesis_counters_cold_equal_warm() {
-    use sfq_hw::counters;
+    use qsim::counters;
     let run = || {
         counters::counted(|| {
             let mut nl = sfq_hw::generators::one_hot_mux(16);
@@ -201,5 +204,5 @@ fn synthesis_counters_cold_equal_warm() {
     );
     assert_eq!(cold, warm, "tallies must be pool-state-independent");
     assert!(cold.cells > 0, "cells examined must be counted");
-    assert_eq!(cold.allocs, 1, "one netlist materialized per run");
+    assert_eq!(cold.synth_allocs, 1, "one netlist materialized per run");
 }

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh                # build + tests (workspace and perfbench,
 #                                # plus the opt decomposition differential
-#                                # test in release) + fmt check
+#                                # test in release) + kernels bench build
+#                                # + fmt check
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
@@ -71,6 +72,12 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # bit-exact differential test once more, in release, on the full matrix.
 echo "==> opt decomposition differential test (release)"
 cargo test -q --release --offline -p calib --test opt_decomp_differential
+
+# `cargo test` does not build bench targets, so neither run above
+# compiles the kernels bench; only --smoke and --bench-* would. Build it
+# here so a change to it or to the record module breaks the default path.
+echo "==> kernels bench build"
+cargo build --release --offline -p digiq-bench --benches
 
 echo "==> cargo fmt --check"
 cargo fmt --check
