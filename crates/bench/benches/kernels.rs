@@ -210,6 +210,21 @@ fn bench_bitstream(h: &mut Bench) {
             calib::bitstream::ZFreedom::PrePost,
         )
     });
+    // One whole shared-calibration search (§V-A step 1): the GA at the
+    // `ErrorModelConfig::small` budget, then the prefix-resumed polish.
+    let search = calib::bitstream::SearchConfig {
+        length: 253,
+        ga: digiq_core::error_model::ErrorModelConfig::small(1).ga,
+    };
+    h.bench("bitstream_search_ry_opt", || {
+        calib::bitstream::find_bitstream(
+            *sim.transmon(),
+            SfqParams::default(),
+            black_box(&target),
+            calib::bitstream::ZFreedom::PrePost,
+            &search,
+        )
+    });
 }
 
 fn bench_decomposition(h: &mut Bench) {
@@ -307,9 +322,8 @@ fn bench_synthesis(h: &mut Bench) {
     h.bench("build_hardware_opt_bs8", || {
         digiq_core::hardware::build_hardware(black_box(&cfg), &model)
     });
-    // Every Fig 8 row built on the calling thread: `fig8_sweep` maps the
-    // points on a scoped worker thread, whose synthesis counters this
-    // thread's tally would never see.
+    // Every Fig 8 row built on the calling thread, without the worker
+    // pool `fig8_sweep` maps the points on.
     let points = digiq_core::hardware::fig8_points();
     h.bench("fig8_sweep_serial", || {
         points

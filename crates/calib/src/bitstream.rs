@@ -19,7 +19,7 @@
 use qsim::complex::C64;
 use qsim::matrix::CMat;
 use qsim::optimize::{ga_bitstring, GaConfig};
-use qsim::pulse::{SfqParams, SfqPulseSim};
+use qsim::pulse::{QubitTrail, SfqParams, SfqPulseSim};
 use qsim::transmon::Transmon;
 use std::f64::consts::PI;
 
@@ -194,33 +194,38 @@ pub fn find_bitstream(
         seeds.push(vec![false; cfg.length]);
     }
 
-    let fitness = |bits: &[bool]| -> f64 {
-        let m = sim.frame_gate_qubit(bits);
-        fidelity_with_freedom(&m, target, freedom)
-    };
-    let result = ga_bitstring(&fitness, cfg.length, &seeds, cfg.ga);
+    let fitness = |m: &CMat| fidelity_with_freedom(m, target, freedom);
+    let result = ga_bitstring(
+        |bits: &[bool]| fitness(&sim.frame_gate_qubit(bits)),
+        cfg.length,
+        &seeds,
+        cfg.ga,
+    );
 
-    // Greedy single-bit-flip polish: repeatedly accept any flip that
-    // improves fidelity, until a full sweep finds none. Cheap (a few
-    // hundred evaluations) and reliably gains a decade of error.
-    let mut bits = result.bits;
-    let mut best_f = fitness(&bits);
+    // Greedy single-bit-flip polish: sweep the bits in order, accepting
+    // any flip that improves fidelity, until a full sweep finds none.
+    // It makes most of a search's fitness calls (1,000–3,200 against the
+    // GA's 600 at `ErrorModelConfig::small`'s budget) and reliably gains
+    // a decade of error. A flip of
+    // bit `i` leaves the prefix product of ticks `0..i` unchanged, so
+    // each trial resumes from the trail's block `i` (half a stream on
+    // average) and is bit-for-bit the from-scratch fitness.
+    let mut trail = QubitTrail::new(&sim, &result.bits);
+    let mut best_f = fitness(&trail.gate());
     let mut improved = true;
     while improved {
         improved = false;
-        for i in 0..bits.len() {
-            bits[i] = !bits[i];
-            let f = fitness(&bits);
+        for i in 0..cfg.length {
+            let f = fitness(&trail.flipped_gate(i));
             if f > best_f {
                 best_f = f;
                 improved = true;
-            } else {
-                bits[i] = !bits[i];
+                trail.accept_flip(i);
             }
         }
     }
     BitstreamResult {
-        bits,
+        bits: trail.bits().to_vec(),
         fidelity: best_f,
         error: 1.0 - best_f,
     }

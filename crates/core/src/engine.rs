@@ -105,6 +105,7 @@ use qcircuit::pipeline::{
     CompileArtifact, PassMetrics, PipelineConfig, RouteStrategy, ScheduleStrategy,
 };
 use qcircuit::topology::Grid;
+use qsim::counters::KernelCounters;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,6 +138,11 @@ fn run_pool(workers: usize, step: impl Fn() -> bool + Sync) {
 /// the results are returned **in input order** regardless of worker count
 /// or scheduling — the merge step every deterministic sweep binary uses.
 ///
+/// The `qsim::counters` tallies each call accrues on its worker thread
+/// are added into the calling thread's table at the join, so a
+/// `counted` scope around the map sees the same totals for any worker
+/// count.
+///
 /// # Panics
 ///
 /// Propagates any panic raised inside `f`.
@@ -147,21 +153,25 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<(R, KernelCounters)>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
     run_pool(workers.min(items.len()), || {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(item) = items.get(i) else {
             return false;
         };
-        *lock_unpoisoned(&slots[i]) = Some(f(i, item));
+        *lock_unpoisoned(&slots[i]) = Some(qsim::counters::counted(|| f(i, item)));
         true
     });
     slots
         .into_iter()
         .map(|m| {
-            m.into_inner()
+            let (r, tally) = m
+                .into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("worker completed every claimed job")
+                .expect("worker completed every claimed job");
+            qsim::counters::add(&tally);
+            r
         })
         .collect()
 }

@@ -13,8 +13,11 @@
 //!   `calib::cz` composes the best 1–2-pulse CZ, and the surrounding
 //!   single-qubit gates contribute their own decomposition error.
 //!
-//! Work is parallelized over qubits/couplers with
-//! [`crate::engine::par_map_ordered`].
+//! Every parallel stage goes through [`crate::engine::par_map_ordered`]:
+//! the six shared-bitstream searches of [`calibrate_shared`] (three per
+//! parking frequency), the qubits of [`fig10a`] and the couplers of
+//! [`fig10b`]. Results merge in input order, so every output is
+//! independent of the thread count.
 
 use crate::engine::par_map_ordered;
 use calib::bitstream::{basis_op_for_qubit, find_bitstream, SearchConfig, ZFreedom};
@@ -48,7 +51,9 @@ pub struct ErrorModelConfig {
     pub min_half_depth: usize,
     /// GA budget for the shared-bitstream searches.
     pub ga: GaConfig,
-    /// Worker threads.
+    /// Worker threads for each parallel stage: the shared-bitstream
+    /// searches, the Fig 10a qubits and the Fig 10b couplers. Results
+    /// do not depend on it.
     pub threads: usize,
 }
 
@@ -160,44 +165,48 @@ pub struct SharedCalibration {
 }
 
 /// Finds the shared bitstreams for every parking frequency (§V-A step 1).
+///
+/// The searches (opt Ry(π/2), min Ry(π/2) and min T per frequency) are
+/// independent and run on `config.threads` workers; each is seeded by
+/// `config.ga.seed` alone, so the bits do not depend on the thread count.
 pub fn calibrate_shared(config: &ErrorModelConfig) -> SharedCalibration {
     let opt_params = SfqParams::default();
     let min_params = SfqParams {
         delta_theta: (PI / 2.0) / 16.0,
         ..SfqParams::default()
     };
-    let mut ry_bits = Vec::new();
-    let mut min_bits = Vec::new();
-    for &f in &config.parking_ghz {
-        let length = if f > 5.0 { 253 } else { 225 };
-        let sc = SearchConfig {
-            length,
-            ga: config.ga,
-        };
-        let ry = find_bitstream(
-            Transmon::new(f),
-            opt_params,
-            &qsim::gates::ry(PI / 2.0),
-            ZFreedom::PrePost,
-            &sc,
-        );
-        ry_bits.push(ry.bits);
-        let ry_min = find_bitstream(
-            Transmon::new(f),
-            min_params,
-            &qsim::gates::ry(PI / 2.0),
-            ZFreedom::None,
-            &sc,
-        );
-        let t_min = find_bitstream(
-            Transmon::new(f),
-            min_params,
-            &qsim::gates::t(),
-            ZFreedom::None,
-            &sc,
-        );
-        min_bits.push([ry_min.bits, t_min.bits]);
-    }
+    let ry = qsim::gates::ry(PI / 2.0);
+    let t = qsim::gates::t();
+    // Per parking frequency: the opt Ry(π/2), then the min {Ry(π/2), T}.
+    let searches: Vec<(f64, SfqParams, &CMat, ZFreedom)> = config
+        .parking_ghz
+        .iter()
+        .flat_map(|&f| {
+            [
+                (f, opt_params, &ry, ZFreedom::PrePost),
+                (f, min_params, &ry, ZFreedom::None),
+                (f, min_params, &t, ZFreedom::None),
+            ]
+        })
+        .collect();
+    let found = par_map_ordered(
+        &searches,
+        config.threads,
+        |_, &(f, params, target, freedom)| {
+            let sc = SearchConfig {
+                length: if f > 5.0 { 253 } else { 225 },
+                ga: config.ga,
+            };
+            find_bitstream(Transmon::new(f), params, target, freedom, &sc).bits
+        },
+    );
+    let mut found = found.into_iter();
+    let mut next = || found.next().expect("one result per search");
+    let (ry_bits, min_bits) = config
+        .parking_ghz
+        .iter()
+        .map(|_| (next(), [next(), next()]))
+        .unzip();
     SharedCalibration {
         ry_bits,
         min_bits,
@@ -348,6 +357,24 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert!(x.approx_eq(y, 0.0));
         }
+    }
+
+    #[test]
+    fn shared_calibration_counters_do_not_depend_on_threads() {
+        // The searches run on pool threads; `par_map_ordered` rolls their
+        // tallies into this thread, so the totals are the same for any
+        // worker count (and not zero, as they would be if they were lost).
+        let mut config = ErrorModelConfig::small(8);
+        let mut run = |threads| {
+            config.threads = threads;
+            qsim::counters::counted(|| calibrate_shared(&config))
+        };
+        let (serial, serial_tally) = run(1);
+        let (parallel, parallel_tally) = run(4);
+        assert!(serial_tally.flops > 0 && serial_tally.allocs > 0);
+        assert_eq!(serial_tally, parallel_tally);
+        assert_eq!(serial.ry_bits, parallel.ry_bits);
+        assert_eq!(serial.min_bits, parallel.min_bits);
     }
 
     #[test]

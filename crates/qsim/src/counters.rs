@@ -49,6 +49,8 @@
 //! The table is **thread-local**, so the parallel test runner and scoped
 //! worker threads never race and exact-equality asserts are safe;
 //! snapshot and reset on the same thread that runs the code under test.
+//! A parallel map that wants its workers' tallies seen by the caller
+//! rolls them in with [`add`] at the join.
 
 use std::cell::Cell;
 
@@ -96,20 +98,20 @@ impl KernelCounters {
 }
 
 #[inline]
-fn add(slot: usize, n: u64) {
+fn bump(slot: usize, n: u64) {
     TALLY.with(|t| t[slot].set(t[slot].get().wrapping_add(n)));
 }
 
 /// Adds `n` flops to this thread's tally.
 #[inline]
 pub fn tally_flops(n: u64) {
-    add(FLOPS, n);
+    bump(FLOPS, n);
 }
 
 /// Records one buffer allocation on this thread.
 #[inline]
 pub fn tally_alloc() {
-    add(ALLOCS, 1);
+    bump(ALLOCS, 1);
 }
 
 /// Records `n` buffer allocations on this thread (batch accounting for
@@ -117,25 +119,35 @@ pub fn tally_alloc() {
 /// router's circuit + final-layout pair).
 #[inline]
 pub fn tally_allocs(n: u64) {
-    add(ALLOCS, n);
+    bump(ALLOCS, n);
 }
 
 /// Adds `n` examined netlist nodes to this thread's tally.
 #[inline]
 pub fn tally_cells(n: u64) {
-    add(CELLS, n);
+    bump(CELLS, n);
 }
 
 /// Adds `n` inserted/relocated balancing DFFs to this thread's tally.
 #[inline]
 pub fn tally_dffs_moved(n: u64) {
-    add(DFFS_MOVED, n);
+    bump(DFFS_MOVED, n);
 }
 
 /// Records `n` materialized netlists on this thread.
 #[inline]
 pub fn tally_synth_allocs(n: u64) {
-    add(SYNTH_ALLOCS, n);
+    bump(SYNTH_ALLOCS, n);
+}
+
+/// Adds every counter of `c` to this thread's tallies: how a parallel
+/// map rolls the tallies its workers accrued into the calling thread.
+pub fn add(c: &KernelCounters) {
+    TALLY.with(|t| {
+        for (slot, (_, n)) in t.iter().zip(c.fields()) {
+            slot.set(slot.get().wrapping_add(n));
+        }
+    });
 }
 
 /// Reads this thread's tallies without resetting them.
@@ -188,6 +200,33 @@ mod tests {
         );
         reset();
         assert_eq!(snapshot(), KernelCounters::default());
+    }
+
+    #[test]
+    fn add_rolls_a_snapshot_into_this_thread() {
+        reset();
+        tally_flops(5);
+        let worker = std::thread::spawn(|| {
+            counted(|| {
+                tally_flops(8);
+                tally_alloc();
+                tally_synth_allocs(2);
+            })
+            .1
+        })
+        .join()
+        .unwrap();
+        add(&worker);
+        assert_eq!(
+            snapshot(),
+            KernelCounters {
+                flops: 13,
+                allocs: 1,
+                cells: 0,
+                dffs_moved: 0,
+                synth_allocs: 2
+            }
+        );
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! ```
 
 use crate::complex::C64;
+use crate::counters;
 use crate::expm::expm_hermitian_propagator;
 use crate::matrix::CMat;
 use crate::transmon::Transmon;
@@ -98,9 +99,22 @@ impl SfqPulseSim {
         &self.params
     }
 
-    /// Lab-frame unitary of a bitstream (earliest bit applied first).
+    /// The one-clock propagator of a slot: `F·K` if it fires, else `F`.
+    fn step(&self, fire: bool) -> &CMat {
+        if fire {
+            &self.free_kick
+        } else {
+            &self.free
+        }
+    }
+
+    /// Lab-frame unitary of a bitstream (earliest bit applied first), on
+    /// every transmon level.
     ///
-    /// The per-tick products ping-pong between the accumulator and one
+    /// Only [`frame_gate`](Self::frame_gate) needs all of it (the drifted
+    /// basis operations of §V-A step 3 keep the leakage levels); the
+    /// qubit-block fitness goes through [`QubitTrail`] instead. The
+    /// per-tick products ping-pong between the accumulator and one
     /// scratch matrix, so a 253-tick stream costs two allocations instead
     /// of one per tick.
     pub fn lab_gate(&self, bits: &[bool]) -> CMat {
@@ -108,15 +122,14 @@ impl SfqPulseSim {
         let mut u = CMat::identity(n);
         let mut tmp = CMat::zeros(n, n);
         for &b in bits {
-            let step = if b { &self.free_kick } else { &self.free };
-            step.matmul_into(&u, &mut tmp);
+            self.step(b).matmul_into(&u, &mut tmp);
             std::mem::swap(&mut u, &mut tmp);
         }
         u
     }
 
     /// Rotating-frame gate of a bitstream at the qubit's own frequency:
-    /// `R(L·T)† · U_lab`.
+    /// `R(L·T)† · U_lab`, on every transmon level.
     pub fn frame_gate(&self, bits: &[bool]) -> CMat {
         let t_total = bits.len() as f64 * self.params.clock_period_ns;
         let r = self
@@ -128,8 +141,27 @@ impl SfqPulseSim {
     /// Rotating-frame gate projected onto the two-level computational
     /// subspace (the object whose fidelity §V-A evaluates; leakage shows up
     /// as sub-unitarity).
+    ///
+    /// Bit-for-bit `frame_gate(bits).top_left_block(2)`, at a third of
+    /// the flops: columns 0 and 1 of every step product depend only on
+    /// columns 0 and 1 of the product before it, so the from-zero case of
+    /// [`QubitTrail`] propagates just that `n×2` block (every level's row
+    /// is still kept, so leakage stays in the result).
     pub fn frame_gate_qubit(&self, bits: &[bool]) -> CMat {
-        self.frame_gate(bits).top_left_block(2)
+        QubitTrail::new(self, bits).gate()
+    }
+
+    /// Writes the prefix blocks of `bits` into `blocks`: the `n×2` block
+    /// in `blocks[..2n]` is the start, and tick `k` writes
+    /// `blocks[(k+1)·2n..(k+2)·2n] = step(bits[k]) · block k`.
+    fn propagate_columns(&self, bits: &[bool], blocks: &mut [C64]) {
+        let n = self.transmon.levels;
+        let w = 2 * n;
+        counters::tally_flops((8 * n * n * 2 * bits.len()) as u64);
+        for (k, &b) in bits.iter().enumerate() {
+            let (done, rest) = blocks.split_at_mut((k + 1) * w);
+            step_columns(self.step(b).as_slice(), &done[k * w..], &mut rest[..w]);
+        }
     }
 
     /// Phase advance per clock tick: `2π·f·T_clk mod 2π`.
@@ -183,8 +215,7 @@ impl SfqPulseSim {
         let mut scratch = state.clone();
         let mut out = Vec::with_capacity(bits.len());
         for &b in bits {
-            let step = if b { &self.free_kick } else { &self.free };
-            step.apply_into(&state, &mut scratch);
+            self.step(b).apply_into(&state, &mut scratch);
             std::mem::swap(&mut state, &mut scratch);
             let c0 = state[0];
             let c1 = state[1];
@@ -192,6 +223,164 @@ impl SfqPulseSim {
             out.push((2.0 * cross.re, 2.0 * cross.im, c0.abs2() - c1.abs2()));
         }
         out
+    }
+}
+
+/// `dst = step · src` for one `n×2` column block (row-major, `n` the
+/// side of `step`): the columns 0 and 1 of [`CMat::matmul_into`], each
+/// entry accumulated from zero over every `k` in the same order and the
+/// same `ar·rr − ai·ri` form, so the entries are bit-for-bit those of the
+/// full product.
+#[inline]
+fn step_columns(step: &[C64], src: &[C64], dst: &mut [C64]) {
+    let n = dst.len() / 2;
+    for (row, out) in step.chunks_exact(n).zip(dst.chunks_exact_mut(2)) {
+        let (mut o0, mut o1) = (C64::ZERO, C64::ZERO);
+        for (a, r) in row.iter().zip(src.chunks_exact(2)) {
+            let (ar, ai) = (a.re, a.im);
+            o0.re += ar * r[0].re - ai * r[0].im;
+            o0.im += ar * r[0].im + ai * r[0].re;
+            o1.re += ar * r[1].re - ai * r[1].im;
+            o1.im += ar * r[1].im + ai * r[1].re;
+        }
+        out[0] = o0;
+        out[1] = o1;
+    }
+}
+
+/// The qubit-block evolution of one bitstream, kept as a trail of prefix
+/// products so single-bit flips can be re-evaluated from the flip on.
+///
+/// Block `k` holds columns 0 and 1 of the lab-frame product of ticks
+/// `0..k` (every level's row, `n×2`). Flipping bit `i` leaves blocks
+/// `0..=i` unchanged, so [`flipped_gate`](Self::flipped_gate) resumes
+/// from block `i` and costs `L − i` ticks instead of `L`. Every block is
+/// computed by the same kernel in the same order as the from-zero
+/// [`SfqPulseSim::frame_gate_qubit`], so a resumed gate is bit-for-bit
+/// the from-scratch gate of the flipped stream.
+///
+/// # Examples
+///
+/// ```
+/// use qsim::pulse::{QubitTrail, SfqParams, SfqPulseSim};
+/// use qsim::transmon::Transmon;
+///
+/// let sim = SfqPulseSim::new(Transmon::new(6.21286), SfqParams::default());
+/// let mut bits = sim.resonant_comb(10);
+/// let mut trail = QubitTrail::new(&sim, &bits);
+/// let trial = trail.flipped_gate(7);
+/// trail.accept_flip(7);
+/// bits[7] = !bits[7];
+/// assert_eq!(trail.bits(), &bits[..]);
+/// assert!(trial.approx_eq(&sim.frame_gate_qubit(&bits), 0.0));
+/// ```
+#[derive(Debug, Clone)]
+pub struct QubitTrail<'a> {
+    sim: &'a SfqPulseSim,
+    bits: Vec<bool>,
+    /// Blocks `0..=L`, `2n` entries each.
+    blocks: Vec<C64>,
+    /// Blocks of the last [`flipped_gate`](Self::flipped_gate) trial
+    /// (same layout; valid from its flip on). Allocated on first use.
+    trial: Vec<C64>,
+    /// The flip the trial blocks hold.
+    trial_flip: Option<usize>,
+    /// Rows 0 and 1 of `R(L·T)†`, `n` entries each.
+    frame_rows: Vec<C64>,
+}
+
+impl<'a> QubitTrail<'a> {
+    /// Propagates `bits` from the identity, keeping every prefix block.
+    pub fn new(sim: &'a SfqPulseSim, bits: &[bool]) -> Self {
+        let n = sim.transmon.levels;
+        let w = 2 * n;
+        counters::tally_alloc();
+        let mut blocks = vec![C64::ZERO; (bits.len() + 1) * w];
+        // Block 0: columns 0 and 1 of the identity.
+        blocks[0] = C64::ONE;
+        blocks[3] = C64::ONE;
+        sim.propagate_columns(bits, &mut blocks);
+        let t_total = bits.len() as f64 * sim.params.clock_period_ns;
+        let r = sim
+            .transmon
+            .frame_propagator(sim.transmon.frequency_ghz, t_total);
+        let frame_rows = (0..2)
+            .flat_map(|i| (0..n).map(move |k| (i, k)))
+            .map(|(i, k)| r[(k, i)].conj())
+            .collect();
+        QubitTrail {
+            sim,
+            bits: bits.to_vec(),
+            blocks,
+            trial: Vec::new(),
+            trial_flip: None,
+            frame_rows,
+        }
+    }
+
+    /// The current bitstream.
+    pub fn bits(&self) -> &[bool] {
+        &self.bits
+    }
+
+    /// The rotating-frame qubit block of the current bitstream.
+    pub fn gate(&self) -> CMat {
+        let start = self.bits.len() * 2 * self.sim.transmon.levels;
+        self.frame_gate_of(&self.blocks[start..])
+    }
+
+    /// The rotating-frame qubit block of the current bitstream with bit
+    /// `i` flipped, resumed from prefix block `i`. The trail itself is
+    /// unchanged until [`accept_flip`](Self::accept_flip).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn flipped_gate(&mut self, i: usize) -> CMat {
+        let w = 2 * self.sim.transmon.levels;
+        if self.trial.is_empty() {
+            counters::tally_alloc();
+            self.trial = vec![C64::ZERO; self.blocks.len()];
+        }
+        self.trial[i * w..(i + 1) * w].copy_from_slice(&self.blocks[i * w..(i + 1) * w]);
+        self.bits[i] = !self.bits[i];
+        self.sim
+            .propagate_columns(&self.bits[i..], &mut self.trial[i * w..]);
+        self.bits[i] = !self.bits[i];
+        self.trial_flip = Some(i);
+        self.frame_gate_of(&self.trial[self.bits.len() * w..])
+    }
+
+    /// Commits the flip of the last [`flipped_gate`](Self::flipped_gate)
+    /// trial: bit `i` flips and blocks `i+1..=L` take the trial's values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last trial was not a flip of bit `i`.
+    pub fn accept_flip(&mut self, i: usize) {
+        assert_eq!(self.trial_flip, Some(i), "accept_flip without its trial");
+        let w = 2 * self.sim.transmon.levels;
+        self.bits[i] = !self.bits[i];
+        self.blocks[(i + 1) * w..].copy_from_slice(&self.trial[(i + 1) * w..]);
+    }
+
+    /// The four entries of `(R† · U)[0..2, 0..2]` from the last block of
+    /// `U`: each accumulated from zero over every level `k`, as the full
+    /// [`CMat::matmul_into`] of `r.dagger()` would.
+    fn frame_gate_of(&self, last: &[C64]) -> CMat {
+        let n = self.sim.transmon.levels;
+        counters::tally_flops((8 * n * 4) as u64);
+        let mut out = [C64::ZERO; 4];
+        for (i, rrow) in self.frame_rows.chunks_exact(n).enumerate() {
+            for (a, r) in rrow.iter().zip(last.chunks_exact(2)) {
+                let (ar, ai) = (a.re, a.im);
+                for (o, r) in out[2 * i..2 * i + 2].iter_mut().zip(r) {
+                    o.re += ar * r.re - ai * r.im;
+                    o.im += ar * r.im + ai * r.re;
+                }
+            }
+        }
+        CMat::from_slice(2, 2, &out)
     }
 }
 

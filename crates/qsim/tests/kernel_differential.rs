@@ -299,17 +299,23 @@ fn pulse_propagation_keeps_no_state_between_calls() {
 
 #[test]
 fn in_place_pipelines_do_not_allocate_per_step() {
-    // lab_gate ping-pongs two buffers over 253 steps: the allocation count
-    // must stay O(1), not O(steps).
+    // The qubit-block fitness propagates only columns 0 and 1 of the
+    // lab-frame product (an n×2 block per tick: 8·n·n·2 flops), then
+    // computes the four needed entries of the frame product (8·n each).
+    // Its buffers are the frame propagator, the prefix trail and the 2×2
+    // output: O(1), not O(steps). A return to full n×n step products
+    // (8·n³ per tick) or to per-step allocations fails here.
     use qsim::pulse::{SfqParams, SfqPulseSim};
     let sim = SfqPulseSim::new(qsim::transmon::Transmon::new(6.21286), SfqParams::default());
     let bits = sim.resonant_comb(63);
+    let n = sim.transmon().levels as u64;
     let (_, warm) = counters::counted(|| sim.frame_gate_qubit(&bits));
     let (_, again) = counters::counted(|| sim.frame_gate_qubit(&bits));
     assert_eq!(warm, again, "frame_gate counters deterministic");
-    assert!(
-        warm.allocs < 40,
-        "per-step allocation crept back in: {} allocs",
-        warm.allocs
+    assert_eq!(
+        warm.flops,
+        8 * n * n * 2 * bits.len() as u64 + 8 * n * 4,
+        "two-column step products plus four frame entries"
     );
+    assert_eq!(warm.allocs, 3, "frame propagator, trail, output");
 }

@@ -73,6 +73,12 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> opt decomposition differential test (release)"
 cargo test -q --release --offline -p calib --test opt_decomp_differential
 
+# The same for the shared-calibration search: debug builds run a reduced
+# search matrix, so run the bitstream differential (two-column products,
+# prefix-resumed polish, parallel searches) in release on the full one.
+echo "==> bitstream search differential test (release)"
+cargo test -q --release --offline -p calib --test bitstream_differential
+
 # `cargo test` does not build bench targets, so neither run above
 # compiles the kernels bench; only --smoke and --bench-* would. Build it
 # here so a change to it or to the record module breaks the default path.
