@@ -1,6 +1,7 @@
 //! Timing kernels for the computational hot paths behind every figure:
 //! Hamiltonian propagation (Fig 7), bitstream fitness (§V-A step 1), gate
-//! decomposition (Fig 10a), routing and synthesis (Figs 8/9).
+//! decomposition (Fig 10a), routing, the analytic execution model and
+//! synthesis (Figs 8/9).
 //!
 //! Runs on the std-only harness in `digiq_bench::timing` (no criterion —
 //! the workspace is offline and dependency-free). `--quick` shrinks the
@@ -306,6 +307,46 @@ fn bench_compile(h: &mut Bench) {
     );
 }
 
+/// The analytic Fig 9 execution model over the six Table IV benchmarks
+/// at paper scale, compiled once on the 32×32 grid by the default
+/// pipeline: one row per design family the model charges differently.
+fn bench_exec(h: &mut Bench) {
+    use digiq_core::design::{ControllerDesign, SystemConfig};
+    use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
+    use qcircuit::mapping::Layout;
+    use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+    use qcircuit::topology::Grid;
+    let grid = Grid::new(32, 32);
+    let pipeline = Pipeline::standard(&PipelineConfig::default());
+    let compiled: Vec<CompileArtifact> = qcircuit::bench::ALL_BENCHMARKS
+        .iter()
+        .map(|bench| {
+            let circuit = bench.paper_scale();
+            let layout = Layout::snake(circuit.n_qubits(), &grid);
+            pipeline
+                .run(CompileArtifact::new(circuit, layout), &grid)
+                .unwrap()
+                .0
+        })
+        .collect();
+    let groups = checkerboard_groups(grid.cols(), grid.n_qubits(), 2);
+    for (name, design) in [
+        ("exec_opt_bs8_paper", ControllerDesign::DigiqOpt { bs: 8 }),
+        ("exec_min_paper", ControllerDesign::DigiqMin { bs: 2 }),
+    ] {
+        let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
+        params.config.n_qubits = grid.n_qubits();
+        h.bench(name, || {
+            compiled
+                .iter()
+                .map(|art| {
+                    execute(&art.circuit, art.scheduled(), &groups, black_box(&params)).total_ns
+                })
+                .sum::<f64>()
+        });
+    }
+}
+
 fn bench_synthesis(h: &mut Bench) {
     h.bench("synthesize_mux16", || {
         let mut nl = sfq_hw::generators::one_hot_mux(16);
@@ -378,6 +419,7 @@ fn main() {
     bench_bitstream(&mut h);
     bench_decomposition(&mut h);
     bench_compile(&mut h);
+    bench_exec(&mut h);
     bench_synthesis(&mut h);
     println!("\n{} kernels timed.", h.h.results.len());
     let rows: Vec<Row> =

@@ -321,8 +321,9 @@ mod tests {
 
     #[test]
     fn min_basis_t_gate_search() {
-        // DigiQ_min stores a T bitstream: needs the larger tip angle so
-        // the two-burst composite fits the stream (see DESIGN.md).
+        // DigiQ_min stores a T bitstream: needs the larger tip angle,
+        // (π/2)/16 instead of the default (π/2)/63, so the two-burst
+        // composite fits the stream.
         let params = SfqParams {
             delta_theta: (PI / 2.0) / 16.0,
             ..SfqParams::default()

@@ -530,7 +530,7 @@ fn simulate_timelines(
     params: &CosimParams,
 ) -> CosimReport {
     let cfg = &params.exec.config;
-    let model = DelayModel::new(&params.exec);
+    let mut model = DelayModel::new(&params.exec, group_of, circuit.n_qubits());
     let cycle_ticks = cfg.cycle_ticks();
     let cz_ticks = cfg.cz_ticks();
     let one_bitstream = matches!(
@@ -662,7 +662,7 @@ fn simulate_opt(
     bs: usize,
 ) -> CosimReport {
     let cfg = &params.exec.config;
-    let model = DelayModel::new(&params.exec);
+    let mut model = DelayModel::new(&params.exec, group_of, circuit.n_qubits());
     let cycle_ticks = cfg.cycle_ticks();
     let cz_ticks = cfg.cz_ticks();
 
@@ -690,7 +690,7 @@ fn simulate_opt(
 
         // Gather each group's demand queue: firing positions in order,
         // each with its sorted set of distinct delay classes.
-        let mut demands: BTreeMap<usize, BTreeMap<usize, Vec<u64>>> = BTreeMap::new();
+        let mut demands: BTreeMap<usize, BTreeMap<usize, Vec<u32>>> = BTreeMap::new();
         let mut slot_cz = 0u64;
         for &gi in slot {
             match circuit.gates()[gi] {
@@ -707,12 +707,9 @@ fn simulate_opt(
                 }
                 Gate::OneQ { q, kind } => {
                     let group = group_of_qubit(group_of, q);
-                    for pos in 0..model.firing_count(kind) {
-                        let class = model.delay_class(kind, pos, group, q);
-                        let classes = demands.entry(group).or_default().entry(pos).or_default();
-                        if !classes.contains(&class) {
-                            classes.push(class);
-                        }
+                    let positions = demands.entry(group).or_default();
+                    for (pos, &class) in model.delay_classes(kind, q).iter().enumerate() {
+                        positions.entry(pos).or_default().push(class);
                     }
                 }
                 _ => panic!("co-simulator requires a lowered circuit"),
@@ -721,6 +718,7 @@ fn simulate_opt(
         for positions in demands.values_mut() {
             for classes in positions.values_mut() {
                 classes.sort_unstable();
+                classes.dedup();
             }
         }
 
@@ -728,7 +726,7 @@ fn simulate_opt(
         // classes at its current firing position each controller cycle;
         // a position spilling past its first sub-cycle is contention.
         struct GroupState {
-            queue: Vec<(usize, Vec<u64>)>,
+            queue: Vec<(usize, Vec<u32>)>,
             pos_idx: usize,
             class_idx: usize,
         }

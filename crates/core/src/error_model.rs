@@ -7,7 +7,8 @@
 //!   DigiQ_opt (delay decomposition on the drifted basis) and DigiQ_min
 //!   (sequence search over the drifted discrete basis). Medians are taken
 //!   over a deterministic stratified sample of target gates
-//!   (Cliffords + Haar-like rotations; DESIGN.md substitution #5).
+//!   (Cliffords + Haar-like rotations, standing in for the paper's
+//!   unspecified target set; a fixed sample keeps medians reproducible).
 //! * **Fig 10b** — CZ error per grid coupler: the shared flux pulse
 //!   produces a drifted `Uqq` per pair; the echo calibration of
 //!   `calib::cz` composes the best 1–2-pulse CZ, and the surrounding
@@ -159,8 +160,9 @@ pub struct SharedCalibration {
     pub min_bits: Vec<[Vec<bool>; 2]>,
     /// Pulse parameters used for the opt search.
     pub opt_params: SfqParams,
-    /// Pulse parameters used for the min search (larger tip angle so the
-    /// T composite fits the register, see DESIGN.md).
+    /// Pulse parameters used for the min search (larger tip angle,
+    /// (π/2)/16 instead of the opt (π/2)/63, so the two-burst T composite
+    /// fits the register).
     pub min_params: SfqParams,
 }
 

@@ -23,9 +23,18 @@
 //! This is a *statistical* model of the per-gate delay assignments (the
 //! exact per-qubit values come from `calib`, but Fig 9 only needs the
 //! contention distribution); all draws are deterministic hashes, so runs
-//! reproduce exactly. See DESIGN.md.
+//! reproduce exactly.
+//!
+//! Each [`execute`] call owns one [`DelayModel`]: a per-call draw table
+//! that hashes every distinct draw key once and hands later gates the
+//! stored value. DigiQ_opt contention is counted without sorting:
+//! [`opt_slot_cost`] marks each `(delay class, firing position, group)`
+//! a slot demands with the slot's generation stamp in an
+//! [`OptWorkspace`] reused across slots. The marks are over canonical
+//! class ids assigned by draw *value*, so two keys whose 64-bit draws
+//! collide count once, exactly as deduplicating the drawn values would.
 
-use crate::delay_model::DelayModel;
+use crate::delay_model::{DelayModel, MAX_FIRINGS};
 use crate::design::{ControllerDesign, SystemConfig};
 use qcircuit::ir::{Circuit, Gate};
 use qcircuit::schedule::Slot;
@@ -134,8 +143,59 @@ pub struct OptSlotCost {
     pub cz_count: u64,
 }
 
+/// Reusable scratch of [`opt_slot_cost`] over one call's slots: the
+/// dense group index of each qubit, and generation-stamped "seen" marks
+/// that count distinct delay classes per `(group, firing position)`
+/// without sorting.
+///
+/// The mark of `(class, pos, group)` sits at index
+/// `(class * MAX_FIRINGS + pos) * groups + group`, so the workspace grows
+/// to `MAX_FIRINGS × classes × groups` stamps.
+#[derive(Debug, Clone)]
+pub struct OptWorkspace {
+    /// Dense group index of each qubit of `group_of`.
+    group_of: Vec<u32>,
+    /// Dense index of group 0, which holds the qubits past `group_of`.
+    group_zero: u32,
+    /// Distinct group values.
+    groups: usize,
+    /// Stamp of the last slot that demanded `(class, pos, group)`.
+    seen: Vec<u64>,
+    /// Stamp of the last slot that demanded anything of each group.
+    group_seen: Vec<u64>,
+    /// Distinct classes per `(group, pos)` in the current slot, at
+    /// `group * MAX_FIRINGS + pos`.
+    distinct: Vec<u64>,
+    /// Groups the current slot demanded, in first-demand order.
+    touched: Vec<u32>,
+    /// Slots counted so far: the current slot's stamp.
+    stamp: u64,
+}
+
+impl OptWorkspace {
+    /// An empty workspace over the SIMD group map `group_of` (see
+    /// [`execute`]).
+    pub fn new(group_of: &[usize]) -> Self {
+        let mut values: Vec<usize> = group_of.iter().copied().chain([0]).collect();
+        values.sort_unstable();
+        values.dedup();
+        let dense = |g: usize| values.binary_search(&g).expect("listed group") as u32;
+        OptWorkspace {
+            group_of: group_of.iter().map(|&g| dense(g)).collect(),
+            group_zero: dense(0),
+            groups: values.len(),
+            seen: Vec::new(),
+            group_seen: vec![0; values.len()],
+            distinct: vec![0; values.len() * MAX_FIRINGS],
+            touched: Vec::new(),
+            stamp: 0,
+        }
+    }
+}
+
 /// Computes [`OptSlotCost`] for one schedule slot of a lowered circuit
-/// under DigiQ_opt with `bs` broadcast delay slots per cycle.
+/// under DigiQ_opt with `bs` broadcast delay slots per cycle. `model` and
+/// `ws` carry the call's draw tables and marks from slot to slot.
 ///
 /// # Panics
 ///
@@ -144,40 +204,52 @@ pub struct OptSlotCost {
 pub fn opt_slot_cost(
     circuit: &Circuit,
     slot: &Slot,
-    group_of: &[usize],
-    model: &DelayModel<'_>,
+    model: &mut DelayModel<'_>,
+    ws: &mut OptWorkspace,
     bs: usize,
 ) -> OptSlotCost {
-    // Every (group, firing position, delay class) the slot demands.
-    let mut demands: Vec<(usize, usize, u64)> = Vec::with_capacity(3 * slot.len());
+    ws.stamp += 1;
     let mut cost = OptSlotCost::default();
     for &gi in slot {
         match circuit.gates()[gi] {
             Gate::Cz { .. } => cost.cz_count += 1,
             Gate::OneQ { q, kind } => {
-                let group = group_of.get(q).copied().unwrap_or(0);
-                for pos in 0..model.firing_count(kind) {
-                    demands.push((group, pos, model.delay_class(kind, pos, group, q)));
+                let g = ws.group_of.get(q).copied().unwrap_or(ws.group_zero) as usize;
+                if ws.group_seen[g] != ws.stamp {
+                    ws.group_seen[g] = ws.stamp;
+                    ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS].fill(0);
+                    ws.touched.push(g as u32);
+                }
+                for (pos, &class) in model.delay_classes(kind, q).iter().enumerate() {
+                    let mark = (class as usize * MAX_FIRINGS + pos) * ws.groups + g;
+                    if mark >= ws.seen.len() {
+                        let len = (mark + 1).max(2 * ws.seen.len());
+                        ws.seen.resize(len, 0);
+                    }
+                    if ws.seen[mark] != ws.stamp {
+                        ws.seen[mark] = ws.stamp;
+                        ws.distinct[g * MAX_FIRINGS + pos] += 1;
+                    }
                 }
             }
             _ => panic!("executor requires a lowered circuit"),
         }
     }
-    demands.sort_unstable();
-    demands.dedup();
-    // Per group: sum over firing positions (one run of distinct classes
-    // each) of the contention-expanded sub-cycles; the slot waits for
-    // the slowest group.
-    let (mut group, mut group_cycles) = (usize::MAX, 0u64);
-    for run in demands.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let sub = (run.len() as u64).div_ceil(bs as u64);
-        cost.serialization_cycles += sub - 1;
-        if run[0].0 != group {
-            (group, group_cycles) = (run[0].0, 0);
+    // Per group: sum over firing positions of the contention-expanded
+    // sub-cycles; the slot waits for the slowest group.
+    for &g in &ws.touched {
+        let g = g as usize;
+        let mut group_cycles = 0u64;
+        for &distinct in &ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS] {
+            if distinct > 0 {
+                let sub = distinct.div_ceil(bs as u64);
+                cost.serialization_cycles += sub - 1;
+                group_cycles += sub;
+            }
         }
-        group_cycles += sub;
         cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
     }
+    ws.touched.clear();
     cost
 }
 
@@ -200,7 +272,7 @@ pub fn execute(
     qcircuit::lower::assert_lowered(circuit, "executor");
     let cfg = &params.config;
     let cycle = cfg.cycle_ns();
-    let model = DelayModel::new(params);
+    let mut model = DelayModel::new(params, group_of, circuit.n_qubits());
     let mut report = ExecReport::default();
 
     // Designs without cross-qubit resource coupling: exact per-qubit
@@ -259,8 +331,9 @@ pub fn execute(
         ControllerDesign::DigiqOpt { bs } => bs,
         _ => unreachable!("non-opt designs returned above"),
     };
+    let mut ws = OptWorkspace::new(group_of);
     for slot in slots {
-        let cost = opt_slot_cost(circuit, slot, group_of, &model, bs);
+        let cost = opt_slot_cost(circuit, slot, &mut model, &mut ws, bs);
         let mut slot_ns = cost.oneq_cycles as f64 * cycle;
         report.oneq_cycles += cost.oneq_cycles;
         report.serialization_cycles += cost.serialization_cycles;

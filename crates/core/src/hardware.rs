@@ -30,8 +30,9 @@ use sfq_hw::passes::synthesize;
 /// SFQ/DC blocks per qubit current generator (Fig 4: 25).
 pub const SFQDC_BLOCKS_PER_QUBIT: usize = 25;
 
-/// JJ budget of the per-chip phase-locked loop (ref [56]; constant small
-/// block, estimate documented in DESIGN.md).
+/// JJ budget of the phase-locked loop (ref [56]): the paper gives no
+/// size for it, so this is an estimate of a small fixed block, added once
+/// per group with no netlist.
 pub const PLL_JJ: u64 = 500;
 
 /// One composed module with its multiplicity.

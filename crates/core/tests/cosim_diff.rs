@@ -17,7 +17,7 @@ use digiq_core::cosim::{diff_analytic, simulate, CosimParams, CosimReport};
 use digiq_core::delay_model::DelayModel;
 use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::engine::{CosimSweepReport, EvalEngine, SweepSpec};
-use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams};
+use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams, OptWorkspace};
 use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::lower::lower_to_cz;
@@ -126,10 +126,11 @@ fn opt_serialization_is_attributed_to_the_same_slots() {
     // Recompute the analytic per-slot cost through the shared delay model
     // and demand that the co-simulator charged contention to exactly the
     // same slots, cycle for cycle.
-    let model = DelayModel::new(&params);
+    let mut model = DelayModel::new(&params, &groups, physical.n_qubits());
+    let mut ws = OptWorkspace::new(&groups);
     let mut attributed = 0u64;
     for (si, slot) in slots.iter().enumerate() {
-        let cost = opt_slot_cost(&physical, slot, &groups, &model, 2);
+        let cost = opt_slot_cost(&physical, slot, &mut model, &mut ws, 2);
         let cosim_cycles = cosim
             .slot_serialization
             .iter()

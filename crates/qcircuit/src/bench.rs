@@ -14,7 +14,8 @@
 //! block-carry-lookahead structure for Draper's prefix adder: same
 //! contract (a parallel adder whose depth is ~6× shallower than
 //! ripple-carry at 256 bits, with matching gate parallelism profile) with
-//! a fraction of the ancilla bookkeeping (see DESIGN.md).
+//! a fraction of the ancilla bookkeeping; Fig 9 depends on the adder's
+//! depth and parallelism, not on its exact carry network.
 
 use crate::ir::Circuit;
 use qsim::rng::StdRng;

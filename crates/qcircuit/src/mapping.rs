@@ -2,8 +2,9 @@
 //!
 //! Benchmarks are "mapped to a 32×32 square grid via SWAP-gate insertion
 //! using the stochastic transpiler pass packaged with Qiskit Terra". This
-//! module substitutes our own seeded stochastic router (DESIGN.md
-//! substitution #3) with the same contract: after routing, every CZ acts
+//! module substitutes our own seeded stochastic router (the workspace
+//! has no Python or Qiskit dependency, and a seed makes routes
+//! reproducible) with the same contract: after routing, every CZ acts
 //! on grid-adjacent physical qubits, and the logical gate sequence is
 //! preserved under the evolving layout.
 //!

@@ -39,7 +39,8 @@ use std::sync::{Arc, Mutex};
 
 /// Number of levels per transmon in the two-qubit model. Three levels
 /// suffice to capture the |20⟩ state that mediates the CZ interaction and
-/// its leakage channel (see DESIGN.md substitution #6).
+/// its leakage channel. The single-qubit model keeps six levels; three per
+/// transmon keep each CZ propagator 9×9 instead of 36×36.
 pub const TWO_QUBIT_LEVELS: usize = 3;
 
 /// Basis indices of the computational subspace {|00⟩,|01⟩,|10⟩,|11⟩} in the

@@ -4,7 +4,8 @@
 //! generator: an array of SFQ/DC converters feeding an R1–C1–R2 network
 //! into a superconducting microstrip flex line (Fig 4a), simulated there
 //! with JSIM. This module substitutes a lumped-element ODE of the same
-//! schematic (DESIGN.md substitution #2): the SFQ/DC blocks form a series
+//! schematic (a circuit-level JJ simulator is out of scope, and Fig 4
+//! needs only the output current waveform): the SFQ/DC blocks form a series
 //! voltage stack (a standard RSFQ driver idiom — each enabled block adds
 //! its few-µV DC output), driving R1 → C1 shunt → R2 and the flex-line
 //! inductance `L`:

@@ -3,7 +3,8 @@
 //! The paper reports post-layout numbers from WRSpice/JSIM-simulated
 //! extractions of a validated cell library (§VI-A1). We cannot run those
 //! proprietary flows, so this module substitutes a *calibrated structural
-//! model* (DESIGN.md substitution #1): cost is rolled up from exact cell
+//! model* (the extraction tools are not public, but the cell counts are
+//! exact and the paper's totals anchor the constants): cost is rolled up from exact cell
 //! counts of the synthesized netlists, with three documented constants
 //! anchored to the numbers the paper publishes:
 //!

@@ -3,7 +3,8 @@
 //! Everything needed to estimate the power, area, delay, and cabling of
 //! SFQ controller hardware the way the paper's §VI-A does, substituting a
 //! calibrated structural model for the proprietary synthesis/extraction
-//! toolchain (see DESIGN.md substitution #1):
+//! toolchain (exact cell counts, with constants anchored to the paper's
+//! published totals; see [`cost`]):
 //!
 //! * [`cells`] — the RSFQ standard-cell library of Table III;
 //! * [`netlist`] — gate-level netlists with registered feedback and

@@ -2,8 +2,9 @@
 # Tier-1 verification for the digiq workspace, runnable fully offline.
 #
 #   scripts/ci.sh                # build + tests (workspace and perfbench,
-#                                # plus the opt decomposition differential
-#                                # test in release) + kernels bench build
+#                                # plus the opt decomposition, bitstream
+#                                # search and exec model differential
+#                                # tests in release) + kernels bench build
 #                                # + fmt check
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
@@ -78,6 +79,12 @@ cargo test -q --release --offline -p calib --test opt_decomp_differential
 # prefix-resumed polish, parallel searches) in release on the full one.
 echo "==> bitstream search differential test (release)"
 cargo test -q --release --offline -p calib --test bitstream_differential
+
+# And for the analytic execution model: debug runs a reduced matrix, so
+# run the exec differential (per-call draw tables, stamped contention
+# marks, against the sort-based model) in release on the full one.
+echo "==> exec model differential test (release)"
+cargo test -q --release --offline -p digiq-core --test exec_differential
 
 # `cargo test` does not build bench targets, so neither run above
 # compiles the kernels bench; only --smoke and --bench-* would. Build it

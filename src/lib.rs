@@ -19,8 +19,8 @@
 //!   space, hardware composition, execution model, error model,
 //!   scalability).
 //!
-//! See `README.md` for the quickstart, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for paper-vs-measured results. The
+//! See `README.md` for the quickstart, the crate map ("Crate map") and
+//! the binary ↔ artifact map ("Regenerating paper artifacts"). The
 //! `examples/` directory and the `digiq-bench` harnesses regenerate every
 //! table and figure.
 
