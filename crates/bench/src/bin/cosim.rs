@@ -25,7 +25,7 @@
 //! selection `--router greedy|lookahead` / `--scheduler crosstalk|asap`
 //! (the differential check holds for every configuration — both engines
 //! consume the identical compiled artifact), and the artifact-store
-//! flags `--cache-dir DIR` (persist compiled stages and co-simulation
+//! flags `--cache-dir DIR` (persist compiles and co-simulation
 //! reports so a second run warm-starts; store counters go to stderr) /
 //! `--store-capacity N` (LRU-bound the in-memory store).
 
@@ -214,10 +214,10 @@ fn main() {
         println!("cosim cache: {misses} simulated, {hits} reused");
         for p in &engine.pass_cache_stats().passes {
             println!(
-                "pipeline pass {:12} {} built, {} reused ({})",
+                "pipeline pass {:12} {} gates in, {} out ({})",
                 p.pass,
-                p.misses,
-                p.hits,
+                p.gates_in,
+                p.gates_out,
                 digiq_bench::timing::fmt_ns(p.wall_ns)
             );
         }

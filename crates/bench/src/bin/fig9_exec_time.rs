@@ -8,7 +8,7 @@
 //! single time for all five designs. Default runs the full paper-scale
 //! benchmarks on the 32×32 grid (release build recommended); `--small`
 //! runs reduced instances on an 8×8 grid in seconds. With `--cache-dir`
-//! the compiled stages and baselines persist, so a second run (or a
+//! the compiles and baselines persist, so a second run (or a
 //! preceding `sweep --cache-dir` over the same benchmarks) warm-starts
 //! with zero pass builds.
 
@@ -60,13 +60,19 @@ fn main() {
         report.cache.total_misses(),
         report.cache.total_hits()
     );
-    // Stage-granular reuse: lowering/routing/scheduling are
-    // design-independent, so each benchmark's stages build once and the
-    // other four designs hit the per-pass caches.
+    // The compile flow is design-independent: each benchmark compiles
+    // once (one store entry) and the other four designs reuse it.
+    println!(
+        "  compiles: {} built, {} reused across the design axis",
+        report.cache.compile_misses, report.cache.compile_hits
+    );
     for p in &engine.pass_cache_stats().passes {
         println!(
-            "  pass {:12} {} built, {} reused across the design axis",
-            p.pass, p.misses, p.hits
+            "  pass {:12} {} gates in, {} out ({})",
+            p.pass,
+            p.gates_in,
+            p.gates_out,
+            digiq_bench::timing::fmt_ns(p.wall_ns)
         );
     }
     println!("paper: DigiQ_opt(BS=16) 4.7–9.8x; DigiQ_min(BS=4) 11.0–14.4x; outliers up to 36.9x");

@@ -25,8 +25,8 @@
 //! report JSON — with per-pass pipeline metrics and store counters
 //! appended — instead of the table), the pass-pipeline strategy
 //! selection `--router greedy|lookahead` / `--scheduler crosstalk|asap`,
-//! and the artifact-store flags: `--cache-dir DIR` persists compiled
-//! stages, baselines and the job journal so a second run warm-starts
+//! and the artifact-store flags: `--cache-dir DIR` persists compiles,
+//! baselines and the job journal so a second run warm-starts
 //! (report JSON byte-identical, zero pass builds — store counters go to
 //! stderr), `--resume` skips journaled jobs after an interruption, and
 //! `--store-capacity N` bounds the in-memory store (LRU eviction).
@@ -110,17 +110,15 @@ fn print_table(report: &SweepReport) {
 }
 
 fn print_pass_stats(stats: &PassCacheStats) {
-    println!("pipeline passes (per-stage cache + build metrics):");
+    println!("pipeline passes (build metrics, summed over compile misses):");
     println!(
-        "{:12} | {:>5} | {:>6} | {:>10} | {:>9} | {:>9} | {:>6} | {:>6}",
-        "pass", "built", "reused", "wall", "gates in", "gates out", "swaps", "slots"
+        "{:12} | {:>10} | {:>9} | {:>9} | {:>6} | {:>6}",
+        "pass", "wall", "gates in", "gates out", "swaps", "slots"
     );
     for p in &stats.passes {
         println!(
-            "{:12} | {:>5} | {:>6} | {:>10} | {:>9} | {:>9} | {:>6} | {:>6}",
+            "{:12} | {:>10} | {:>9} | {:>9} | {:>6} | {:>6}",
             p.pass,
-            p.misses,
-            p.hits,
             digiq_bench::timing::fmt_ns(p.wall_ns),
             p.gates_in,
             p.gates_out,

@@ -218,9 +218,10 @@ impl CommonArgs {
 
     /// Prints the store's counter snapshot as one machine-greppable
     /// stderr line when `--cache-dir` is active (no-op otherwise). The
-    /// CI warm-start check matches `pass_builds=0` here; stderr keeps
-    /// the golden-diffed stdout pure. Shared by every engine-driven
-    /// binary so the line format cannot drift between them.
+    /// CI warm-start check matches a nonzero `pass_builds` on the cold
+    /// run and `pass_builds=0` on the warm one; stderr keeps the
+    /// golden-diffed stdout pure. Shared by every engine-driven binary
+    /// so the line format cannot drift between them.
     pub fn report_store_stats(&self, engine: &EvalEngine) {
         if self.cache_dir.is_none() {
             return;

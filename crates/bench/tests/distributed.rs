@@ -8,6 +8,7 @@
 //! crash. The in-process claim-protocol tests live in
 //! `crates/core/tests/distributed.rs`.
 
+use digiq_core::store::DISK_FORMAT_VERSION;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +67,7 @@ fn golden_smoke() -> String {
 
 /// One record per job across every journal shard of the smoke spec.
 fn journal_lines(cache_dir: &Path) -> usize {
-    let journal_dir = cache_dir.join("v1/journal");
+    let journal_dir = cache_dir.join(DISK_FORMAT_VERSION).join("journal");
     let mut lines = 0;
     for entry in std::fs::read_dir(&journal_dir).expect("journal dir") {
         let path = entry.expect("dir entry").path();
@@ -205,7 +206,7 @@ fn deeply_nested_artifacts_and_journal_lines_read_as_misses() {
     // overflows the stack on these and aborts the sweep.
     let deep = "[".repeat(100_000);
     let (mut artifacts, mut lines) = (0, 0);
-    for path in files_under(&dir.path().join("v1")) {
+    for path in files_under(&dir.path().join(DISK_FORMAT_VERSION)) {
         match path.extension().and_then(|e| e.to_str()) {
             Some("json") => {
                 std::fs::write(&path, &deep).unwrap();

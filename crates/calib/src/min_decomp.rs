@@ -276,21 +276,6 @@ pub fn decompose_min(
     }
 }
 
-/// Convenience: builds the database and decomposes a batch of targets
-/// (the per-qubit workflow of the error model).
-pub fn decompose_batch(
-    targets: &[CMat],
-    basis: &MinBasis,
-    half_depth: usize,
-    err_target: f64,
-) -> Vec<MinDecomposition> {
-    let db = SequenceDb::build(basis, half_depth);
-    targets
-        .iter()
-        .map(|t| decompose_min(t, basis, &db, err_target))
-        .collect()
-}
-
 /// A deterministic stand-in basis-index sequence of length `len` over a
 /// `basis_len`-gate alphabet, keyed by `salt`.
 ///
@@ -476,11 +461,9 @@ mod tests {
     #[test]
     fn batch_decomposition() {
         let basis = MinBasis::ideal_ry_t();
-        let targets = vec![gates::h(), gates::s(), gates::t()];
-        let decs = decompose_batch(&targets, &basis, 9, 1e-3);
-        assert_eq!(decs.len(), 3);
-        for d in &decs {
-            assert!(d.error < 1e-2);
+        let db = SequenceDb::build(&basis, 9);
+        for target in [gates::h(), gates::s(), gates::t()] {
+            assert!(decompose_min(&target, &basis, &db, 1e-3).error < 1e-2);
         }
     }
 }

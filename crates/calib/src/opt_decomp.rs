@@ -19,7 +19,6 @@
 //! `L ≤ 2` and escalating to `L = 3` for near-π rotations exactly as the
 //! paper reports.
 
-use crate::parking::rz_error_for_offset;
 use qsim::complex::C64;
 use qsim::matrix::CMat;
 use std::f64::consts::PI;
@@ -460,18 +459,6 @@ pub fn realize_opt(basis: &OptBasis, dec: &OptDecomposition) -> CMat {
     rzm(dec.phi_out).matmul(&m)
 }
 
-/// The worst-case single-delay Rz error of a basis (diagnostic tying this
-/// module back to the Table II coverage analysis).
-pub fn coverage_error(basis: &OptBasis) -> f64 {
-    let mut phases: Vec<f64> = (0..=basis.n_delays).map(|d| basis.theta(d)).collect();
-    phases.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mut gap: f64 = 2.0 * PI - phases.last().unwrap() + phases.first().unwrap();
-    for w in phases.windows(2) {
-        gap = gap.max(w[1] - w[0]);
-    }
-    rz_error_for_offset(gap / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,14 +556,6 @@ mod tests {
                 assert_eq!(best_indices(&errs, 96), want, "len {len}, {levels} levels");
             }
         }
-    }
-
-    #[test]
-    fn coverage_matches_parking_module() {
-        let b = OptBasis::new(&CMat::identity(6), 6.21286, 0.040, 255);
-        let here = coverage_error(&b);
-        let there = crate::parking::worst_rz_error(6.21286, 0.040, 255);
-        assert!((here - there).abs() < 1e-12);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl ControllerDesign {
             _ => None,
         }
     }
-
-    /// True for the SIMD (DigiQ) designs.
-    pub fn is_simd(&self) -> bool {
-        matches!(
-            self,
-            ControllerDesign::DigiqMin { .. } | ControllerDesign::DigiqOpt { .. }
-        )
-    }
 }
 
 impl ToJson for ControllerDesign {
@@ -382,8 +374,6 @@ mod tests {
             ControllerDesign::DigiqOpt { bs: 8 }.to_string(),
             "DigiQ_opt(BS=8)"
         );
-        assert!(ControllerDesign::DigiqMin { bs: 2 }.is_simd());
-        assert!(!ControllerDesign::ImpossibleMimd.is_simd());
         assert_eq!(ControllerDesign::DigiqOpt { bs: 4 }.bs(), Some(4));
     }
 

@@ -25,35 +25,33 @@
 //!   [`ArtifactStore`] (see [`crate::store`]) so no artifact is built
 //!   twice across the sweep: synthesized [`DesignHardware`] per
 //!   (design, groups), generated benchmark circuits per
-//!   (benchmark, scale), compiled [`CompileArtifact`]s at
-//!   **pipeline-stage granularity** — every pass of the shared
-//!   [`qcircuit::pipeline::Pipeline`] caches its output under a chained
-//!   stable stage key ([`Circuit::cache_key`] / `Layout::cache_key` /
-//!   pass fingerprints), so lowered and routed circuits are reused not
-//!   just across designs and seeds but across pipeline configurations
-//!   sharing a prefix (e.g. two schedulers over one routed circuit) —
-//!   sequence databases / length distributions per [`MinBasisKind`],
-//!   Impossible-MIMD baselines, and co-simulation reports. With a
-//!   disk-backed store ([`StoreConfig::cache_dir`], `--cache-dir`),
-//!   compiled stages, baselines and co-simulations additionally persist
-//!   across processes, so a second run warm-starts with **zero pass
-//!   builds**; with [`EvalSession::run_journaled`] a sweep journals every
-//!   completed job and an interrupted run resumes (`sweep --resume`)
-//!   byte-identically to an uninterrupted one.
+//!   (benchmark, scale), compiled [`CompileArtifact`]s as **one entry
+//!   per compile**, keyed by the circuit and layout fingerprints
+//!   ([`Circuit::cache_key`] / `Layout::cache_key`), the grid and the
+//!   pipeline fingerprint, so the shared
+//!   [`qcircuit::pipeline::Pipeline`] runs once per benchmark and every
+//!   design and seed reuses it — sequence databases / length
+//!   distributions per [`MinBasisKind`], Impossible-MIMD baselines, and
+//!   co-simulation reports. With a disk-backed store
+//!   ([`StoreConfig::cache_dir`], `--cache-dir`), compiles, baselines
+//!   and co-simulations additionally persist across processes, so a
+//!   second run warm-starts with **zero pass builds**; with
+//!   [`EvalSession::run_journaled`] a sweep journals every completed job
+//!   and an interrupted run resumes (`sweep --resume`) byte-identically
+//!   to an uninterrupted one.
 //!
 //! Accounting lives in sessions: [`EvalEngine::session`] opens an
 //! isolated one per request, and the engine's own evaluation methods
 //! ([`EvalEngine::run`], [`EvalEngine::run_job`], …) charge its
 //! cumulative [`EvalEngine::root_session`].
 //!
-//! Per-pass cache accounting lives in [`PassCacheStats`]
+//! Per-pass build metrics live in [`PassCacheStats`]
 //! ([`EvalEngine::pass_cache_stats`]) and store-wide counters in
 //! [`EvalEngine::store_stats`]; like the co-simulation counters they are
 //! kept out of [`CacheStats`] so the serialized sweep report — and the
 //! `tests/golden/engine_smoke.json` golden — is byte-for-byte unchanged
 //! by the store refactor ([`CacheStats::compile_hits`] /
-//! `compile_misses` account the final pipeline stage, numerically
-//! identical to the historical whole-compile accounting).
+//! `compile_misses` account the whole-compile lookups).
 //!
 //! Results are **deterministic regardless of worker count**: jobs are
 //! pure functions of the spec (per-job exec seeds are derived by hashing
@@ -102,7 +100,7 @@ use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{
-    CompileArtifact, PassMetrics, PipelineConfig, RouteStrategy, ScheduleStrategy,
+    CompileArtifact, PassMetrics, Pipeline, PipelineConfig, RouteStrategy, ScheduleStrategy,
 };
 use qcircuit::topology::Grid;
 use qsim::counters::KernelCounters;
@@ -851,17 +849,15 @@ impl SweepReport {
     }
 }
 
-/// Cache accounting of one pipeline stage: the per-pass counters behind
-/// [`EvalEngine::pass_cache_stats`].
+/// Build metrics of one pipeline stage, summed over the compiles that
+/// missed the store: the per-pass rows behind
+/// [`EvalEngine::pass_cache_stats`]. Whole-compile reuse is
+/// [`CacheStats::compile_hits`] / `compile_misses`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PassCacheStat {
     /// Stage label (`lower`, `route`, `lower_swaps`, `schedule`, …).
     pub pass: String,
-    /// Lookups that reused a cached stage artifact.
-    pub hits: u64,
-    /// Lookups that ran the pass.
-    pub misses: u64,
-    /// Total wall-clock spent running the pass (misses only), ns.
+    /// Total wall-clock spent running the pass, ns.
     pub wall_ns: f64,
     /// Total gates entering the pass across builds.
     pub gates_in: u64,
@@ -877,8 +873,6 @@ impl ToJson for PassCacheStat {
     fn to_json(&self) -> Json {
         Json::obj([
             ("pass", self.pass.to_json()),
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
             ("wall_ns", self.wall_ns.to_json()),
             ("gates_in", self.gates_in.to_json()),
             ("gates_out", self.gates_out.to_json()),
@@ -898,8 +892,6 @@ impl PassCacheStat {
         const CTX: &str = "pass cache stat";
         Ok(PassCacheStat {
             pass: j.str_field("pass", CTX)?.to_string(),
-            hits: j.count_field("hits", CTX)?,
-            misses: j.count_field("misses", CTX)?,
             wall_ns: j.num_field("wall_ns", CTX)?,
             gates_in: j.count_field("gates_in", CTX)?,
             gates_out: j.count_field("gates_out", CTX)?,
@@ -909,15 +901,15 @@ impl PassCacheStat {
     }
 }
 
-/// Per-pass cache accounting of an engine, label-sorted. Like
+/// Per-pass build metrics of an engine, label-sorted. Like
 /// [`EvalEngine::cosim_cache_stats`], this lives **outside**
-/// [`CacheStats`] so the serialized sweep report and its golden file are
-/// unchanged by stage-granular caching; hit/miss totals are
+/// [`CacheStats`] so the serialized sweep report and its golden file
+/// carry no wall-clock figures; the gate, SWAP and slot totals are
 /// deterministic for a fixed job set regardless of worker count
 /// (wall-clock totals are not).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PassCacheStats {
-    /// One entry per stage label that ran at least one lookup.
+    /// One entry per stage label that ran at least once.
     pub passes: Vec<PassCacheStat>,
 }
 
@@ -965,8 +957,8 @@ impl ToJson for PassCacheStats {
 /// `&self` — all methods are thread-safe — and long-lived engines keep
 /// their store warm across [`EvalEngine::run`] calls. Engines built over
 /// a disk-backed store ([`EvalEngine::with_store`]) additionally
-/// warm-start compiled stages, baselines and co-simulations from a
-/// previous process. Multi-tenant drivers (the `digiq-serve` daemon)
+/// warm-start compiles, baselines and co-simulations from a previous
+/// process. Multi-tenant drivers (the `digiq-serve` daemon)
 /// share one engine across worker threads and open an [`EvalSession`]
 /// per request for isolated accounting.
 #[derive(Debug)]
@@ -980,14 +972,14 @@ pub struct EvalEngine {
     root: Arc<SessionState>,
 }
 
-/// The accounting one [`EvalSession`] owns: final-stage compile hit/miss
+/// The accounting one [`EvalSession`] owns: whole-compile hit/miss
 /// counters ([`CacheStats::compile_hits`] / `compile_misses`) and
 /// per-pass build aggregates.
 #[derive(Debug, Default)]
 struct SessionState {
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
-    /// Build metrics per stage label, accumulated on stage-cache misses
+    /// Build metrics per stage label, accumulated on compile misses
     /// (the only time a pass actually runs inside the engine).
     pass_builds: Mutex<BTreeMap<String, PassCacheStat>>,
 }
@@ -1030,6 +1022,14 @@ fn circuit_store_key(spec: BenchmarkSpec, base_seed: u64) -> u64 {
         BenchScale::Small { max_qubits } => (1, max_qubits as u64),
     };
     qsim::rng::stable_hash_str(spec.bench.name(), &[tag, budget, base_seed])
+}
+
+/// Store key of a compiled artifact: the whole compile, one entry.
+fn compile_store_key(key: CompileKey) -> u64 {
+    qsim::rng::stable_hash_str(
+        "compile",
+        &[key.0, key.1, key.2 as u64, key.3 as u64, key.4],
+    )
 }
 
 /// Store key of the Impossible-MIMD baseline of a compiled artifact.
@@ -1122,12 +1122,10 @@ impl EvalEngine {
     }
 
     /// Compiles `circuit` on `grid` (snake initial layout) through the
-    /// shared [`Pipeline::standard`] for `cfg`, memoizing **every stage**
-    /// under its chained stable key: each pass runs at most once per
-    /// distinct (input, pass-prefix) fingerprint, and pipelines sharing a
-    /// prefix (all designs and seeds of a sweep; different schedulers
-    /// over one routed circuit) share the cached prefix artifacts.
-    /// Charged to the root session.
+    /// shared [`Pipeline::standard`] for `cfg`, memoized as **one store
+    /// entry** per (circuit, layout, grid, pipeline config): the pipeline
+    /// runs once per benchmark and every design and seed of a sweep
+    /// reuses the result. Charged to the root session.
     ///
     /// # Panics
     ///
@@ -1188,15 +1186,15 @@ impl EvalEngine {
     }
 
     /// Current cumulative cache accounting, read from the store's
-    /// per-namespace counters (compile hits/misses account the final
-    /// pipeline stage of this engine's own compiles).
+    /// per-namespace counters (compile hits/misses account the
+    /// whole-compile lookups of this engine's own compiles).
     pub fn cache_stats(&self) -> CacheStats {
         self.root_session().cache_stats()
     }
 
-    /// Per-pass cache accounting across every pipeline stage in the
-    /// engine's store, label-sorted. Hit/miss totals are deterministic
-    /// for a fixed job set regardless of worker count (under the default
+    /// Per-pass build metrics of the engine's own compiles,
+    /// label-sorted. Gate, SWAP and slot totals are deterministic for a
+    /// fixed job set regardless of worker count (under the default
     /// unbounded in-memory store).
     pub fn pass_cache_stats(&self) -> PassCacheStats {
         self.root_session().pass_cache_stats()
@@ -1415,7 +1413,10 @@ impl EvalSession<'_> {
     /// Folds one pass build's metrics into this session's accounting.
     fn record_pass_build(&self, m: &PassMetrics) {
         let mut map = lock_unpoisoned(&self.state.pass_builds);
-        let agg = map.entry(m.pass.clone()).or_default();
+        let agg = map.entry(m.pass.clone()).or_insert_with(|| PassCacheStat {
+            pass: m.pass.clone(),
+            ..PassCacheStat::default()
+        });
         agg.wall_ns += m.wall_ns;
         agg.gates_in += m.gates_before as u64;
         agg.gates_out += m.gates_after as u64;
@@ -1430,11 +1431,34 @@ impl EvalSession<'_> {
         grid: &Grid,
         cfg: &PipelineConfig,
     ) -> Arc<CompileArtifact> {
-        let (artifact, final_missed) =
-            store::compile_cached(&self.engine.store, circuit, grid, cfg, |m| {
-                self.record_pass_build(m)
-            });
-        let counter = if final_missed {
+        self.compiled(circuit, grid, cfg, compile_key(circuit, grid, cfg))
+    }
+
+    /// One whole-compile store lookup under `key`: a miss runs the full
+    /// [`Pipeline::standard`] once and folds every pass's metrics into
+    /// this session's build accounting; a hit (coalesced waiters
+    /// included) runs nothing.
+    fn compiled(
+        &self,
+        circuit: &Circuit,
+        grid: &Grid,
+        cfg: &PipelineConfig,
+        key: CompileKey,
+    ) -> Arc<CompileArtifact> {
+        let store = &self.engine.store;
+        let mut built = Vec::new();
+        let (artifact, missed) = store.fetch_artifact(ns::COMPILE, compile_store_key(key), || {
+            let layout = Layout::snake(circuit.n_qubits(), grid);
+            let (out, metrics) = Pipeline::standard(cfg)
+                .run(CompileArtifact::new(circuit.clone(), layout), grid)
+                .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
+            built = metrics;
+            out
+        });
+        for m in &built {
+            self.record_pass_build(m);
+        }
+        let counter = if missed {
             &self.state.compile_misses
         } else {
             &self.state.compile_hits
@@ -1479,26 +1503,12 @@ impl EvalSession<'_> {
         stats
     }
 
-    /// Per-pass pipeline accounting: builds and build metrics are
-    /// exactly this session's; hits/misses are the store delta since the
-    /// session opened (the store's cumulative counters for the root
-    /// session).
+    /// Per-pass build metrics of this session's compile misses,
+    /// label-sorted.
     pub fn pass_cache_stats(&self) -> PassCacheStats {
-        let builds = lock_unpoisoned(&self.state.pass_builds);
-        let passes = self
-            .store_stats()
-            .namespaces
-            .iter()
-            .filter(|n| n.namespace.starts_with(ns::STAGE_PREFIX))
-            .map(|n| {
-                let label = &n.namespace[ns::STAGE_PREFIX.len()..];
-                PassCacheStat {
-                    pass: label.to_string(),
-                    hits: n.hits,
-                    misses: n.misses,
-                    ..builds.get(label).cloned().unwrap_or_default()
-                }
-            })
+        let passes = lock_unpoisoned(&self.state.pass_builds)
+            .values()
+            .cloned()
             .collect();
         PassCacheStats { passes }
     }
@@ -1509,8 +1519,8 @@ impl EvalSession<'_> {
         let engine = self.engine;
         let grid = Grid::new(spec.grid_rows, spec.grid_cols);
         let circuit = engine.benchmark_circuit(job.bench, spec.base_seed);
-        let compiled = self.compiled_with(&circuit, &grid, &spec.pipeline);
         let key = compile_key(&circuit, &grid, &spec.pipeline);
+        let compiled = self.compiled(&circuit, &grid, &spec.pipeline, key);
 
         let mut config = SystemConfig::paper_default(job.point.design, job.point.groups);
         config.n_qubits = grid.n_qubits();
@@ -2302,11 +2312,7 @@ mod tests {
         assert_eq!(session.cache_stats().compile_misses, 0);
         assert!(session.cache_stats().compile_hits > 0);
         // Session pass stats: nothing was built by this session.
-        assert!(session
-            .pass_cache_stats()
-            .passes
-            .iter()
-            .all(|p| p.misses == 0));
+        assert!(session.pass_cache_stats().passes.is_empty());
 
         // The engine's cumulative root counters are unchanged by the
         // session's activity on the compile side it owns.

@@ -70,13 +70,8 @@ pub fn scalability_points() -> Vec<(ControllerDesign, usize)> {
     ]
 }
 
-/// The §VI-A3 scalability table for the headline design points.
-pub fn scalability_table(model: &CostModel) -> Vec<ScalabilityRow> {
-    scalability_table_parallel(model, 1)
-}
-
-/// [`scalability_table`] sharded over `workers` threads through the
-/// evaluation engine: each tile synthesizes once in the engine's keyed
+/// The §VI-A3 scalability table for the headline design points,
+/// sharded over `workers` threads through the evaluation engine: each tile synthesizes once in the engine's keyed
 /// hardware cache, and rows merge in [`scalability_points`] order
 /// regardless of worker count.
 pub fn scalability_table_parallel(model: &CostModel, workers: usize) -> Vec<ScalabilityRow> {
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn table_is_complete_and_ordered() {
-        let t = scalability_table(&CostModel::default());
+        let t = scalability_table_parallel(&CostModel::default(), 1);
         assert_eq!(t.len(), 6);
         // DigiQ rows dominate the MIMD rows.
         let min2 = t[0].max_qubits;

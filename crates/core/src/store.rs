@@ -1,15 +1,15 @@
 //! The unified, content-addressed artifact store.
 //!
 //! Every expensive artifact the evaluation engine builds — benchmark
-//! circuits, synthesized hardware, compiled pipeline stages, sequence
+//! circuits, synthesized hardware, compiled pipeline artifacts, sequence
 //! databases, baseline executions, co-simulation reports — used to live
 //! in its own ad-hoc per-process cache. This module replaces all of them
 //! with one [`ArtifactStore`]:
 //!
 //! * **content-addressed** — values are keyed by 64-bit stable digests
-//!   ([`qsim::rng::stable_hash`] chains: circuit fingerprints, pipeline
-//!   stage keys, design parameters), grouped into string *namespaces*
-//!   (`circuit`, `hardware`, `stage/route`, `baseline`, `cosim`, …);
+//!   ([`qsim::rng::stable_hash`] chains: circuit fingerprints, compile
+//!   keys, design parameters), grouped into string *namespaces*
+//!   (`circuit`, `hardware`, `compile`, `baseline`, `cosim`, …);
 //! * **sharded** — entries spread over independently locked shards, with
 //!   build-once semantics per key: the first caller runs the builder,
 //!   concurrent callers of the same key block on the same slot and share
@@ -18,7 +18,7 @@
 //!   eviction; evicting never changes results, it only costs a rebuild
 //!   on the next lookup;
 //! * **persistent** — namespaces whose values implement [`Artifact`]
-//!   (compiled pipeline stages, [`ExecReport`] baselines,
+//!   (whole compiles, [`ExecReport`] baselines,
 //!   [`CosimReport`]s) spill to disk under `--cache-dir` with atomic
 //!   write-then-rename, so a second sweep warm-starts across processes;
 //!   corrupt or truncated files are treated as misses and rebuilt;
@@ -39,10 +39,11 @@
 //! On-disk layout (format [`DISK_FORMAT_VERSION`], see README):
 //!
 //! ```text
-//! <cache-dir>/v1/<namespace>/<key as %016x>.json   one artifact per file
-//! <cache-dir>/v1/journal/<spec key>.jsonl          sweep completion journal
-//! <cache-dir>/v1/journal/<spec key>.<label>.jsonl  per-worker shard journal
-//! <cache-dir>/v1/claims/<spec key>/<index>.claim   distributed job claims
+//! <cache-dir>/v2/<namespace>/<key as %016x>.json   one artifact per file
+//! <cache-dir>/v2/compile/<key as %016x>.json       one file per compile
+//! <cache-dir>/v2/journal/<spec key>.jsonl          sweep completion journal
+//! <cache-dir>/v2/journal/<spec key>.<label>.jsonl  per-worker shard journal
+//! <cache-dir>/v2/claims/<spec key>/<index>.claim   distributed job claims
 //! ```
 
 use crate::cosim::CosimReport;
@@ -51,10 +52,7 @@ use crate::exec::ExecReport;
 use crate::system::MinBasisKind;
 use qcircuit::ir::{Circuit, Gate, OneQ};
 use qcircuit::mapping::Layout;
-use qcircuit::pipeline::{
-    CompileArtifact, CompileWorkspace, PassMetrics, Pipeline, PipelineConfig,
-};
-use qcircuit::topology::Grid;
+use qcircuit::pipeline::CompileArtifact;
 use sfq_hw::json::{Json, ToJson};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -67,7 +65,7 @@ use std::time::Duration;
 /// Version directory of the on-disk artifact format. Bump only for a
 /// deliberate, documented format change (see the ROADMAP's stability
 /// rules); old version directories are simply ignored, never migrated.
-pub const DISK_FORMAT_VERSION: &str = "v1";
+pub const DISK_FORMAT_VERSION: &str = "v2";
 
 /// Locks a mutex, recovering the guard when a previous holder panicked.
 ///
@@ -94,13 +92,9 @@ pub mod ns {
     pub const BASELINE: &str = "baseline";
     /// Cycle-accurate co-simulation reports (persistent).
     pub const COSIM: &str = "cosim";
-    /// Prefix of the per-pipeline-stage namespaces (persistent).
-    pub const STAGE_PREFIX: &str = "stage/";
-
-    /// The namespace of one compile-pipeline stage label.
-    pub fn stage(label: &str) -> String {
-        format!("{STAGE_PREFIX}{label}")
-    }
+    /// Whole compile-pipeline artifacts, one per (circuit, layout, grid,
+    /// pipeline config) (persistent).
+    pub const COMPILE: &str = "compile";
 }
 
 /// A value the store can persist: a JSON codec over [`sfq_hw::json`]
@@ -434,7 +428,8 @@ pub struct StoreConfig {
     /// evicted; evictions never change results, only cost rebuilds.
     pub capacity: Option<usize>,
     /// Root directory for disk persistence (`None`: in-memory only).
-    /// Artifacts land under `<cache_dir>/v1/<namespace>/<key>.json`.
+    /// Artifacts land under
+    /// `<cache_dir>/<DISK_FORMAT_VERSION>/<namespace>/<key>.json`.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -519,7 +514,8 @@ impl ArtifactStore {
         self.capacity
     }
 
-    /// The versioned disk root (`<cache_dir>/v1`), if persistence is on.
+    /// The versioned disk root (`<cache_dir>/<DISK_FORMAT_VERSION>`), if
+    /// persistence is on.
     pub fn disk_root(&self) -> Option<&Path> {
         self.disk_root.as_deref()
     }
@@ -873,7 +869,7 @@ fn process_alive(pid: u32) -> bool {
 /// reports).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NamespaceStats {
-    /// Namespace name (`circuit`, `stage/route`, …).
+    /// Namespace name (`circuit`, `compile`, …).
     pub namespace: String,
     /// Lookups satisfied from memory.
     pub hits: u64,
@@ -943,14 +939,10 @@ impl StoreStats {
         self.namespaces.iter().find(|n| n.namespace == namespace)
     }
 
-    /// Builder executions across the compile-pipeline stage namespaces —
+    /// Compile-pipeline builder executions ([`ns::COMPILE`] builds) —
     /// the number the warm-start proof drives to zero.
     pub fn pass_builds(&self) -> u64 {
-        self.namespaces
-            .iter()
-            .filter(|n| n.namespace.starts_with(ns::STAGE_PREFIX))
-            .map(|n| n.builds)
-            .sum()
+        self.get(ns::COMPILE).map_or(0, |n| n.builds)
     }
 
     /// Store-wide totals `(hits, misses, disk_hits, builds, evictions)`.
@@ -1046,65 +1038,6 @@ impl ToJson for StoreStats {
             ("tmp_swept", self.tmp_swept.to_json()),
         ])
     }
-}
-
-// ---------------------------------------------------------------------
-// Stage-cached compilation
-// ---------------------------------------------------------------------
-
-/// Compiles `circuit` on `grid` (snake initial layout) through the shared
-/// [`Pipeline::standard`] for `cfg`, memoizing **every stage** in the
-/// store under its chained stable key ([`Pipeline::stage_keys`]): each
-/// pass runs at most once per distinct (input, pass-prefix) fingerprint,
-/// and pipelines sharing a prefix share the cached prefix artifacts.
-/// `on_build` observes the metrics of every pass that actually ran.
-/// Returns the final artifact and whether the final stage missed memory.
-///
-/// # Panics
-///
-/// Panics if the circuit needs more qubits than the grid has, or if a
-/// pass or its post-validation fails (a configuration bug — every
-/// schedule is checked by its strategy's validator on build).
-pub fn compile_cached(
-    store: &ArtifactStore,
-    circuit: &Circuit,
-    grid: &Grid,
-    cfg: &PipelineConfig,
-    mut on_build: impl FnMut(&PassMetrics),
-) -> (Arc<CompileArtifact>, bool) {
-    let pipeline = Pipeline::standard(cfg);
-    let layout = Layout::snake(circuit.n_qubits(), grid);
-    let input_key = CompileArtifact::input_key(circuit, &layout, grid);
-    let keys = pipeline.stage_keys(input_key);
-
-    let mut artifact: Option<Arc<CompileArtifact>> = None;
-    let mut final_missed = false;
-    let mut ws = CompileWorkspace::new();
-    for (stage, &key) in pipeline.stages().iter().zip(&keys) {
-        let namespace = ns::stage(stage.label());
-        let prev = artifact.clone();
-        let mut metrics = None;
-        let (value, missed) = store.fetch_artifact(&namespace, key, || {
-            let mut next = match &prev {
-                Some(a) => (**a).clone(),
-                None => CompileArtifact::new(circuit.clone(), layout.clone()),
-            };
-            let m = stage
-                .run_timed(&mut next, grid, &mut ws)
-                .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
-            metrics = Some(m);
-            next
-        });
-        if let Some(m) = &metrics {
-            on_build(m);
-        }
-        final_missed = missed;
-        artifact = Some(value);
-    }
-    (
-        artifact.expect("standard pipelines have at least one stage"),
-        final_missed,
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -1248,7 +1181,7 @@ impl SweepJournal {
 /// shared cache dir, with no coordinator process:
 ///
 /// * **acquire** — `O_CREAT|O_EXCL` ([`std::fs::OpenOptions::create_new`])
-///   on `<cache-dir>/v1/claims/<spec key>/<index>.claim`, so exactly one
+///   on `<cache-dir>/v2/claims/<spec key>/<index>.claim`, so exactly one
 ///   of any number of racing processes wins a job;
 /// * **heartbeat** — the holder periodically rewrites its claim file,
 ///   refreshing the mtime. The refresher dies with the process (SIGKILL
@@ -1436,7 +1369,8 @@ impl Drop for ClaimHeartbeat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::pipeline::{RouteStrategy, ScheduleStrategy};
+    use qcircuit::pipeline::{Pipeline, PipelineConfig, RouteStrategy, ScheduleStrategy};
+    use qcircuit::topology::Grid;
 
     fn demo_artifact(cfg: &PipelineConfig) -> CompileArtifact {
         let grid = Grid::new(3, 3);
@@ -1689,12 +1623,12 @@ mod tests {
     #[test]
     fn store_stats_roundtrip_through_json() {
         let store = ArtifactStore::in_memory();
-        store.get_or_build("stage/lower", 1, || 1u32);
-        store.get_or_build("stage/lower", 1, || 1u32);
+        store.get_or_build(ns::COMPILE, 1, || 1u32);
+        store.get_or_build(ns::COMPILE, 1, || 1u32);
         store.get_or_build("baseline", 2, || 2u32);
         let stats = store.stats();
         assert_eq!(stats.namespaces.len(), 2);
-        assert_eq!(stats.get("stage/lower").unwrap().hits, 1);
+        assert_eq!(stats.get(ns::COMPILE).unwrap().hits, 1);
         assert_eq!(stats.resident, 2);
         assert_eq!(stats.totals(), (1, 2, 0, 2, 0));
         assert_eq!(stats.coalesced_total(), 0);

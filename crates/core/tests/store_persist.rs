@@ -10,6 +10,7 @@ use digiq_core::store::{
     ns, Artifact, ArtifactStore, StoreConfig, SweepJournal, DISK_FORMAT_VERSION,
 };
 use qcircuit::bench::Benchmark;
+use qcircuit::pipeline::{PipelineConfig, ScheduleStrategy};
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
 use std::path::PathBuf;
@@ -81,7 +82,7 @@ fn artifacts_persist_across_store_instances() {
     let cold = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
     let cold_report = cold.run(&spec, 2);
     let cold_stats = cold.store_stats();
-    assert!(cold_stats.pass_builds() > 0, "cold run builds stages");
+    assert!(cold_stats.pass_builds() > 0, "cold run compiles");
     assert_eq!(cold_stats.totals().2, 0, "nothing on disk yet");
 
     // A fresh engine over a fresh store on the same directory: every
@@ -91,7 +92,7 @@ fn artifacts_persist_across_store_instances() {
     let warm_report = warm.run(&spec, 2);
     assert_eq!(warm_report.to_json_string(), cold_report.to_json_string());
     let warm_stats = warm.store_stats();
-    assert_eq!(warm_stats.pass_builds(), 0, "stages all hit the disk");
+    assert_eq!(warm_stats.pass_builds(), 0, "compiles all hit the disk");
     assert_eq!(
         warm_stats.get(ns::BASELINE).unwrap().builds,
         0,
@@ -114,13 +115,19 @@ fn artifacts_persist_across_store_instances() {
 #[test]
 fn corrupt_and_truncated_disk_files_are_rebuilt() {
     let dir = TempDir::new("corrupt");
-    let spec = smoke_spec();
+    // Three benchmarks: one compile file per damage mode below.
+    let spec = SweepSpec::small_grid(
+        vec![ControllerDesign::DigiqOpt { bs: 8 }.into()],
+        &[Benchmark::Bv, Benchmark::Qgan, Benchmark::Ising],
+        4,
+        4,
+    );
     EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir))).run(&spec, 1);
 
-    // Vandalize every persisted stage file a different way.
-    let stage_root = dir.path().join(DISK_FORMAT_VERSION).join("stage");
+    // Vandalize every persisted compile file a different way.
+    let compile_root = dir.path().join(DISK_FORMAT_VERSION).join(ns::COMPILE);
     let mut damaged = 0;
-    for entry in walk(&stage_root) {
+    for entry in walk(&compile_root) {
         match damaged % 3 {
             0 => std::fs::write(&entry, "{ not json").unwrap(),
             1 => std::fs::write(&entry, "{\"circuit\":null}").unwrap(),
@@ -128,7 +135,7 @@ fn corrupt_and_truncated_disk_files_are_rebuilt() {
         }
         damaged += 1;
     }
-    assert!(damaged >= 8, "expected persisted stage files");
+    assert_eq!(damaged, 3, "expected one persisted compile per benchmark");
 
     let engine = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
     let report = engine.run(&spec, 2);
@@ -145,6 +152,37 @@ fn corrupt_and_truncated_disk_files_are_rebuilt() {
     let warm = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
     warm.run(&spec, 1);
     assert_eq!(warm.store_stats().pass_builds(), 0);
+}
+
+/// The one compile entry per (circuit, layout, grid, pipeline config)
+/// never aliases two configurations: two pipelines sharing one cache
+/// dir each reproduce their in-memory bytes, and each leaves its own
+/// compile file per benchmark.
+#[test]
+fn pipeline_configs_sharing_a_cache_dir_never_alias() {
+    let dir = TempDir::new("configs");
+    let default = smoke_spec();
+    let asap = smoke_spec()
+        .with_pipeline(PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap));
+    for _ in 0..2 {
+        for spec in [&default, &asap] {
+            let disk = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
+            let memory = EvalEngine::new(CostModel::default());
+            assert_eq!(
+                disk.run(spec, 2).to_json_string(),
+                memory.run(spec, 2).to_json_string(),
+                "{:?}",
+                spec.pipeline
+            );
+        }
+    }
+    let root = dir.path().join(DISK_FORMAT_VERSION);
+    assert_eq!(
+        walk(&root.join(ns::COMPILE)).len(),
+        2 * 2,
+        "one compile file per (benchmark, config)"
+    );
+    assert!(!root.join("stage").exists(), "no per-stage entries");
 }
 
 fn walk(root: &std::path::Path) -> Vec<PathBuf> {
@@ -181,7 +219,7 @@ fn capped_store_keeps_reports_byte_identical_and_counts_evictions() {
     let spec = smoke_spec();
     let unbounded = EvalEngine::new(CostModel::default()).run(&spec, 2);
 
-    // A store capped far below the working set (12 artifacts in the
+    // A store capped far below the working set (6 artifacts in the
     // smoke sweep) still produces the identical rows — evictions only
     // cost rebuilds — and the eviction counters are visible.
     for capacity in [1, 3] {

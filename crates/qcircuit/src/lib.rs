@@ -9,9 +9,9 @@
 //! 3. [`topology`] / [`mapping`] — the 32×32 grid and stochastic SWAP
 //!    routing;
 //! 4. [`schedule`] — crosstalk-aware (and plain ASAP) grouping of
-//!    commuting CZs and noise-adaptive layout;
+//!    commuting CZs;
 //! 5. [`pipeline`] — the unified compiler pass pipeline: the above as
-//!    named, fingerprinted, individually cacheable [`pipeline::Pass`]es
+//!    named, fingerprinted, individually timed [`pipeline::Pass`]es
 //!    with per-pass metrics and pluggable routing/scheduling strategies;
 //! 6. [`ir`] — the gate/circuit types plus a statevector simulator used
 //!    as the correctness oracle for everything above.

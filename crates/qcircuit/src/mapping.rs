@@ -114,7 +114,7 @@ impl Layout {
     /// The full logical→physical table (`assignment()[l]` is the physical
     /// home of logical qubit `l`) — with [`Layout::n_physical`], enough to
     /// reconstruct the layout via [`Layout::from_assignment`], which is
-    /// how the artifact store serializes compiled pipeline stages.
+    /// how the artifact store serializes compiled artifacts.
     pub fn assignment(&self) -> &[usize] {
         &self.log_to_phys
     }

@@ -2,11 +2,11 @@
 //!
 //! Every evaluation mode compiles benchmarks through the same sequence —
 //! lower → route → lower SWAPs → schedule — and this module turns that
-//! sequence into named, fingerprinted, individually cacheable passes:
+//! sequence into named, fingerprinted, individually timed passes:
 //!
 //! * [`Pass`] — one rewrite over a [`CompileArtifact`], with a stable
-//!   fingerprint (for stage-granular cache keys) and a post-run
-//!   validation hook;
+//!   fingerprint (chained into [`PipelineConfig::fingerprint`], part of
+//!   every compile cache key) and a post-run validation hook;
 //! * [`Pipeline`] — an ordered list of labelled passes, with per-pass
 //!   [`PassMetrics`] (wall time, gate/SWAP/slot deltas) recorded on
 //!   every run;
@@ -124,17 +124,6 @@ impl CompileArtifact {
             .as_deref()
             .expect("artifact has no schedule — run a scheduling pass first")
     }
-
-    /// Stable fingerprint of the pipeline *input* (circuit, initial
-    /// layout, grid): the root every stage cache key is chained from.
-    pub fn input_key(circuit: &Circuit, initial_layout: &Layout, grid: &Grid) -> u64 {
-        qsim::rng::stable_hash(&[
-            circuit.cache_key(),
-            initial_layout.cache_key(),
-            grid.rows() as u64,
-            grid.cols() as u64,
-        ])
-    }
 }
 
 /// Stable fingerprint helper: hashes a pass name plus its configuration
@@ -159,7 +148,7 @@ pub trait Pass: Send + Sync {
 
     /// Stable fingerprint of the pass identity *and* its configuration —
     /// identical across processes and toolchains, distinct for distinct
-    /// strategies or parameters. Stage cache keys chain these.
+    /// strategies or parameters. [`PipelineConfig::fingerprint`] chains these.
     fn fingerprint(&self) -> u64;
 
     /// Applies the rewrite. `ws` is the run's shared scratch; passes may
@@ -573,7 +562,7 @@ impl Stage {
         }
     }
 
-    /// The stage's display / cache-accounting label.
+    /// The stage's display / metrics label.
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -672,7 +661,7 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics on an empty stage list or duplicate labels (labels key
-    /// per-pass caches and metrics).
+    /// per-pass metrics).
     pub fn new(stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "a pipeline needs at least one stage");
         for i in 1..stages.len() {
@@ -718,21 +707,6 @@ impl Pipeline {
     /// Stage labels, in execution order.
     pub fn stage_labels(&self) -> Vec<&str> {
         self.stages.iter().map(Stage::label).collect()
-    }
-
-    /// The per-stage cache keys for a pipeline input: key `i` is the
-    /// stable hash chain of the input fingerprint with the fingerprints
-    /// of passes `0..=i`, so pipelines sharing a prefix (e.g. two
-    /// scheduler strategies over one routed circuit) share the prefix
-    /// stages' keys — and their cached artifacts.
-    pub fn stage_keys(&self, input_key: u64) -> Vec<u64> {
-        let mut keys = Vec::with_capacity(self.stages.len());
-        let mut k = input_key;
-        for stage in &self.stages {
-            k = qsim::rng::stable_hash(&[k, stage.pass.fingerprint()]);
-            keys.push(k);
-        }
-        keys
     }
 
     /// Runs every stage in order, validating after each, and returns the
@@ -835,42 +809,6 @@ mod tests {
         for m in &metrics {
             assert!(m.wall_ns >= 0.0);
         }
-    }
-
-    #[test]
-    fn stage_keys_chain_and_share_prefixes() {
-        let grid = Grid::new(3, 3);
-        let c = demo_circuit();
-        let layout = Layout::snake(9, &grid);
-        let input = CompileArtifact::input_key(&c, &layout, &grid);
-
-        let default = Pipeline::standard(&PipelineConfig::default());
-        let asap =
-            Pipeline::standard(&PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap));
-        let lookahead = Pipeline::standard(
-            &PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 16 }),
-        );
-
-        let kd = default.stage_keys(input);
-        let ka = asap.stage_keys(input);
-        let kl = lookahead.stage_keys(input);
-
-        // All stage keys are distinct within a pipeline.
-        let mut uniq = kd.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), kd.len());
-
-        // Scheduler choice shares the lower/route/lower_swaps prefix…
-        assert_eq!(kd[..3], ka[..3]);
-        assert_ne!(kd[3], ka[3]);
-        // …while router choice diverges from the route stage on.
-        assert_eq!(kd[0], kl[0]);
-        assert_ne!(kd[1], kl[1]);
-        // Keys are reproducible.
-        assert_eq!(kd, default.stage_keys(input));
-        // And input-dependent.
-        assert_ne!(kd, default.stage_keys(input ^ 1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Crosstalk-aware gate scheduling and noise-adaptive layout (§VI-B).
+//! Crosstalk-aware gate scheduling (§VI-B).
 //!
 //! After routing, "a crosstalk-aware scheduling pass [58] is used to sort
 //! and group commuting two-qubit gates which can be executed
@@ -7,11 +7,6 @@
 //! the scheduler greedily colours each ASAP moment's CZs into
 //! non-interfering sub-moments while single-qubit gates ride along with
 //! their moment.
-//!
-//! The module also implements the noise-adaptive mapping of ref [68] used
-//! in Fig 10's discussion ("software can map around these outliers"):
-//! heavily-used logical qubits are steered away from high-error physical
-//! qubits.
 
 use crate::ir::{Circuit, Gate, MomentScratch};
 use crate::topology::Grid;
@@ -380,69 +375,6 @@ fn validate_schedule_impl(
     Ok(())
 }
 
-/// Per-qubit usage statistics for noise-adaptive layout.
-#[derive(Debug, Clone, Default)]
-pub struct QubitUsage {
-    /// Gate count per logical qubit.
-    pub counts: Vec<u64>,
-}
-
-impl QubitUsage {
-    /// Counts gate participation per qubit.
-    pub fn of_circuit(c: &Circuit) -> Self {
-        let mut counts = vec![0u64; c.n_qubits()];
-        for g in c.gates() {
-            for q in g.qubits() {
-                counts[q] += 1;
-            }
-        }
-        QubitUsage { counts }
-    }
-}
-
-/// Noise-adaptive initial layout (ref [68]): assigns the busiest logical
-/// qubits to the lowest-error physical qubits along the grid snake,
-/// keeping spatial locality while avoiding outliers.
-///
-/// `phys_error` gives each physical qubit's (relative) error level; the
-/// worst `n_avoid` qubits are excluded outright when capacity allows.
-///
-/// # Panics
-///
-/// Panics if there are fewer usable physical qubits than logical qubits.
-pub fn noise_adaptive_layout(
-    usage: &QubitUsage,
-    phys_error: &[f64],
-    grid: &Grid,
-    n_avoid: usize,
-) -> crate::mapping::Layout {
-    let n_logical = usage.counts.len();
-    assert_eq!(phys_error.len(), grid.n_qubits());
-
-    // Rank physical qubits by error, mark the worst `n_avoid` as avoided
-    // (when enough slack exists).
-    let slack = grid.n_qubits().saturating_sub(n_logical);
-    let n_avoid = n_avoid.min(slack);
-    let mut by_error: Vec<usize> = (0..grid.n_qubits()).collect();
-    by_error.sort_by(|&a, &b| phys_error[b].partial_cmp(&phys_error[a]).unwrap());
-    let avoided: std::collections::HashSet<usize> =
-        by_error.iter().take(n_avoid).copied().collect();
-
-    // Walk the snake, skipping avoided qubits, so locality survives.
-    let mut slots: Vec<usize> = grid
-        .snake_order()
-        .into_iter()
-        .filter(|p| !avoided.contains(p))
-        .collect();
-    assert!(slots.len() >= n_logical, "too many avoided qubits");
-    slots.truncate(n_logical);
-
-    // Busiest logical qubits keep their snake positions; this keeps the
-    // assignment stable (identity-like) while outliers are bypassed.
-    let assignment: Vec<usize> = (0..n_logical).map(|l| slots[l]).collect();
-    crate::mapping::Layout::from_assignment(assignment, grid.n_qubits())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,37 +457,5 @@ mod tests {
         let slots = schedule_crosstalk_aware(&c, &grid);
         assert!(slots.len() > plain_depth);
         validate_schedule(&c, &grid, &slots).unwrap();
-    }
-
-    #[test]
-    fn usage_counting() {
-        let mut c = Circuit::new(3);
-        c.h(0);
-        c.cz(0, 1);
-        let u = QubitUsage::of_circuit(&c);
-        assert_eq!(u.counts, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn noise_adaptive_avoids_outliers() {
-        let grid = Grid::new(4, 4);
-        let mut err = vec![1e-4; 16];
-        err[5] = 0.05; // terrible qubit right on the snake path
-        let usage = QubitUsage {
-            counts: vec![10; 8],
-        };
-        let layout = noise_adaptive_layout(&usage, &err, &grid, 2);
-        for l in 0..8 {
-            assert_ne!(layout.phys(l), 5, "outlier qubit must be avoided");
-        }
-    }
-
-    #[test]
-    fn noise_adaptive_respects_capacity() {
-        let grid = Grid::new(2, 2);
-        let usage = QubitUsage { counts: vec![1; 4] };
-        // No slack: avoidance silently degrades to zero.
-        let layout = noise_adaptive_layout(&usage, &[0.1, 0.2, 0.3, 0.4], &grid, 2);
-        assert_eq!(layout.n_logical(), 4);
     }
 }

@@ -1,4 +1,4 @@
-//! Gate and state fidelity measures with leakage accounting.
+//! Gate fidelity measures with leakage accounting.
 //!
 //! DigiQ (§V) reports gate errors as `ε = 1 − F̄` where `F̄` is the *average
 //! gate fidelity* of the evolution projected onto the computational
@@ -103,28 +103,6 @@ pub fn leakage(m: &CMat) -> f64 {
     (1.0 - trace_mdm(m) / d).max(0.0)
 }
 
-/// State overlap fidelity `|⟨a|b⟩|²` for pure states.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn state_fidelity(a: &[C64], b: &[C64]) -> f64 {
-    crate::matrix::inner(a, b).abs2()
-}
-
-/// Entanglement (process) fidelity `|Tr(V†M)|²/d²` — related to the average
-/// gate fidelity by `F̄ = (d·F_pro + Tr(M†M)/d) / (d+1)`.
-///
-/// # Panics
-///
-/// Panics if shapes differ or are not square.
-pub fn process_fidelity(m: &CMat, v: &CMat) -> f64 {
-    assert!(m.is_square() && v.is_square());
-    assert_eq!(m.rows(), v.rows());
-    let d = m.rows() as f64;
-    (trace_vdm(v, m).abs2() / (d * d)).clamp(0.0, 1.0)
-}
-
 /// Combines per-gate errors into a circuit error estimate by fidelity
 /// product: `ε_circuit = 1 − Π(1 − εᵢ)` (paper §VI-B2).
 pub fn circuit_error<I: IntoIterator<Item = f64>>(gate_errors: I) -> f64 {
@@ -190,21 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn state_fidelity_basics() {
-        let zero = vec![C64::ONE, C64::ZERO];
-        let one = vec![C64::ZERO, C64::ONE];
-        let plus = vec![C64::real(1.0 / 2f64.sqrt()); 2];
-        assert!((state_fidelity(&zero, &zero) - 1.0).abs() < 1e-12);
-        assert!(state_fidelity(&zero, &one) < 1e-12);
-        assert!((state_fidelity(&zero, &plus) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn process_vs_average_fidelity_relation() {
         let m = gates::rz(0.3);
         let v = gates::id2();
         let d = 2.0;
-        let fpro = process_fidelity(&m, &v);
+        // Entanglement (process) fidelity |Tr(V†M)|²/d².
+        let fpro = trace_vdm(&v, &m).abs2() / (d * d);
         let favg = average_gate_fidelity(&m, &v);
         let expect = (d * d * fpro / d + 1.0) / (d + 1.0);
         assert!((favg - expect).abs() < 1e-12);

@@ -20,8 +20,8 @@
 //!   (§IV-A3, §V-B, Fig 7);
 //! * [`fidelity`] — average gate fidelity with leakage accounting
 //!   (refs [44], [45]);
-//! * [`optimize`] — Nelder–Mead, differential evolution and a genetic
-//!   bitstring search used by the software-calibration layer.
+//! * [`optimize`] — Nelder–Mead and a genetic bitstring search used by
+//!   the software-calibration layer.
 //!
 //! ## Units
 //!

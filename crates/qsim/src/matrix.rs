@@ -654,16 +654,6 @@ pub fn normalize(v: &mut [C64]) -> f64 {
     norm
 }
 
-/// Inner product `⟨a|b⟩ = Σ conj(aᵢ)·bᵢ`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn inner(a: &[C64], b: &[C64]) -> C64 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(&x, &y)| x.conj() * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,11 +846,6 @@ mod tests {
         let n = normalize(&mut v);
         assert!((n - 5.0).abs() < 1e-15);
         assert!((v.iter().map(|z| z.abs2()).sum::<f64>() - 1.0).abs() < 1e-15);
-
-        let a = vec![C64::ONE, C64::I];
-        let b = vec![C64::I, C64::ONE];
-        // ⟨a|b⟩ = conj(1)·i + conj(i)·1 = i − i = 0
-        assert!(inner(&a, &b).approx_eq(C64::ZERO, 1e-15));
     }
 
     #[test]

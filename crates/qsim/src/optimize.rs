@@ -1,11 +1,9 @@
 //! Derivative-free optimizers used by the calibration layer.
 //!
-//! Three tools cover all the numerical search in the paper:
+//! Two tools cover all the numerical search in the paper:
 //!
 //! * [`nelder_mead`] — local simplex descent over continuous parameters
 //!   (interleaved single-qubit gates in the CZ echo sequences, §V-B);
-//! * [`differential_evolution`] — global search with box bounds (pulse
-//!   calibration);
 //! * [`ga_bitstring`] — a genetic algorithm over fixed-length bitstrings
 //!   (SFQ bitstream discovery, the approach of refs [13] and [35]).
 //!
@@ -157,132 +155,6 @@ pub fn nelder_mead(
     }
     OptResult {
         x: simplex[best].clone(),
-        value: values[best],
-        evals,
-    }
-}
-
-/// Runs [`nelder_mead`] from several random starting points inside box
-/// `bounds` and keeps the best result. A pragmatic global strategy for the
-/// low-dimensional, multi-modal landscapes of gate calibration.
-///
-/// # Panics
-///
-/// Panics if `bounds` is empty or any bound is inverted.
-pub fn multistart_nelder_mead(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &[(f64, f64)],
-    starts: usize,
-    max_iter: usize,
-    seed: u64,
-) -> OptResult {
-    assert!(!bounds.is_empty());
-    for &(lo, hi) in bounds {
-        assert!(lo <= hi, "inverted bound");
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<OptResult> = None;
-    let mut total_evals = 0usize;
-    for s in 0..starts.max(1) {
-        let x0: Vec<f64> = if s == 0 {
-            bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect()
-        } else {
-            bounds
-                .iter()
-                .map(|&(lo, hi)| rng.gen_range(lo..=hi))
-                .collect()
-        };
-        let span = bounds
-            .iter()
-            .map(|&(lo, hi)| hi - lo)
-            .fold(f64::INFINITY, f64::min)
-            .max(1e-6);
-        let r = nelder_mead(&mut f, &x0, span * 0.25, max_iter, 1e-14);
-        total_evals += r.evals;
-        if best.as_ref().map_or(true, |b| r.value < b.value) {
-            best = Some(r);
-        }
-    }
-    let mut out = best.expect("at least one start");
-    out.evals = total_evals;
-    out
-}
-
-/// Minimizes `f` over a box with differential evolution (rand/1/bin).
-///
-/// # Panics
-///
-/// Panics if `bounds` is empty, any bound is inverted, or `pop < 4`.
-pub fn differential_evolution(
-    mut f: impl FnMut(&[f64]) -> f64,
-    bounds: &[(f64, f64)],
-    pop: usize,
-    generations: usize,
-    seed: u64,
-) -> OptResult {
-    assert!(!bounds.is_empty());
-    assert!(pop >= 4, "differential evolution needs population >= 4");
-    for &(lo, hi) in bounds {
-        assert!(lo <= hi, "inverted bound");
-    }
-    let n = bounds.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (cr, fw) = (0.9, 0.7);
-    let mut evals = 0usize;
-
-    let mut population: Vec<Vec<f64>> = (0..pop)
-        .map(|_| {
-            bounds
-                .iter()
-                .map(|&(lo, hi)| rng.gen_range(lo..=hi))
-                .collect()
-        })
-        .collect();
-    let mut values: Vec<f64> = population
-        .iter()
-        .map(|p| {
-            evals += 1;
-            f(p)
-        })
-        .collect();
-
-    for _ in 0..generations {
-        for i in 0..pop {
-            // Pick three distinct partners.
-            let (mut a, mut b, mut c);
-            loop {
-                a = rng.gen_range(0..pop);
-                b = rng.gen_range(0..pop);
-                c = rng.gen_range(0..pop);
-                if a != b && b != c && a != c && a != i && b != i && c != i {
-                    break;
-                }
-            }
-            let jrand = rng.gen_range(0..n);
-            let mut trial = population[i].clone();
-            for j in 0..n {
-                if rng.gen::<f64>() < cr || j == jrand {
-                    let v = population[a][j] + fw * (population[b][j] - population[c][j]);
-                    trial[j] = v.clamp(bounds[j].0, bounds[j].1);
-                }
-            }
-            evals += 1;
-            let fv = f(&trial);
-            if fv <= values[i] {
-                population[i] = trial;
-                values[i] = fv;
-            }
-        }
-    }
-
-    let best = values
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap();
-    OptResult {
-        x: population[best].clone(),
         value: values[best],
         evals,
     }
@@ -467,35 +339,6 @@ mod tests {
         let r = nelder_mead(rosen, &[-1.0, 1.0], 0.5, 5000, 1e-16);
         assert!(r.value < 1e-8, "value = {}", r.value);
         assert!((r.x[0] - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn multistart_escapes_local_minimum() {
-        // Rastrigin-lite in 2D: many local minima, global at origin.
-        let f = |x: &[f64]| {
-            x.iter()
-                .map(|v| v * v - 2.0 * (5.0 * v).cos() + 2.0)
-                .sum::<f64>()
-        };
-        let r = multistart_nelder_mead(f, &[(-3.0, 3.0), (-3.0, 3.0)], 12, 400, 7);
-        assert!(r.value < 0.2, "value = {}", r.value);
-    }
-
-    #[test]
-    fn de_finds_global_minimum_of_shifted_sphere() {
-        let f = |x: &[f64]| (x[0] - 0.7).powi(2) + (x[1] + 0.3).powi(2) + 1.5;
-        let r = differential_evolution(f, &[(-2.0, 2.0), (-2.0, 2.0)], 20, 80, 42);
-        assert!((r.value - 1.5).abs() < 1e-4);
-        assert!((r.x[0] - 0.7).abs() < 1e-2);
-        assert!((r.x[1] + 0.3).abs() < 1e-2);
-    }
-
-    #[test]
-    fn de_is_deterministic_given_seed() {
-        let f = |x: &[f64]| x[0].powi(2);
-        let a = differential_evolution(f, &[(-1.0, 1.0)], 8, 20, 5);
-        let b = differential_evolution(f, &[(-1.0, 1.0)], 8, 20, 5);
-        assert_eq!(a.x, b.x);
     }
 
     #[test]

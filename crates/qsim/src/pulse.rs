@@ -175,21 +175,6 @@ impl SfqPulseSim {
         (d as f64 * self.phase_per_tick()).rem_euclid(2.0 * PI)
     }
 
-    /// The frame gate resulting from broadcasting the stored bitstream
-    /// delayed by `d` clock cycles: `Rz(−θ_d) · U(b) · Rz(θ_d)` on the full
-    /// multi-level space (diagonal conjugation), matching the timing
-    /// picture of Fig 3.
-    pub fn delayed_frame_gate(&self, base: &CMat, d: usize) -> CMat {
-        let theta = self.delay_phase(d);
-        let n = base.rows();
-        let conj = CMat::diag(
-            &(0..n)
-                .map(|k| C64::cis(-(k as f64) * theta))
-                .collect::<Vec<_>>(),
-        );
-        conj.dagger().matmul(base).matmul(&conj)
-    }
-
     /// A deterministic resonant comb: pulses as close as possible to once
     /// per qubit oscillation period, for `n_pulses` pulses. This is the
     /// intuitive Fig 2 drive and the seed for the genetic bitstream search.
@@ -507,8 +492,16 @@ mod tests {
         padded.extend_from_slice(&bits);
         let direct = s.frame_gate(&padded);
 
+        // Broadcasting the stored bitstream `d` cycles late is the
+        // diagonal conjugation Rz(−θ_d) · U(b) · Rz(θ_d) of Fig 3.
         let base = s.frame_gate(&bits);
-        let conj = s.delayed_frame_gate(&base, d);
+        let theta = s.delay_phase(d);
+        let rz = CMat::diag(
+            &(0..base.rows())
+                .map(|k| C64::cis(-(k as f64) * theta))
+                .collect::<Vec<_>>(),
+        );
+        let conj = rz.dagger().matmul(&base).matmul(&rz);
         // The delay segment itself contributes only anharmonic phases on
         // leakage levels; on the computational subspace the two must agree.
         let a = direct.top_left_block(2);

@@ -107,20 +107,6 @@ impl DetuningWaveform {
         DetuningWaveform { dt_ns, deltas }
     }
 
-    /// Builds a waveform from current samples through a flux-curve map
-    /// `current → detuning` (used to couple the `sfq_hw` analog output to
-    /// the physics).
-    pub fn from_current_samples(
-        dt_ns: f64,
-        currents: &[f64],
-        mut current_to_detuning: impl FnMut(f64) -> f64,
-    ) -> Self {
-        DetuningWaveform {
-            dt_ns,
-            deltas: currents.iter().map(|&i| current_to_detuning(i)).collect(),
-        }
-    }
-
     /// Total duration in ns.
     pub fn duration_ns(&self) -> f64 {
         self.dt_ns * self.deltas.len() as f64
@@ -485,15 +471,6 @@ mod tests {
         let u3 = p.propagate_with_cache(&wf, &cache);
         assert_eq!(cache.len(), distinct);
         assert_eq!(u1, u3);
-    }
-
-    #[test]
-    fn from_current_samples_applies_flux_map() {
-        let wf = DetuningWaveform::from_current_samples(0.5, &[0.0, 0.6, 1.2], |i| {
-            -1.82 * (i / 1.2) * (i / 1.2)
-        });
-        assert!((wf.deltas[0]).abs() < 1e-12);
-        assert!((wf.deltas[2] + 1.82).abs() < 1e-9);
     }
 
     #[test]

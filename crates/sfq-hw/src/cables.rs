@@ -52,19 +52,6 @@ pub fn cable_count(bits_per_cycle: u64, cycle_ns: f64, spec: &CableSpec) -> u64 
     data + spec.control_lines
 }
 
-/// Aggregate bandwidth (Gbit/s) required for a payload — used to compare
-/// against the *analog* baseline of 2 coax cables per qubit (§VI-A4 quotes
-/// 52.5× fewer cables for DigiQ_min(G=2,BS=2) vs. a microwave system).
-pub fn required_bandwidth_gbps(bits_per_cycle: u64, cycle_ns: f64) -> f64 {
-    bits_per_cycle as f64 / cycle_ns
-}
-
-/// Cable count for a conventional microwave controller: 2 coax lines per
-/// qubit (1 drive + 1 flux, ref [3]).
-pub fn microwave_baseline_cables(n_qubits: u64) -> u64 {
-    2 * n_qubits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +97,12 @@ mod tests {
 
     #[test]
     fn microwave_baseline() {
-        assert_eq!(microwave_baseline_cables(1024), 2048);
-        // The paper's 52.5× claim: 2048 / 39 ≈ 52.5.
+        // A conventional microwave controller runs 2 coax lines per qubit
+        // (1 drive + 1 flux, ref [3]). The paper's 52.5× claim for
+        // DigiQ_min(G=2,BS=2): 2048 / 39 ≈ 52.5.
         let digiq = cable_count(3 * 1024, 9.0, &CableSpec::default());
-        let ratio = microwave_baseline_cables(1024) as f64 / digiq as f64;
+        let ratio = (2 * 1024) as f64 / digiq as f64;
         assert!((45.0..60.0).contains(&ratio), "ratio {ratio:.1}");
-    }
-
-    #[test]
-    fn bandwidth_helper() {
-        assert!((required_bandwidth_gbps(900, 9.0) - 100.0).abs() < 1e-12);
     }
 
     #[test]

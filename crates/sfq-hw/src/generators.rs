@@ -22,20 +22,6 @@
 use crate::cells::CellType;
 use crate::netlist::{Netlist, NodeId};
 
-/// A serial-in/serial-out DRO shift register of `n` bits.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn shift_register(n: usize) -> Netlist {
-    assert!(n > 0, "register needs at least one bit");
-    let mut nl = Netlist::new(format!("shift_register_{n}"));
-    let din = nl.input("din");
-    let out = nl.chain(CellType::DroDff, din, n);
-    nl.mark_output("dout", out);
-    nl
-}
-
 /// A circulating (streaming) register: an `n`-bit chain of master–slave
 /// NDRO pairs (the dual-clock SFQ shift-register architecture of ref
 /// [18]) whose output splits into a read tap and a recirculation path —
@@ -335,16 +321,6 @@ pub fn double_buffer(n: usize) -> Netlist {
 mod tests {
     use super::*;
     use crate::passes::{check_balance, synthesize};
-
-    #[test]
-    fn shift_register_structure() {
-        let nl = shift_register(300);
-        assert!(nl.validate().is_ok());
-        let s = nl.stats();
-        assert_eq!(s.count(CellType::DroDff), 300);
-        assert_eq!(s.inputs, 1);
-        assert_eq!(nl.outputs().len(), 1);
-    }
 
     #[test]
     fn circulating_register_has_feedback() {

@@ -20,7 +20,8 @@
 #                                # --router/--scheduler strategies
 #   scripts/ci.sh --store-smoke  # artifact-store warm start + resume: run
 #                                # sweep --smoke twice with one --cache-dir
-#                                # (second run must report zero pass builds and
+#                                # (first run must report nonzero pass builds,
+#                                # second run zero pass builds and
 #                                # byte-identical JSON), then interrupt a sweep
 #                                # and prove --resume merges byte-identically
 #   scripts/ci.sh --dist-smoke   # distributed sweep: 4 worker processes
@@ -167,21 +168,27 @@ pipeline_smoke() {
 }
 
 # The artifact-store warm-start + resume contract: with a persistent
-# --cache-dir, a second `sweep --smoke` run loads every compiled stage and
-# baseline from disk (zero pass builds, byte-identical JSON — still matching
-# the golden), and an interrupted sweep resumed with --resume merges
-# byte-identically with an uninterrupted run.
+# --cache-dir, a cold `sweep --smoke` run compiles (nonzero pass builds, so
+# the warm gate below cannot pass vacuously), a second run loads every
+# compile and baseline from disk (zero pass builds, byte-identical JSON —
+# still matching the golden), and an interrupted sweep resumed with
+# --resume merges byte-identically with an uninterrupted run.
 store_smoke() {
     echo "==> artifact store smoke: warm start + resume, vs golden"
-    local dir dir2 out1 out2 out3 err2
+    local dir dir2 out1 out2 out3 err1 err2
     dir=$(mktemp -d); dir2=$(mktemp -d)
-    out1=$(mktemp); out2=$(mktemp); out3=$(mktemp); err2=$(mktemp)
+    out1=$(mktemp); out2=$(mktemp); out3=$(mktemp); err1=$(mktemp); err2=$(mktemp)
     cargo run -q --release --offline -p digiq-bench --bin sweep -- \
-        --smoke --cache-dir "$dir" > "$out1" 2>/dev/null
+        --smoke --cache-dir "$dir" > "$out1" 2> "$err1"
     cargo run -q --release --offline -p digiq-bench --bin sweep -- \
         --smoke --cache-dir "$dir" > "$out2" 2> "$err2"
     diff -u tests/golden/engine_smoke.json "$out1"
     diff -u "$out1" "$out2"
+    if ! grep -Eq "pass_builds=[1-9][0-9]* " "$err1"; then
+        echo "cold sweep reported no compile builds:" >&2
+        cat "$err1" >&2
+        exit 1
+    fi
     if ! grep -q "pass_builds=0 " "$err2"; then
         echo "warm-started sweep rebuilt a pipeline stage:" >&2
         cat "$err2" >&2
@@ -192,8 +199,8 @@ store_smoke() {
     cargo run -q --release --offline -p digiq-bench --bin sweep -- \
         --smoke --cache-dir "$dir2" --resume > "$out3" 2>/dev/null
     diff -u "$out1" "$out3"
-    rm -rf "$dir" "$dir2" "$out1" "$out2" "$out3" "$err2"
-    echo "store smoke OK (warm start: zero pass builds; resume: byte-identical)"
+    rm -rf "$dir" "$dir2" "$out1" "$out2" "$out3" "$err1" "$err2"
+    echo "store smoke OK (cold run builds; warm start: zero pass builds; resume: byte-identical)"
 }
 
 # The distributed-sweep contract: N=4 single-thread worker processes
