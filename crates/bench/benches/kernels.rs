@@ -280,22 +280,18 @@ fn bench_compile(h: &mut Bench) {
     // The whole pass pipeline (lower → route → lower_swaps → schedule,
     // post-validated per stage) on the same workload, default vs the
     // alternative strategies.
-    use qcircuit::pipeline::{
-        CompileArtifact, Pipeline, PipelineConfig, RouteStrategy, ScheduleStrategy,
-    };
+    use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
     let logical = qcircuit::bench::ising_chain(64, 2, 0.3, 0.7);
     let mut pipe = |name: &'static str, cfg: PipelineConfig| {
-        let pipeline = Pipeline::standard(&cfg);
         h.bench(name, || {
-            pipeline
-                .run(
-                    CompileArtifact::new(black_box(&logical).clone(), snake.clone()),
-                    &grid,
-                )
-                .unwrap()
-                .0
-                .scheduled()
-                .len()
+            cfg.run(
+                CompileArtifact::new(black_box(&logical).clone(), snake.clone()),
+                &grid,
+            )
+            .unwrap()
+            .0
+            .scheduled()
+            .len()
         });
     };
     pipe("pipeline_default_ising64", PipelineConfig::default());
@@ -314,16 +310,15 @@ fn bench_exec(h: &mut Bench) {
     use digiq_core::design::{ControllerDesign, SystemConfig};
     use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
     use qcircuit::mapping::Layout;
-    use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+    use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
     use qcircuit::topology::Grid;
     let grid = Grid::new(32, 32);
-    let pipeline = Pipeline::standard(&PipelineConfig::default());
     let compiled: Vec<CompileArtifact> = qcircuit::bench::ALL_BENCHMARKS
         .iter()
         .map(|bench| {
             let circuit = bench.paper_scale();
             let layout = Layout::snake(circuit.n_qubits(), &grid);
-            pipeline
+            PipelineConfig::default()
                 .run(CompileArtifact::new(circuit, layout), &grid)
                 .unwrap()
                 .0

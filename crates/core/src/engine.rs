@@ -28,11 +28,10 @@
 //!   (benchmark, scale), compiled [`CompileArtifact`]s as **one entry
 //!   per compile**, keyed by the circuit and layout fingerprints
 //!   ([`Circuit::cache_key`] / `Layout::cache_key`), the grid and the
-//!   pipeline fingerprint, so the shared
-//!   [`qcircuit::pipeline::Pipeline`] runs once per benchmark and every
-//!   design and seed reuses it — sequence databases / length
-//!   distributions per [`MinBasisKind`], Impossible-MIMD baselines, and
-//!   co-simulation reports. With a disk-backed store
+//!   pipeline fingerprint, so [`PipelineConfig::run`] compiles once per
+//!   benchmark and every design and seed reuses it — sequence databases
+//!   / length distributions per [`MinBasisKind`], Impossible-MIMD
+//!   baselines, and co-simulation reports. With a disk-backed store
 //!   ([`StoreConfig::cache_dir`], `--cache-dir`), compiles, baselines
 //!   and co-simulations additionally persist across processes, so a
 //!   second run warm-starts with **zero pass builds**; with
@@ -100,7 +99,7 @@ use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{
-    CompileArtifact, PassMetrics, Pipeline, PipelineConfig, RouteStrategy, ScheduleStrategy,
+    CompileArtifact, PassMetrics, PipelineConfig, RouteStrategy, ScheduleStrategy,
 };
 use qcircuit::topology::Grid;
 use qsim::counters::KernelCounters;
@@ -964,8 +963,9 @@ impl ToJson for PassCacheStats {
 #[derive(Debug)]
 pub struct EvalEngine {
     model: CostModel,
-    /// The unified artifact store (shareable with `DigiqSystem`s via
-    /// [`EvalEngine::store`]; note that sharing also shares counters).
+    /// The unified artifact store (shareable with
+    /// [`DigiqSystem::build_shared`](crate::system::DigiqSystem::build_shared)
+    /// via [`EvalEngine::store`]; note that sharing also shares counters).
     store: Arc<ArtifactStore>,
     /// The accounting of the engine's own session
     /// ([`EvalEngine::root_session`]), cumulative across runs.
@@ -1080,7 +1080,8 @@ impl EvalEngine {
     }
 
     /// Creates an engine over an explicit store — bounded, disk-backed
-    /// ([`StoreConfig`]), or shared with other engines / `DigiqSystem`s.
+    /// ([`StoreConfig`]), or shared with other engines and
+    /// [`DigiqSystem::build_shared`](crate::system::DigiqSystem::build_shared).
     pub fn with_store(model: CostModel, store: Arc<ArtifactStore>) -> Self {
         EvalEngine {
             model,
@@ -1100,12 +1101,6 @@ impl EvalEngine {
         &self.store
     }
 
-    /// The engine's cost model (what
-    /// [`crate::system::DigiqSystem::build_for_engine`] shares).
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Store-wide per-namespace counters (hits, misses, disk hits,
     /// builds, evictions), surfaced beside [`EvalEngine::pass_cache_stats`].
     pub fn store_stats(&self) -> StoreStats {
@@ -1122,10 +1117,10 @@ impl EvalEngine {
     }
 
     /// Compiles `circuit` on `grid` (snake initial layout) through the
-    /// shared [`Pipeline::standard`] for `cfg`, memoized as **one store
-    /// entry** per (circuit, layout, grid, pipeline config): the pipeline
-    /// runs once per benchmark and every design and seed of a sweep
-    /// reuses the result. Charged to the root session.
+    /// pipeline `cfg` selects ([`PipelineConfig::run`]), memoized as
+    /// **one store entry** per (circuit, layout, grid, pipeline config):
+    /// the pipeline runs once per benchmark and every design and seed of
+    /// a sweep reuses the result. Charged to the root session.
     ///
     /// # Panics
     ///
@@ -1435,9 +1430,8 @@ impl EvalSession<'_> {
     }
 
     /// One whole-compile store lookup under `key`: a miss runs the full
-    /// [`Pipeline::standard`] once and folds every pass's metrics into
-    /// this session's build accounting; a hit (coalesced waiters
-    /// included) runs nothing.
+    /// pipeline once and folds every stage's metrics into this session's
+    /// build accounting; a hit (coalesced waiters included) runs nothing.
     fn compiled(
         &self,
         circuit: &Circuit,
@@ -1449,7 +1443,7 @@ impl EvalSession<'_> {
         let mut built = Vec::new();
         let (artifact, missed) = store.fetch_artifact(ns::COMPILE, compile_store_key(key), || {
             let layout = Layout::snake(circuit.n_qubits(), grid);
-            let (out, metrics) = Pipeline::standard(cfg)
+            let (out, metrics) = cfg
                 .run(CompileArtifact::new(circuit.clone(), layout), grid)
                 .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
             built = metrics;

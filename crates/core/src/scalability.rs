@@ -15,7 +15,7 @@ use crate::hardware::build_hardware;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 
-/// The 4 K-stage power budget the paper quotes (ref [7]): 10 W.
+/// The 4 K-stage power budget the paper quotes (ref \[7\]): 10 W.
 pub const POWER_BUDGET_W: f64 = 10.0;
 
 /// One scalability row.

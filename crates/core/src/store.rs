@@ -1369,7 +1369,7 @@ impl Drop for ClaimHeartbeat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::pipeline::{Pipeline, PipelineConfig, RouteStrategy, ScheduleStrategy};
+    use qcircuit::pipeline::{PipelineConfig, RouteStrategy, ScheduleStrategy};
     use qcircuit::topology::Grid;
 
     fn demo_artifact(cfg: &PipelineConfig) -> CompileArtifact {
@@ -1383,7 +1383,7 @@ mod tests {
         c.rz(8, 0.1234567891011);
         c.ry(3, -2.5);
         let art = CompileArtifact::new(c, Layout::snake(9, &grid));
-        Pipeline::standard(cfg).run(art, &grid).unwrap().0
+        cfg.run(art, &grid).unwrap().0
     }
 
     #[test]

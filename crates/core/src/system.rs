@@ -14,7 +14,7 @@ use crate::store::{self, ns, ArtifactStore};
 use calib::min_decomp::{decompose_min, MinBasis, SequenceDb};
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
-use qcircuit::pipeline::{CompileArtifact, PassMetrics, Pipeline, PipelineConfig};
+use qcircuit::pipeline::{CompileArtifact, PassMetrics, PipelineConfig};
 use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
@@ -28,9 +28,10 @@ pub struct DigiqSystem {
     pub grid: Grid,
     /// Synthesized hardware (absent for the Impossible MIMD reference).
     pub hardware: Option<DesignHardware>,
-    /// The shared compile pass pipeline (same [`Pipeline::standard`] the
-    /// evaluation engine runs — the two can never drift).
-    pipeline: Pipeline,
+    /// The compile pipeline selection (run through the same
+    /// [`PipelineConfig::run`] the evaluation engine uses — the two can
+    /// never drift).
+    pipeline: PipelineConfig,
     exec_params: ExecParams,
 }
 
@@ -147,35 +148,19 @@ impl DigiqSystem {
             config,
             grid,
             hardware,
-            pipeline: Pipeline::standard(&pipeline),
+            pipeline,
             exec_params,
         }
     }
 
-    /// [`DigiqSystem::build_shared`] over a live
-    /// [`crate::engine::EvalEngine`]: the system shares the engine's
-    /// cost model and artifact store, so a one-off system build beside
-    /// a long-lived engine (the digiq-serve daemon inspecting a single
-    /// design point) reuses whatever hardware and sequence databases
-    /// the engine's sweeps already built — and seeds them for the
-    /// sweeps that follow.
-    pub fn build_for_engine(
-        engine: &crate::engine::EvalEngine,
-        design: ControllerDesign,
-        groups: usize,
-        pipeline: PipelineConfig,
-    ) -> Self {
-        DigiqSystem::build_shared(design, groups, engine.model(), pipeline, engine.store())
-    }
-
-    /// The compile pass pipeline this system runs.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+    /// The compile pipeline this system runs.
+    pub fn pipeline(&self) -> PipelineConfig {
+        self.pipeline
     }
 
     /// The §VI-B compile pipeline both evaluation modes share — the
-    /// system's [`Pipeline`] (default: lower → route (snake) → lower
-    /// SWAPs → crosstalk-aware schedule, post-validated per pass), plus
+    /// system's [`PipelineConfig`] (default: lower → route (snake) → lower
+    /// SWAPs → crosstalk-aware schedule, post-validated per stage), plus
     /// the checkerboard group map. Returns the final artifact, its
     /// per-pass metrics, and the group map.
     fn compile(&self, circuit: &Circuit) -> (CompileArtifact, Vec<PassMetrics>, Vec<usize>) {
@@ -195,8 +180,8 @@ impl DigiqSystem {
         (artifact, metrics, groups)
     }
 
-    /// Compiles a circuit through the pass pipeline and returns the
-    /// per-pass [`PassMetrics`] (wall time, gate/SWAP/slot deltas).
+    /// Compiles a circuit through the pipeline and returns the
+    /// per-stage [`PassMetrics`] (wall time, gate/SWAP/slot deltas).
     pub fn compile_metrics(&self, circuit: &Circuit) -> Vec<PassMetrics> {
         self.compile(circuit).1
     }
@@ -280,17 +265,9 @@ impl MinBasisKind {
 }
 
 /// Derives an empirical DigiQ_min sequence-length distribution by running
-/// the real meet-in-the-middle search over a stratified target sample on
-/// the ideal basis for the design's `BS`.
-pub fn measured_min_lengths(design: ControllerDesign) -> Vec<usize> {
-    let kind = MinBasisKind::for_design(design);
-    let basis = kind.basis();
-    let db = SequenceDb::build(&basis, kind.half_depth());
-    measured_min_lengths_with_db(&basis, &db)
-}
-
-/// The measurement step of [`measured_min_lengths`], over an
-/// already-built (possibly cached and shared) sequence database.
+/// the real meet-in-the-middle search over a stratified target sample,
+/// against an already-built (possibly cached and shared) sequence
+/// database for `basis`.
 pub fn measured_min_lengths_with_db(basis: &MinBasis, db: &SequenceDb) -> Vec<usize> {
     let targets = crate::error_model::target_sample(24, 0x515E_0001);
     // Paper procedure (§VI-B): "we decompose single-qubit gates until the
@@ -316,6 +293,12 @@ pub fn measured_min_lengths_with_db(basis: &MinBasis, db: &SequenceDb) -> Vec<us
 mod tests {
     use super::*;
 
+    fn measured_min_lengths(design: ControllerDesign) -> Vec<usize> {
+        let kind = MinBasisKind::for_design(design);
+        let basis = kind.basis();
+        measured_min_lengths_with_db(&basis, &SequenceDb::build(&basis, kind.half_depth()))
+    }
+
     #[test]
     fn measured_min_lengths_are_plausible() {
         let l2 = measured_min_lengths(ControllerDesign::DigiqMin { bs: 2 });
@@ -332,24 +315,6 @@ mod tests {
         // Richer basis never lengthens sequences; both can saturate at
         // the 28-depth cap for Haar-random targets.
         assert!(med4 <= med2, "BS=4 median {med4} > BS=2 median {med2}");
-    }
-
-    #[test]
-    fn build_for_engine_shares_the_engine_store() {
-        let engine = crate::engine::EvalEngine::new(CostModel::default());
-        let design = ControllerDesign::DigiqMin { bs: 2 };
-        let _ = DigiqSystem::build_for_engine(&engine, design, 2, PipelineConfig::default());
-        let _ = DigiqSystem::build_for_engine(&engine, design, 2, PipelineConfig::default());
-        // Both systems fetched through the engine's store: the sequence
-        // database and hardware were each built exactly once.
-        let stats = engine.store_stats();
-        for ns_name in [ns::SEQ_DB, ns::HARDWARE] {
-            let s = stats
-                .get(ns_name)
-                .unwrap_or_else(|| panic!("namespace `{ns_name}` populated"));
-            assert_eq!(s.builds, 1, "{ns_name} built more than once");
-            assert!(s.hits >= 1, "{ns_name} second build missed the store");
-        }
     }
 
     #[test]

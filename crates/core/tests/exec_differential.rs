@@ -20,7 +20,7 @@ use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams, 
 use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
 use qcircuit::ir::{Gate, OneQ};
 use qcircuit::mapping::Layout;
-use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
 use qcircuit::topology::Grid;
 use std::sync::OnceLock;
 
@@ -280,7 +280,6 @@ fn compiled(fuse: bool) -> &'static [(Benchmark, CompileArtifact)] {
             fuse,
             ..PipelineConfig::default()
         };
-        let pipeline = Pipeline::standard(&cfg);
         let benches: &[Benchmark] = if FULL {
             &ALL_BENCHMARKS
         } else {
@@ -291,7 +290,7 @@ fn compiled(fuse: bool) -> &'static [(Benchmark, CompileArtifact)] {
             .map(|&bench| {
                 let circuit = bench.paper_scale();
                 let layout = Layout::snake(circuit.n_qubits(), &grid);
-                let (art, _) = pipeline
+                let (art, _) = cfg
                     .run(CompileArtifact::new(circuit, layout), &grid)
                     .expect("paper benchmark compiles");
                 let fused = art.circuit.gates().iter().any(|g| {

@@ -2,12 +2,12 @@
 //!
 //! | Name   | Paper description                                  | Generator |
 //! |--------|-----------------------------------------------------|-----------|
-//! | QGAN   | quantum generative adversarial network [59]         | [`qgan`] |
-//! | Ising  | linear Ising-model spin-chain simulation [60]       | [`ising_chain`] |
-//! | BV     | 1024-bit Bernstein–Vazirani [61]                    | [`bernstein_vazirani`] |
-//! | Add1   | 256-bit ripple-carry adder [62]                     | [`cuccaro_adder`] |
-//! | Add2   | 256-bit parallel carry-lookahead adder [63]         | [`block_lookahead_adder`] |
-//! | Sqrt10 | 10-bit square root via Grover search [64]–[66]      | [`grover_sqrt`] |
+//! | QGAN   | quantum generative adversarial network \[59\]         | [`qgan`] |
+//! | Ising  | linear Ising-model spin-chain simulation \[60\]       | [`ising_chain`] |
+//! | BV     | 1024-bit Bernstein–Vazirani \[61\]                    | [`bernstein_vazirani`] |
+//! | Add1   | 256-bit ripple-carry adder \[62\]                     | [`cuccaro_adder`] |
+//! | Add2   | 256-bit parallel carry-lookahead adder \[63\]         | [`block_lookahead_adder`] |
+//! | Sqrt10 | 10-bit square root via Grover search \[64\]–\[66\]      | [`grover_sqrt`] |
 //!
 //! All circuits are "algorithmically generated" (§VI-B) and validated by
 //! statevector simulation on small instances. `Add2` substitutes a
@@ -169,7 +169,7 @@ pub fn bernstein_vazirani(secret: &[bool]) -> Circuit {
     c
 }
 
-/// Digitized-adiabatic linear Ising chain (ref [60]): `steps` first-order
+/// Digitized-adiabatic linear Ising chain (ref \[60\]): `steps` first-order
 /// Trotter slices of `H = −J·Σ ZᵢZᵢ₊₁ − h·Σ Xᵢ`, with per-slice angles
 /// `theta_zz = 2·J·dt`, `theta_x = 2·h·dt` folded into the two arguments.
 ///
@@ -202,7 +202,7 @@ pub fn ising_chain(n: usize, steps: usize, theta_zz: f64, theta_x: f64) -> Circu
     c
 }
 
-/// Hardware-efficient QGAN ansatz (ref [59]): `layers` of per-qubit
+/// Hardware-efficient QGAN ansatz (ref \[59\]): `layers` of per-qubit
 /// `Ry(θ)·Rz(φ)` rotations (angles drawn from a seeded RNG, as a trained
 /// generator would supply) followed by a brick-work CZ entangler.
 ///
@@ -228,7 +228,7 @@ pub fn qgan(n: usize, layers: usize, seed: u64) -> Circuit {
     c
 }
 
-/// Cuccaro ripple-carry adder (ref [62]) on `n`-bit operands.
+/// Cuccaro ripple-carry adder (ref \[62\]) on `n`-bit operands.
 ///
 /// Qubit layout: `cin` at 0, then interleaved `b_i` (at `1 + 2i`) and
 /// `a_i` (at `2 + 2i`), and `cout` last — `2n + 2` qubits. Computes
@@ -604,7 +604,7 @@ fn append_squarer(c: &mut Circuit, lay: &GroverSqrtLayout, inverse: bool) {
 
 /// Grover search for the square root: finds `x` with `x² = target` in a
 /// `bits`-bit register (the paper's `Sqrt10` with `bits = 10`; refs
-/// [64]–[66]). Uses ⌊π/4·√(2^(bits/2))⌋ iterations of
+/// \[64\]–\[66\]). Uses ⌊π/4·√(2^(bits/2))⌋ iterations of
 /// square → compare-phase-flip → unsquare → diffusion.
 ///
 /// # Panics

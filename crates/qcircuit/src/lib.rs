@@ -3,16 +3,18 @@
 //! The software side of the paper's evaluation pipeline (§VI-B), from
 //! algorithm to hardware-shaped schedule:
 //!
-//! 1. [`bench`] — algorithmically generated benchmark circuits (Table IV:
-//!    QGAN, Ising, BV, two 256-bit adders, Grover square root);
+//! 1. [`bench`](mod@bench) — algorithmically generated benchmark
+//!    circuits (Table IV: QGAN, Ising, BV, two 256-bit adders, Grover
+//!    square root);
 //! 2. [`lower`] — decomposition into the {1q, CZ} hardware set;
 //! 3. [`topology`] / [`mapping`] — the 32×32 grid and stochastic SWAP
 //!    routing;
 //! 4. [`schedule`] — crosstalk-aware (and plain ASAP) grouping of
 //!    commuting CZs;
-//! 5. [`pipeline`] — the unified compiler pass pipeline: the above as
-//!    named, fingerprinted, individually timed [`pipeline::Pass`]es
-//!    with per-pass metrics and pluggable routing/scheduling strategies;
+//! 5. [`pipeline`] — the compile pipeline: the above as one closed
+//!    sequence of named, fingerprinted, individually timed and validated
+//!    stages, with per-stage metrics and the routing/scheduling strategy
+//!    selection of [`PipelineConfig`];
 //! 6. [`ir`] — the gate/circuit types plus a statevector simulator used
 //!    as the correctness oracle for everything above.
 //!
@@ -42,5 +44,5 @@ pub mod schedule;
 pub mod topology;
 
 pub use ir::{Circuit, Gate, OneQ};
-pub use pipeline::{Pipeline, PipelineConfig};
+pub use pipeline::PipelineConfig;
 pub use topology::Grid;

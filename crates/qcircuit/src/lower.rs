@@ -5,7 +5,7 @@
 //!
 //! * `CX(c,t) = H(t)·CZ(c,t)·H(t)`
 //! * `SWAP(a,b) = CX(a,b)·CX(b,a)·CX(a,b)`
-//! * `CCX =` the standard 6-CX + T/T† network (Barenco et al. [23])
+//! * `CCX =` the standard 6-CX + T/T† network (Barenco et al. \[23\])
 //!
 //! Lowering is *semantic-preserving by construction* and verified by
 //! statevector equivalence in the tests.

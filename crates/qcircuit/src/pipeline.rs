@@ -1,49 +1,45 @@
-//! The unified compiler pass pipeline (§VI-B as composable passes).
+//! The compile pipeline (§VI-B): one closed sequence of named,
+//! fingerprinted, individually timed and validated stages.
 //!
 //! Every evaluation mode compiles benchmarks through the same sequence —
-//! lower → route → lower SWAPs → schedule — and this module turns that
-//! sequence into named, fingerprinted, individually timed passes:
+//! `lower → route → lower_swaps [→ fuse] → schedule` — and
+//! [`PipelineConfig`] selects the only variations: routing via
+//! [`RouteStrategy`] (seeded greedy, or the deterministic lookahead-window
+//! router), scheduling via [`ScheduleStrategy`] (crosstalk-aware, or
+//! plain crosstalk-oblivious ASAP), and optional single-qubit run fusion.
+//! [`PipelineConfig::run`] records per-stage [`PassMetrics`] (wall time,
+//! gate/SWAP/slot deltas) on every compile, and
+//! [`PipelineConfig::fingerprint`] chains the stages' fingerprints into
+//! the pipeline part of every compile cache key.
 //!
-//! * [`Pass`] — one rewrite over a [`CompileArtifact`], with a stable
-//!   fingerprint (chained into [`PipelineConfig::fingerprint`], part of
-//!   every compile cache key) and a post-run validation hook;
-//! * [`Pipeline`] — an ordered list of labelled passes, with per-pass
-//!   [`PassMetrics`] (wall time, gate/SWAP/slot deltas) recorded on
-//!   every run;
-//! * [`PipelineConfig`] — the pluggable strategy selection: routing via
-//!   [`RouteStrategy`] (seeded greedy, or the deterministic
-//!   lookahead-window router) and scheduling via [`ScheduleStrategy`]
-//!   (crosstalk-aware, or plain crosstalk-oblivious ASAP), plus optional
-//!   single-qubit run fusion.
-//!
-//! The **default** pipeline is behaviour-identical to the historical
+//! The **default** configuration is behaviour-identical to the historical
 //! inline sequence in `digiq_core::{engine, system}` — same circuits,
-//! same slots, byte-for-byte identical golden reports. The scheduler's
-//! post-validate hook runs [`crate::schedule::validate_schedule`] (full,
-//! including CZ interference, for the crosstalk-aware strategy;
+//! same slots, byte-for-byte identical golden reports. Every stage is
+//! post-validated on every compile, not just under test: lowering and
+//! fusion must leave only {1q, CZ} gates, routing only nearest-neighbour
+//! ones, and scheduling runs [`crate::schedule::validate_schedule`]
+//! (full, including CZ interference, for the crosstalk-aware strategy;
 //! structural only for the deliberately crosstalk-oblivious ASAP
-//! strategy), so every configuration is checked on every compile, not
-//! just under test.
+//! strategy).
 //!
 //! # Examples
 //!
 //! ```
 //! use qcircuit::bench::ising_chain;
 //! use qcircuit::mapping::Layout;
-//! use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+//! use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
 //! use qcircuit::topology::Grid;
 //!
 //! let grid = Grid::new(4, 4);
 //! let circuit = ising_chain(16, 1, 0.3, 0.7);
 //! let art = CompileArtifact::new(circuit, Layout::snake(16, &grid));
-//! let pipeline = Pipeline::standard(&PipelineConfig::default());
-//! let (out, metrics) = pipeline.run(art, &grid).unwrap();
+//! let (out, metrics) = PipelineConfig::default().run(art, &grid).unwrap();
 //! assert_eq!(metrics.len(), 4); // lower, route, lower_swaps, schedule
 //! assert!(!out.scheduled().is_empty());
 //! ```
 
-use crate::ir::Circuit;
-use crate::lower::{fuse_single_qubit_runs, lower_to_cz};
+use crate::ir::{Circuit, Gate};
+use crate::lower::{fuse_single_qubit_runs, is_lowered, lower_to_cz};
 use crate::mapping::{route_lookahead_with, route_with, Layout, RouteWorkspace, RouterConfig};
 use crate::schedule::{
     schedule_asap, schedule_crosstalk_aware_with, validate_schedule_structural_with,
@@ -52,52 +48,40 @@ use crate::schedule::{
 use crate::topology::Grid;
 use qsim::rng::StableHasher;
 
-/// Reusable scratch shared by every pass of a pipeline run: the router's
+/// Reusable scratch shared by every stage of a compile: the router's
 /// trial layout and candidate buffers, the scheduler's moment layering
 /// and colour-group pool, and the validator's stamp tables. A warm
-/// workspace makes a full [`Pipeline::standard`] compile allocate only
-/// its materialized outputs (routed circuit, final layout, slot list).
-///
-/// [`Pipeline::run`] keeps one per thread; [`Pipeline::run_with`] takes
-/// an explicit one for callers that manage their own reuse.
+/// workspace makes a full compile allocate only its materialized outputs
+/// (routed circuit, final layout, slot list). [`PipelineConfig::run`]
+/// keeps one per thread.
 #[derive(Debug, Default)]
-pub struct CompileWorkspace {
-    /// Router scratch ([`route_with`] / [`route_lookahead_with`]).
-    pub route: RouteWorkspace,
-    /// Scheduler scratch ([`schedule_crosstalk_aware_with`]).
-    pub schedule: ScheduleWorkspace,
-    /// Validator scratch ([`validate_schedule_with`]).
-    pub validate: ValidateWorkspace,
-}
-
-impl CompileWorkspace {
-    /// A fresh, empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
+struct CompileWorkspace {
+    route: RouteWorkspace,
+    schedule: ScheduleWorkspace,
+    validate: ValidateWorkspace,
 }
 
 thread_local! {
     static COMPILE_WS: std::cell::RefCell<CompileWorkspace> =
-        std::cell::RefCell::new(CompileWorkspace::new());
+        std::cell::RefCell::default();
 }
 
-/// The artifact a pipeline threads through its passes: the circuit in its
-/// current form plus everything routing and scheduling accumulate.
+/// The artifact the pipeline threads through its stages: the circuit in
+/// its current form plus everything routing and scheduling accumulate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileArtifact {
     /// The circuit in its current (possibly physical) form.
     pub circuit: Circuit,
     /// Gate count of the original logical input.
     pub logical_gates: usize,
-    /// Cumulative SWAPs inserted by routing passes.
+    /// Cumulative SWAPs inserted by routing.
     pub swaps: usize,
     /// The layout routing starts from.
     pub initial_layout: Layout,
     /// The layout after the last routed gate (equals `initial_layout`
-    /// until a routing pass runs).
+    /// until the routing stage runs).
     pub final_layout: Layout,
-    /// Schedule slots, present once a scheduling pass has run.
+    /// Schedule slots, present once the scheduling stage has run.
     pub slots: Option<Vec<Slot>>,
 }
 
@@ -114,15 +98,15 @@ impl CompileArtifact {
         }
     }
 
-    /// The schedule produced by the pipeline's scheduling pass.
+    /// The schedule produced by the pipeline's scheduling stage.
     ///
     /// # Panics
     ///
-    /// Panics if no scheduling pass has run yet.
+    /// Panics if the scheduling stage has not run yet.
     pub fn scheduled(&self) -> &[Slot] {
         self.slots
             .as_deref()
-            .expect("artifact has no schedule — run a scheduling pass first")
+            .expect("artifact has no schedule — run the scheduling stage first")
     }
 }
 
@@ -140,131 +124,18 @@ fn pass_fingerprint(name: &str, params: &[u64]) -> u64 {
     h.finish()
 }
 
-/// One compiler pass: a named, fingerprinted rewrite of a
-/// [`CompileArtifact`] with an optional post-run validation hook.
-pub trait Pass: Send + Sync {
-    /// Short machine-readable pass name (`lower`, `route`, …).
-    fn name(&self) -> &'static str;
-
-    /// Stable fingerprint of the pass identity *and* its configuration —
-    /// identical across processes and toolchains, distinct for distinct
-    /// strategies or parameters. [`PipelineConfig::fingerprint`] chains these.
-    fn fingerprint(&self) -> u64;
-
-    /// Applies the rewrite. `ws` is the run's shared scratch; passes may
-    /// freely clobber the sub-workspaces they use.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of why the pass cannot apply.
-    fn run(
-        &self,
-        artifact: &mut CompileArtifact,
-        grid: &Grid,
-        ws: &mut CompileWorkspace,
-    ) -> Result<(), String>;
-
-    /// Checks the pass's own output contract (the pipeline calls this
-    /// after every [`Pass::run`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    fn post_validate(
-        &self,
-        _artifact: &CompileArtifact,
-        _grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// Lowers the artifact's circuit to the {1q, CZ} hardware set.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LowerPass;
-
-impl Pass for LowerPass {
-    fn name(&self) -> &'static str {
-        "lower"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        pass_fingerprint("lower", &[1])
-    }
-
-    fn run(
-        &self,
-        artifact: &mut CompileArtifact,
-        _grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        artifact.circuit = lower_to_cz(&artifact.circuit);
-        Ok(())
-    }
-
-    fn post_validate(
-        &self,
-        artifact: &CompileArtifact,
-        _grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        if crate::lower::is_lowered(&artifact.circuit) {
-            Ok(())
-        } else {
-            Err("lower pass left non-{1q, CZ} gates behind".to_string())
-        }
-    }
-}
-
-/// Fuses runs of adjacent single-qubit gates into one `U(θ,φ,λ)` per run
-/// (the per-cycle unit DigiQ executes). Off in the default pipeline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FusePass;
-
-impl Pass for FusePass {
-    fn name(&self) -> &'static str {
-        "fuse"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        pass_fingerprint("fuse", &[1])
-    }
-
-    fn run(
-        &self,
-        artifact: &mut CompileArtifact,
-        _grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        artifact.circuit = fuse_single_qubit_runs(&artifact.circuit);
-        Ok(())
-    }
-
-    fn post_validate(
-        &self,
-        artifact: &CompileArtifact,
-        _grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        if crate::lower::is_lowered(&artifact.circuit) {
-            Ok(())
-        } else {
-            Err("fuse pass left non-{1q, CZ} gates behind".to_string())
-        }
-    }
-}
-
-/// SWAP-insertion strategy of the routing pass.
+/// SWAP-insertion strategy of the routing stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteStrategy {
-    /// The seeded stochastic greedy router ([`route`]): strictly
-    /// distance-reducing swaps, random tie-breaking, best of
-    /// [`RouterConfig::trials`] attempts. The paper-default strategy.
+    /// The seeded stochastic greedy router
+    /// ([`route`](crate::mapping::route)): strictly distance-reducing
+    /// swaps, random tie-breaking, best of [`RouterConfig::trials`]
+    /// attempts. The paper-default strategy.
     Greedy,
     /// The deterministic lookahead-window router
-    /// ([`route_lookahead`]): one attempt, no randomness, candidates
-    /// scored over the next `window` two-qubit gates.
+    /// ([`route_lookahead`](crate::mapping::route_lookahead)): one
+    /// attempt, no randomness, candidates scored over the next `window`
+    /// two-qubit gates.
     Lookahead {
         /// How many upcoming 2q gates contribute to the score.
         window: usize,
@@ -301,102 +172,18 @@ impl RouteStrategy {
     }
 }
 
-/// Routes the artifact onto the grid from its initial layout, recording
-/// inserted SWAPs and the final layout.
-#[derive(Debug, Clone, Copy)]
-pub struct RoutePass {
-    /// Which SWAP-selection strategy to run.
-    pub strategy: RouteStrategy,
-}
-
-impl Pass for RoutePass {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let cfg = RouterConfig::default();
-        match self.strategy {
-            RouteStrategy::Greedy => pass_fingerprint(
-                "route/greedy",
-                &[
-                    cfg.seed,
-                    cfg.trials as u64,
-                    cfg.lookahead as u64,
-                    cfg.lookahead_weight.to_bits(),
-                ],
-            ),
-            RouteStrategy::Lookahead { window } => {
-                pass_fingerprint("route/lookahead", &[window as u64])
-            }
-        }
-    }
-
-    fn run(
-        &self,
-        artifact: &mut CompileArtifact,
-        grid: &Grid,
-        ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        if artifact.circuit.n_qubits() > grid.n_qubits() {
-            return Err(format!(
-                "circuit needs {} qubits but the grid has {}",
-                artifact.circuit.n_qubits(),
-                grid.n_qubits()
-            ));
-        }
-        let routed = match self.strategy {
-            RouteStrategy::Greedy => route_with(
-                &mut ws.route,
-                &artifact.circuit,
-                grid,
-                &artifact.initial_layout,
-                &RouterConfig::default(),
-            ),
-            RouteStrategy::Lookahead { window } => route_lookahead_with(
-                &mut ws.route,
-                &artifact.circuit,
-                grid,
-                &artifact.initial_layout,
-                window,
-            ),
-        };
-        artifact.swaps += routed.swap_count;
-        artifact.final_layout = routed.final_layout;
-        artifact.circuit = routed.circuit;
-        Ok(())
-    }
-
-    fn post_validate(
-        &self,
-        artifact: &CompileArtifact,
-        grid: &Grid,
-        _ws: &mut CompileWorkspace,
-    ) -> Result<(), String> {
-        let compliant = artifact.circuit.gates().iter().all(|g| match *g {
-            crate::ir::Gate::OneQ { .. } => true,
-            crate::ir::Gate::Cz { a, b } | crate::ir::Gate::Swap { a, b } => {
-                grid.are_adjacent(a, b)
-            }
-            _ => false,
-        });
-        if compliant {
-            Ok(())
-        } else {
-            Err("routed circuit contains a non-nearest-neighbour gate".to_string())
-        }
-    }
-}
-
-/// Slot-grouping strategy of the scheduling pass.
+/// Slot-grouping strategy of the scheduling stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleStrategy {
-    /// Crosstalk-aware grouping ([`schedule_crosstalk_aware`]): CZs in a
-    /// slot are pairwise non-interfering. The paper-default strategy.
+    /// Crosstalk-aware grouping
+    /// ([`schedule_crosstalk_aware`](crate::schedule::schedule_crosstalk_aware)):
+    /// CZs in a slot are pairwise non-interfering. The paper-default
+    /// strategy.
     CrosstalkAware,
     /// Plain ASAP moments ([`schedule_asap`]): crosstalk-oblivious — its
     /// slots may contain interfering CZ pairs (rejected by the full
-    /// [`validate_schedule`], see the strategy-discrimination tests).
+    /// [`validate_schedule`](crate::schedule::validate_schedule), see the
+    /// strategy-discrimination tests).
     Asap,
 }
 
@@ -425,76 +212,207 @@ impl ScheduleStrategy {
     }
 }
 
-/// Schedules the artifact into slots; post-validation runs the schedule
-/// validator appropriate to the strategy's contract.
+/// One stage of the pipeline. Labels disambiguate the repeated lowering
+/// (`lower`, `lower_swaps`); both hash as the same `lower` pass.
 #[derive(Debug, Clone, Copy)]
-pub struct SchedulePass {
-    /// Which grouping strategy to run.
-    pub strategy: ScheduleStrategy,
+enum Stage {
+    /// Lowers the circuit to the {1q, CZ} hardware set.
+    Lower,
+    /// Routes the circuit onto the grid from its initial layout,
+    /// recording inserted SWAPs and the final layout.
+    Route(RouteStrategy),
+    /// Lowers the SWAPs routing inserted.
+    LowerSwaps,
+    /// Fuses runs of adjacent single-qubit gates into one `U(θ,φ,λ)` per
+    /// run (the per-cycle unit DigiQ executes).
+    Fuse,
+    /// Groups the circuit into slots.
+    Schedule(ScheduleStrategy),
 }
 
-impl Pass for SchedulePass {
-    fn name(&self) -> &'static str {
-        "schedule"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        match self.strategy {
-            ScheduleStrategy::CrosstalkAware => pass_fingerprint("schedule/crosstalk", &[1]),
-            ScheduleStrategy::Asap => pass_fingerprint("schedule/asap", &[1]),
+impl Stage {
+    /// Display / metrics label (perfbench's `qcircuit.pass.*` spans).
+    fn label(self) -> &'static str {
+        match self {
+            Stage::Lower => "lower",
+            Stage::Route(_) => "route",
+            Stage::LowerSwaps => "lower_swaps",
+            Stage::Fuse => "fuse",
+            Stage::Schedule(_) => "schedule",
         }
     }
 
+    /// Stable fingerprint of the stage's rewrite *and* its configuration —
+    /// identical across processes and toolchains, distinct for distinct
+    /// strategies or parameters.
+    fn fingerprint(self) -> u64 {
+        match self {
+            Stage::Lower | Stage::LowerSwaps => pass_fingerprint("lower", &[1]),
+            Stage::Route(RouteStrategy::Greedy) => {
+                let cfg = RouterConfig::default();
+                pass_fingerprint(
+                    "route/greedy",
+                    &[
+                        cfg.seed,
+                        cfg.trials as u64,
+                        cfg.lookahead as u64,
+                        cfg.lookahead_weight.to_bits(),
+                    ],
+                )
+            }
+            Stage::Route(RouteStrategy::Lookahead { window }) => {
+                pass_fingerprint("route/lookahead", &[window as u64])
+            }
+            Stage::Fuse => pass_fingerprint("fuse", &[1]),
+            Stage::Schedule(ScheduleStrategy::CrosstalkAware) => {
+                pass_fingerprint("schedule/crosstalk", &[1])
+            }
+            Stage::Schedule(ScheduleStrategy::Asap) => pass_fingerprint("schedule/asap", &[1]),
+        }
+    }
+
+    /// Applies the rewrite.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the stage cannot apply, prefixed with its label.
     fn run(
-        &self,
+        self,
         artifact: &mut CompileArtifact,
         grid: &Grid,
         ws: &mut CompileWorkspace,
     ) -> Result<(), String> {
-        artifact.slots = Some(match self.strategy {
-            ScheduleStrategy::CrosstalkAware => {
-                schedule_crosstalk_aware_with(&mut ws.schedule, &artifact.circuit, grid)
+        match self {
+            Stage::Lower | Stage::LowerSwaps => artifact.circuit = lower_to_cz(&artifact.circuit),
+            Stage::Fuse => artifact.circuit = fuse_single_qubit_runs(&artifact.circuit),
+            Stage::Route(strategy) => {
+                if artifact.circuit.n_qubits() > grid.n_qubits() {
+                    return Err(format!(
+                        "pass `{}` failed: circuit needs {} qubits but the grid has {}",
+                        self.label(),
+                        artifact.circuit.n_qubits(),
+                        grid.n_qubits()
+                    ));
+                }
+                let routed = match strategy {
+                    RouteStrategy::Greedy => route_with(
+                        &mut ws.route,
+                        &artifact.circuit,
+                        grid,
+                        &artifact.initial_layout,
+                        &RouterConfig::default(),
+                    ),
+                    RouteStrategy::Lookahead { window } => route_lookahead_with(
+                        &mut ws.route,
+                        &artifact.circuit,
+                        grid,
+                        &artifact.initial_layout,
+                        window,
+                    ),
+                };
+                artifact.swaps += routed.swap_count;
+                artifact.final_layout = routed.final_layout;
+                artifact.circuit = routed.circuit;
             }
-            ScheduleStrategy::Asap => schedule_asap(&artifact.circuit),
-        });
+            Stage::Schedule(strategy) => {
+                artifact.slots = Some(match strategy {
+                    ScheduleStrategy::CrosstalkAware => {
+                        schedule_crosstalk_aware_with(&mut ws.schedule, &artifact.circuit, grid)
+                    }
+                    ScheduleStrategy::Asap => schedule_asap(&artifact.circuit),
+                });
+            }
+        }
         Ok(())
     }
 
-    /// The crosstalk-aware strategy promises interference-free slots and
-    /// is held to the full [`crate::schedule::validate_schedule`]; the
-    /// ASAP strategy is crosstalk-oblivious by contract, so it is checked
-    /// structurally (every gate once, disjoint qubits, program order)
-    /// only.
+    /// Checks the stage's output contract. The crosstalk-aware scheduler
+    /// promises interference-free slots and is held to the full schedule
+    /// validator; the ASAP scheduler is crosstalk-oblivious by contract,
+    /// so it is checked structurally (every gate once, disjoint qubits,
+    /// program order) only.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant, prefixed with the label.
     fn post_validate(
-        &self,
+        self,
         artifact: &CompileArtifact,
         grid: &Grid,
         ws: &mut CompileWorkspace,
     ) -> Result<(), String> {
-        let slots = artifact
-            .slots
-            .as_deref()
-            .ok_or("scheduling pass produced no slots")?;
-        match self.strategy {
-            ScheduleStrategy::CrosstalkAware => {
-                validate_schedule_with(&mut ws.validate, &artifact.circuit, grid, slots)
+        let checked = match self {
+            Stage::Lower | Stage::LowerSwaps | Stage::Fuse => {
+                if is_lowered(&artifact.circuit) {
+                    Ok(())
+                } else {
+                    Err("stage left non-{1q, CZ} gates behind".to_string())
+                }
             }
-            ScheduleStrategy::Asap => {
-                validate_schedule_structural_with(&mut ws.validate, &artifact.circuit, slots)
+            Stage::Route(_) => {
+                let compliant = artifact.circuit.gates().iter().all(|g| match *g {
+                    Gate::OneQ { .. } => true,
+                    Gate::Cz { a, b } | Gate::Swap { a, b } => grid.are_adjacent(a, b),
+                    _ => false,
+                });
+                if compliant {
+                    Ok(())
+                } else {
+                    Err("routed circuit contains a non-nearest-neighbour gate".to_string())
+                }
             }
-        }
+            Stage::Schedule(strategy) => match (artifact.slots.as_deref(), strategy) {
+                (None, _) => Err("scheduling stage produced no slots".to_string()),
+                (Some(slots), ScheduleStrategy::CrosstalkAware) => {
+                    validate_schedule_with(&mut ws.validate, &artifact.circuit, grid, slots)
+                }
+                (Some(slots), ScheduleStrategy::Asap) => {
+                    validate_schedule_structural_with(&mut ws.validate, &artifact.circuit, slots)
+                }
+            },
+        };
+        checked.map_err(|e| format!("pass `{}` post-validation failed: {e}", self.label()))
     }
 }
 
-/// Strategy selection for the standard pipeline, carried by sweep specs
-/// and CLI flags.
+/// Per-stage accounting of one pipeline run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PassMetrics {
+    /// Stage label.
+    pub pass: String,
+    /// Wall-clock spent applying the stage (excludes validation),
+    /// nanoseconds.
+    pub wall_ns: f64,
+    /// Gate count entering the stage.
+    pub gates_before: usize,
+    /// Gate count leaving the stage.
+    pub gates_after: usize,
+    /// Cumulative SWAPs entering the stage.
+    pub swaps_before: usize,
+    /// Cumulative SWAPs leaving the stage.
+    pub swaps_after: usize,
+    /// Slot count entering the stage (`None` before the scheduler).
+    pub slots_before: Option<usize>,
+    /// Slot count leaving the stage.
+    pub slots_after: Option<usize>,
+}
+
+impl PassMetrics {
+    /// SWAPs this stage inserted.
+    pub fn swap_delta(&self) -> usize {
+        self.swaps_after - self.swaps_before
+    }
+}
+
+/// Strategy selection for the pipeline, carried by sweep specs and CLI
+/// flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Routing strategy.
     pub router: RouteStrategy,
     /// Scheduling strategy.
     pub scheduler: ScheduleStrategy,
-    /// Insert a single-qubit fusion pass between SWAP lowering and
+    /// Insert a single-qubit fusion stage between SWAP lowering and
     /// scheduling.
     pub fuse: bool,
 }
@@ -527,225 +445,78 @@ impl PipelineConfig {
         self
     }
 
-    /// Enables the fusion pass.
+    /// Enables the fusion stage.
     #[must_use]
     pub fn with_fuse(mut self) -> Self {
         self.fuse = true;
         self
     }
 
-    /// Stable fingerprint of the whole configuration — the chain of its
-    /// passes' fingerprints (used in compile cache keys).
-    pub fn fingerprint(&self) -> u64 {
-        let pipeline = Pipeline::standard(self);
-        let mut h = StableHasher::new();
-        for stage in pipeline.stages() {
-            h.write_u64(stage.pass().fingerprint());
-        }
-        h.finish()
-    }
-}
-
-/// One labelled position in a pipeline. Labels disambiguate repeated
-/// passes (the standard pipeline lowers twice: `lower`, `lower_swaps`).
-pub struct Stage {
-    label: String,
-    pass: Box<dyn Pass>,
-}
-
-impl Stage {
-    /// Creates a labelled stage.
-    pub fn new(label: impl Into<String>, pass: Box<dyn Pass>) -> Self {
-        Stage {
-            label: label.into(),
-            pass,
-        }
-    }
-
-    /// The stage's display / metrics label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The wrapped pass.
-    pub fn pass(&self) -> &dyn Pass {
-        &*self.pass
-    }
-
-    /// Runs the pass and its post-validation, timing the run and
-    /// recording gate/SWAP/slot deltas.
-    ///
-    /// # Errors
-    ///
-    /// Returns the pass's own error or the first post-validation
-    /// violation, prefixed with the stage label.
-    pub fn run_timed(
-        &self,
-        artifact: &mut CompileArtifact,
-        grid: &Grid,
-        ws: &mut CompileWorkspace,
-    ) -> Result<PassMetrics, String> {
-        let gates_before = artifact.circuit.len();
-        let swaps_before = artifact.swaps;
-        let slots_before = artifact.slots.as_ref().map(Vec::len);
-        let t0 = std::time::Instant::now();
-        self.pass
-            .run(artifact, grid, ws)
-            .map_err(|e| format!("pass `{}` failed: {e}", self.label))?;
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        self.pass
-            .post_validate(artifact, grid, ws)
-            .map_err(|e| format!("pass `{}` post-validation failed: {e}", self.label))?;
-        Ok(PassMetrics {
-            pass: self.label.clone(),
-            wall_ns,
-            gates_before,
-            gates_after: artifact.circuit.len(),
-            swaps_before,
-            swaps_after: artifact.swaps,
-            slots_before,
-            slots_after: artifact.slots.as_ref().map(Vec::len),
-        })
-    }
-}
-
-impl std::fmt::Debug for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Stage({})", self.label)
-    }
-}
-
-/// Per-pass accounting of one pipeline run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PassMetrics {
-    /// Stage label.
-    pub pass: String,
-    /// Wall-clock spent in [`Pass::run`] (excludes validation),
-    /// nanoseconds.
-    pub wall_ns: f64,
-    /// Gate count entering the pass.
-    pub gates_before: usize,
-    /// Gate count leaving the pass.
-    pub gates_after: usize,
-    /// Cumulative SWAPs entering the pass.
-    pub swaps_before: usize,
-    /// Cumulative SWAPs leaving the pass.
-    pub swaps_after: usize,
-    /// Slot count entering the pass (`None` before any scheduler).
-    pub slots_before: Option<usize>,
-    /// Slot count leaving the pass.
-    pub slots_after: Option<usize>,
-}
-
-impl PassMetrics {
-    /// Signed gate-count delta of the pass.
-    pub fn gate_delta(&self) -> i64 {
-        self.gates_after as i64 - self.gates_before as i64
-    }
-
-    /// SWAPs this pass inserted.
-    pub fn swap_delta(&self) -> usize {
-        self.swaps_after - self.swaps_before
-    }
-}
-
-/// An ordered, labelled pass sequence over one [`CompileArtifact`].
-#[derive(Debug)]
-pub struct Pipeline {
-    stages: Vec<Stage>,
-}
-
-impl Pipeline {
-    /// Composes a pipeline from labelled stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty stage list or duplicate labels (labels key
-    /// per-pass metrics).
-    pub fn new(stages: Vec<Stage>) -> Self {
-        assert!(!stages.is_empty(), "a pipeline needs at least one stage");
-        for i in 1..stages.len() {
-            assert!(
-                stages[..i].iter().all(|s| s.label != stages[i].label),
-                "duplicate stage label `{}`",
-                stages[i].label
-            );
-        }
-        Pipeline { stages }
-    }
-
-    /// The standard §VI-B pipeline for a strategy selection:
+    /// The stages, in execution order:
     /// `lower → route → lower_swaps [→ fuse] → schedule`.
-    pub fn standard(cfg: &PipelineConfig) -> Self {
-        let mut stages = vec![
-            Stage::new("lower", Box::new(LowerPass) as Box<dyn Pass>),
-            Stage::new(
-                "route",
-                Box::new(RoutePass {
-                    strategy: cfg.router,
-                }),
-            ),
-            Stage::new("lower_swaps", Box::new(LowerPass)),
-        ];
-        if cfg.fuse {
-            stages.push(Stage::new("fuse", Box::new(FusePass)));
-        }
-        stages.push(Stage::new(
-            "schedule",
-            Box::new(SchedulePass {
-                strategy: cfg.scheduler,
-            }),
-        ));
-        Pipeline::new(stages)
-    }
-
-    /// The stages, in execution order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
+    fn stages(&self) -> impl Iterator<Item = Stage> {
+        [
+            Some(Stage::Lower),
+            Some(Stage::Route(self.router)),
+            Some(Stage::LowerSwaps),
+            self.fuse.then_some(Stage::Fuse),
+            Some(Stage::Schedule(self.scheduler)),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Stage labels, in execution order.
-    pub fn stage_labels(&self) -> Vec<&str> {
-        self.stages.iter().map(Stage::label).collect()
+    pub fn stage_labels(&self) -> Vec<&'static str> {
+        self.stages().map(Stage::label).collect()
+    }
+
+    /// Stable fingerprint of the whole configuration — the chain of its
+    /// stages' fingerprints (used in compile cache keys).
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = StableHasher::new();
+        for stage in self.stages() {
+            h.write_u64(stage.fingerprint());
+        }
+        h.finish()
     }
 
     /// Runs every stage in order, validating after each, and returns the
-    /// final artifact with per-pass metrics. Uses a per-thread
-    /// [`CompileWorkspace`], so repeated compiles on one thread reuse
-    /// every pass's scratch buffers.
+    /// final artifact with per-stage metrics. Repeated compiles on one
+    /// thread reuse every stage's scratch buffers.
     ///
     /// # Errors
     ///
-    /// Returns the first pass failure or post-validation violation.
+    /// Returns the first stage failure or post-validation violation.
     pub fn run(
-        &self,
-        artifact: CompileArtifact,
-        grid: &Grid,
-    ) -> Result<(CompileArtifact, Vec<PassMetrics>), String> {
-        COMPILE_WS.with(|ws| match ws.try_borrow_mut() {
-            Ok(mut ws) => self.run_with(artifact, grid, &mut ws),
-            // Re-entrant compile (a pass itself compiling): fall back to
-            // a fresh workspace rather than aliasing the caller's.
-            Err(_) => self.run_with(artifact, grid, &mut CompileWorkspace::new()),
-        })
-    }
-
-    /// [`Pipeline::run`] with an explicit workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pass failure or post-validation violation.
-    pub fn run_with(
         &self,
         mut artifact: CompileArtifact,
         grid: &Grid,
-        ws: &mut CompileWorkspace,
     ) -> Result<(CompileArtifact, Vec<PassMetrics>), String> {
-        let mut metrics = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            metrics.push(stage.run_timed(&mut artifact, grid, ws)?);
-        }
-        Ok((artifact, metrics))
+        COMPILE_WS.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            let mut metrics = Vec::with_capacity(5);
+            for stage in self.stages() {
+                let gates_before = artifact.circuit.len();
+                let swaps_before = artifact.swaps;
+                let slots_before = artifact.slots.as_ref().map(Vec::len);
+                let t0 = std::time::Instant::now();
+                stage.run(&mut artifact, grid, ws)?;
+                let wall_ns = t0.elapsed().as_nanos() as f64;
+                stage.post_validate(&artifact, grid, ws)?;
+                metrics.push(PassMetrics {
+                    pass: stage.label().to_string(),
+                    wall_ns,
+                    gates_before,
+                    gates_after: artifact.circuit.len(),
+                    swaps_before,
+                    swaps_after: artifact.swaps,
+                    slots_before,
+                    slots_after: artifact.slots.as_ref().map(Vec::len),
+                });
+            }
+            Ok((artifact, metrics))
+        })
     }
 }
 
@@ -779,8 +550,7 @@ mod tests {
         let slots = schedule_crosstalk_aware(&physical, &grid);
 
         let art = CompileArtifact::new(c.clone(), layout);
-        let pipeline = Pipeline::standard(&PipelineConfig::default());
-        let (out, metrics) = pipeline.run(art, &grid).unwrap();
+        let (out, metrics) = PipelineConfig::default().run(art, &grid).unwrap();
 
         assert_eq!(out.circuit, physical);
         assert_eq!(out.scheduled(), &slots[..]);
@@ -797,8 +567,7 @@ mod tests {
         let grid = Grid::new(3, 3);
         let c = demo_circuit();
         let art = CompileArtifact::new(c, Layout::snake(9, &grid));
-        let pipeline = Pipeline::standard(&PipelineConfig::default());
-        let (out, metrics) = pipeline.run(art, &grid).unwrap();
+        let (out, metrics) = PipelineConfig::default().run(art, &grid).unwrap();
 
         let route_m = &metrics[1];
         assert_eq!(route_m.pass, "route");
@@ -813,15 +582,27 @@ mod tests {
 
     #[test]
     fn config_fingerprints_are_distinct_and_stable() {
+        // The literal values name every `compile/` file in a cache dir:
+        // a moved value silently orphans every persisted compile.
         let mut fps: Vec<u64> = Vec::new();
-        for cfg in [
-            PipelineConfig::default(),
-            PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap),
-            PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 16 }),
-            PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 4 }),
-            PipelineConfig::default().with_fuse(),
+        for (cfg, pinned) in [
+            (PipelineConfig::default(), 0xfee4_3270_0b31_2a43),
+            (
+                PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap),
+                0xc7c2_9320_ccb5_04c0,
+            ),
+            (
+                PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 16 }),
+                0x6042_4a8e_ed50_f225,
+            ),
+            (
+                PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 4 }),
+                0xd94e_b521_b085_c294,
+            ),
+            (PipelineConfig::default().with_fuse(), 0xb955_5daf_f280_29d2),
         ] {
             assert_eq!(cfg.fingerprint(), cfg.fingerprint());
+            assert_eq!(cfg.fingerprint(), pinned, "{cfg:?}");
             fps.push(cfg.fingerprint());
         }
         fps.sort_unstable();
@@ -834,11 +615,12 @@ mod tests {
         let grid = Grid::new(4, 4);
         let c = bench::qgan(16, 2, 3);
         let layout = Layout::snake(16, &grid);
-        let plain = Pipeline::standard(&PipelineConfig::default())
+        let plain = PipelineConfig::default()
             .run(CompileArtifact::new(c.clone(), layout.clone()), &grid)
             .unwrap()
             .0;
-        let fused = Pipeline::standard(&PipelineConfig::default().with_fuse())
+        let fused = PipelineConfig::default()
+            .with_fuse()
             .run(CompileArtifact::new(c, layout), &grid)
             .unwrap()
             .0;
@@ -855,9 +637,10 @@ mod tests {
         c.cz(0, 1);
         c.cz(2, 3);
         let art = CompileArtifact::new(c, Layout::identity(16, 16));
-        let pipeline =
-            Pipeline::standard(&PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap));
-        let (out, _) = pipeline.run(art, &grid).unwrap();
+        let (out, _) = PipelineConfig::default()
+            .with_scheduler(ScheduleStrategy::Asap)
+            .run(art, &grid)
+            .unwrap();
         assert_eq!(out.scheduled().len(), 1, "ASAP packs one moment");
         assert!(validate_schedule(&out.circuit, &grid, out.scheduled()).is_err());
     }
@@ -871,13 +654,12 @@ mod tests {
         }
         let cfg = PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 8 });
         let run = |cfg: &PipelineConfig| {
-            Pipeline::standard(cfg)
-                .run(
-                    CompileArtifact::new(c.clone(), Layout::identity(16, 16)),
-                    &grid,
-                )
-                .unwrap()
-                .0
+            cfg.run(
+                CompileArtifact::new(c.clone(), Layout::identity(16, 16)),
+                &grid,
+            )
+            .unwrap()
+            .0
         };
         let a = run(&cfg);
         let b = run(&cfg);
@@ -889,55 +671,37 @@ mod tests {
 
     #[test]
     fn pipeline_surfaces_post_validation_failures() {
-        /// A deliberately broken scheduler: every gate lands in one slot.
-        struct BrokenSchedule;
-        impl Pass for BrokenSchedule {
-            fn name(&self) -> &'static str {
-                "broken"
-            }
-            fn fingerprint(&self) -> u64 {
-                pass_fingerprint("broken", &[])
-            }
-            fn run(
-                &self,
-                artifact: &mut CompileArtifact,
-                _grid: &Grid,
-                _ws: &mut CompileWorkspace,
-            ) -> Result<(), String> {
-                artifact.slots = Some(vec![(0..artifact.circuit.len()).collect()]);
-                Ok(())
-            }
-            fn post_validate(
-                &self,
-                artifact: &CompileArtifact,
-                _grid: &Grid,
-                ws: &mut CompileWorkspace,
-            ) -> Result<(), String> {
-                validate_schedule_structural_with(
-                    &mut ws.validate,
-                    &artifact.circuit,
-                    artifact.scheduled(),
-                )
-            }
-        }
-
         let grid = Grid::new(2, 2);
+        let ws = &mut CompileWorkspace::default();
+        let validate = |stage: Stage, art: &CompileArtifact, ws: &mut CompileWorkspace| {
+            let err = stage.post_validate(art, &grid, ws).unwrap_err();
+            let prefix = format!("pass `{}` post-validation failed: ", stage.label());
+            assert!(err.starts_with(&prefix), "{err}");
+        };
+
+        // Every gate in one slot: the H and the CZ share qubit 0.
         let mut c = Circuit::new(4);
         c.h(0);
-        c.cz(0, 1); // shares qubit 0 with the H in the same slot
-        let art = CompileArtifact::new(c, Layout::identity(4, 4));
-        let pipeline = Pipeline::new(vec![Stage::new("broken", Box::new(BrokenSchedule))]);
-        let err = pipeline.run(art, &grid).unwrap_err();
-        assert!(err.contains("post-validation failed"), "{err}");
-    }
+        c.cz(0, 1);
+        let mut art = CompileArtifact::new(c, Layout::identity(4, 4));
+        art.slots = Some(vec![(0..art.circuit.len()).collect()]);
+        for scheduler in [ScheduleStrategy::CrosstalkAware, ScheduleStrategy::Asap] {
+            validate(Stage::Schedule(scheduler), &art, ws);
+        }
 
-    #[test]
-    #[should_panic(expected = "duplicate stage label")]
-    fn duplicate_labels_are_rejected() {
-        let _ = Pipeline::new(vec![
-            Stage::new("lower", Box::new(LowerPass) as Box<dyn Pass>),
-            Stage::new("lower", Box::new(LowerPass)),
-        ]);
+        // A CZ across the diagonal of the 2×2 grid.
+        let mut c = Circuit::new(4);
+        c.cz(0, 3);
+        let art = CompileArtifact::new(c, Layout::identity(4, 4));
+        validate(Stage::Route(RouteStrategy::Greedy), &art, ws);
+
+        // A Toffoli survives no lowering stage.
+        let mut c = Circuit::new(4);
+        c.ccx(0, 1, 2);
+        let art = CompileArtifact::new(c, Layout::identity(4, 4));
+        for stage in [Stage::Lower, Stage::LowerSwaps, Stage::Fuse] {
+            validate(stage, &art, ws);
+        }
     }
 
     #[test]

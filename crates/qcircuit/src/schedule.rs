@@ -1,6 +1,6 @@
 //! Crosstalk-aware gate scheduling (§VI-B).
 //!
-//! After routing, "a crosstalk-aware scheduling pass [58] is used to sort
+//! After routing, "a crosstalk-aware scheduling pass \[58\] is used to sort
 //! and group commuting two-qubit gates which can be executed
 //! simultaneously without interference". Two CZs *interfere* when a qubit
 //! of one is grid-adjacent to a qubit of the other (spectator coupling);

@@ -418,13 +418,12 @@ fn schedulers_tally_exactly_one_output_cold_and_warm() {
 
 #[test]
 fn full_pipeline_tallies_route_plus_schedule_cold_and_warm() {
-    use qcircuit::pipeline::{CompileArtifact, Pipeline, PipelineConfig};
+    use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
     let grid = Grid::new(5, 5);
     let logical = random_lowered(44, 13, 60);
     let snake = Layout::snake(13, &grid);
-    let pipeline = Pipeline::standard(&PipelineConfig::default());
     let run = || {
-        pipeline
+        PipelineConfig::default()
             .run(CompileArtifact::new(logical.clone(), snake.clone()), &grid)
             .unwrap()
             .0

@@ -5,7 +5,7 @@
 #                                # plus the opt decomposition, bitstream
 #                                # search and exec model differential
 #                                # tests in release) + kernels bench build
-#                                # + fmt check
+#                                # + fmt check + rustdoc warnings gate
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
@@ -95,6 +95,11 @@ cargo build --release --offline -p digiq-bench --benches
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Broken intra-doc links and paper citations rustdoc misreads as links
+# (`[59]`; write `\[59\]`) fail here for the compiler and engine crates.
+echo "==> rustdoc -D warnings (qcircuit, digiq-core)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p qcircuit -p digiq-core
 
 # The ROADMAP's offline constraint: the dependency graph — dev edges
 # included, test-only crates were the bulk of what PR 1 removed — must
