@@ -1,4 +1,4 @@
-//! SFQ bitstream discovery for basis gates (§V-A step 1; refs [9], [13]).
+//! SFQ bitstream discovery for basis gates (§V-A step 1; refs \[9\], \[13\]).
 //!
 //! Finds ≤300-bit pulse trains whose rotating-frame evolution implements a
 //! target single-qubit gate on a transmon at its parking frequency. Two
@@ -9,7 +9,7 @@
 //!   two π-bursts with axis offset `φ/2` compose to `Rz(φ)` — enough to
 //!   seed any basis gate;
 //! * **Genetic refinement** — the bit-flip GA of `qsim::optimize`
-//!   (mirroring the paper's ref [13]) polishes leakage and timing
+//!   (mirroring the paper's ref \[13\]) polishes leakage and timing
 //!   granularity.
 //!
 //! Fitness uses the leakage-aware average gate fidelity; for DigiQ_opt's

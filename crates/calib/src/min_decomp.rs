@@ -159,17 +159,6 @@ impl SequenceDb {
         SequenceDb { entries, hash, res }
     }
 
-    /// Builds the database behind a shareable handle (see
-    /// [`SharedSequenceDb`]); decomposition takes `&SequenceDb`, so the
-    /// handle derefs straight into [`decompose_min`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn build_shared(basis: &MinBasis, depth: usize) -> SharedSequenceDb {
-        Arc::new(SequenceDb::build(basis, depth))
-    }
-
     /// Number of distinct products stored.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -442,7 +431,7 @@ mod tests {
     #[test]
     fn shared_handle_decomposes_across_threads() {
         let basis = MinBasis::ideal_ry_t();
-        let db = SequenceDb::build_shared(&basis, 8);
+        let db: SharedSequenceDb = Arc::new(SequenceDb::build(&basis, 8));
         let errs: Vec<f64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {

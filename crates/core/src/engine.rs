@@ -9,6 +9,9 @@
 //!
 //! * a declarative [`SweepSpec`] enumerates the jobs (design-major, then
 //!   benchmark, then seed — the job index is the merge order);
+//! * **one evaluation core**, [`EvalSession::evaluate_circuit`], takes a
+//!   circuit from compile to a normalized [`BenchmarkReport`]; every
+//!   sweep job is that call on its benchmark circuit and derived seed;
 //! * **one run loop** executes them: scoped workers each take the next
 //!   job from a *source*, evaluate it, append the record to a *sink* and
 //!   mark the job done, until the source is exhausted or the
@@ -412,7 +415,8 @@ impl SweepSpec {
     /// plausibility bounds a network-facing server needs: non-empty
     /// axes, at most 4096 entries per design/benchmark axis, at most
     /// 65536 seeds (each below 2⁵³, the JSON round-trip bound), at most
-    /// 2¹⁶ grid sites, and group counts in `1..=4096`.
+    /// 2¹⁶ grid sites, group counts in `1..=4096`, and small-scale
+    /// benchmark budgets in `8..=2^16` qubits.
     ///
     /// # Errors
     ///
@@ -444,9 +448,17 @@ impl SweepSpec {
                 Benchmark::from_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
             let scale = match b.get("scale") {
                 Some(Json::Str(s)) if s == "paper" => BenchScale::Paper,
-                Some(s @ Json::Obj(_)) => BenchScale::Small {
-                    max_qubits: s.count_field("max_qubits", "benchmark scale")? as usize,
-                },
+                Some(s @ Json::Obj(_)) => {
+                    let max_qubits = s.count_field("max_qubits", "benchmark scale")?;
+                    if !(8..=MAX_SITES).contains(&max_qubits) {
+                        return Err(format!(
+                            "benchmark scale `max_qubits` out of range 8..=2^16: {max_qubits}"
+                        ));
+                    }
+                    BenchScale::Small {
+                        max_qubits: max_qubits as usize,
+                    }
+                }
                 _ => {
                     return Err(
                         "benchmark spec missing `scale` (\"paper\" or {max_qubits})".to_string()
@@ -479,7 +491,8 @@ impl SweepSpec {
         }
         let grid_rows = j.count_field("grid_rows", CTX)?;
         let grid_cols = j.count_field("grid_cols", CTX)?;
-        if grid_rows == 0 || grid_cols == 0 || grid_rows * grid_cols > MAX_SITES {
+        let sites = grid_rows.checked_mul(grid_cols);
+        if !sites.is_some_and(|n| (1..=MAX_SITES).contains(&n)) {
             return Err(format!(
                 "sweep spec grid out of range (1..=2^16 sites): {grid_rows}x{grid_cols}"
             ));
@@ -963,9 +976,9 @@ impl ToJson for PassCacheStats {
 #[derive(Debug)]
 pub struct EvalEngine {
     model: CostModel,
-    /// The unified artifact store (shareable with
-    /// [`DigiqSystem::build_shared`](crate::system::DigiqSystem::build_shared)
-    /// via [`EvalEngine::store`]; note that sharing also shares counters).
+    /// The unified artifact store (shareable with other engines via
+    /// [`EvalEngine::store`] and [`EvalEngine::with_store`]; note that
+    /// sharing also shares counters).
     store: Arc<ArtifactStore>,
     /// The accounting of the engine's own session
     /// ([`EvalEngine::root_session`]), cumulative across runs.
@@ -990,11 +1003,11 @@ impl Default for EvalEngine {
     }
 }
 
-/// The shared per-job artifact bundle assembled by `EvalSession::job_context`
+/// The compiled artifact, execution parameters and group map of one
+/// circuit under one design point, assembled by `EvalSession::context`
 /// for both evaluation modes.
-struct JobContext {
+struct EvalContext {
     key: CompileKey,
-    circuit: Arc<Circuit>,
     compiled: Arc<CompileArtifact>,
     params: ExecParams,
     groups: Vec<usize>,
@@ -1080,8 +1093,7 @@ impl EvalEngine {
     }
 
     /// Creates an engine over an explicit store — bounded, disk-backed
-    /// ([`StoreConfig`]), or shared with other engines and
-    /// [`DigiqSystem::build_shared`](crate::system::DigiqSystem::build_shared).
+    /// ([`StoreConfig`]), or shared with other engines.
     pub fn with_store(model: CostModel, store: Arc<ArtifactStore>) -> Self {
         EvalEngine {
             model,
@@ -1507,43 +1519,66 @@ impl EvalSession<'_> {
         PassCacheStats { passes }
     }
 
-    /// Assembles the shared per-job artifacts — identical for the
-    /// analytic and co-simulation modes.
-    fn job_context(&self, spec: &SweepSpec, job: &JobSpec) -> JobContext {
-        let engine = self.engine;
-        let grid = Grid::new(spec.grid_rows, spec.grid_cols);
-        let circuit = engine.benchmark_circuit(job.bench, spec.base_seed);
-        let key = compile_key(&circuit, &grid, &spec.pipeline);
-        let compiled = self.compiled(&circuit, &grid, &spec.pipeline, key);
+    /// Assembles the per-circuit artifacts — identical for the analytic
+    /// and co-simulation modes: the memoized compile, then the design's
+    /// execution parameters (paper-default system on `grid`, seeded with
+    /// `exec_seed`, with the memoized decomposition-length distribution)
+    /// and the checkerboard group map.
+    fn context(
+        &self,
+        circuit: &Circuit,
+        grid: &Grid,
+        pipeline: &PipelineConfig,
+        point: DesignPoint,
+        exec_seed: u64,
+    ) -> EvalContext {
+        let key = compile_key(circuit, grid, pipeline);
+        let compiled = self.compiled(circuit, grid, pipeline, key);
 
-        let mut config = SystemConfig::paper_default(job.point.design, job.point.groups);
+        let mut config = SystemConfig::paper_default(point.design, point.groups);
         config.n_qubits = grid.n_qubits();
         let mut params = ExecParams::new(config);
-        params.seed = derive_seed(spec.base_seed, job.seed);
-        if let Some(lengths) = engine.min_lengths(job.point.design) {
+        params.seed = exec_seed;
+        if let Some(lengths) = self.engine.min_lengths(point.design) {
             params.min_lengths = (*lengths).clone();
         }
 
-        let groups =
-            checkerboard_groups(grid.cols(), grid.n_qubits(), job.point.groups.clamp(1, 2));
-        JobContext {
+        let groups = checkerboard_groups(grid.cols(), grid.n_qubits(), point.groups.clamp(1, 2));
+        EvalContext {
             key,
-            circuit,
             compiled,
             params,
             groups,
         }
     }
 
-    /// Evaluates one job (pure given the spec).
-    fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
-        let JobContext {
+    /// Evaluates one circuit at one design point — the §VI-B flow behind
+    /// every Fig 9 bar and every sweep job: compile on `grid` (snake
+    /// initial layout) through `pipeline`, execute under `point` with
+    /// `exec_seed`, and normalize to the Impossible MIMD baseline. The
+    /// compile and the baseline are memoized in the engine's store, so a
+    /// circuit evaluated at many design points compiles once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit needs more qubits than the grid has, or if a
+    /// pass or its post-validation fails (see
+    /// [`EvalEngine::compiled_with`]).
+    pub fn evaluate_circuit(
+        &self,
+        name: &str,
+        circuit: &Circuit,
+        grid: &Grid,
+        pipeline: &PipelineConfig,
+        point: DesignPoint,
+        exec_seed: u64,
+    ) -> BenchmarkReport {
+        let EvalContext {
             key,
-            circuit,
             compiled,
             params,
             groups,
-        } = self.job_context(spec, job);
+        } = self.context(circuit, grid, pipeline, point, exec_seed);
         let exec = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
         // The Impossible MIMD normalization baseline ignores the seed,
         // the group map and the decomposition distribution, so it is a
@@ -1551,13 +1586,39 @@ impl EvalSession<'_> {
         // compile key instead of re-running it for every design and seed
         // (and persist it: with a disk-backed store a warm-started sweep
         // skips the baseline executions too).
-        let store = &self.engine.store;
-        let base_exec = store.get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
-            let mut base = params.clone();
-            base.config.design = ControllerDesign::ImpossibleMimd;
-            execute(&compiled.circuit, compiled.scheduled(), &groups, &base)
-        });
+        let base_exec =
+            self.engine
+                .store
+                .get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
+                    let mut base = params.clone();
+                    base.config.design = ControllerDesign::ImpossibleMimd;
+                    execute(&compiled.circuit, compiled.scheduled(), &groups, &base)
+                });
+        BenchmarkReport {
+            benchmark: name.to_string(),
+            logical_gates: compiled.logical_gates,
+            swaps: compiled.swaps,
+            slots: compiled.scheduled().len(),
+            normalized_time: exec.total_ns / base_exec.total_ns.max(f64::MIN_POSITIVE),
+            exec,
+        }
+    }
 
+    /// Evaluates one job (pure given the spec): its benchmark circuit
+    /// through [`EvalSession::evaluate_circuit`] with the job's derived
+    /// exec seed, plus the design's power when the spec asks for it.
+    fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
+        let grid = Grid::new(spec.grid_rows, spec.grid_cols);
+        let circuit = self.engine.benchmark_circuit(job.bench, spec.base_seed);
+        let name = job.bench.bench.name();
+        let report = self.evaluate_circuit(
+            name,
+            &circuit,
+            &grid,
+            &spec.pipeline,
+            job.point,
+            derive_seed(spec.base_seed, job.seed),
+        );
         let power_w = if spec.synthesize_hardware {
             self.engine
                 .hardware(job.point.design, job.point.groups)
@@ -1565,22 +1626,14 @@ impl EvalSession<'_> {
         } else {
             None
         };
-
         JobRecord {
             design: job.point.design,
             groups: job.point.groups,
-            benchmark: job.bench.bench.name().to_string(),
+            benchmark: name.to_string(),
             n_qubits: circuit.n_qubits(),
             seed: job.seed,
             power_w,
-            report: BenchmarkReport {
-                benchmark: job.bench.bench.name().to_string(),
-                logical_gates: compiled.logical_gates,
-                swaps: compiled.swaps,
-                slots: compiled.scheduled().len(),
-                normalized_time: exec.total_ns / base_exec.total_ns.max(f64::MIN_POSITIVE),
-                exec,
-            },
+            report,
         }
     }
 
@@ -1590,13 +1643,20 @@ impl EvalSession<'_> {
     /// Co-simulations are memoized per (compiled artifact, design point,
     /// derived seed).
     fn run_cosim_job(&self, spec: &SweepSpec, job: &JobSpec) -> CosimRecord {
-        let JobContext {
+        let grid = Grid::new(spec.grid_rows, spec.grid_cols);
+        let circuit = self.engine.benchmark_circuit(job.bench, spec.base_seed);
+        let EvalContext {
             key,
-            circuit,
             compiled,
             params,
             groups,
-        } = self.job_context(spec, job);
+        } = self.context(
+            &circuit,
+            &grid,
+            &spec.pipeline,
+            job.point,
+            derive_seed(spec.base_seed, job.seed),
+        );
         let cosim = self.engine.store.get_or_build_artifact(
             ns::COSIM,
             cosim_store_key(key, job.point.design, job.point.groups, params.seed),
@@ -2115,6 +2175,30 @@ mod tests {
     }
 
     #[test]
+    fn small_circuit_pipeline_runs() {
+        let engine = EvalEngine::new(CostModel::default());
+        let mut c = Circuit::new(16);
+        for q in 0..16 {
+            c.h(q);
+        }
+        for q in (0..15).step_by(2) {
+            c.cz(q, q + 1);
+        }
+        let report = engine.session().evaluate_circuit(
+            "smoke",
+            &c,
+            &Grid::paper_grid(),
+            &PipelineConfig::default(),
+            ControllerDesign::DigiqOpt { bs: 8 }.into(),
+            0xD161_0E0C,
+        );
+        assert_eq!(report.benchmark, "smoke");
+        assert!(report.normalized_time >= 1.0);
+        assert!(report.exec.total_ns > 0.0);
+        assert_eq!(report.logical_gates, 16 + 8);
+    }
+
+    #[test]
     fn par_map_preserves_order_for_any_worker_count() {
         let items: Vec<usize> = (0..57).collect();
         let serial = par_map_ordered(&items, 1, |i, &x| i * 1000 + x * x);
@@ -2260,6 +2344,20 @@ mod tests {
             (ok.replace("\"BV\"", "\"nope\""), "unknown benchmark"),
             (ok.replace("\"greedy\"", "\"magic\""), "unknown router"),
             (ok.replace("\"seeds\":[0]", "\"seeds\":[-1]"), "seeds"),
+            // 2^32 × 2^32 sites overflows u64: rejected, never wrapped.
+            (
+                ok.replace("\"grid_rows\":4", "\"grid_rows\":4294967296")
+                    .replace("\"grid_cols\":4", "\"grid_cols\":4294967296"),
+                "grid out of range",
+            ),
+            (
+                ok.replace("\"max_qubits\":16", "\"max_qubits\":1099511627776"),
+                "`max_qubits` out of range",
+            ),
+            (
+                ok.replace("\"max_qubits\":16", "\"max_qubits\":7"),
+                "`max_qubits` out of range",
+            ),
         ] {
             let err = SweepSpec::parse(&mutation).expect_err(&mutation);
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");

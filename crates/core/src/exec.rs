@@ -65,7 +65,7 @@ pub struct ExecParams {
 impl ExecParams {
     /// Reasonable defaults for a design; `min_lengths` should be replaced
     /// with measured data for DigiQ_min runs (see
-    /// [`crate::system::DigiqSystem`]).
+    /// [`crate::engine::EvalEngine::min_lengths`]).
     pub fn new(config: SystemConfig) -> Self {
         ExecParams {
             config,

@@ -17,13 +17,16 @@
 //! * [`error_model`] — per-qubit / per-coupler gate errors under drift
 //!   with full software calibration (Fig 10);
 //! * [`scalability`] — qubits-per-10 W analysis (§VI-A3);
-//! * [`system`] — the end-to-end facade (compile → route → schedule →
-//!   execute → report);
-//! * [`engine`] — the batched, multi-threaded sweep engine: declarative
-//!   design × benchmark × seed specs sharded across scoped workers,
-//!   deterministic for any worker count;
+//! * [`system`] — the per-benchmark [`BenchmarkReport`] and the
+//!   DigiQ_min decomposition-length distribution;
+//! * [`engine`] — the one evaluation path: a circuit at a design point
+//!   (compile → route → schedule → execute → normalize,
+//!   [`engine::EvalSession::evaluate_circuit`]) and the batched,
+//!   multi-threaded sweep engine built on it: declarative design ×
+//!   benchmark × seed specs sharded across scoped workers, deterministic
+//!   for any worker count;
 //! * [`store`] — the unified content-addressed artifact store behind the
-//!   engine and the system facade: sharded build-once namespaces, LRU
+//!   engine: sharded build-once namespaces, LRU
 //!   eviction under an optional capacity, optional disk persistence
 //!   (`--cache-dir`) with atomic writes, and the sweep-resume journal.
 //!
@@ -31,12 +34,11 @@
 //!
 //! ```
 //! use digiq_core::design::ControllerDesign;
-//! use digiq_core::system::DigiqSystem;
+//! use digiq_core::engine::EvalEngine;
 //! use sfq_hw::cost::CostModel;
 //!
-//! let system = DigiqSystem::build(ControllerDesign::DigiqOpt { bs: 8 }, 2,
-//!                                 &CostModel::default());
-//! let hw = system.hardware.as_ref().unwrap();
+//! let engine = EvalEngine::new(CostModel::default());
+//! let hw = engine.hardware(ControllerDesign::DigiqOpt { bs: 8 }, 2).unwrap();
 //! assert!(hw.report.power_w < 1.0); // fits the fridge with room to spare
 //! ```
 
@@ -56,4 +58,4 @@ pub use design::{ControllerDesign, SystemConfig};
 pub use engine::{CosimSweepReport, EvalEngine, SweepReport, SweepSpec};
 pub use hardware::{build_hardware, DesignHardware};
 pub use store::{Artifact, ArtifactStore, StoreConfig, StoreStats, SweepJournal};
-pub use system::{BenchmarkReport, DigiqSystem};
+pub use system::BenchmarkReport;

@@ -100,9 +100,6 @@ pub mod ns {
 /// A value the store can persist: a JSON codec over [`sfq_hw::json`]
 /// whose decode validates enough to reject corrupt files.
 pub trait Artifact: Send + Sync + Sized + 'static {
-    /// Short machine-readable kind name (debugging / docs).
-    fn kind() -> &'static str;
-
     /// Serializes the artifact for disk.
     fn encode(&self) -> Json;
 
@@ -122,10 +119,6 @@ pub trait Artifact: Send + Sync + Sized + 'static {
 // ---------------------------------------------------------------------
 
 impl Artifact for ExecReport {
-    fn kind() -> &'static str {
-        "exec_report"
-    }
-
     fn encode(&self) -> Json {
         self.to_json()
     }
@@ -136,10 +129,6 @@ impl Artifact for ExecReport {
 }
 
 impl Artifact for CosimReport {
-    fn kind() -> &'static str {
-        "cosim_report"
-    }
-
     fn encode(&self) -> Json {
         self.to_json()
     }
@@ -316,10 +305,6 @@ fn layout_from_json(j: &Json) -> Result<Layout, String> {
 }
 
 impl Artifact for CompileArtifact {
-    fn kind() -> &'static str {
-        "compile_artifact"
-    }
-
     fn encode(&self) -> Json {
         let slots = match &self.slots {
             Some(slots) => slots.to_json(),
@@ -448,6 +433,21 @@ struct Counters {
     builds: u64,
     evictions: u64,
     coalesced: u64,
+}
+
+impl Counters {
+    /// The public snapshot of these counters under `namespace`.
+    fn named(self, namespace: &str) -> NamespaceStats {
+        NamespaceStats {
+            namespace: namespace.to_string(),
+            hits: self.hits,
+            misses: self.misses,
+            disk_hits: self.disk_hits,
+            builds: self.builds,
+            evictions: self.evictions,
+            coalesced: self.coalesced,
+        }
+    }
 }
 
 const SHARD_COUNT: usize = 16;
@@ -584,22 +584,7 @@ impl ArtifactStore {
         }
     }
 
-    /// Returns the value for `(ns, key)`, building it in memory on first
-    /// use. Concurrent callers of the same key block until the one
-    /// running builder finishes, so no artifact is ever built twice
-    /// (unless evicted in between). Also reports whether *this* call
-    /// populated the entry (a miss).
-    pub fn fetch<T: Send + Sync + 'static>(
-        &self,
-        ns: &str,
-        key: u64,
-        build: impl FnOnce() -> T,
-    ) -> (Arc<T>, bool) {
-        let (any, initialized) = self.lookup(ns, key, || (Arc::new(build()) as ArcAny, false));
-        (Self::downcast(ns, any), initialized)
-    }
-
-    /// The one lookup behind [`ArtifactStore::fetch`] and
+    /// The one lookup behind [`ArtifactStore::get_or_build`] and
     /// [`ArtifactStore::fetch_artifact`]: `init` produces a missing value
     /// and says whether it came from disk. The miss is counted inside the
     /// slot's initializer, before the value becomes visible (see
@@ -625,21 +610,27 @@ impl ArtifactStore {
         (any, initialized)
     }
 
-    /// [`ArtifactStore::fetch`] without the miss flag.
+    /// Returns the value for `(ns, key)`, building it in memory on first
+    /// use. Concurrent callers of the same key block until the one
+    /// running builder finishes, so no artifact is ever built twice
+    /// (unless evicted in between).
     pub fn get_or_build<T: Send + Sync + 'static>(
         &self,
         ns: &str,
         key: u64,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
-        self.fetch(ns, key, build).0
+        let (any, _) = self.lookup(ns, key, || (Arc::new(build()) as ArcAny, false));
+        Self::downcast(ns, any)
     }
 
-    /// The persistent variant of [`ArtifactStore::fetch`]: on a memory
-    /// miss, the store first tries `<disk_root>/<ns>/<key>.json` (a
-    /// *disk hit* — no build), and only then runs the builder and writes
-    /// the result back with atomic write-then-rename. Without a disk
-    /// root this is exactly [`ArtifactStore::fetch`].
+    /// The persistent variant of [`ArtifactStore::get_or_build`]: on a
+    /// memory miss, the store first tries `<disk_root>/<ns>/<key>.json`
+    /// (a *disk hit* — no build), and only then runs the builder and
+    /// writes the result back with atomic write-then-rename. Also
+    /// reports whether *this* call populated the entry (a miss). Without
+    /// a disk root this is exactly [`ArtifactStore::get_or_build`] plus
+    /// the miss flag.
     pub fn fetch_artifact<T: Artifact>(
         &self,
         ns: &str,
@@ -764,16 +755,10 @@ impl ArtifactStore {
     /// The counters of one namespace (all zero when it was never used).
     pub fn namespace_stats(&self, namespace: &str) -> NamespaceStats {
         let map = lock_unpoisoned(&self.counters);
-        let c = map.get(namespace).copied().unwrap_or_default();
-        NamespaceStats {
-            namespace: namespace.to_string(),
-            hits: c.hits,
-            misses: c.misses,
-            disk_hits: c.disk_hits,
-            builds: c.builds,
-            evictions: c.evictions,
-            coalesced: c.coalesced,
-        }
+        map.get(namespace)
+            .copied()
+            .unwrap_or_default()
+            .named(namespace)
     }
 
     /// A snapshot of every namespace's counters, name-sorted, plus the
@@ -783,15 +768,7 @@ impl ArtifactStore {
         StoreStats {
             namespaces: map
                 .iter()
-                .map(|(namespace, c)| NamespaceStats {
-                    namespace: namespace.clone(),
-                    hits: c.hits,
-                    misses: c.misses,
-                    disk_hits: c.disk_hits,
-                    builds: c.builds,
-                    evictions: c.evictions,
-                    coalesced: c.coalesced,
-                })
+                .map(|(namespace, c)| c.named(namespace))
                 .collect(),
             resident: self.resident() as u64,
             tmp_swept: self.tmp_swept,

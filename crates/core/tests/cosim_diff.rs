@@ -20,9 +20,9 @@ use digiq_core::engine::{CosimSweepReport, EvalEngine, SweepSpec};
 use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams, OptWorkspace};
 use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
-use qcircuit::lower::lower_to_cz;
-use qcircuit::mapping::{route, Layout, RouterConfig};
-use qcircuit::schedule::{schedule_crosstalk_aware, Slot};
+use qcircuit::mapping::Layout;
+use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
+use qcircuit::schedule::Slot;
 use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
@@ -30,20 +30,17 @@ use sfq_hw::json::ToJson;
 /// f64-rounding tolerance between integer-tick and f64-ns totals.
 const TOL: f64 = 1e-9;
 
-/// Compiles a benchmark the way the engine does: lower → route (snake) →
-/// lower SWAPs → crosstalk-aware schedule.
+/// Compiles a benchmark the way the engine does: the default
+/// [`PipelineConfig`] (lower → route (snake) → lower SWAPs →
+/// crosstalk-aware schedule).
 fn compile(bench: Benchmark, grid: &Grid) -> (Circuit, Vec<Slot>) {
     let circuit = bench.scaled(grid.n_qubits(), 0xD161_5EED);
-    let lowered = lower_to_cz(&circuit);
-    let routed = route(
-        &lowered,
-        grid,
-        &Layout::snake(circuit.n_qubits(), grid),
-        &RouterConfig::default(),
-    );
-    let physical = lower_to_cz(&routed.circuit);
-    let slots = schedule_crosstalk_aware(&physical, grid);
-    (physical, slots)
+    let layout = Layout::snake(circuit.n_qubits(), grid);
+    let (out, _) = PipelineConfig::default()
+        .run(CompileArtifact::new(circuit, layout), grid)
+        .expect("default pipeline compiles every benchmark");
+    let slots = out.scheduled().to_vec();
+    (out.circuit, slots)
 }
 
 fn params_for(design: ControllerDesign, n_qubits: usize) -> ExecParams {

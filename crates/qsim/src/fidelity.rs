@@ -3,8 +3,8 @@
 //! DigiQ (§V) reports gate errors as `ε = 1 − F̄` where `F̄` is the *average
 //! gate fidelity* of the evolution projected onto the computational
 //! subspace. Projection makes the evolution sub-unitary, and the standard
-//! formula (Nielsen [44], extended to non-unitary maps by Ghosh/Pedersen
-//! [45]) then automatically counts leakage out of the subspace as error:
+//! formula (Nielsen \[44\], extended to non-unitary maps by Ghosh/Pedersen
+//! \[45\]) then automatically counts leakage out of the subspace as error:
 //!
 //! ```text
 //! F̄(M, V) = [ Tr(M†M) + |Tr(V†M)|² ] / (d(d+1))

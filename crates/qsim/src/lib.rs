@@ -19,7 +19,7 @@
 //! * [`two_qubit`] — coupled transmon pairs and flux-pulse CZ gates
 //!   (§IV-A3, §V-B, Fig 7);
 //! * [`fidelity`] — average gate fidelity with leakage accounting
-//!   (refs [44], [45]);
+//!   (refs \[44\], \[45\]);
 //! * [`optimize`] — Nelder–Mead and a genetic bitstring search used by
 //!   the software-calibration layer.
 //!

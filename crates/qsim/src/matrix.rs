@@ -640,20 +640,6 @@ impl fmt::Display for CMat {
     }
 }
 
-/// Normalizes a state vector in place to unit 2-norm.
-///
-/// Returns the original norm. A zero vector is left untouched and `0.0` is
-/// returned.
-pub fn normalize(v: &mut [C64]) -> f64 {
-    let norm = v.iter().map(|z| z.abs2()).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for z in v.iter_mut() {
-            *z = *z / norm;
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,14 +824,6 @@ mod tests {
         let b = m.top_left_block(2);
         assert_eq!(b.rows(), 2);
         assert_eq!(b[(1, 1)], C64::real(2.0));
-    }
-
-    #[test]
-    fn vector_helpers() {
-        let mut v = vec![C64::new(3.0, 0.0), C64::new(0.0, 4.0)];
-        let n = normalize(&mut v);
-        assert!((n - 5.0).abs() < 1e-15);
-        assert!((v.iter().map(|z| z.abs2()).sum::<f64>() - 1.0).abs() < 1e-15);
     }
 
     #[test]

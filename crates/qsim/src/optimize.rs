@@ -5,7 +5,7 @@
 //! * [`nelder_mead`] — local simplex descent over continuous parameters
 //!   (interleaved single-qubit gates in the CZ echo sequences, §V-B);
 //! * [`ga_bitstring`] — a genetic algorithm over fixed-length bitstrings
-//!   (SFQ bitstream discovery, the approach of refs [13] and [35]).
+//!   (SFQ bitstream discovery, the approach of refs \[13\] and \[35\]).
 //!
 //! All optimizers are deterministic given a seed.
 //!
@@ -207,7 +207,7 @@ impl Default for GaConfig {
 /// `seeds` provides optional initial individuals (e.g. the resonant comb of
 /// [`crate::pulse::SfqPulseSim::resonant_comb`]); the rest of the population
 /// is random. This mirrors the genetic bitstream search of the paper's
-/// ref [13].
+/// ref \[13\].
 ///
 /// # Panics
 ///

@@ -15,7 +15,7 @@
 //! Admission control is a bounded queue with **per-client fairness**:
 //! each connection gets its own FIFO and workers pop round-robin across
 //! connections, so one client streaming requests cannot starve another
-//! ([`QueueState`] is unit-tested directly). When the queue is full the
+//! (the private `QueueState` is unit-tested directly). When the queue is full the
 //! request is refused with a typed [`Response::Busy`] — never a stall.
 //!
 //! Identical in-flight requests **coalesce**: the rendered response is
@@ -35,7 +35,7 @@
 
 use crate::proto::{read_json, write_frame, write_json, Request, Response};
 use digiq_core::engine::{DistributedConfig, EvalEngine, RunControl, SweepSpec};
-use digiq_core::store::{ArtifactStore, StoreConfig, SweepJournal};
+use digiq_core::store::{lock_unpoisoned, ArtifactStore, StoreConfig, SweepJournal};
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
 use std::collections::{BTreeMap, VecDeque};
@@ -44,12 +44,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// Poison-tolerant lock (the crate-wide idiom; a panicked holder left
-/// consistent state or died before touching it).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Store namespace memoizing rendered analytic-sweep responses.
 pub const NS_SWEEP: &str = "serve/sweep";

@@ -19,7 +19,7 @@
 /// Physical link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CableSpec {
-    /// Per-cable data rate in Gbit/s (paper: 10 Gbps RZ, ref [12]).
+    /// Per-cable data rate in Gbit/s (paper: 10 Gbps RZ, ref \[12\]).
     pub gbps: f64,
     /// Dedicated control lines (paper: Go, Valid, Load).
     pub control_lines: u64,

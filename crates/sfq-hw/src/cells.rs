@@ -7,7 +7,7 @@
 //! reproduced verbatim; two auxiliary cells used by the paper but not
 //! tabulated — the Josephson Transmission Line segment (§VI-A: "its delay
 //! is ∼1.5–2 ps") and the SFQ/DC converter of the current generator
-//! (Fig 4, ref [40]) — carry documented estimates.
+//! (Fig 4, ref \[40\]) — carry documented estimates.
 //!
 //! # Examples
 //!

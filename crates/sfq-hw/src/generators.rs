@@ -24,8 +24,8 @@ use crate::netlist::{Netlist, NodeId};
 
 /// A circulating (streaming) register: an `n`-bit chain of master–slave
 /// NDRO pairs (the dual-clock SFQ shift-register architecture of ref
-/// [18]) whose output splits into a read tap and a recirculation path —
-/// the storage idiom for repeatedly-streamed SFQ bitstreams (ref [7] and
+/// \[18\]) whose output splits into a read tap and a recirculation path —
+/// the storage idiom for repeatedly-streamed SFQ bitstreams (ref \[7\] and
 /// §IV-A1). Two NDROs per bit make this the dominant cost of the MIMD
 /// baselines, matching the paper's 5.01 mW / 13.9 mm² per 300-bit
 /// register anchor.

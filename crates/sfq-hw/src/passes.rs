@@ -2,7 +2,7 @@
 //! retiming.
 //!
 //! The flow mirrors the paper's §VI-A tooling (PBMap-style path balancing
-//! [17]/[51], Leiserson–Saxe-style retiming [52], splitter insertion):
+//! \[17\]/\[51\], Leiserson–Saxe-style retiming \[52\], splitter insertion):
 //!
 //! 1. [`insert_splitters`] — every RSFQ gate drives exactly one sink, so a
 //!    node with fanout `k > 1` gets a balanced tree of `k − 1` splitters.

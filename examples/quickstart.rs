@@ -6,20 +6,19 @@
 //! ```
 
 use digiq::digiq_core::design::ControllerDesign;
-use digiq::digiq_core::system::DigiqSystem;
+use digiq::digiq_core::engine::EvalEngine;
 use digiq::qcircuit::ir::Circuit;
+use digiq::qcircuit::pipeline::PipelineConfig;
+use digiq::qcircuit::topology::Grid;
 use digiq::sfq_hw::cost::CostModel;
 
 fn main() {
     // 1. Pick a design point: DigiQ_opt with 8 broadcast delays, 2 groups.
-    let system = DigiqSystem::build(
-        ControllerDesign::DigiqOpt { bs: 8 },
-        2,
-        &CostModel::default(),
-    );
+    let engine = EvalEngine::new(CostModel::default());
+    let design = ControllerDesign::DigiqOpt { bs: 8 };
 
     // 2. The synthesized hardware (Fig 8's numbers for this point).
-    let hw = system.hardware.as_ref().expect("buildable design");
+    let hw = engine.hardware(design, 2).expect("buildable design");
     println!("hardware @ 1,024 qubits:");
     println!("  power      {:8.3} W", hw.report.power_w);
     println!("  area       {:8.1} mm2", hw.report.area_mm2);
@@ -40,8 +39,16 @@ fn main() {
         circuit.t(q);
     }
 
-    // 4. Compile: lower → route on the 32×32 grid → schedule → execute.
-    let report = system.evaluate_circuit("ghz32+t", &circuit);
+    // 4. Compile: lower → route on the 32×32 grid → schedule → execute,
+    //    normalized to Impossible MIMD.
+    let report = engine.root_session().evaluate_circuit(
+        "ghz32+t",
+        &circuit,
+        &Grid::paper_grid(),
+        &PipelineConfig::default(),
+        design.into(),
+        0xD161_0E0C, // exec seed: salts the per-gate delay draws
+    );
     println!(
         "\nexecution of {} ({} logical gates):",
         report.benchmark, report.logical_gates

@@ -97,9 +97,9 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Broken intra-doc links and paper citations rustdoc misreads as links
-# (`[59]`; write `\[59\]`) fail here for the compiler and engine crates.
-echo "==> rustdoc -D warnings (qcircuit, digiq-core)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p qcircuit -p digiq-core
+# (`[59]`; write `\[59\]`) fail here for every workspace crate.
+echo "==> rustdoc -D warnings (workspace)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # The ROADMAP's offline constraint: the dependency graph — dev edges
 # included, test-only crates were the bulk of what PR 1 removed — must

@@ -5,11 +5,13 @@ use digiq::calib::bitstream::{find_bitstream, SearchConfig, ZFreedom};
 use digiq::calib::opt_decomp::{decompose_opt, realize_opt, OptBasis};
 use digiq::digiq_core::design::ControllerDesign;
 use digiq::digiq_core::engine::{EvalEngine, SweepReport, SweepSpec};
-use digiq::digiq_core::system::DigiqSystem;
+use digiq::digiq_core::BenchmarkReport;
 use digiq::qcircuit::bench;
 use digiq::qcircuit::bench::Benchmark;
-use digiq::qcircuit::ir::StateVector;
+use digiq::qcircuit::ir::{Circuit, StateVector};
 use digiq::qcircuit::lower::lower_to_cz;
+use digiq::qcircuit::pipeline::PipelineConfig;
+use digiq::qcircuit::topology::Grid;
 use digiq::qsim::optimize::GaConfig;
 use digiq::qsim::pulse::SfqParams;
 use digiq::qsim::transmon::Transmon;
@@ -60,20 +62,37 @@ fn software_calibration_closes_the_loop() {
     assert!((direct - dec.error).abs() < 1e-9);
 }
 
+/// Exec seed of the single-circuit evaluations below.
+const EXEC_SEED: u64 = 0xD161_0E0C;
+
+/// Evaluates `circuit` at `design` (G = 2) on the paper's 32×32 grid.
+fn evaluate(
+    engine: &EvalEngine,
+    design: ControllerDesign,
+    pipeline: PipelineConfig,
+    circuit: &Circuit,
+) -> BenchmarkReport {
+    engine.root_session().evaluate_circuit(
+        "qgan",
+        circuit,
+        &Grid::paper_grid(),
+        &pipeline,
+        design.into(),
+        EXEC_SEED,
+    )
+}
+
 /// Compiler → architecture: a benchmark circuit survives the full
 /// pipeline and the Fig 9 orderings hold at reduced scale.
 #[test]
 fn pipeline_orderings_hold() {
-    let model = CostModel::default();
+    let engine = EvalEngine::new(CostModel::default());
     let qgan = bench::qgan(64, 2, 11);
+    let eval = |design| evaluate(&engine, design, PipelineConfig::default(), &qgan);
 
-    let min2 = DigiqSystem::build(ControllerDesign::DigiqMin { bs: 2 }, 2, &model);
-    let opt16 = DigiqSystem::build(ControllerDesign::DigiqOpt { bs: 16 }, 2, &model);
-    let opt4 = DigiqSystem::build(ControllerDesign::DigiqOpt { bs: 4 }, 2, &model);
-
-    let r_min = min2.evaluate_circuit("qgan", &qgan);
-    let r_opt16 = opt16.evaluate_circuit("qgan", &qgan);
-    let r_opt4 = opt4.evaluate_circuit("qgan", &qgan);
+    let r_min = eval(ControllerDesign::DigiqMin { bs: 2 });
+    let r_opt16 = eval(ControllerDesign::DigiqOpt { bs: 16 });
+    let r_opt4 = eval(ControllerDesign::DigiqOpt { bs: 4 });
 
     // Everything is slower than the Impossible MIMD reference.
     for r in [&r_min, &r_opt16, &r_opt4] {
@@ -90,7 +109,7 @@ fn benchmarks_and_budget() {
     // 3-bit Cuccaro adds correctly after CZ lowering.
     let add = bench::cuccaro_adder(3);
     let low = lower_to_cz(&add);
-    let mut c = digiq::qcircuit::ir::Circuit::new(low.n_qubits());
+    let mut c = Circuit::new(low.n_qubits());
     // a = 5, b = 6 → sum 11 = 3 mod 8 with carry.
     for (i, bit) in [true, false, true].iter().enumerate() {
         if *bit {
@@ -114,15 +133,14 @@ fn benchmarks_and_budget() {
     assert_eq!(bit(2 * 3 + 1), 1, "carry out");
 
     // Every DigiQ design point fits 10 W.
-    let model = CostModel::default();
+    let engine = EvalEngine::new(CostModel::default());
     for design in [
         ControllerDesign::DigiqMin { bs: 2 },
         ControllerDesign::DigiqMin { bs: 4 },
         ControllerDesign::DigiqOpt { bs: 8 },
         ControllerDesign::DigiqOpt { bs: 16 },
     ] {
-        let sys = DigiqSystem::build(design, 2, &model);
-        let hw = sys.hardware.expect("buildable");
+        let hw = engine.hardware(design, 2).expect("buildable");
         assert!(
             hw.report.power_w < 10.0,
             "{design}: {} W",
@@ -255,57 +273,78 @@ fn parking_and_drift_are_consistent() {
     );
 }
 
-/// Compiler pass pipeline through the facade: the system lists its
-/// stages, reports per-pass metrics, and every strategy combination
-/// yields a valid evaluation whose numbers respond to the strategy — the
-/// full scenario-diversity surface in one cross-crate check.
+/// Compiler pass pipeline through the facade crate's engine: a session
+/// reports the per-pass metrics of its compiles, and every strategy
+/// combination yields a valid evaluation whose numbers respond to the
+/// strategy — the full scenario-diversity surface in one cross-crate
+/// check.
 #[test]
 fn pass_pipeline_strategies_through_the_facade() {
-    use digiq::qcircuit::pipeline::{PipelineConfig, RouteStrategy, ScheduleStrategy};
+    use digiq::digiq_core::engine::{BenchScale, BenchmarkSpec};
+    use digiq::qcircuit::pipeline::{RouteStrategy, ScheduleStrategy};
 
-    let model = CostModel::default();
+    let engine = EvalEngine::new(CostModel::default());
     let design = ControllerDesign::DigiqOpt { bs: 8 };
     let qgan = bench::qgan(64, 2, 11);
 
-    let default = DigiqSystem::build(design, 2, &model);
+    let default = PipelineConfig::default();
     assert_eq!(
-        default.pipeline().stage_labels(),
+        default.stage_labels(),
         ["lower", "route", "lower_swaps", "schedule"]
     );
-    let metrics = default.compile_metrics(&qgan);
-    assert_eq!(metrics.len(), 4);
-    assert!(metrics[3].slots_after.unwrap() > 0);
-
-    let r_default = default.evaluate_circuit("qgan", &qgan);
-    // Per-pass metrics agree with the evaluation report.
-    assert_eq!(metrics[1].swap_delta(), r_default.swaps);
-    assert_eq!(metrics[3].slots_after, Some(r_default.slots));
-    let asap = DigiqSystem::build_with(
-        design,
-        2,
-        &model,
-        PipelineConfig::default().with_scheduler(ScheduleStrategy::Asap),
+    let session = engine.session();
+    let r_default = session.evaluate_circuit(
+        "qgan",
+        &qgan,
+        &Grid::paper_grid(),
+        &default,
+        design.into(),
+        EXEC_SEED,
     );
-    let r_asap = asap.evaluate_circuit("qgan", &qgan);
+    // Per-pass metrics of the one compile agree with the evaluation
+    // report.
+    let metrics = session.pass_cache_stats();
+    assert_eq!(metrics.passes.len(), 4);
+    let schedule = metrics.get("schedule").expect("schedule ran");
+    assert!(schedule.slots_out > 0);
+    assert_eq!(schedule.slots_out, r_default.slots as u64);
+    assert_eq!(
+        metrics.get("route").expect("route ran").swaps_added,
+        r_default.swaps as u64
+    );
+
+    let asap = default.with_scheduler(ScheduleStrategy::Asap);
+    let r_asap = evaluate(&engine, design, asap, &qgan);
     // Crosstalk-oblivious packing needs fewer slots (it ignores the
     // spectator constraint the aware scheduler pays for).
     assert!(r_asap.slots < r_default.slots);
     assert!(r_asap.normalized_time >= 1.0);
 
-    let lookahead = DigiqSystem::build_with(
-        design,
-        2,
-        &model,
-        PipelineConfig::default().with_router(RouteStrategy::Lookahead { window: 16 }),
-    );
-    let r_look = lookahead.evaluate_circuit("qgan", &qgan);
+    let lookahead = default.with_router(RouteStrategy::Lookahead { window: 16 });
+    let r_look = evaluate(&engine, design, lookahead, &qgan);
     assert!(r_look.normalized_time >= 1.0);
 
     // The cycle-accurate co-simulator stays in lockstep with the
-    // analytic model under a non-default pipeline, via the same facade.
-    let d = digiq::digiq_core::cosim::diff_analytic(
-        &lookahead.cosimulate_circuit(&qgan, false),
-        &r_look.exec,
+    // analytic model under a non-default pipeline: a co-simulation sweep
+    // of the same qgan(64, 2, 11) instance on the 32×32 grid.
+    let spec = SweepSpec {
+        designs: vec![design.into()],
+        benchmarks: vec![BenchmarkSpec {
+            bench: Benchmark::Qgan,
+            scale: BenchScale::Small { max_qubits: 64 },
+        }],
+        seeds: vec![0],
+        grid_rows: 32,
+        grid_cols: 32,
+        synthesize_hardware: false,
+        base_seed: 11,
+        pipeline: lookahead,
+    };
+    assert_eq!(
+        *engine.benchmark_circuit(spec.benchmarks[0], spec.base_seed),
+        qgan
     );
-    assert!(d.is_exact(1e-9), "{d:?}");
+    let cosim = engine.run_cosim(&spec, 1);
+    assert_eq!(cosim.jobs.len(), 1);
+    assert!(cosim.all_exact(1e-9), "{:?}", cosim.worst_diff());
 }
