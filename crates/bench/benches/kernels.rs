@@ -235,8 +235,9 @@ fn bench_decomposition(h: &mut Bench) {
         calib::opt_decomp::decompose_opt(black_box(&target), &basis, 0.0, 2, 0.0)
     });
     // The drifted basis of `near_pi_rotations_benefit_from_l3` with X and
-    // a zero error target: the L=2 scan, the stem selection and all 1,120
-    // L=3 stems run, like every Fig 10a call.
+    // a zero error target: the L=2 scan, the stem selection and the L=3
+    // scan run without an early exit, like every Fig 10a call, so the
+    // row and stem floors decide what is scanned.
     let drifted = calib::opt_decomp::OptBasis {
         ubs: qsim::gates::rz(0.21)
             .matmul(&qsim::gates::ry(std::f64::consts::FRAC_PI_2 + 0.07))

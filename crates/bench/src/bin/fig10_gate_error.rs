@@ -37,7 +37,7 @@ fn main() {
     }
     let med = |f: &dyn Fn(&digiq_core::error_model::QubitErrorRow) -> f64| {
         let mut v: Vec<f64> = rows.iter().map(f).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
         v[v.len() / 2]
     };
     eprintln!(

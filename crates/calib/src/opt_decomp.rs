@@ -183,8 +183,8 @@ impl<const K: usize> Soa<K> {
 /// basis) build the tables once and reuse them. Each decomposition
 /// against them allocates its own scratch, with `N = n_delays`: the
 /// incoming-boundary diagonals (4·(N+1) f64) and one row of N+1 errors;
-/// from L = 2 on, the (N+1)² L=2 errors (512 KiB at N = 255); at L = 3,
-/// (N+1)² `u32` stem candidates (256 KiB) cut to the kept stems.
+/// from L = 2 on, the N+1 row floors with their delays and the 96 kept
+/// L=2 candidates. That is about 16 KiB at N = 255, whatever `L`.
 #[derive(Debug, Clone)]
 pub struct OptTables {
     /// θ_d for `d ∈ [0, n_delays]`.
@@ -226,8 +226,39 @@ impl OptTables {
     }
 }
 
-/// L = 2 stems kept from the best of the full L=2 scan.
+/// L = 2 stems kept from the best of the L=2 scan.
 const L3_STEMS: usize = 96;
+
+/// Slack on every [`error_floor`] skip, far above the f64 rounding of the
+/// O(1) sums on either side: a candidate is skipped only when it cannot
+/// win or be kept.
+const MARGIN: f64 = 1e-9;
+
+/// The `S` of an L=2 row's floor: `M = W(d1)·Rz(θ)·I`.
+const IDENTITY: [C64; 4] = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
+
+/// A lower bound on the error [`fid_free_out2`] gives `M = A·Rz(θ)·S`
+/// against `td = T†`, over every angle `θ`.
+///
+/// With `P = S·T†` and `Rz(θ) = diag(z0, z1)`, the two overlap terms are
+/// `a = A00·z0·P00 + A01·z1·P10` and `b = A10·z0·P01 + A11·z1·P11`, so
+/// `|a|² + |b|² = c + 2·Re(e^{−iθ}·κ) ≤ c + 2|κ|`, and likewise
+/// `‖M‖²_F ≤ c' + 2|κ'|`. With `(|a| + |b|)² ≤ 2(|a|² + |b|²)` the
+/// fidelity is at most `(c' + 2|κ'| + 2(c + 2|κ|))/6`. This is exact
+/// algebra, for any 2×2 `A` and `S` (unitary or leaky), at O(1) cost. A
+/// NaN anywhere in `A`, `S` or `T` makes the floor NaN, which never skips.
+fn error_floor(a: &[C64; 4], s: &[C64; 4], td: &[C64; 4]) -> f64 {
+    let p = mul2(s, td);
+    let (x0, x1) = (a[0] * p[0], a[1] * p[2]);
+    let (y0, y1) = (a[2] * p[1], a[3] * p[3]);
+    let c = x0.abs2() + x1.abs2() + y0.abs2() + y1.abs2();
+    let kappa = x0 * x1.conj() + y0 * y1.conj();
+    let c_norm = (a[0].abs2() + a[2].abs2()) * (s[0].abs2() + s[1].abs2())
+        + (a[1].abs2() + a[3].abs2()) * (s[2].abs2() + s[3].abs2());
+    let kappa_norm =
+        (a[0] * a[1].conj() + a[2] * a[3].conj()) * (s[0] * s[2].conj() + s[1] * s[3].conj());
+    1.0 - (c_norm + 2.0 * kappa_norm.abs() + 2.0 * (c + 2.0 * kappa.abs())) / 6.0
+}
 
 /// Errors of `M = left·Rz(θ_{d0} + φ_in)` for every `d0`: `out[d0]`, the
 /// L=1 row (`left = G`) or one L=2 row (`left = W(d1)`). `zin` holds the
@@ -253,23 +284,37 @@ fn stem_errors(gz: &Soa<4>, stem: &[C64; 4], td: &[C64; 4], out: &mut [f64]) {
     }
 }
 
-/// The `keep` (> 0) smallest entries of `errs` by `(error, index)`, in
-/// that order: the first `keep` of a stable sort by `f64::total_cmp`,
-/// ties in index order, without sorting the rest.
-fn best_indices(errs: &[f64], keep: usize) -> Vec<u32> {
-    let by_err = |i: &u32, j: &u32| {
-        errs[*i as usize]
-            .total_cmp(&errs[*j as usize])
-            .then(i.cmp(j))
-    };
-    let len = u32::try_from(errs.len()).expect("stem candidates are u32-indexable");
-    let mut kept: Vec<u32> = (0..len).collect();
-    if kept.len() > keep {
-        kept.select_nth_unstable_by(keep - 1, by_err);
-        kept.truncate(keep);
+/// `(error, scan index)` key order: `f64::total_cmp`, then index — the
+/// order of a stable sort by error.
+fn key_lt(x: (f64, usize), y: (f64, usize)) -> bool {
+    x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).is_lt()
+}
+
+/// The `L3_STEMS` smallest keys offered so far, in [`key_lt`] order. For
+/// any offer order this is the first `L3_STEMS` of a stable sort by error.
+struct Kept(Vec<(f64, usize)>);
+
+impl Kept {
+    fn new() -> Self {
+        Kept(Vec::with_capacity(L3_STEMS))
     }
-    kept.sort_unstable_by(by_err);
-    kept
+
+    fn offer(&mut self, key: (f64, usize)) {
+        let full = self.0.len() == L3_STEMS;
+        if full && !key_lt(key, self.0[L3_STEMS - 1]) {
+            return;
+        }
+        let at = self.0.partition_point(|&k| key_lt(k, key));
+        if full {
+            self.0.pop();
+        }
+        self.0.insert(at, key);
+    }
+
+    /// Once full, the largest kept error: every error above it is out.
+    fn cutoff(&self) -> Option<f64> {
+        (self.0.len() == L3_STEMS).then(|| self.0[L3_STEMS - 1].0)
+    }
 }
 
 /// The sequential argmin: scans `errs` in order, lowering `best` at every
@@ -320,6 +365,17 @@ pub fn decompose_opt(
 /// stem order (kept L=2 stems by error, ties by scan order, then the
 /// coarse grid), then `d2`. A later candidate replaces the best only
 /// when its error is strictly lower.
+///
+/// Both wide scans are pruned by a closed-form floor on the error over a
+/// whole delay row (see `error_floor`), without changing any result bit:
+///
+/// - L = 2 visits the rows `d1` by ascending floor, keeps the best 96
+///   `(error, scan index)` keys seen so far, and skips a row whose floor
+///   exceeds the 96th key by more than a 1e-9 margin. Such a row holds no
+///   kept stem and no winner, so the scanned entries give the same
+///   winner (the lowest scan index among the minima) and the same stems.
+/// - L = 3 skips a stem whose floor exceeds the best error so far by the
+///   same margin: none of its `d2` could be strictly better.
 ///
 /// # Panics
 ///
@@ -377,13 +433,35 @@ pub fn decompose_opt_with(
         return finish(best_delays, best_ab, best_err);
     }
 
-    // L = 2: M = W(d1)·Rz(θ_{d0}+φ_in) with W = G·Rz·G prebuilt, into one
-    // flat buffer in scan order: `errs2[d1·(n+1) + d0]`.
-    let mut errs2 = vec![0.0; (n + 1) * (n + 1)];
-    for (wm, out) in tables.w.iter().zip(errs2.chunks_exact_mut(n + 1)) {
-        row_errors(wm, &zin, &td, out);
+    // L = 2: M = W(d1)·Rz(θ_{d0}+φ_in) with W = G·Rz·G prebuilt, at scan
+    // index `d1·(n+1) + d0`. Rows go in ascending floor order, so the
+    // kept keys, and with them the cutoff, tighten early.
+    let mut rows: Vec<(f64, usize)> = tables
+        .w
+        .iter()
+        .map(|wm| error_floor(wm, &IDENTITY, &td))
+        .zip(0..)
+        .collect();
+    rows.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut kept = Kept::new();
+    let mut win2 = None;
+    for (floor, d1) in rows {
+        if kept.cutoff().is_some_and(|cut| floor > cut + MARGIN) {
+            continue;
+        }
+        row_errors(&tables.w[d1], &zin, &td, &mut row);
+        for (d0, &err) in row.iter().enumerate() {
+            let i = d1 * (n + 1) + d0;
+            // `first_min` over the scan order: strictly below the L=1
+            // best, the lowest index among equal errors.
+            if err < best_err || (err == best_err && win2.is_some_and(|w| i < w)) {
+                best_err = err;
+                win2 = Some(i);
+            }
+            kept.offer((err, i));
+        }
     }
-    if let Some(i) = first_min(&errs2, &mut best_err) {
+    if let Some(i) = win2 {
         let (d0, d1) = (i % (n + 1), i / (n + 1));
         let (_, a, b) = fid_free_out2(&row_entry(&tables.w[d1], d0), &td);
         best_delays = ([d0 as u16, d1 as u16, 0], 2);
@@ -396,14 +474,15 @@ pub fn decompose_opt_with(
     // L = 3 (the paper: "a subset of gates nearing π rotations … need
     // L = 3"): extend the best L=2 stems, plus a coarse uniform stem grid
     // (the optimal L=3 region need not contain any good L=2 prefix).
-    let kept = best_indices(&errs2, L3_STEMS)
-        .into_iter()
-        .map(|i| (i as usize % (n + 1), i as usize / (n + 1)));
+    let stems = kept.0.iter().map(|&(_, i)| (i % (n + 1), i / (n + 1)));
     let grid = (0..=n)
         .step_by(8)
         .flat_map(|d0| (0..=n).step_by(8).map(move |d1| (d0, d1)));
-    for (d0, d1) in kept.chain(grid) {
+    for (d0, d1) in stems.chain(grid) {
         let stem = row_entry(&tables.w[d1], d0);
+        if error_floor(&tables.g, &stem, &td) > best_err + MARGIN {
+            continue;
+        }
         stem_errors(&tables.gz, &stem, &td, &mut row);
         if let Some(d2) = first_min(&row, &mut best_err) {
             let (_, a, b) = fid_free_out2(&mul2(&tables.gz.get(d2), &stem), &td);
@@ -542,20 +621,114 @@ mod tests {
     #[test]
     fn best_indices_are_a_stable_sort_prefix() {
         // Few distinct values (signed zeros and NaNs among them) give many
-        // ties across the cut; lengths straddle the kept count.
+        // ties across the cut; lengths straddle the kept count. The keys
+        // are offered in scan order and in a seeded row-shuffled order, as
+        // the pruned L=2 scan offers them.
         let mut rng = qsim::rng::StdRng::seed_from_u64(0x57E4);
-        let values = [0.5, 0.25, 0.0, -0.0, f64::NAN, 1e-3, 0.5, f64::INFINITY];
+        let values = [
+            0.5,
+            0.25,
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            1e-3,
+            0.5,
+            f64::INFINITY,
+        ];
         for len in [0, 1, 7, 95, 96, 97, 200, 4096] {
             for levels in [1, 3, values.len()] {
                 let errs: Vec<f64> = (0..len)
                     .map(|_| values[rng.gen_range(0..levels as u64) as usize])
                     .collect();
-                let mut want: Vec<u32> = (0..len as u32).collect();
-                want.sort_by(|&i, &j| errs[i as usize].total_cmp(&errs[j as usize]));
-                want.truncate(96);
-                assert_eq!(best_indices(&errs, 96), want, "len {len}, {levels} levels");
+                let mut want: Vec<usize> = (0..len).collect();
+                want.sort_by(|&i, &j| errs[i].total_cmp(&errs[j]));
+                want.truncate(L3_STEMS);
+                let keys: Vec<(f64, usize)> = errs.iter().copied().zip(0..).collect();
+                let mut rows: Vec<&[(f64, usize)]> = keys.chunks(16).collect();
+                let scan = rows.clone();
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, rng.gen_range(0..=i as u64) as usize);
+                }
+                for (order, label) in [(scan, "scan"), (rows, "shuffled")] {
+                    let mut kept = Kept::new();
+                    order.into_iter().flatten().for_each(|&k| kept.offer(k));
+                    let got: Vec<usize> = kept.0.iter().map(|k| k.1).collect();
+                    assert_eq!(got, want, "len {len}, {levels} levels, {label} order");
+                }
             }
         }
+    }
+
+    /// `Rz(a)·Ry(π/2 + b)·diag(s0, s1)·Rz(c)`: a drifted basis with
+    /// uneven leakage, each `s` in `[0.9, 1]`.
+    fn leaky(rng: &mut qsim::rng::StdRng, n_delays: usize) -> OptBasis {
+        let mut angle = |span: f64| rng.gen_range(-span..span);
+        let (a, b, c) = (angle(0.3), angle(0.1), angle(0.3));
+        let (s0, s1) = (1.0 - angle(0.1).abs(), 1.0 - angle(0.1).abs());
+        OptBasis {
+            ubs: gates::rz(a)
+                .matmul(&gates::ry(PI / 2.0 + b))
+                .matmul(&CMat::diag(&[C64::real(s0), C64::real(s1)]))
+                .matmul(&gates::rz(c)),
+            phase_per_tick: rng.gen_range(0.0..2.0 * PI),
+            n_delays,
+        }
+    }
+
+    #[test]
+    fn error_floor_bounds_every_row_and_stem() {
+        // Every L=2 row error and L=3 stem error must sit on or above its
+        // floor (up to rounding), and the floor must bite somewhere, or the
+        // pruning would skip nothing.
+        let mut rng = qsim::rng::StdRng::seed_from_u64(0xF100_0001);
+        let mut biting = 0;
+        for _ in 0..4 {
+            let basis = leaky(&mut rng, 63);
+            let tables = OptTables::build(&basis);
+            let n = tables.n_delays();
+            for target in [
+                gates::x(),
+                gates::h(),
+                gates::t(),
+                gates::u_zyz(0.9, -0.4, 2.1),
+            ] {
+                let phi_in = rng.gen_range(-PI..PI);
+                let td = [
+                    target[(0, 0)].conj(),
+                    target[(1, 0)].conj(),
+                    target[(0, 1)].conj(),
+                    target[(1, 1)].conj(),
+                ];
+                let zin = Soa::build(tables.thetas.iter().map(|&th| {
+                    let z = th + phi_in;
+                    [C64::cis(-z / 2.0), C64::cis(z / 2.0)]
+                }));
+                let mut row = vec![0.0; n + 1];
+                for wm in &tables.w {
+                    let floor = error_floor(wm, &IDENTITY, &td);
+                    row_errors(wm, &zin, &td, &mut row);
+                    assert!(row.iter().all(|&e| e >= floor - 1e-12), "row floor {floor}");
+                    biting += usize::from(floor > 0.0);
+                }
+                for _ in 0..32 {
+                    let (d0, d1) = (
+                        rng.gen_range(0..=n as u64) as usize,
+                        rng.gen_range(0..=n as u64) as usize,
+                    );
+                    let [z0, z1] = zin.get(d0);
+                    let stem = col_scale2(&tables.w[d1], z0, z1);
+                    let floor = error_floor(&tables.g, &stem, &td);
+                    stem_errors(&tables.gz, &stem, &td, &mut row);
+                    assert!(
+                        row.iter().all(|&e| e >= floor - 1e-12),
+                        "stem floor {floor}"
+                    );
+                    biting += usize::from(floor > 0.0);
+                }
+            }
+        }
+        assert!(biting > 100, "only {biting} floors above zero");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn delay_phases(freq_ghz: f64, clock_ns: f64, n_delays: usize) -> Vec<f64> {
     let mut phases: Vec<f64> = (0..=n_delays)
         .map(|d| (d as f64 * per_tick).rem_euclid(2.0 * PI))
         .collect();
-    phases.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    phases.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
     phases
 }
 
@@ -150,10 +150,10 @@ pub fn parking_search(
             }
         })
         .collect();
+    // Widest tolerance first; a NaN tolerance sorts last.
     rows.sort_by(|x, y| {
-        y.drift_tolerance_ghz
-            .partial_cmp(&x.drift_tolerance_ghz)
-            .unwrap()
+        let (a, b) = (x.drift_tolerance_ghz, y.drift_tolerance_ghz);
+        a.is_nan().cmp(&b.is_nan()).then(b.total_cmp(&a))
     });
     rows.truncate(max_results);
     rows
@@ -190,6 +190,18 @@ mod tests {
         // Sorted.
         for w in p.windows(2) {
             assert!(w[0] <= w[1]);
+        }
+    }
+
+    #[test]
+    fn nan_frequency_sorts_without_panicking() {
+        // A NaN (or infinite) frequency makes every phase NaN; the sort
+        // puts them last instead of panicking, and the gap stays defined.
+        for freq in [f64::NAN, f64::INFINITY] {
+            let p = delay_phases(freq, 0.040, 7);
+            assert_eq!(p.len(), 8);
+            assert!(p.iter().all(|x| x.is_nan()));
+            let _ = max_phase_gap(freq, 0.040, 7);
         }
     }
 

@@ -1,21 +1,24 @@
 //! Differential test of the DigiQ_opt decomposition scans.
 //!
 //! `decompose_opt_with` fills error buffers with vectorizable map loops,
-//! picks the L=3 stems by partial selection and recomputes only each
-//! scan's winner. The oracle below is the earlier scalar implementation,
-//! kept verbatim: it pushes every L=2 candidate, stable-sorts them by
-//! error and keeps the best 96. Both must agree bit for bit — delays,
-//! `phi_in_used`, `phi_out` and `error` — on every case of the matrix:
-//! the ideal basis (whose lattice gives exact L=2 ties, so the stem order
-//! is tested on ties) and seeded drifted bases; Pauli, Clifford, T and
-//! seeded ZYZ targets; every cycle budget, three error targets, two
-//! incoming residuals, and delay counts where `(n+1)²` is smaller than
-//! the kept stem count.
+//! skips every L=2 row and L=3 stem whose closed-form error floor rules
+//! it out, keeps the best 96 L=2 keys in a bounded pool and recomputes
+//! only each scan's winner. The oracle below is the earlier scalar
+//! implementation, kept verbatim: it scans everything, pushes every L=2
+//! candidate, stable-sorts them by error and keeps the best 96. Both must
+//! agree bit for bit — delays, `phi_in_used`, `phi_out` and `error` — on
+//! every case of the matrix: the ideal basis (whose lattice gives exact
+//! L=2 ties, so the stem order is tested on ties) and seeded drifted
+//! bases; Pauli, Clifford, T and seeded ZYZ targets; every cycle budget,
+//! three error targets, two incoming residuals, and delay counts where
+//! `(n+1)²` is smaller than the kept stem count. A second matrix stresses
+//! the pruning: strongly leaky bases, a zero delay phase (every row the
+//! same, so ties cross every row) and bases with a NaN entry.
 //!
 //! The vectorized loops exist only in optimized code, so the full matrix
 //! runs in release builds (`cargo test --release -p calib --test
 //! opt_decomp_differential`, part of `scripts/ci.sh`); debug builds run
-//! two bases at `n_delays = 255` to keep the suite fast.
+//! fewer bases at `n_delays = 255` to keep the suite fast.
 
 use calib::opt_decomp::{decompose_opt_with, OptBasis, OptDecomposition, OptTables};
 use qsim::complex::C64;
@@ -328,5 +331,50 @@ fn vectorized_scan_matches_the_scalar_oracle_bit_for_bit() {
     }
     // 6 targets × 3 cycle budgets × 3 error targets × 2 residuals per basis.
     let bases = (N_DELAYS.len() - 1) * (1 + DRIFTED_BASES) + 1 + full_bases;
+    assert_eq!(cases, bases * 6 * 3 * 3 * 2);
+}
+
+/// A basis with strong, uneven leakage: `Rz(a)·Ry(π/2 + b)·diag(s0, s1)·Rz(c)`
+/// with each `s` in `[0.5, 0.9]`.
+fn strongly_leaky(rng: &mut StdRng, n_delays: usize) -> OptBasis {
+    let mut angle = |span: f64| rng.gen_range(-span..span);
+    let (a, b, c) = (angle(0.3), angle(0.1), angle(0.3));
+    let (s0, s1) = (0.7 + angle(0.2), 0.7 + angle(0.2));
+    OptBasis {
+        ubs: gates::rz(a)
+            .matmul(&gates::ry(PI / 2.0 + b))
+            .matmul(&CMat::diag(&[C64::real(s0), C64::real(s1)]))
+            .matmul(&gates::rz(c)),
+        phase_per_tick: rng.gen_range(0.0..2.0 * PI),
+        n_delays,
+    }
+}
+
+#[test]
+fn pruning_stress_cases_match_the_scalar_oracle() {
+    // In debug builds, one basis of each kind at the full 256-delay lattice.
+    let per_kind = if cfg!(debug_assertions) { 1 } else { 4 };
+    let mut cases = 0;
+    for n_delays in N_DELAYS {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + n_delays as u64);
+        let kinds = if n_delays == 255 { per_kind } else { 4 };
+        for i in 0..kinds {
+            let basis = strongly_leaky(&mut rng, n_delays);
+            cases += check_basis(&format!("leaky#{i}"), &basis, &mut rng);
+
+            // θ_d = 0 for every d: all rows equal, all entries of a row equal.
+            let still = OptBasis {
+                phase_per_tick: 0.0,
+                ..drifted(&mut rng, n_delays)
+            };
+            cases += check_basis(&format!("still#{i}"), &still, &mut rng);
+
+            let mut nan = drifted(&mut rng, n_delays);
+            let (r, c) = (i / 2 % 2, i % 2);
+            nan.ubs[(r, c)] = C64::new(nan.ubs[(r, c)].re, f64::NAN);
+            cases += check_basis(&format!("nan({r},{c})#{i}"), &nan, &mut rng);
+        }
+    }
+    let bases = 3 * ((N_DELAYS.len() - 1) * 4 + per_kind);
     assert_eq!(cases, bases * 6 * 3 * 3 * 2);
 }

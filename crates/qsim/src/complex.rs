@@ -128,24 +128,6 @@ impl C64 {
         }
     }
 
-    /// Multiplies by the imaginary unit: `i·z` without a full complex multiply.
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        C64 {
-            re: -self.im,
-            im: self.re,
-        }
-    }
-
-    /// Multiplies by `−i`.
-    #[inline]
-    pub fn mul_neg_i(self) -> Self {
-        C64 {
-            re: self.im,
-            im: -self.re,
-        }
-    }
-
     /// Integer power by repeated squaring.
     pub fn powi(self, mut n: i32) -> Self {
         if n < 0 {
@@ -424,13 +406,6 @@ mod tests {
         assert!(z.powi(3).approx_eq(z * z * z, 1e-12));
         assert!(z.powi(-2).approx_eq((z * z).recip(), 1e-12));
         assert_eq!(z.powi(0), C64::ONE);
-    }
-
-    #[test]
-    fn mul_i_shortcuts() {
-        let z = C64::new(2.0, 5.0);
-        assert_eq!(z.mul_i(), z * C64::I);
-        assert_eq!(z.mul_neg_i(), z * -C64::I);
     }
 
     #[test]

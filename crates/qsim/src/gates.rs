@@ -277,25 +277,6 @@ impl Su2 {
         .canonicalize()
     }
 
-    /// Builds the rotation `exp(−i·θ/2·(n̂·σ))` about axis `(nx, ny, nz)`
-    /// (normalized internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis is the zero vector.
-    pub fn from_axis_angle(nx: f64, ny: f64, nz: f64, theta: f64) -> Su2 {
-        let n = (nx * nx + ny * ny + nz * nz).sqrt();
-        assert!(n > 0.0, "rotation axis must be nonzero");
-        let (s, c) = ((theta / 2.0).sin(), (theta / 2.0).cos());
-        Su2 {
-            w: c,
-            x: s * nx / n,
-            y: s * ny / n,
-            z: s * nz / n,
-        }
-        .canonicalize()
-    }
-
     /// Converts back to the 2×2 matrix representation.
     pub fn to_matrix(self) -> CMat {
         CMat::from_slice(
@@ -520,14 +501,6 @@ mod tests {
         let b = Su2::from_matrix(&t());
         assert!((a.distance(b) - b.distance(a)).abs() < 1e-14);
         assert!(a.trace_overlap(a) > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn su2_axis_angle() {
-        let q = Su2::from_axis_angle(0.0, 1.0, 0.0, FRAC_PI_2);
-        assert!(phase_distance(&q.to_matrix(), &ry(FRAC_PI_2)) < 1e-12);
-        let r = Su2::from_axis_angle(0.0, 0.0, 2.0, PI);
-        assert!(phase_distance(&r.to_matrix(), &z()) < 1e-12);
     }
 
     #[test]

@@ -538,24 +538,6 @@ impl CMat {
         }
         acc
     }
-
-    /// Removes the global phase: multiplies by `e^{-i·arg(a)}` where `a` is
-    /// the largest-magnitude entry, making that entry real-positive.
-    ///
-    /// Quantum gates are equivalence classes under global phase; this
-    /// canonicalizes a representative for comparisons and hashing.
-    pub fn strip_global_phase(&self) -> CMat {
-        let mut best = C64::ZERO;
-        for &z in &self.data {
-            if z.abs2() > best.abs2() {
-                best = z;
-            }
-        }
-        if best.abs2() == 0.0 {
-            return self.clone();
-        }
-        self.scale(C64::cis(-best.arg()))
-    }
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -808,14 +790,6 @@ mod tests {
         assert!(h4.approx_eq(&CMat::identity(2), 1e-12));
         assert!(h.powi(0).approx_eq(&CMat::identity(2), 0.0));
         assert!(h.powi(1).approx_eq(&h, 0.0));
-    }
-
-    #[test]
-    fn strip_global_phase_canonicalizes() {
-        let x = pauli_x();
-        let phased = x.scale(C64::cis(1.234));
-        let stripped = phased.strip_global_phase();
-        assert!(stripped.approx_eq(&x, 1e-12));
     }
 
     #[test]

@@ -20,6 +20,23 @@
 //! ```
 
 use crate::rng::StdRng;
+use std::cmp::Ordering;
+
+/// Ascending order with every NaN last, as the worst objective value.
+/// `±0` compare equal, so a stable sort keeps the order of non-NaN input.
+fn nan_last(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) if a < b => Ordering::Less,
+        (false, false) if a > b => Ordering::Greater,
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
+/// Whether fitness `a` beats `b` (higher is better, NaN loses to any
+/// number): exactly `a > b` when neither is NaN.
+fn fitter(a: f64, b: f64) -> bool {
+    nan_last(-a, -b).is_lt()
+}
 
 /// Result of a continuous optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +92,7 @@ pub fn nelder_mead(
     for _ in 0..max_iter {
         // Sort simplex by value.
         let mut order: Vec<usize> = (0..=n).collect();
-        order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
+        order.sort_by(|&a, &b| nan_last(values[a], values[b]));
         let simplex_sorted: Vec<Vec<f64>> = order.iter().map(|&i| simplex[i].clone()).collect();
         let values_sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
         simplex = simplex_sorted;
@@ -250,7 +267,7 @@ pub fn ga_bitstring(
     for gen in 0..cfg.generations {
         // Track best.
         for (i, &s) in scores.iter().enumerate() {
-            if s > scores[best_idx] {
+            if fitter(s, scores[best_idx]) {
                 best_idx = i;
             }
         }
@@ -259,7 +276,7 @@ pub fn ga_bitstring(
         }
 
         let mut order: Vec<usize> = (0..cfg.population).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        order.sort_by(|&a, &b| nan_last(-scores[a], -scores[b]));
 
         let mut next: Vec<Vec<bool>> = order
             .iter()
@@ -271,7 +288,7 @@ pub fn ga_bitstring(
             let mut best = rng.gen_range(0..cfg.population);
             for _ in 1..cfg.tournament {
                 let c = rng.gen_range(0..cfg.population);
-                if scores[c] > scores[best] {
+                if fitter(scores[c], scores[best]) {
                     best = c;
                 }
             }
@@ -303,7 +320,7 @@ pub fn ga_bitstring(
     }
 
     for (i, &s) in scores.iter().enumerate() {
-        if s > scores[best_idx] {
+        if fitter(s, scores[best_idx]) {
             best_idx = i;
         }
     }
@@ -379,6 +396,59 @@ mod tests {
         let a = ga_bitstring(f, 16, &[], GaConfig::default());
         let b = ga_bitstring(f, 16, &[], GaConfig::default());
         assert_eq!(a.bits, b.bits);
+    }
+
+    #[test]
+    fn nelder_mead_survives_a_nan_half_space() {
+        // NaN sorts as the worst vertex, so the simplex walks back out of
+        // the undefined region onto the minimum at (0.5, 0) on its edge.
+        let f = |x: &[f64]| {
+            if x[0] > 1.0 {
+                f64::NAN
+            } else {
+                (x[0] - 0.5).powi(2) + x[1] * x[1]
+            }
+        };
+        let r = nelder_mead(f, &[0.9, 0.3], 0.5, 2000, 1e-14);
+        assert!(r.value < 1e-8, "value = {}", r.value);
+        assert!((r.x[0] - 0.5).abs() < 1e-3 && r.x[1].abs() < 1e-3);
+    }
+
+    #[test]
+    fn ga_treats_nan_fitness_as_worst() {
+        // Bitstrings starting with `true` have no fitness; the search must
+        // neither panic nor return one of them.
+        let f = |b: &[bool]| {
+            if b[0] {
+                f64::NAN
+            } else {
+                b.iter().filter(|&&x| x).count() as f64
+            }
+        };
+        for generations in [1, 40] {
+            let r = ga_bitstring(
+                f,
+                24,
+                &[vec![true; 24]],
+                GaConfig {
+                    generations,
+                    ..GaConfig::default()
+                },
+            );
+            assert!(!r.bits[0] && !r.fitness.is_nan(), "{generations}: {r:?}");
+        }
+        let r = ga_bitstring(f, 24, &[], GaConfig::default());
+        assert!(r.fitness >= 20.0, "fitness = {}", r.fitness);
+    }
+
+    #[test]
+    fn nan_last_orders_nan_worst_and_zeros_equal() {
+        let mut v = [f64::NAN, 1.0, -0.0, -f64::NAN, 0.0, -1.0, f64::INFINITY];
+        v.sort_by(|&a, &b| nan_last(a, b));
+        assert_eq!(&v[..5], &[-1.0, -0.0, 0.0, 1.0, f64::INFINITY]);
+        assert!(v[1].is_sign_negative() && v[2].is_sign_positive());
+        assert!(v[5].is_nan() && v[6].is_nan());
+        assert!(fitter(1.0, f64::NAN) && !fitter(f64::NAN, 1.0) && !fitter(0.0, -0.0));
     }
 
     #[test]

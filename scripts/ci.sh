@@ -134,6 +134,24 @@ if [[ -n "$memos" ]]; then
 fi
 echo "no hidden memos: the artifact store is the only cache surface"
 
+# NaN-safe ordering (see ROADMAP.md): `partial_cmp(..).unwrap()` panics
+# on a NaN, so library and binary code orders floats with `total_cmp` or
+# an explicit NaN-last rule. Comment lines and `#[cfg(test)]` modules
+# are exempt.
+echo "==> no partial_cmp in crates/*/src or src/"
+partials=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+    !in_test && /partial_cmp/ && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ":" $0
+    }')
+if [[ -n "$partials" ]]; then
+    echo "partial_cmp outside tests (a NaN would panic or misorder):" >&2
+    echo "$partials" >&2
+    exit 1
+fi
+echo "no partial_cmp: float ordering is NaN-safe"
+
 # golden_smoke <label> <bin> <golden>: run `<bin> --smoke` (2 designs x
 # 2 benchmarks, 2 workers) and diff its JSON against the committed golden.
 golden_smoke() {
