@@ -259,29 +259,39 @@ fn bench_decomposition(h: &mut Bench) {
 
 fn bench_compile(h: &mut Bench) {
     use qcircuit::lower::lower_to_cz;
-    use qcircuit::mapping::{route, Layout, RouterConfig};
+    use qcircuit::mapping::{route, Layout, RouteWorkspace};
+    use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
+    use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
     use qcircuit::topology::Grid;
     let grid = Grid::new(8, 8);
     let circuit = lower_to_cz(&qcircuit::bench::ising_chain(64, 2, 0.3, 0.7));
     let snake = Layout::snake(64, &grid);
+    let mut route_ws = RouteWorkspace::new();
     h.bench("route_ising64", || {
         route(
+            &mut route_ws,
             black_box(&circuit),
             &grid,
             black_box(&snake),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         )
     });
-    let routed = route(&circuit, &grid, &snake, &RouterConfig::default());
+    let routed = route(
+        &mut route_ws,
+        &circuit,
+        &grid,
+        &snake,
+        RouteStrategy::Greedy,
+    );
     let phys = lower_to_cz(&routed.circuit);
+    let mut sched_ws = ScheduleWorkspace::new();
     h.bench("schedule_ising64", || {
-        qcircuit::schedule::schedule_crosstalk_aware(black_box(&phys), &grid)
+        schedule_crosstalk_aware(&mut sched_ws, black_box(&phys), &grid)
     });
 
     // The whole pass pipeline (lower → route → lower_swaps → schedule,
     // post-validated per stage) on the same workload, default vs the
     // alternative strategies.
-    use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
     let logical = qcircuit::bench::ising_chain(64, 2, 0.3, 0.7);
     let mut pipe = |name: &'static str, cfg: PipelineConfig| {
         h.bench(name, || {

@@ -35,7 +35,7 @@ use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::engine::{default_workers, CosimSweepReport, EvalEngine, SweepSpec};
 use digiq_core::exec::{checkerboard_groups, ExecParams};
 use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
-use qcircuit::schedule::schedule_crosstalk_aware;
+use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
 use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
@@ -141,7 +141,7 @@ fn trace_demo() {
         c.ry(q, 0.1 + 0.05 * q as f64);
     }
     c.cz(0, 1);
-    let slots = schedule_crosstalk_aware(&c, &grid);
+    let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
     let groups = checkerboard_groups(4, 16, 2);
     let mut params = ExecParams::new(SystemConfig::paper_default(
         ControllerDesign::DigiqOpt { bs: 2 },

@@ -37,7 +37,7 @@
 //! use digiq_core::cosim::{diff_analytic, simulate, CosimParams};
 //! use digiq_core::design::{ControllerDesign, SystemConfig};
 //! use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
-//! use qcircuit::schedule::schedule_crosstalk_aware;
+//! use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
 //! use qcircuit::topology::Grid;
 //!
 //! let grid = Grid::new(4, 4);
@@ -45,7 +45,7 @@
 //! for q in 0..16 {
 //!     c.ry(q, 0.1 + 0.05 * q as f64);
 //! }
-//! let slots = schedule_crosstalk_aware(&c, &grid);
+//! let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
 //! let groups = checkerboard_groups(4, 16, 2);
 //! let mut params = ExecParams::new(SystemConfig::paper_default(
 //!     ControllerDesign::DigiqOpt { bs: 4 },
@@ -842,7 +842,7 @@ mod tests {
     use crate::design::SystemConfig;
     use crate::exec::{checkerboard_groups, execute};
     use qcircuit::ir::Circuit;
-    use qcircuit::schedule::schedule_crosstalk_aware;
+    use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
     use qcircuit::topology::Grid;
 
     fn setup(
@@ -850,7 +850,7 @@ mod tests {
         c: &Circuit,
         grid: &Grid,
     ) -> (Vec<Slot>, Vec<usize>, ExecParams) {
-        let slots = schedule_crosstalk_aware(c, grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), c, grid);
         let groups = checkerboard_groups(grid.cols(), c.n_qubits(), 2);
         let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
         params.config.n_qubits = c.n_qubits();

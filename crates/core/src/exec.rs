@@ -361,11 +361,11 @@ pub fn checkerboard_groups(grid_cols: usize, n_qubits: usize, groups: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::schedule::schedule_crosstalk_aware;
+    use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
     use qcircuit::topology::Grid;
 
     fn run(design: ControllerDesign, circuit: &Circuit, grid: &Grid) -> ExecReport {
-        let slots = schedule_crosstalk_aware(circuit, grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), circuit, grid);
         let groups = checkerboard_groups(grid.cols(), circuit.n_qubits(), 2);
         let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
         params.config.n_qubits = circuit.n_qubits();
@@ -412,7 +412,7 @@ mod tests {
         for q in 0..16 {
             c.h(q);
         }
-        let slots = schedule_crosstalk_aware(&c, &grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
         let groups = checkerboard_groups(4, 16, 2);
         let mut p = ExecParams::new(SystemConfig::paper_default(
             ControllerDesign::DigiqOpt { bs: 2 },
@@ -475,7 +475,7 @@ mod tests {
         for q in (0..15).step_by(2) {
             c.cz(q, q + 1);
         }
-        let slots = schedule_crosstalk_aware(&c, &grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
         let groups = checkerboard_groups(4, 16, 2);
         let mut p = ExecParams::new(SystemConfig::paper_default(
             ControllerDesign::DigiqOpt { bs: 16 },

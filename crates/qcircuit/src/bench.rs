@@ -810,7 +810,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         // Layer structure: 2 rotations per qubit per layer + CZ brickwork.
-        assert_eq!(a.one_qubit_count(), 8 * 2 * 2);
+        assert_eq!(a.len() - a.two_qubit_count(), 8 * 2 * 2);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! assert_eq!(c.two_qubit_count(), 1);
 //! ```
 
-use std::f64::consts::PI;
 use std::fmt;
 
 /// A single-qubit gate kind.
@@ -75,16 +74,6 @@ impl OneQ {
             OneQ::Rz(a) => g::rz(a),
             OneQ::U { theta, phi, lam } => g::u_zyz(theta, phi, lam),
         }
-    }
-
-    /// True for gates that are diagonal in the computational basis
-    /// (virtualizable as frame updates on microwave hardware; performed by
-    /// free-evolution delay on DigiQ, §IV-A2).
-    pub fn is_diagonal(self) -> bool {
-        matches!(
-            self,
-            OneQ::Z | OneQ::S | OneQ::Sdg | OneQ::T | OneQ::Tdg | OneQ::Rz(_)
-        )
     }
 }
 
@@ -432,11 +421,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_multi_qubit()).count()
     }
 
-    /// Count of single-qubit gates.
-    pub fn one_qubit_count(&self) -> usize {
-        self.len() - self.two_qubit_count()
-    }
-
     /// ASAP depth: the number of parallel layers when gates on disjoint
     /// qubits may run simultaneously.
     pub fn depth(&self) -> usize {
@@ -675,19 +659,10 @@ impl StateVector {
     }
 }
 
-/// Returns angle wrapped into `(−π, π]` — convenient when comparing
-/// compiled rotation parameters.
-pub fn wrap_angle(a: f64) -> f64 {
-    let mut x = a.rem_euclid(2.0 * PI);
-    if x > PI {
-        x -= 2.0 * PI;
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
 
     #[test]
     fn builder_and_counts() {
@@ -698,7 +673,7 @@ mod tests {
         c.rz(2, 0.5);
         assert_eq!(c.len(), 4);
         assert_eq!(c.two_qubit_count(), 2);
-        assert_eq!(c.one_qubit_count(), 2);
+        assert_eq!(c.len() - c.two_qubit_count(), 2);
     }
 
     #[test]
@@ -819,9 +794,6 @@ mod tests {
             kind: OneQ::Rx(PI),
         });
         assert!((sv.prob_one(0) - 1.0).abs() < 1e-12);
-        // T is diagonal.
-        assert!(OneQ::T.is_diagonal());
-        assert!(!OneQ::H.is_diagonal());
     }
 
     #[test]
@@ -843,13 +815,6 @@ mod tests {
         let (idx, p) = sv.argmax();
         assert_eq!(idx, 0b010);
         assert!((p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wrap_angle_range() {
-        assert!((wrap_angle(3.0 * PI) - PI).abs() < 1e-12);
-        assert!((wrap_angle(-PI / 2.0) + PI / 2.0).abs() < 1e-12);
-        assert!((wrap_angle(2.0 * PI)).abs() < 1e-12);
     }
 
     #[test]

@@ -23,15 +23,16 @@
 //! ```
 //! use qcircuit::bench::ising_chain;
 //! use qcircuit::lower::lower_to_cz;
-//! use qcircuit::mapping::{route, Layout, RouterConfig};
-//! use qcircuit::schedule::schedule_crosstalk_aware;
+//! use qcircuit::mapping::{route, Layout, RouteWorkspace};
+//! use qcircuit::pipeline::RouteStrategy;
+//! use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
 //! use qcircuit::topology::Grid;
 //!
 //! let grid = Grid::new(4, 4);
 //! let circuit = lower_to_cz(&ising_chain(16, 1, 0.3, 0.7));
-//! let routed = route(&circuit, &grid, &Layout::snake(16, &grid),
-//!                    &RouterConfig::default());
-//! let slots = schedule_crosstalk_aware(&routed.circuit, &grid);
+//! let routed = route(&mut RouteWorkspace::new(), &circuit, &grid,
+//!                    &Layout::snake(16, &grid), RouteStrategy::Greedy);
+//! let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &routed.circuit, &grid);
 //! assert!(!slots.is_empty());
 //! ```
 

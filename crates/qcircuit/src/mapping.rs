@@ -8,28 +8,34 @@
 //! on grid-adjacent physical qubits, and the logical gate sequence is
 //! preserved under the evolving layout.
 //!
-//! The algorithm processes gates in order, and for each non-adjacent CZ
-//! greedily inserts SWAPs chosen among the neighbours of the two endpoints
-//! — each SWAP must strictly shrink the endpoint distance, with a
-//! lookahead bonus for pending gates and seeded random tie-breaking.
-//! Multiple trials with different seeds keep the best result.
+//! One SWAP-insertion loop serves both [`RouteStrategy`] variants. It
+//! processes gates in order, and for each non-adjacent CZ inserts SWAPs
+//! chosen among the neighbours of the two endpoints — each SWAP must
+//! strictly shrink the endpoint distance. The strategy only scores the
+//! candidates: the greedy router adds a lookahead bonus for pending
+//! gates and seeded random tie-breaking and keeps the best of several
+//! trials; the lookahead router scores a decayed window of pending gates
+//! deterministically, in one attempt.
 //!
 //! # Examples
 //!
 //! ```
 //! use qcircuit::ir::Circuit;
 //! use qcircuit::topology::Grid;
-//! use qcircuit::mapping::{Layout, RouterConfig, route};
+//! use qcircuit::mapping::{route, Layout, RouteWorkspace};
+//! use qcircuit::pipeline::RouteStrategy;
 //!
 //! let mut c = Circuit::new(4);
 //! c.cz(0, 3);
 //! let grid = Grid::new(2, 2);
-//! let routed = route(&c, &grid, &Layout::identity(4, 4), &RouterConfig::default());
+//! let mut ws = RouteWorkspace::new();
+//! let routed = route(&mut ws, &c, &grid, &Layout::identity(4, 4), RouteStrategy::Greedy);
 //! // All CZs now nearest-neighbour.
 //! assert!(routed.is_hardware_compliant(&grid));
 //! ```
 
 use crate::ir::{Circuit, Gate};
+use crate::pipeline::RouteStrategy;
 use crate::topology::Grid;
 use qsim::rng::StdRng;
 
@@ -171,30 +177,6 @@ impl Layout {
     }
 }
 
-/// Router options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterConfig {
-    /// RNG seed for tie-breaking.
-    pub seed: u64,
-    /// Independent routing attempts; the lowest-SWAP result wins.
-    pub trials: usize,
-    /// How many upcoming 2q gates contribute to the lookahead score.
-    pub lookahead: usize,
-    /// Weight of the lookahead term.
-    pub lookahead_weight: f64,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            seed: 0xD161_0A11,
-            trials: 2,
-            lookahead: 8,
-            lookahead_weight: 0.5,
-        }
-    }
-}
-
 /// A routed circuit: gates rewritten over *physical* qubit indices with
 /// explicit SWAPs inserted.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,19 +201,16 @@ impl RoutedCircuit {
     }
 }
 
-/// Reusable scratch for the routers — the allocation-free hot-loop
+/// Reusable scratch for [`route`] — the allocation-free hot-loop
 /// contract of the compile path. Holds the upcoming two-qubit endpoint
 /// list, the per-SWAP-iteration window of precomputed front-gate
 /// distances, the trial layout driven by [`Layout::swap_physical`]
 /// apply/undo pairs, and the output circuit under construction. Buffers
 /// grow to the largest circuit routed and are then reused; only the
 /// returned [`RoutedCircuit`] (circuit + final layout) is materialized
-/// fresh, so a warm route call performs O(1) heap allocations.
-///
-/// The plain [`route`] / [`route_lookahead`] entry points keep one
-/// workspace per thread; [`route_with`] / [`route_lookahead_with`] take
-/// an explicit workspace (what the pass pipeline threads through its
-/// stages).
+/// fresh, so a warm route call performs O(1) heap allocations. The
+/// compile pipeline keeps one per thread; standalone callers pass their
+/// own.
 #[derive(Debug)]
 pub struct RouteWorkspace {
     upcoming: Vec<(usize, usize)>,
@@ -272,51 +251,119 @@ impl RouteWorkspace {
     }
 }
 
-thread_local! {
-    static ROUTE_WS: std::cell::RefCell<RouteWorkspace> =
-        std::cell::RefCell::new(RouteWorkspace::new());
+/// RNG seed of the greedy router's first trial (trial `t` uses
+/// `seed + t`).
+pub(crate) const GREEDY_SEED: u64 = 0xD161_0A11;
+/// Greedy trials; the first one with the fewest SWAPs wins.
+pub(crate) const GREEDY_TRIALS: usize = 2;
+/// Upcoming 2q gates in the greedy router's lookahead score.
+pub(crate) const GREEDY_LOOKAHEAD: usize = 8;
+/// Weight of the greedy router's lookahead term.
+pub(crate) const GREEDY_LOOKAHEAD_WEIGHT: f64 = 0.5;
+
+/// A candidate SWAP `(endpoint, neighbour)` with its score.
+type Candidate = (usize, usize, f64);
+
+/// What a routing strategy contributes to the shared SWAP-insertion
+/// loop: the candidate score, accumulated over the window as
+/// `start(d_after) + Σ dk / (k + OFFSET)` in that f64 order and then
+/// closed by `finish`, and the rule for replacing the running best.
+trait Scorer {
+    /// Divisor offset of the `k`-th window gate's distance.
+    const OFFSET: usize;
+    /// The accumulator before the first window gate.
+    fn start(&self, d_after: usize) -> f64;
+    /// The candidate's score from the accumulated window sum.
+    fn finish(&mut self, d_after: usize, acc: f64) -> f64;
+    /// True when candidate `(end, n, score)` replaces `best`.
+    fn beats(&self, cand: Candidate, best: Candidate) -> bool;
 }
 
-/// Routes a lowered circuit onto the grid (see module docs). Runs
-/// `cfg.trials` seeded attempts and returns the one with the fewest
-/// SWAPs. Uses a per-thread [`RouteWorkspace`], so repeated calls are
-/// allocation-free apart from the returned artifact.
+/// The seeded stochastic router: the current gate's residual distance
+/// plus a weighted, harmonically decayed lookahead and a small random
+/// tie-break; the first minimal score wins.
+struct Greedy(StdRng);
+
+impl Scorer for Greedy {
+    const OFFSET: usize = 1;
+
+    fn start(&self, _d_after: usize) -> f64 {
+        0.0
+    }
+
+    fn finish(&mut self, d_after: usize, la: f64) -> f64 {
+        // Weight multiply, two adds, tie-break scale.
+        qsim::counters::tally_flops(4);
+        d_after as f64 + GREEDY_LOOKAHEAD_WEIGHT * la + self.0.gen::<f64>() * 1e-3
+    }
+
+    fn beats(&self, (_, _, score): Candidate, (_, _, bs): Candidate) -> bool {
+        score < bs
+    }
+}
+
+/// The deterministic window router: the current gate counts as the
+/// window's head and pending gates decay harmonically behind it; ties
+/// break on the (endpoint, neighbour) pair.
+struct Lookahead;
+
+impl Scorer for Lookahead {
+    const OFFSET: usize = 2;
+
+    fn start(&self, d_after: usize) -> f64 {
+        d_after as f64
+    }
+
+    fn finish(&mut self, _d_after: usize, score: f64) -> f64 {
+        score
+    }
+
+    fn beats(&self, (end, n, score): Candidate, (be, bn, bs): Candidate) -> bool {
+        score < bs || (score == bs && (end, n) < (be, bn))
+    }
+}
+
+/// Routes a lowered circuit onto the grid (see module docs) with the
+/// given strategy, reusing `ws`: the greedy router keeps the first of
+/// its seeded trials with the fewest SWAPs, the lookahead router makes
+/// one deterministic attempt over the next `window` two-qubit gates.
+/// Warm calls allocate only the returned artifact.
 ///
 /// # Panics
 ///
-/// Panics if the circuit contains un-lowered `CX`/`CCX`/`SWAP` gates, or
-/// needs more qubits than the grid provides.
-pub fn route(c: &Circuit, grid: &Grid, initial: &Layout, cfg: &RouterConfig) -> RoutedCircuit {
-    ROUTE_WS.with(|ws| match ws.try_borrow_mut() {
-        Ok(mut ws) => route_with(&mut ws, c, grid, initial, cfg),
-        // Re-entrant call (route inside route): fall back to a fresh
-        // workspace rather than panicking on the double borrow.
-        Err(_) => route_with(&mut RouteWorkspace::new(), c, grid, initial, cfg),
-    })
-}
-
-/// [`route`] with an explicit workspace (the pipeline's form).
-///
-/// # Panics
-///
-/// Same contract as [`route`].
-pub fn route_with(
+/// Panics if the circuit contains un-lowered `CX`/`CCX`/`SWAP` gates,
+/// needs more qubits than the grid provides, or `initial` does not map
+/// the circuit's qubits onto exactly the grid's physical register.
+pub fn route(
     ws: &mut RouteWorkspace,
     c: &Circuit,
     grid: &Grid,
     initial: &Layout,
-    cfg: &RouterConfig,
+    strategy: RouteStrategy,
 ) -> RoutedCircuit {
     crate::lower::assert_lowered(c, "route");
-    assert!(c.n_qubits() <= grid.n_qubits());
-    ws.prepare(c, cfg.lookahead);
+    if let Err(e) = check_fit(c, grid, initial) {
+        panic!("route: {e}");
+    }
+    let (window, trials) = match strategy {
+        RouteStrategy::Greedy => (GREEDY_LOOKAHEAD, GREEDY_TRIALS),
+        RouteStrategy::Lookahead { window } => (window, 1),
+    };
+    ws.prepare(c, window);
     let mut best: Option<RoutedCircuit> = None;
-    for t in 0..cfg.trials.max(1) {
-        let swap_count =
-            route_once_into(ws, c, grid, initial, cfg.seed.wrapping_add(t as u64), cfg);
-        // Strictly-fewer-swaps keeps the FIRST minimal trial, matching
-        // the historical selection; only improving trials materialize.
-        if best.as_ref().map_or(true, |b| swap_count < b.swap_count) {
+    for t in 0..trials {
+        let swap_count = match strategy {
+            RouteStrategy::Greedy => {
+                let rng = StdRng::seed_from_u64(GREEDY_SEED.wrapping_add(t as u64));
+                insert_swaps(ws, c, grid, initial, window, Greedy(rng))
+            }
+            RouteStrategy::Lookahead { .. } => {
+                insert_swaps(ws, c, grid, initial, window, Lookahead)
+            }
+        };
+        // Strictly-fewer-swaps keeps the FIRST minimal trial; only
+        // improving trials materialize.
+        if best.as_ref().is_none_or(|b| swap_count < b.swap_count) {
             best = Some(RoutedCircuit {
                 circuit: ws.out.clone(),
                 final_layout: ws.layout.clone(),
@@ -330,152 +377,43 @@ pub fn route_with(
     best.expect("at least one trial")
 }
 
-/// The deterministic lookahead-window router: the alternative
-/// [`RouteStrategy`](crate::pipeline::RouteStrategy) of the pass
-/// pipeline.
-///
-/// Like [`route`] it inserts strictly distance-reducing SWAPs among the
-/// neighbours of the current CZ's endpoints (so termination is
-/// guaranteed), but the candidate score is dominated by the next `window`
-/// pending two-qubit gates (harmonically decayed) instead of the current
-/// gate's residual distance, there is no random tie-breaking and no
-/// multi-trial search — one fully deterministic attempt.
-///
-/// # Panics
-///
-/// Panics if the circuit contains un-lowered `CX`/`CCX`/`SWAP` gates, or
-/// needs more qubits than the grid provides.
-pub fn route_lookahead(c: &Circuit, grid: &Grid, initial: &Layout, window: usize) -> RoutedCircuit {
-    ROUTE_WS.with(|ws| match ws.try_borrow_mut() {
-        Ok(mut ws) => route_lookahead_with(&mut ws, c, grid, initial, window),
-        Err(_) => route_lookahead_with(&mut RouteWorkspace::new(), c, grid, initial, window),
-    })
+/// Why `initial` cannot route `c` onto `grid`, if it cannot: the circuit
+/// must fit the grid, and the layout must place every circuit qubit on
+/// exactly the grid's physical register.
+pub(crate) fn check_fit(c: &Circuit, grid: &Grid, initial: &Layout) -> Result<(), String> {
+    if c.n_qubits() > grid.n_qubits() {
+        return Err(format!(
+            "circuit needs {} qubits but the grid has {}",
+            c.n_qubits(),
+            grid.n_qubits()
+        ));
+    }
+    if initial.n_physical() != grid.n_qubits() || initial.n_logical() < c.n_qubits() {
+        return Err(format!(
+            "layout maps {} logical onto {} physical qubits, but the circuit has {} qubits \
+             and the grid {}",
+            initial.n_logical(),
+            initial.n_physical(),
+            c.n_qubits(),
+            grid.n_qubits()
+        ));
+    }
+    Ok(())
 }
 
-/// [`route_lookahead`] with an explicit workspace (the pipeline's form).
-///
-/// # Panics
-///
-/// Same contract as [`route_lookahead`].
-pub fn route_lookahead_with(
+/// The SWAP-insertion loop: one routing attempt built into the
+/// workspace's `out`/`layout` buffers. For each non-adjacent CZ it
+/// inserts the best-scoring SWAP among the neighbours of the two
+/// endpoints that strictly shrinks their distance (so it terminates),
+/// until the endpoints are adjacent. Returns the attempt's SWAP count;
+/// the caller materializes the winner.
+fn insert_swaps<S: Scorer>(
     ws: &mut RouteWorkspace,
     c: &Circuit,
     grid: &Grid,
     initial: &Layout,
     window: usize,
-) -> RoutedCircuit {
-    crate::lower::assert_lowered(c, "route");
-    assert!(c.n_qubits() <= grid.n_qubits());
-    ws.prepare(c, window);
-    let RouteWorkspace {
-        upcoming,
-        base_d,
-        layout,
-        out,
-    } = ws;
-    layout.copy_from(initial);
-    out.reset(grid.n_qubits());
-    let mut swap_count = 0usize;
-    let mut next_2q = 0usize;
-
-    for g in c.gates() {
-        match *g {
-            Gate::OneQ { q, kind } => out.push(Gate::OneQ {
-                q: layout.phys(q),
-                kind,
-            }),
-            Gate::Cz { a, b } => {
-                loop {
-                    let (pa, pb) = (layout.phys(a), layout.phys(b));
-                    let d = grid.distance(pa, pb);
-                    if d == 1 {
-                        break;
-                    }
-                    // Window front-gate distances, computed once per SWAP
-                    // iteration; candidates below patch only the gates
-                    // whose endpoints ride the swapped pair.
-                    let mut window_len = 0usize;
-                    for k in 0..window {
-                        let idx = next_2q + 1 + k;
-                        if idx >= upcoming.len() {
-                            break;
-                        }
-                        let (x, y) = upcoming[idx];
-                        base_d[k] = grid.distance(layout.phys(x), layout.phys(y));
-                        window_len = k + 1;
-                    }
-                    // Best candidate under the window score; ties break on
-                    // the (endpoint, neighbour) pair for full determinism.
-                    let mut best: Option<(usize, usize, f64)> = None;
-                    for &(end, other) in &[(pa, pb), (pb, pa)] {
-                        for n in grid.neighbors_iter(end) {
-                            let d_after = grid.distance(n, other);
-                            if d_after >= d {
-                                continue;
-                            }
-                            // Trial swap applied in place and undone below
-                            // (swap_physical is involutive) — no clone.
-                            let occ_end = layout.logical(end);
-                            let occ_n = layout.logical(n);
-                            layout.swap_physical(end, n);
-                            // Window cost: the current gate counts as the
-                            // window's head, pending gates decay harmonically.
-                            let mut score = d_after as f64;
-                            for (k, &bd) in base_d.iter().enumerate().take(window_len) {
-                                let (x, y) = upcoming[next_2q + 1 + k];
-                                let moved = occ_end == Some(x)
-                                    || occ_end == Some(y)
-                                    || occ_n == Some(x)
-                                    || occ_n == Some(y);
-                                let dk = if moved {
-                                    grid.distance(layout.phys(x), layout.phys(y))
-                                } else {
-                                    bd
-                                };
-                                score += dk as f64 / (k + 2) as f64;
-                                qsim::counters::tally_flops(2); // divide + accumulate
-                            }
-                            layout.swap_physical(end, n); // undo
-                            let better = match best {
-                                None => true,
-                                Some((be, bn, bs)) => {
-                                    score < bs || (score == bs && (end, n) < (be, bn))
-                                }
-                            };
-                            if better {
-                                best = Some((end, n, score));
-                            }
-                        }
-                    }
-                    let (x, y, _) = best.expect("a distance-reducing swap always exists on a grid");
-                    out.swap(x, y);
-                    layout.swap_physical(x, y);
-                    swap_count += 1;
-                }
-                out.cz(layout.phys(a), layout.phys(b));
-                next_2q += 1;
-            }
-            _ => panic!("route requires a lowered circuit (1q + CZ only)"),
-        }
-    }
-
-    qsim::counters::tally_allocs(2); // materialized routed circuit + final layout
-    RoutedCircuit {
-        circuit: out.clone(),
-        final_layout: layout.clone(),
-        swap_count,
-    }
-}
-
-/// One greedy trial, built into the workspace's `out`/`layout` buffers.
-/// Returns the trial's SWAP count; the caller materializes the winner.
-fn route_once_into(
-    ws: &mut RouteWorkspace,
-    c: &Circuit,
-    grid: &Grid,
-    initial: &Layout,
-    seed: u64,
-    cfg: &RouterConfig,
+    mut scorer: S,
 ) -> usize {
     let RouteWorkspace {
         upcoming,
@@ -483,7 +421,6 @@ fn route_once_into(
         layout,
         out,
     } = ws;
-    let mut rng = StdRng::seed_from_u64(seed);
     layout.copy_from(initial);
     out.reset(grid.n_qubits());
     let mut swap_count = 0usize;
@@ -496,17 +433,17 @@ fn route_once_into(
                 kind,
             }),
             Gate::Cz { a, b } => {
-                // Insert SWAPs until adjacent.
                 loop {
                     let (pa, pb) = (layout.phys(a), layout.phys(b));
                     let d = grid.distance(pa, pb);
                     if d == 1 {
                         break;
                     }
-                    // Window front-gate distances, once per SWAP iteration
-                    // instead of once per candidate.
+                    // Window front-gate distances, once per SWAP iteration;
+                    // candidates below patch only the gates whose
+                    // endpoints ride the swapped pair.
                     let mut window_len = 0usize;
-                    for k in 0..cfg.lookahead {
+                    for k in 0..window {
                         let idx = next_2q + 1 + k;
                         if idx >= upcoming.len() {
                             break;
@@ -515,47 +452,39 @@ fn route_once_into(
                         base_d[k] = grid.distance(layout.phys(x), layout.phys(y));
                         window_len = k + 1;
                     }
-                    // Candidate swaps: neighbours of either endpoint that
-                    // strictly reduce the endpoint distance. The running
-                    // strictly-less best keeps the FIRST minimal score —
-                    // exactly what `min_by` over the candidate list
-                    // returned — and the RNG draws stay in candidate
-                    // order, so results are bit-identical.
-                    let mut best: Option<(usize, usize, f64)> = None;
+                    // Candidates in a fixed order, so the greedy RNG draws
+                    // stay in candidate order.
+                    let mut best: Option<Candidate> = None;
                     for &(end, other) in &[(pa, pb), (pb, pa)] {
                         for n in grid.neighbors_iter(end) {
                             let d_after = grid.distance(n, other);
-                            if d_after < d {
-                                // Lookahead: how do pending gates like it?
-                                // Trial swap applied in place, undone after
-                                // scoring (swap_physical is involutive).
-                                let occ_end = layout.logical(end);
-                                let occ_n = layout.logical(n);
-                                layout.swap_physical(end, n);
-                                let mut la = 0.0;
-                                for (k, &bd) in base_d.iter().enumerate().take(window_len) {
-                                    let (x, y) = upcoming[next_2q + 1 + k];
-                                    let moved = occ_end == Some(x)
-                                        || occ_end == Some(y)
-                                        || occ_n == Some(x)
-                                        || occ_n == Some(y);
-                                    let dk = if moved {
-                                        grid.distance(layout.phys(x), layout.phys(y))
-                                    } else {
-                                        bd
-                                    };
-                                    la += dk as f64 / (k + 1) as f64;
-                                    qsim::counters::tally_flops(2); // divide + accumulate
-                                }
-                                layout.swap_physical(end, n); // undo
-                                let score = d_after as f64
-                                    + cfg.lookahead_weight * la
-                                    + rng.gen::<f64>() * 1e-3;
-                                // Weight multiply, two adds, tie-break scale.
-                                qsim::counters::tally_flops(4);
-                                if best.map_or(true, |(_, _, bs)| score < bs) {
-                                    best = Some((end, n, score));
-                                }
+                            if d_after >= d {
+                                continue;
+                            }
+                            // Trial swap applied in place and undone below
+                            // (swap_physical is involutive) — no clone.
+                            let occ_end = layout.logical(end);
+                            let occ_n = layout.logical(n);
+                            layout.swap_physical(end, n);
+                            let mut acc = scorer.start(d_after);
+                            for (k, &bd) in base_d.iter().enumerate().take(window_len) {
+                                let (x, y) = upcoming[next_2q + 1 + k];
+                                let moved = occ_end == Some(x)
+                                    || occ_end == Some(y)
+                                    || occ_n == Some(x)
+                                    || occ_n == Some(y);
+                                let dk = if moved {
+                                    grid.distance(layout.phys(x), layout.phys(y))
+                                } else {
+                                    bd
+                                };
+                                acc += dk as f64 / (k + S::OFFSET) as f64;
+                                qsim::counters::tally_flops(2); // divide + accumulate
+                            }
+                            layout.swap_physical(end, n); // undo
+                            let cand = (end, n, scorer.finish(d_after, acc));
+                            if best.is_none_or(|b| scorer.beats(cand, b)) {
+                                best = Some(cand);
                             }
                         }
                     }
@@ -618,7 +547,13 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cz(0, 1);
         let grid = Grid::new(2, 2);
-        let r = route(&c, &grid, &Layout::identity(2, 4), &RouterConfig::default());
+        let r = route(
+            &mut RouteWorkspace::new(),
+            &c,
+            &grid,
+            &Layout::identity(2, 4),
+            RouteStrategy::Greedy,
+        );
         assert_eq!(r.swap_count, 0);
         assert_eq!(r.circuit.len(), 1);
     }
@@ -629,10 +564,11 @@ mod tests {
         let mut c = Circuit::new(16);
         c.cz(0, 15); // opposite corners, distance 6
         let r = route(
+            &mut RouteWorkspace::new(),
             &c,
             &grid,
             &Layout::identity(16, 16),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
         assert!(r.is_hardware_compliant(&grid));
         assert!(r.swap_count >= 5, "needs ≥5 swaps, got {}", r.swap_count);
@@ -649,7 +585,13 @@ mod tests {
         c.cz(0, 3);
         c.h(3);
         c.cz(1, 2);
-        let r = route(&c, &grid, &Layout::identity(4, 4), &RouterConfig::default());
+        let r = route(
+            &mut RouteWorkspace::new(),
+            &c,
+            &grid,
+            &Layout::identity(4, 4),
+            RouteStrategy::Greedy,
+        );
         assert!(r.is_hardware_compliant(&grid));
 
         // Simulate both; account for the final layout permutation.
@@ -673,10 +615,11 @@ mod tests {
         let grid = Grid::new(8, 8);
         let chain = lower_to_cz(&bench::ising_chain(64, 1, 0.3, 0.7));
         let r = route(
+            &mut RouteWorkspace::new(),
             &chain,
             &grid,
             &Layout::snake(64, &grid),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
         assert_eq!(r.swap_count, 0, "snake-embedded chain needs no swaps");
     }
@@ -689,42 +632,14 @@ mod tests {
         let secret: Vec<bool> = (0..31).map(|i| i % 2 == 0).collect();
         let c = lower_to_cz(&bench::bernstein_vazirani(&secret));
         let r = route(
+            &mut RouteWorkspace::new(),
             &c,
             &grid,
             &Layout::snake(32, &grid),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
         assert!(r.is_hardware_compliant(&grid));
         assert!(r.swap_count > 20, "swap count {}", r.swap_count);
-    }
-
-    #[test]
-    fn trials_pick_the_best() {
-        let grid = Grid::new(4, 4);
-        let mut c = Circuit::new(16);
-        for i in 0..8 {
-            c.cz(i, 15 - i);
-        }
-        let c = lower_to_cz(&c);
-        let single = route(
-            &c,
-            &grid,
-            &Layout::identity(16, 16),
-            &RouterConfig {
-                trials: 1,
-                ..RouterConfig::default()
-            },
-        );
-        let multi = route(
-            &c,
-            &grid,
-            &Layout::identity(16, 16),
-            &RouterConfig {
-                trials: 6,
-                ..RouterConfig::default()
-            },
-        );
-        assert!(multi.swap_count <= single.swap_count);
     }
 
     #[test]
@@ -733,9 +648,21 @@ mod tests {
         let mut c = Circuit::new(16);
         c.cz(0, 15);
         c.cz(3, 12);
-        let cfg = RouterConfig::default();
-        let a = route(&c, &grid, &Layout::identity(16, 16), &cfg);
-        let b = route(&c, &grid, &Layout::identity(16, 16), &cfg);
+        let ws = &mut RouteWorkspace::new();
+        let a = route(
+            ws,
+            &c,
+            &grid,
+            &Layout::identity(16, 16),
+            RouteStrategy::Greedy,
+        );
+        let b = route(
+            ws,
+            &c,
+            &grid,
+            &Layout::identity(16, 16),
+            RouteStrategy::Greedy,
+        );
         assert_eq!(a.circuit, b.circuit);
     }
 

@@ -40,10 +40,13 @@
 
 use crate::ir::{Circuit, Gate};
 use crate::lower::{fuse_single_qubit_runs, is_lowered, lower_to_cz};
-use crate::mapping::{route_lookahead_with, route_with, Layout, RouteWorkspace, RouterConfig};
+use crate::mapping::{
+    check_fit, route, Layout, RouteWorkspace, GREEDY_LOOKAHEAD, GREEDY_LOOKAHEAD_WEIGHT,
+    GREEDY_SEED, GREEDY_TRIALS,
+};
 use crate::schedule::{
-    schedule_asap, schedule_crosstalk_aware_with, validate_schedule_structural_with,
-    validate_schedule_with, ScheduleWorkspace, Slot, ValidateWorkspace,
+    schedule_asap, schedule_crosstalk_aware, validate_schedule, validate_schedule_structural,
+    ScheduleWorkspace, Slot, ValidateWorkspace,
 };
 use crate::topology::Grid;
 use qsim::rng::StableHasher;
@@ -53,7 +56,7 @@ use qsim::rng::StableHasher;
 /// and colour-group pool, and the validator's stamp tables. A warm
 /// workspace makes a full compile allocate only its materialized outputs
 /// (routed circuit, final layout, slot list). [`PipelineConfig::run`]
-/// keeps one per thread.
+/// keeps one per thread — the only compile scratch that outlives a call.
 #[derive(Debug, Default)]
 struct CompileWorkspace {
     route: RouteWorkspace,
@@ -127,13 +130,11 @@ fn pass_fingerprint(name: &str, params: &[u64]) -> u64 {
 /// SWAP-insertion strategy of the routing stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteStrategy {
-    /// The seeded stochastic greedy router
-    /// ([`route`](crate::mapping::route)): strictly distance-reducing
-    /// swaps, random tie-breaking, best of [`RouterConfig::trials`]
+    /// The seeded stochastic greedy router ([`route`]): strictly
+    /// distance-reducing swaps, random tie-breaking, best of two seeded
     /// attempts. The paper-default strategy.
     Greedy,
-    /// The deterministic lookahead-window router
-    /// ([`route_lookahead`](crate::mapping::route_lookahead)): one
+    /// The deterministic lookahead-window router ([`route`]): one
     /// attempt, no randomness, candidates scored over the next `window`
     /// two-qubit gates.
     Lookahead {
@@ -175,15 +176,12 @@ impl RouteStrategy {
 /// Slot-grouping strategy of the scheduling stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleStrategy {
-    /// Crosstalk-aware grouping
-    /// ([`schedule_crosstalk_aware`](crate::schedule::schedule_crosstalk_aware)):
-    /// CZs in a slot are pairwise non-interfering. The paper-default
-    /// strategy.
+    /// Crosstalk-aware grouping ([`schedule_crosstalk_aware`]): CZs in a
+    /// slot are pairwise non-interfering. The paper-default strategy.
     CrosstalkAware,
     /// Plain ASAP moments ([`schedule_asap`]): crosstalk-oblivious — its
     /// slots may contain interfering CZ pairs (rejected by the full
-    /// [`validate_schedule`](crate::schedule::validate_schedule), see the
-    /// strategy-discrimination tests).
+    /// [`validate_schedule`], see the strategy-discrimination tests).
     Asap,
 }
 
@@ -248,18 +246,15 @@ impl Stage {
     fn fingerprint(self) -> u64 {
         match self {
             Stage::Lower | Stage::LowerSwaps => pass_fingerprint("lower", &[1]),
-            Stage::Route(RouteStrategy::Greedy) => {
-                let cfg = RouterConfig::default();
-                pass_fingerprint(
-                    "route/greedy",
-                    &[
-                        cfg.seed,
-                        cfg.trials as u64,
-                        cfg.lookahead as u64,
-                        cfg.lookahead_weight.to_bits(),
-                    ],
-                )
-            }
+            Stage::Route(RouteStrategy::Greedy) => pass_fingerprint(
+                "route/greedy",
+                &[
+                    GREEDY_SEED,
+                    GREEDY_TRIALS as u64,
+                    GREEDY_LOOKAHEAD as u64,
+                    GREEDY_LOOKAHEAD_WEIGHT.to_bits(),
+                ],
+            ),
             Stage::Route(RouteStrategy::Lookahead { window }) => {
                 pass_fingerprint("route/lookahead", &[window as u64])
             }
@@ -286,30 +281,10 @@ impl Stage {
             Stage::Lower | Stage::LowerSwaps => artifact.circuit = lower_to_cz(&artifact.circuit),
             Stage::Fuse => artifact.circuit = fuse_single_qubit_runs(&artifact.circuit),
             Stage::Route(strategy) => {
-                if artifact.circuit.n_qubits() > grid.n_qubits() {
-                    return Err(format!(
-                        "pass `{}` failed: circuit needs {} qubits but the grid has {}",
-                        self.label(),
-                        artifact.circuit.n_qubits(),
-                        grid.n_qubits()
-                    ));
-                }
-                let routed = match strategy {
-                    RouteStrategy::Greedy => route_with(
-                        &mut ws.route,
-                        &artifact.circuit,
-                        grid,
-                        &artifact.initial_layout,
-                        &RouterConfig::default(),
-                    ),
-                    RouteStrategy::Lookahead { window } => route_lookahead_with(
-                        &mut ws.route,
-                        &artifact.circuit,
-                        grid,
-                        &artifact.initial_layout,
-                        window,
-                    ),
-                };
+                let (circuit, layout) = (&artifact.circuit, &artifact.initial_layout);
+                check_fit(circuit, grid, layout)
+                    .map_err(|e| format!("pass `{}` failed: {e}", self.label()))?;
+                let routed = route(&mut ws.route, circuit, grid, layout, strategy);
                 artifact.swaps += routed.swap_count;
                 artifact.final_layout = routed.final_layout;
                 artifact.circuit = routed.circuit;
@@ -317,7 +292,7 @@ impl Stage {
             Stage::Schedule(strategy) => {
                 artifact.slots = Some(match strategy {
                     ScheduleStrategy::CrosstalkAware => {
-                        schedule_crosstalk_aware_with(&mut ws.schedule, &artifact.circuit, grid)
+                        schedule_crosstalk_aware(&mut ws.schedule, &artifact.circuit, grid)
                     }
                     ScheduleStrategy::Asap => schedule_asap(&artifact.circuit),
                 });
@@ -364,10 +339,10 @@ impl Stage {
             Stage::Schedule(strategy) => match (artifact.slots.as_deref(), strategy) {
                 (None, _) => Err("scheduling stage produced no slots".to_string()),
                 (Some(slots), ScheduleStrategy::CrosstalkAware) => {
-                    validate_schedule_with(&mut ws.validate, &artifact.circuit, grid, slots)
+                    validate_schedule(&mut ws.validate, &artifact.circuit, grid, slots)
                 }
                 (Some(slots), ScheduleStrategy::Asap) => {
-                    validate_schedule_structural_with(&mut ws.validate, &artifact.circuit, slots)
+                    validate_schedule_structural(&mut ws.validate, &artifact.circuit, slots)
                 }
             },
         };
@@ -524,7 +499,6 @@ impl PipelineConfig {
 mod tests {
     use super::*;
     use crate::bench;
-    use crate::schedule::{schedule_crosstalk_aware, validate_schedule};
 
     fn demo_circuit() -> Circuit {
         let mut c = Circuit::new(9);
@@ -545,9 +519,16 @@ mod tests {
 
         // The historical inline sequence.
         let lowered = lower_to_cz(&c);
-        let routed = crate::mapping::route(&lowered, &grid, &layout, &RouterConfig::default());
+        let ws = &mut CompileWorkspace::default();
+        let routed = route(
+            &mut ws.route,
+            &lowered,
+            &grid,
+            &layout,
+            RouteStrategy::Greedy,
+        );
         let physical = lower_to_cz(&routed.circuit);
-        let slots = schedule_crosstalk_aware(&physical, &grid);
+        let slots = schedule_crosstalk_aware(&mut ws.schedule, &physical, &grid);
 
         let art = CompileArtifact::new(c.clone(), layout);
         let (out, metrics) = PipelineConfig::default().run(art, &grid).unwrap();
@@ -625,7 +606,13 @@ mod tests {
             .unwrap()
             .0;
         assert!(fused.circuit.len() < plain.circuit.len());
-        validate_schedule(&fused.circuit, &grid, fused.scheduled()).unwrap();
+        validate_schedule(
+            &mut ValidateWorkspace::new(),
+            &fused.circuit,
+            &grid,
+            fused.scheduled(),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -642,7 +629,13 @@ mod tests {
             .run(art, &grid)
             .unwrap();
         assert_eq!(out.scheduled().len(), 1, "ASAP packs one moment");
-        assert!(validate_schedule(&out.circuit, &grid, out.scheduled()).is_err());
+        assert!(validate_schedule(
+            &mut ValidateWorkspace::new(),
+            &out.circuit,
+            &grid,
+            out.scheduled()
+        )
+        .is_err());
     }
 
     #[test]
@@ -666,7 +659,13 @@ mod tests {
         assert_eq!(a.circuit, b.circuit);
         assert_eq!(a.swaps, b.swaps);
         assert!(a.swaps > 0);
-        validate_schedule(&a.circuit, &grid, a.scheduled()).unwrap();
+        validate_schedule(
+            &mut ValidateWorkspace::new(),
+            &a.circuit,
+            &grid,
+            a.scheduled(),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -701,6 +700,39 @@ mod tests {
         let art = CompileArtifact::new(c, Layout::identity(4, 4));
         for stage in [Stage::Lower, Stage::LowerSwaps, Stage::Fuse] {
             validate(stage, &art, ws);
+        }
+    }
+
+    #[test]
+    fn route_stage_rejects_a_layout_that_does_not_fit() {
+        let grid = Grid::new(3, 3);
+        // A layout over 8 physical qubits on the 9-qubit grid.
+        let mut c = Circuit::new(2);
+        c.cz(0, 1);
+        let short_register = CompileArtifact::new(c, Layout::from_assignment(vec![5, 7], 8));
+        // A 2-qubit layout under a 3-qubit circuit.
+        let mut c = Circuit::new(3);
+        c.cz(0, 2);
+        let short_layout = CompileArtifact::new(c, Layout::identity(2, 9));
+        for router in [
+            RouteStrategy::Greedy,
+            RouteStrategy::Lookahead { window: 4 },
+        ] {
+            for art in [&short_register, &short_layout] {
+                let err = PipelineConfig::default()
+                    .with_router(router)
+                    .run(art.clone(), &grid)
+                    .unwrap_err();
+                assert!(err.starts_with("pass `route` failed: layout maps"), "{err}");
+                // The kernel itself names the mismatch too.
+                let panic = std::panic::catch_unwind(|| {
+                    let ws = &mut RouteWorkspace::new();
+                    route(ws, &art.circuit, &grid, &art.initial_layout, router)
+                })
+                .unwrap_err();
+                let msg = panic.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.starts_with("route: layout maps"), "{msg}");
+            }
         }
     }
 

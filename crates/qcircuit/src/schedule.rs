@@ -15,7 +15,7 @@ use crate::topology::Grid;
 /// gates touch disjoint qubits and whose CZs are pairwise non-interfering.
 pub type Slot = Vec<usize>;
 
-/// Reusable scratch for [`schedule_crosstalk_aware_with`]: the ASAP
+/// Reusable scratch for [`schedule_crosstalk_aware`]: the ASAP
 /// moment layering, the per-moment colour-group pool, and the epoch-
 /// stamped per-qubit interference masks. Warm reuse makes a schedule
 /// pass allocate only its materialized output.
@@ -58,13 +58,6 @@ impl ScheduleWorkspace {
     }
 }
 
-thread_local! {
-    static SCHED_WS: std::cell::RefCell<ScheduleWorkspace> =
-        std::cell::RefCell::new(ScheduleWorkspace::new());
-    static VALIDATE_WS: std::cell::RefCell<ValidateWorkspace> =
-        std::cell::RefCell::new(ValidateWorkspace::new());
-}
-
 /// Returns true when two CZ gates interfere under the spectator-coupling
 /// model: some qubit of one is identical or grid-adjacent to some qubit
 /// of the other.
@@ -79,36 +72,21 @@ pub fn czs_interfere(grid: &Grid, a: (usize, usize), b: (usize, usize)) -> bool 
     false
 }
 
-/// Schedules a routed, lowered circuit into crosstalk-free slots.
+/// Schedules a routed, lowered circuit into crosstalk-free slots,
+/// reusing `ws`.
 ///
 /// Gates within one returned slot act on disjoint qubits, and its CZs are
-/// pairwise non-interfering. Slots preserve program order per qubit.
+/// pairwise non-interfering. Slots preserve program order per qubit. The
+/// greedy colouring places each CZ into the first non-interfering group
+/// in creation order, answered by the per-qubit blocked-group bitmask
+/// instead of a member scan — a group's blocked set is exactly "qubit or
+/// neighbour of a member", which is the [`czs_interfere`] predicate from
+/// the other side.
 ///
 /// # Panics
 ///
 /// Panics if the circuit contains gates other than 1q and CZ.
-pub fn schedule_crosstalk_aware(c: &Circuit, grid: &Grid) -> Vec<Slot> {
-    SCHED_WS.with(|ws| match ws.try_borrow_mut() {
-        Ok(mut ws) => schedule_crosstalk_aware_with(&mut ws, c, grid),
-        Err(_) => schedule_crosstalk_aware_with(&mut ScheduleWorkspace::new(), c, grid),
-    })
-}
-
-/// [`schedule_crosstalk_aware`] with an explicit workspace (the
-/// pipeline's form). Byte-identical output: the greedy colouring places
-/// each CZ into the first non-interfering group in creation order, here
-/// answered by the per-qubit blocked-group bitmask instead of a member
-/// scan — a group's blocked set is exactly "qubit or neighbour of a
-/// member", which is the [`czs_interfere`] predicate from the other side.
-///
-/// # Panics
-///
-/// Same contract as [`schedule_crosstalk_aware`].
-pub fn schedule_crosstalk_aware_with(
-    ws: &mut ScheduleWorkspace,
-    c: &Circuit,
-    grid: &Grid,
-) -> Vec<Slot> {
+pub fn schedule_crosstalk_aware(ws: &mut ScheduleWorkspace, c: &Circuit, grid: &Grid) -> Vec<Slot> {
     crate::lower::assert_lowered(c, "scheduler");
     ws.prepare(grid.n_qubits().max(c.n_qubits()));
     // First ASAP moments (dependency layering)…
@@ -264,17 +242,10 @@ impl ValidateWorkspace {
     }
 }
 
-/// Validates a schedule: every gate exactly once, disjoint qubits within a
-/// slot, per-qubit program order preserved, CZs non-interfering.
-pub fn validate_schedule(c: &Circuit, grid: &Grid, slots: &[Slot]) -> Result<(), String> {
-    VALIDATE_WS.with(|ws| match ws.try_borrow_mut() {
-        Ok(mut ws) => validate_schedule_impl(&mut ws, c, Some(grid), slots),
-        Err(_) => validate_schedule_impl(&mut ValidateWorkspace::new(), c, Some(grid), slots),
-    })
-}
-
-/// [`validate_schedule`] with an explicit workspace (the pipeline's form).
-pub fn validate_schedule_with(
+/// Validates a schedule, reusing `ws`: every gate exactly once, disjoint
+/// qubits within a slot, per-qubit program order preserved, CZs
+/// non-interfering.
+pub fn validate_schedule(
     ws: &mut ValidateWorkspace,
     c: &Circuit,
     grid: &Grid,
@@ -287,15 +258,7 @@ pub fn validate_schedule_with(
 /// once, disjoint qubits within a slot, per-qubit program order preserved
 /// — **without** the CZ-interference check. The post-validation contract
 /// of deliberately crosstalk-oblivious schedulers.
-pub fn validate_schedule_structural(c: &Circuit, slots: &[Slot]) -> Result<(), String> {
-    VALIDATE_WS.with(|ws| match ws.try_borrow_mut() {
-        Ok(mut ws) => validate_schedule_impl(&mut ws, c, None, slots),
-        Err(_) => validate_schedule_impl(&mut ValidateWorkspace::new(), c, None, slots),
-    })
-}
-
-/// [`validate_schedule_structural`] with an explicit workspace.
-pub fn validate_schedule_structural_with(
+pub fn validate_schedule_structural(
     ws: &mut ValidateWorkspace,
     c: &Circuit,
     slots: &[Slot],
@@ -380,7 +343,8 @@ mod tests {
     use super::*;
     use crate::bench;
     use crate::lower::lower_to_cz;
-    use crate::mapping::{route, Layout, RouterConfig};
+    use crate::mapping::{route, Layout, RouteWorkspace};
+    use crate::pipeline::RouteStrategy;
 
     #[test]
     fn interference_model() {
@@ -399,9 +363,9 @@ mod tests {
         let mut c = Circuit::new(16);
         c.cz(0, 1);
         c.cz(8, 9); // far from (0,1): same slot OK
-        let slots = schedule_crosstalk_aware(&c, &grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
         assert_eq!(slots.len(), 1);
-        validate_schedule(&c, &grid, &slots).unwrap();
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &slots).unwrap();
     }
 
     #[test]
@@ -410,9 +374,9 @@ mod tests {
         let mut c = Circuit::new(16);
         c.cz(0, 1);
         c.cz(2, 3); // qubit 2 adjacent to 1 → interferes
-        let slots = schedule_crosstalk_aware(&c, &grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
         assert_eq!(slots.len(), 2, "interfering CZs must serialize");
-        validate_schedule(&c, &grid, &slots).unwrap();
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &slots).unwrap();
     }
 
     #[test]
@@ -422,8 +386,8 @@ mod tests {
         c.h(0);
         c.cz(0, 1);
         c.h(1);
-        let slots = schedule_crosstalk_aware(&c, &grid);
-        validate_schedule(&c, &grid, &slots).unwrap();
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &slots).unwrap();
         assert!(slots.len() >= 3);
     }
 
@@ -432,13 +396,14 @@ mod tests {
         let grid = Grid::new(6, 6);
         let c = lower_to_cz(&bench::ising_chain(36, 2, 0.3, 0.7));
         let r = route(
+            &mut RouteWorkspace::new(),
             &c,
             &grid,
             &Layout::snake(36, &grid),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
-        let slots = schedule_crosstalk_aware(&r.circuit, &grid);
-        validate_schedule(&r.circuit, &grid, &slots).unwrap();
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &r.circuit, &grid);
+        validate_schedule(&mut ValidateWorkspace::new(), &r.circuit, &grid, &slots).unwrap();
         // Crosstalk splitting makes the schedule longer than raw ASAP.
         assert!(slots.len() >= r.circuit.depth());
     }
@@ -454,8 +419,8 @@ mod tests {
         }
         let plain_depth = c.depth();
         assert_eq!(plain_depth, 1);
-        let slots = schedule_crosstalk_aware(&c, &grid);
+        let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
         assert!(slots.len() > plain_depth);
-        validate_schedule(&c, &grid, &slots).unwrap();
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &slots).unwrap();
     }
 }

@@ -137,35 +137,6 @@ impl Grid {
         out
     }
 
-    /// Index of a coupler in [`Grid::couplers`] order, or `None` if the
-    /// qubits are not adjacent.
-    pub fn coupler_index(&self, a: usize, b: usize) -> Option<usize> {
-        if !self.are_adjacent(a, b) {
-            return None;
-        }
-        // Recompute by scanning structure without allocating.
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let mut idx = 0usize;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let q = self.qubit_at(r, c);
-                if c + 1 < self.cols {
-                    if (q, self.qubit_at(r, c + 1)) == (lo, hi) {
-                        return Some(idx);
-                    }
-                    idx += 1;
-                }
-                if r + 1 < self.rows {
-                    if (q, self.qubit_at(r + 1, c)) == (lo, hi) {
-                        return Some(idx);
-                    }
-                    idx += 1;
-                }
-            }
-        }
-        None
-    }
-
     /// A snake (boustrophedon) ordering of the grid: consecutive entries
     /// are always adjacent. Linear-chain circuits (Ising, QGAN) laid out
     /// along the snake need no routing at all.
@@ -223,17 +194,6 @@ mod tests {
         assert_eq!(g.neighbors(0).len(), 2);
         assert_eq!(g.neighbors(1).len(), 3);
         assert_eq!(g.neighbors(4).len(), 4);
-    }
-
-    #[test]
-    fn coupler_index_bijection() {
-        let g = Grid::new(4, 4);
-        let cs = g.couplers();
-        for (i, &(a, b)) in cs.iter().enumerate() {
-            assert_eq!(g.coupler_index(a, b), Some(i));
-            assert_eq!(g.coupler_index(b, a), Some(i));
-        }
-        assert_eq!(g.coupler_index(0, 5), None);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 
 use qcircuit::ir::{Circuit, StateVector};
 use qcircuit::lower::{fuse_single_qubit_runs, is_lowered, lower_to_cz};
-use qcircuit::mapping::{route, Layout, RouterConfig};
-use qcircuit::schedule::{schedule_crosstalk_aware, validate_schedule};
+use qcircuit::mapping::{route, Layout, RouteWorkspace};
+use qcircuit::pipeline::RouteStrategy;
+use qcircuit::schedule::{
+    schedule_crosstalk_aware, validate_schedule, ScheduleWorkspace, ValidateWorkspace,
+};
 use qcircuit::topology::Grid;
 use qsim::rng::StdRng;
 
@@ -94,15 +97,17 @@ fn fusion_preserves_statevector() {
 
 #[test]
 fn routing_is_compliant_and_preserves_marginals() {
+    let ws = &mut RouteWorkspace::new();
     for case in 0..CASES {
         let c = random_circuit(&mut StdRng::seed_from_u64(case));
         let grid = Grid::new(2, 3);
         let low = lower_to_cz(&c);
         let routed = route(
+            ws,
             &low,
             &grid,
             &Layout::identity(N, N),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
         assert!(routed.is_hardware_compliant(&grid), "case {case}");
         // Per-qubit marginals survive the layout permutation.
@@ -122,22 +127,25 @@ fn routing_is_compliant_and_preserves_marginals() {
 
 #[test]
 fn schedule_is_valid_for_any_routed_circuit() {
+    let (route_ws, sched_ws) = (&mut RouteWorkspace::new(), &mut ScheduleWorkspace::new());
+    let validate_ws = &mut ValidateWorkspace::new();
     for case in 0..CASES {
         let c = random_circuit(&mut StdRng::seed_from_u64(case));
         let grid = Grid::new(2, 3);
         let low = lower_to_cz(&c);
         let routed = route(
+            route_ws,
             &low,
             &grid,
             &Layout::identity(N, N),
-            &RouterConfig::default(),
+            RouteStrategy::Greedy,
         );
         // Router-inserted SWAPs are physical 3-CZ sequences: lower again
         // before scheduling (the production pipeline's order).
         let phys = lower_to_cz(&routed.circuit);
-        let slots = schedule_crosstalk_aware(&phys, &grid);
+        let slots = schedule_crosstalk_aware(sched_ws, &phys, &grid);
         assert!(
-            validate_schedule(&phys, &grid, &slots).is_ok(),
+            validate_schedule(validate_ws, &phys, &grid, &slots).is_ok(),
             "case {case}"
         );
         // Slot count bounded below by dependency depth.

@@ -9,8 +9,9 @@
 
 use qcircuit::ir::Circuit;
 use qcircuit::lower::{assert_lowered, fuse_single_qubit_runs, lower_to_cz};
-use qcircuit::mapping::{route, Layout, RouterConfig};
-use qcircuit::schedule::schedule_crosstalk_aware;
+use qcircuit::mapping::{route, Layout, RouteWorkspace};
+use qcircuit::pipeline::RouteStrategy;
+use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
 use qcircuit::topology::Grid;
 
 fn unlowered() -> Circuit {
@@ -44,10 +45,11 @@ fn assert_lowered_names_the_offending_gate() {
 fn route_rejects_unlowered_circuits() {
     let grid = Grid::new(2, 2);
     let _ = route(
+        &mut RouteWorkspace::new(),
         &unlowered(),
         &grid,
         &Layout::identity(4, 4),
-        &RouterConfig::default(),
+        RouteStrategy::Greedy,
     );
 }
 
@@ -57,14 +59,20 @@ fn route_rejects_bare_swaps() {
     let grid = Grid::new(2, 2);
     let mut c = Circuit::new(4);
     c.swap(0, 1); // SWAPs are router *output*, not legal input
-    let _ = route(&c, &grid, &Layout::identity(4, 4), &RouterConfig::default());
+    let _ = route(
+        &mut RouteWorkspace::new(),
+        &c,
+        &grid,
+        &Layout::identity(4, 4),
+        RouteStrategy::Greedy,
+    );
 }
 
 #[test]
 #[should_panic(expected = "scheduler requires a lowered circuit")]
 fn scheduler_rejects_unlowered_circuits() {
     let grid = Grid::new(2, 2);
-    let _ = schedule_crosstalk_aware(&unlowered(), &grid);
+    let _ = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &unlowered(), &grid);
 }
 
 #[test]
@@ -81,9 +89,15 @@ fn lowering_then_consuming_succeeds_end_to_end() {
     // lowered.
     let grid = Grid::new(2, 2);
     let c = lower_to_cz(&unlowered());
-    let routed = route(&c, &grid, &Layout::identity(4, 4), &RouterConfig::default());
+    let routed = route(
+        &mut RouteWorkspace::new(),
+        &c,
+        &grid,
+        &Layout::identity(4, 4),
+        RouteStrategy::Greedy,
+    );
     let physical = lower_to_cz(&routed.circuit);
-    let slots = schedule_crosstalk_aware(&physical, &grid);
+    let slots = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &physical, &grid);
     assert!(!slots.is_empty());
     let fused = fuse_single_qubit_runs(&physical);
     assert!(fused.len() <= physical.len());

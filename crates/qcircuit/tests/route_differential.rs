@@ -11,16 +11,41 @@
 //! them on randomized lowered circuits across both router strategies and
 //! both schedulers.
 //!
+//! Every case runs twice: through a fresh workspace, and through one
+//! workspace shared by the whole test across strategies and grid sizes,
+//! so state left behind by an earlier call can never leak into a result.
+//!
 //! It also pins the allocation contract itself: compile passes tally one
 //! alloc per materialized output artifact (route 2, schedule 1), scratch
 //! is never tallied, and — because only outputs count — a cold call
 //! tallies exactly the same as a warm one.
 
 use qcircuit::ir::{Circuit, Gate};
-use qcircuit::mapping::{route, route_lookahead, Layout, RoutedCircuit, RouterConfig};
-use qcircuit::schedule::{czs_interfere, schedule_asap, schedule_crosstalk_aware, Slot};
+use qcircuit::mapping::{route, Layout, RouteWorkspace, RoutedCircuit};
+use qcircuit::pipeline::RouteStrategy;
+use qcircuit::schedule::{
+    czs_interfere, schedule_asap, schedule_crosstalk_aware, validate_schedule,
+    validate_schedule_structural, ScheduleWorkspace, Slot, ValidateWorkspace,
+};
 use qcircuit::topology::Grid;
 use qsim::rng::StdRng;
+
+/// The greedy router's configuration as the reference takes it.
+#[derive(Debug, Clone, Copy)]
+struct RouterConfig {
+    seed: u64,
+    trials: usize,
+    lookahead: usize,
+    lookahead_weight: f64,
+}
+
+/// The fixed configuration of `RouteStrategy::Greedy`.
+const GREEDY: RouterConfig = RouterConfig {
+    seed: 0xD161_0A11,
+    trials: 2,
+    lookahead: 8,
+    lookahead_weight: 0.5,
+};
 
 // ---------------------------------------------------------------------
 // Naive reference implementations: verbatim ports of the pre-workspace
@@ -286,40 +311,64 @@ fn grids_and_layouts(n: usize, grid: &Grid) -> Vec<Layout> {
     vec![Layout::snake(n, grid), Layout::identity(n, grid.n_qubits())]
 }
 
+/// The randomized cases: `(grid, logical qubits, case seed)` — 8, 13
+/// and 18 qubits on the 5×5 grid, then 4, 6 and 8 on the 3×3 grid.
+fn cases(seeds: u64) -> Vec<(Grid, usize, u64)> {
+    let mut out = Vec::new();
+    for (rows, base, step) in [(5, 8, 5), (3, 4, 2)] {
+        for seed in 0..seeds {
+            out.push((
+                Grid::new(rows, rows),
+                base + (seed as usize % 3) * step,
+                seed,
+            ));
+        }
+    }
+    out
+}
+
+/// Routes through a fresh workspace and through `shared`, checks both
+/// against `naive`, and returns the fresh result.
+fn route_both(
+    shared: &mut RouteWorkspace,
+    c: &Circuit,
+    grid: &Grid,
+    initial: &Layout,
+    strategy: RouteStrategy,
+    naive: &RoutedCircuit,
+) -> RoutedCircuit {
+    let fresh = route(&mut RouteWorkspace::new(), c, grid, initial, strategy);
+    assert_eq!(
+        &fresh, naive,
+        "{strategy:?} route diverged (fresh workspace)"
+    );
+    let reused = route(shared, c, grid, initial, strategy);
+    assert_eq!(
+        &reused, naive,
+        "{strategy:?} route diverged (shared workspace)"
+    );
+    assert!(fresh.is_hardware_compliant(grid));
+    fresh
+}
+
 // ---------------------------------------------------------------------
 // Byte-identity: optimized kernels vs the naive references.
 // ---------------------------------------------------------------------
 
 #[test]
 fn greedy_router_matches_naive_reference_on_random_circuits() {
-    let grid = Grid::new(5, 5);
-    let cfgs = [
-        RouterConfig::default(),
-        RouterConfig {
-            seed: 7,
-            trials: 4,
-            lookahead: 3,
-            lookahead_weight: 1.25,
-        },
-        RouterConfig {
-            seed: 99,
-            trials: 1,
-            lookahead: 0,
-            lookahead_weight: 0.0,
-        },
-    ];
-    for seed in 0..6u64 {
-        let n = 8 + (seed as usize % 3) * 5; // 8, 13, 18 logical qubits
+    // One workspace for the whole test: greedy routes interleave with
+    // lookahead windows 16, 0 and 4, on both grid sizes.
+    let shared = &mut RouteWorkspace::new();
+    for (grid, n, seed) in cases(6) {
         let c = random_lowered(seed, n, 60);
         for initial in grids_and_layouts(n, &grid) {
-            for cfg in &cfgs {
-                let fast = route(&c, &grid, &initial, cfg);
-                let naive = ref_route(&c, &grid, &initial, cfg);
-                assert_eq!(
-                    fast, naive,
-                    "greedy route diverged (seed {seed}, cfg {cfg:?})"
-                );
-                assert!(fast.is_hardware_compliant(&grid));
+            let naive = ref_route(&c, &grid, &initial, &GREEDY);
+            route_both(shared, &c, &grid, &initial, RouteStrategy::Greedy, &naive);
+            for window in [16usize, 0, 4] {
+                let naive = ref_route_lookahead(&c, &grid, initial.clone(), window);
+                let strategy = RouteStrategy::Lookahead { window };
+                route_both(shared, &c, &grid, &initial, strategy, &naive);
             }
         }
     }
@@ -327,19 +376,16 @@ fn greedy_router_matches_naive_reference_on_random_circuits() {
 
 #[test]
 fn lookahead_router_matches_naive_reference_on_random_circuits() {
-    let grid = Grid::new(5, 5);
-    for seed in 0..6u64 {
-        let n = 8 + (seed as usize % 3) * 5;
+    let shared = &mut RouteWorkspace::new();
+    for (grid, n, seed) in cases(6) {
         let c = random_lowered(seed.wrapping_add(1000), n, 60);
         for initial in grids_and_layouts(n, &grid) {
             for window in [0usize, 4, 16] {
-                let fast = route_lookahead(&c, &grid, &initial, window);
                 let naive = ref_route_lookahead(&c, &grid, initial.clone(), window);
-                assert_eq!(
-                    fast, naive,
-                    "lookahead route diverged (seed {seed}, window {window})"
-                );
-                assert!(fast.is_hardware_compliant(&grid));
+                let strategy = RouteStrategy::Lookahead { window };
+                route_both(shared, &c, &grid, &initial, strategy, &naive);
+                let naive = ref_route(&c, &grid, &initial, &GREEDY);
+                route_both(shared, &c, &grid, &initial, RouteStrategy::Greedy, &naive);
             }
         }
     }
@@ -347,19 +393,37 @@ fn lookahead_router_matches_naive_reference_on_random_circuits() {
 
 #[test]
 fn crosstalk_scheduler_matches_naive_reference_on_routed_circuits() {
-    let grid = Grid::new(5, 5);
-    for seed in 0..8u64 {
-        let n = 8 + (seed as usize % 3) * 5;
+    // One scheduler and one validator workspace across both grid sizes.
+    let (sched, validate) = (&mut ScheduleWorkspace::new(), &mut ValidateWorkspace::new());
+    let route_ws = &mut RouteWorkspace::new();
+    for (grid, n, seed) in cases(8) {
         let c = random_lowered(seed.wrapping_add(2000), n, 80);
         let snake = Layout::snake(n, &grid);
         // Schedule real routed output (lowered SWAPs included) — the
         // shape the pipeline feeds the scheduler.
-        let routed = route(&c, &grid, &snake, &RouterConfig::default());
+        let routed = route(route_ws, &c, &grid, &snake, RouteStrategy::Greedy);
         let phys = qcircuit::lower::lower_to_cz(&routed.circuit);
-        let fast = schedule_crosstalk_aware(&phys, &grid);
+        let fast = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &phys, &grid);
         let naive = ref_schedule_crosstalk_aware(&phys, &grid);
         assert_eq!(fast, naive, "crosstalk schedule diverged (seed {seed})");
-        qcircuit::schedule::validate_schedule(&phys, &grid, &fast).expect("schedule must validate");
+        let reused = schedule_crosstalk_aware(sched, &phys, &grid);
+        assert_eq!(
+            reused, naive,
+            "shared-workspace schedule diverged (seed {seed})"
+        );
+        validate_schedule(&mut ValidateWorkspace::new(), &phys, &grid, &fast)
+            .expect("schedule must validate");
+        validate_schedule(validate, &phys, &grid, &fast).expect("schedule must validate");
+        validate_schedule_structural(validate, &phys, &fast).expect("schedule must validate");
+        // ASAP moments may interfere: the shared workspace must give the
+        // fresh one's verdict either way.
+        let asap = schedule_asap(&phys);
+        assert_eq!(
+            validate_schedule(validate, &phys, &grid, &asap),
+            validate_schedule(&mut ValidateWorkspace::new(), &phys, &grid, &asap),
+            "shared-workspace validation diverged (seed {seed})"
+        );
+        validate_schedule_structural(validate, &phys, &asap).expect("ASAP is structural");
     }
 }
 
@@ -385,15 +449,18 @@ fn route_tallies_exactly_its_two_outputs_cold_and_warm() {
     let grid = Grid::new(5, 5);
     let c = random_lowered(42, 13, 60);
     let snake = Layout::snake(13, &grid);
-    let cfg = RouterConfig::default();
-    let (_, cold) = qsim::counters::counted(|| route(&c, &grid, &snake, &cfg));
-    let (_, warm) = qsim::counters::counted(|| route(&c, &grid, &snake, &cfg));
+    let ws = &mut RouteWorkspace::new();
+    let greedy = RouteStrategy::Greedy;
+    let (_, cold) = qsim::counters::counted(|| route(ws, &c, &grid, &snake, greedy));
+    let (_, warm) = qsim::counters::counted(|| route(ws, &c, &grid, &snake, greedy));
     assert_eq!(cold.allocs, 2, "route = routed circuit + final layout");
     assert_eq!(cold, warm, "warm route must tally exactly like a cold one");
     assert!(cold.flops > 0, "candidate scoring must still count flops");
 
-    let (_, la_cold) = qsim::counters::counted(|| route_lookahead(&c, &grid, &snake, 8));
-    let (_, la_warm) = qsim::counters::counted(|| route_lookahead(&c, &grid, &snake, 8));
+    let lookahead = RouteStrategy::Lookahead { window: 8 };
+    let ws = &mut RouteWorkspace::new();
+    let (_, la_cold) = qsim::counters::counted(|| route(ws, &c, &grid, &snake, lookahead));
+    let (_, la_warm) = qsim::counters::counted(|| route(ws, &c, &grid, &snake, lookahead));
     assert_eq!(la_cold.allocs, 2);
     assert_eq!(la_cold, la_warm);
 }
@@ -403,10 +470,17 @@ fn schedulers_tally_exactly_one_output_cold_and_warm() {
     let grid = Grid::new(5, 5);
     let c = random_lowered(43, 13, 80);
     let snake = Layout::snake(13, &grid);
-    let routed = route(&c, &grid, &snake, &RouterConfig::default());
+    let routed = route(
+        &mut RouteWorkspace::new(),
+        &c,
+        &grid,
+        &snake,
+        RouteStrategy::Greedy,
+    );
     let phys = qcircuit::lower::lower_to_cz(&routed.circuit);
-    let (_, cold) = qsim::counters::counted(|| schedule_crosstalk_aware(&phys, &grid));
-    let (_, warm) = qsim::counters::counted(|| schedule_crosstalk_aware(&phys, &grid));
+    let ws = &mut ScheduleWorkspace::new();
+    let (_, cold) = qsim::counters::counted(|| schedule_crosstalk_aware(ws, &phys, &grid));
+    let (_, warm) = qsim::counters::counted(|| schedule_crosstalk_aware(ws, &phys, &grid));
     assert_eq!(cold.allocs, 1, "schedule = the slot list");
     assert_eq!(cold, warm);
 

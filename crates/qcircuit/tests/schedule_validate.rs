@@ -10,6 +10,7 @@ use qcircuit::ir::Circuit;
 use qcircuit::mapping::{Layout, RoutedCircuit};
 use qcircuit::schedule::{
     schedule_asap, schedule_crosstalk_aware, validate_schedule, validate_schedule_structural,
+    ScheduleWorkspace, ValidateWorkspace,
 };
 use qcircuit::topology::Grid;
 
@@ -24,11 +25,13 @@ fn rejects_overlapping_qubit_in_a_slot() {
     let mut c = Circuit::new(16);
     c.h(0);
     c.cz(0, 1); // shares qubit 0 with the H
-    let err = validate_schedule(&c, &grid4(), &[vec![0, 1]]).unwrap_err();
+    let err =
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid4(), &[vec![0, 1]]).unwrap_err();
     assert!(err.contains("qubit 0 used twice"), "{err}");
     // The structural validator rejects it too — disjointness is not an
     // interference concern.
-    let err = validate_schedule_structural(&c, &[vec![0, 1]]).unwrap_err();
+    let err =
+        validate_schedule_structural(&mut ValidateWorkspace::new(), &c, &[vec![0, 1]]).unwrap_err();
     assert!(err.contains("qubit 0 used twice"), "{err}");
 }
 
@@ -37,10 +40,11 @@ fn rejects_interfering_cz_pair_in_a_slot() {
     let mut c = Circuit::new(16);
     c.cz(0, 1);
     c.cz(2, 3); // qubit 2 is grid-adjacent to qubit 1 → spectator coupling
-    let err = validate_schedule(&c, &grid4(), &[vec![0, 1]]).unwrap_err();
+    let err =
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid4(), &[vec![0, 1]]).unwrap_err();
     assert!(err.contains("interfering CZs"), "{err}");
     // The structural validator deliberately accepts the same slots.
-    validate_schedule_structural(&c, &[vec![0, 1]]).unwrap();
+    validate_schedule_structural(&mut ValidateWorkspace::new(), &c, &[vec![0, 1]]).unwrap();
 }
 
 #[test]
@@ -48,7 +52,8 @@ fn rejects_gate_missing_from_slots() {
     let mut c = Circuit::new(16);
     c.h(0);
     c.h(1);
-    let err = validate_schedule(&c, &grid4(), &[vec![0]]).unwrap_err();
+    let err =
+        validate_schedule(&mut ValidateWorkspace::new(), &c, &grid4(), &[vec![0]]).unwrap_err();
     assert!(err.contains("not all gates scheduled"), "{err}");
 }
 
@@ -56,7 +61,13 @@ fn rejects_gate_missing_from_slots() {
 fn rejects_gate_scheduled_twice() {
     let mut c = Circuit::new(16);
     c.h(0);
-    let err = validate_schedule(&c, &grid4(), &[vec![0], vec![0]]).unwrap_err();
+    let err = validate_schedule(
+        &mut ValidateWorkspace::new(),
+        &c,
+        &grid4(),
+        &[vec![0], vec![0]],
+    )
+    .unwrap_err();
     assert!(err.contains("gate 0 scheduled twice"), "{err}");
 }
 
@@ -65,7 +76,13 @@ fn rejects_program_order_violation() {
     let mut c = Circuit::new(16);
     c.h(0); // gate 0 must run before…
     c.t(0); // …gate 1 on the same qubit
-    let err = validate_schedule(&c, &grid4(), &[vec![1], vec![0]]).unwrap_err();
+    let err = validate_schedule(
+        &mut ValidateWorkspace::new(),
+        &c,
+        &grid4(),
+        &[vec![1], vec![0]],
+    )
+    .unwrap_err();
     assert!(err.contains("order violated"), "{err}");
 }
 
@@ -75,7 +92,13 @@ fn accepts_a_correct_schedule() {
     c.h(0);
     c.cz(0, 1);
     c.cz(8, 9);
-    validate_schedule(&c, &grid4(), &[vec![0], vec![1, 2]]).unwrap();
+    validate_schedule(
+        &mut ValidateWorkspace::new(),
+        &c,
+        &grid4(),
+        &[vec![0], vec![1, 2]],
+    )
+    .unwrap();
 }
 
 // ------------------------------------------------- strategy discrimination
@@ -93,14 +116,14 @@ fn full_validator_discriminates_asap_from_crosstalk_aware() {
 
     let asap = schedule_asap(&c);
     assert_eq!(asap.len(), 1, "ASAP packs both CZs into one moment");
-    let err = validate_schedule(&c, &grid, &asap).unwrap_err();
+    let err = validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &asap).unwrap_err();
     assert!(err.contains("interfering CZs"), "{err}");
     // …but ASAP honours every structural invariant.
-    validate_schedule_structural(&c, &asap).unwrap();
+    validate_schedule_structural(&mut ValidateWorkspace::new(), &c, &asap).unwrap();
 
-    let aware = schedule_crosstalk_aware(&c, &grid);
+    let aware = schedule_crosstalk_aware(&mut ScheduleWorkspace::new(), &c, &grid);
     assert!(aware.len() > asap.len(), "serializing costs slots");
-    validate_schedule(&c, &grid, &aware).unwrap();
+    validate_schedule(&mut ValidateWorkspace::new(), &c, &grid, &aware).unwrap();
 }
 
 #[test]
@@ -111,7 +134,7 @@ fn asap_matches_plain_moments_and_preserves_order() {
     c.h(1);
     let slots = schedule_asap(&c);
     assert_eq!(slots, c.moments());
-    validate_schedule_structural(&c, &slots).unwrap();
+    validate_schedule_structural(&mut ValidateWorkspace::new(), &c, &slots).unwrap();
 }
 
 // ------------------------------------------------------------ layout edges

@@ -8,11 +8,11 @@
 //! * [`proto`] — the length-prefixed [`sfq_hw::json`] wire protocol
 //!   (versioned control frames; report bodies as raw frames so the
 //!   golden byte-identity guarantee survives the wire untouched);
-//! * [`server`] — the daemon: bounded admission with per-client
-//!   round-robin fairness, request coalescing through the store's
-//!   build-once slots, and journaled graceful drain (restart-resume
-//!   merges byte-identical, extending the PR-5 interrupt/resume
-//!   contract across a process boundary);
+//! * [`server`] — the daemon: bounded admission through one FIFO
+//!   (fair because each connection queues at most one request), request
+//!   coalescing through the store's build-once slots, and journaled
+//!   graceful drain (restart-resume merges byte-identical, extending the
+//!   PR-5 interrupt/resume contract across a process boundary);
 //! * [`client`] — the blocking client `loadgen` and the integration
 //!   tests drive.
 //!

@@ -12,11 +12,13 @@
 //!   connection's write lock, so responses never interleave and a
 //!   drained server never exits with an unwritten response).
 //!
-//! Admission control is a bounded queue with **per-client fairness**:
-//! each connection gets its own FIFO and workers pop round-robin across
-//! connections, so one client streaming requests cannot starve another
-//! (the private `QueueState` is unit-tested directly). When the queue is full the
-//! request is refused with a typed [`Response::Busy`] — never a stall.
+//! Admission control is one bounded FIFO queue. It is fair across
+//! clients because each reader blocks until its queued request has been
+//! answered: a connection never has more than one job queued, so a
+//! client streaming requests takes its turn behind every other client's
+//! (pinned over the wire by the service tests). When the queue is full
+//! the request is refused with a typed [`Response::Busy`] — never a
+//! stall.
 //!
 //! Identical in-flight requests **coalesce**: the rendered response is
 //! memoized in the store under the `serve/sweep` / `serve/cosim`
@@ -38,7 +40,7 @@ use digiq_core::engine::{DistributedConfig, EvalEngine, RunControl, SweepSpec};
 use digiq_core::store::{lock_unpoisoned, ArtifactStore, StoreConfig, SweepJournal};
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,61 +110,15 @@ impl Default for ServeConfig {
 /// One queued evaluation job: the request plus the connection to answer
 /// on and the completion signal its reader thread blocks on.
 struct Job {
-    client: u64,
     request: Request,
     conn: Arc<Mutex<TcpStream>>,
     done: mpsc::Sender<()>,
 }
 
-/// The fairness queue: one FIFO per client connection, popped
-/// round-robin across clients. Kept separate from the I/O so the
-/// scheduling policy is directly unit-testable.
-struct QueueState {
-    queues: BTreeMap<u64, VecDeque<Job>>,
-    /// Round-robin ring of client ids with non-empty queues.
-    ring: VecDeque<u64>,
-    len: usize,
-}
-
-impl QueueState {
-    fn new() -> Self {
-        QueueState {
-            queues: BTreeMap::new(),
-            ring: VecDeque::new(),
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, job: Job) {
-        let q = self.queues.entry(job.client).or_default();
-        if q.is_empty() {
-            self.ring.push_back(job.client);
-        }
-        q.push_back(job);
-        self.len += 1;
-    }
-
-    /// Pops the next job round-robin: the head client's oldest request,
-    /// then the client goes to the back of the ring (if it still has
-    /// work).
-    fn pop(&mut self) -> Option<Job> {
-        let client = self.ring.pop_front()?;
-        let q = self.queues.get_mut(&client)?;
-        let job = q.pop_front()?;
-        if q.is_empty() {
-            self.queues.remove(&client);
-        } else {
-            self.ring.push_back(client);
-        }
-        self.len -= 1;
-        Some(job)
-    }
-}
-
 struct Shared {
     engine: EvalEngine,
     cfg: ServeConfig,
-    queue: Mutex<QueueState>,
+    queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     draining: AtomicBool,
     served: AtomicU64,
@@ -280,7 +236,7 @@ impl Shared {
             let job = {
                 let mut queue = lock_unpoisoned(&self.queue);
                 loop {
-                    if let Some(job) = queue.pop() {
+                    if let Some(job) = queue.pop_front() {
                         break Some(job);
                     }
                     if self.draining.load(Ordering::SeqCst) {
@@ -314,10 +270,10 @@ impl Shared {
             }
         }
         // Drain: flush whatever is still queued so no reader blocks
-        // forever (first worker out does the sweep; `pop` is empty for
-        // the rest).
+        // forever (first worker out does the sweep; the queue is empty
+        // for the rest).
         loop {
-            let job = lock_unpoisoned(&self.queue).pop();
+            let job = lock_unpoisoned(&self.queue).pop_front();
             let Some(job) = job else { break };
             Self::respond(&job.conn, &Response::Draining, None);
             let _ = job.done.send(());
@@ -328,7 +284,7 @@ impl Shared {
     /// errors (garbage JSON, bad version, out-of-bounds specs) answer
     /// with [`Response::Error`] and keep the connection open; only
     /// transport-level failures end it.
-    fn reader_loop(&self, stream: TcpStream, client: u64) {
+    fn reader_loop(&self, stream: TcpStream) {
         let conn = Arc::new(Mutex::new(stream));
         loop {
             // Read without holding the write lock (writes happen from
@@ -364,13 +320,12 @@ impl Shared {
                         let mut queue = lock_unpoisoned(&self.queue);
                         if self.draining.load(Ordering::SeqCst) {
                             Err(Response::Draining)
-                        } else if queue.len >= self.cfg.queue_capacity {
+                        } else if queue.len() >= self.cfg.queue_capacity {
                             Err(Response::Busy {
-                                queued: queue.len as u64,
+                                queued: queue.len() as u64,
                             })
                         } else {
-                            queue.push(Job {
-                                client,
+                            queue.push_back(Job {
                                 request,
                                 conn: Arc::clone(&conn),
                                 done,
@@ -383,7 +338,9 @@ impl Shared {
                         Ok(()) => {
                             self.available.notify_one();
                             // The worker writes the response itself;
-                            // wait so responses stay in request order.
+                            // wait so responses stay in request order
+                            // (and this connection never queues a second
+                            // job, which keeps the one FIFO fair).
                             let _ = done_rx.recv();
                         }
                     }
@@ -442,7 +399,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         engine,
         cfg,
-        queue: Mutex::new(QueueState::new()),
+        queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
         draining: AtomicBool::new(false),
         served: AtomicU64::new(0),
@@ -482,7 +439,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
                     // drain.
                     let _ = std::thread::Builder::new()
                         .name(format!("digiq-serve-conn-{client}"))
-                        .spawn(move || shared.reader_loop(stream, client));
+                        .spawn(move || shared.reader_loop(stream));
                 }
             })
             .expect("spawn acceptor")
@@ -493,61 +450,4 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         acceptor,
         workers,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fake_job(client: u64, tag: &str) -> (Job, mpsc::Receiver<()>) {
-        // A throwaway loopback socket: QueueState never touches it.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (done, rx) = mpsc::channel();
-        (
-            Job {
-                client,
-                request: Request::Sweep {
-                    spec: SweepSpec::smoke().with_seeds(vec![tag.len() as u64]),
-                    workers: 1,
-                },
-                conn: Arc::new(Mutex::new(stream)),
-                done,
-            },
-            rx,
-        )
-    }
-
-    #[test]
-    fn queue_pops_round_robin_across_clients() {
-        let mut q = QueueState::new();
-        let mut keep = Vec::new();
-        for (client, tag) in [(7, "a1"), (7, "a2"), (7, "a3"), (9, "b1"), (9, "b2")] {
-            let (job, rx) = fake_job(client, tag);
-            q.push(job);
-            keep.push(rx);
-        }
-        assert_eq!(q.len, 5);
-        // One greedy client (three queued) cannot starve the other:
-        // pops alternate 7, 9, 7, 9, 7.
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|j| j.client)).collect();
-        assert_eq!(order, vec![7, 9, 7, 9, 7]);
-        assert_eq!(q.len, 0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn queue_len_tracks_pushes_and_pops() {
-        let mut q = QueueState::new();
-        let (job, _rx) = fake_job(1, "x");
-        q.push(job);
-        let (job, _rx2) = fake_job(2, "y");
-        q.push(job);
-        assert_eq!(q.len, 2);
-        assert!(q.pop().is_some());
-        assert_eq!(q.len, 1);
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none());
-        assert_eq!(q.len, 0);
-    }
 }

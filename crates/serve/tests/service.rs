@@ -1,11 +1,14 @@
 //! End-to-end service tests: golden byte-identity over the wire,
 //! request coalescing pinned through the store counters, admission
-//! control, and drain → restart → resume byte-identity.
+//! control, fairness across clients, and drain → restart → resume
+//! byte-identity.
 
 use digiq_core::engine::SweepSpec;
 use digiq_core::store::{ArtifactStore, StoreConfig};
+use digiq_serve::proto::{read_frame, write_json};
 use digiq_serve::server::{NS_COSIM, NS_SWEEP};
-use digiq_serve::{serve, Client, EvalOutcome, ServeConfig};
+use digiq_serve::{serve, Client, EvalOutcome, Request, Response, ServeConfig};
+use sfq_hw::json::ToJson;
 use std::path::PathBuf;
 use std::sync::Barrier;
 
@@ -165,6 +168,62 @@ fn a_full_queue_refuses_with_busy_but_cheap_requests_still_answer() {
     // … while control requests bypass the queue entirely.
     client.ping().unwrap();
     assert!(client.stats().unwrap().get(NS_SWEEP).is_none());
+    handle.drain();
+    handle.join();
+}
+
+#[test]
+fn a_streaming_client_cannot_starve_another() {
+    // One eval worker and a stretched build: every request is a fresh
+    // store miss (distinct seeds) that holds the worker for the delay.
+    let handle = serve(ServeConfig {
+        eval_workers: 1,
+        eval_delay: Some(std::time::Duration::from_millis(300)),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let sweep = |seed: u64| Request::Sweep {
+        spec: SweepSpec::smoke().with_seeds(vec![seed]),
+        workers: 1,
+    };
+    let read_report = |client: &mut Client| {
+        assert!(matches!(
+            client.read_response().unwrap(),
+            Response::Report { .. }
+        ));
+        read_frame(client).unwrap();
+        std::time::Instant::now()
+    };
+
+    // Client A writes three sweep frames back to back; client B sends one
+    // while A's first request runs.
+    let mut a = Client::connect(addr).unwrap();
+    let mut frames = Vec::new();
+    for seed in [10, 11, 12] {
+        write_json(&mut frames, &sweep(seed).to_json()).unwrap();
+    }
+    a.send_raw(&frames).unwrap();
+    // The pause only makes "A's first request is already running" the
+    // likely interleaving: B is answered before A's second either way,
+    // because A's reader admits its second frame only after its first has
+    // been answered, which takes the whole 300 ms delay.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let mut b = Client::connect(addr).unwrap();
+    let mut frame = Vec::new();
+    write_json(&mut frame, &sweep(13).to_json()).unwrap();
+    b.send_raw(&frame).unwrap();
+
+    let (a_done, b_done) = std::thread::scope(|s| {
+        let b_done = s.spawn(|| read_report(&mut b));
+        let a_done: Vec<_> = (0..3).map(|_| read_report(&mut a)).collect();
+        (a_done, b_done.join().unwrap())
+    });
+    assert!(
+        b_done < a_done[1],
+        "B's one request must be answered before A's second"
+    );
+
     handle.drain();
     handle.join();
 }
