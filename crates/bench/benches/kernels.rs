@@ -1,7 +1,7 @@
 //! Timing kernels for the computational hot paths behind every figure:
-//! Hamiltonian propagation (Fig 7), bitstream fitness (§V-A step 1), gate
-//! decomposition (Fig 10a), routing, the analytic execution model and
-//! synthesis (Figs 8/9).
+//! Hamiltonian propagation and the CZ echo optimizer (Fig 7), bitstream
+//! fitness (§V-A step 1), gate decomposition (Fig 10a), routing, the
+//! analytic execution model and synthesis (Figs 8/9).
 //!
 //! Runs on the std-only harness in `digiq_bench::timing` (no criterion —
 //! the workspace is offline and dependency-free). `--quick` shrinks the
@@ -193,6 +193,19 @@ fn bench_expm(h: &mut Bench) {
     let wf =
         qsim::two_qubit::DetuningWaveform::rounded(pair.cz_resonance_detuning(), 4.0, 35.0, 0.5);
     h.bench("uqq_full_pulse", || pair.propagate(black_box(&wf)));
+}
+
+/// One Fig 10b echo-sequence optimization (2 `Uqq` pulses, 2 starts) on
+/// a drifted pair: the CZ calibration's inner loop, whose counters pin it
+/// allocation-free.
+fn bench_cz(h: &mut Bench) {
+    use calib::cz::{calibrate_shared_pulse, cz_error_with_local_1q, uqq_for_drift};
+    let pair = qsim::two_qubit::CoupledTransmons::paper_pair(6.21286, 4.14238);
+    let pulse = calibrate_shared_pulse(&pair, 4.0, 0.25);
+    let uqq = uqq_for_drift(&pair, &pulse, 0.006, -0.004, 1.01);
+    h.bench("cz_echo_2pulse", || {
+        cz_error_with_local_1q(black_box(&uqq), 2, 2, 0xF160_10B1)
+    });
 }
 
 fn bench_bitstream(h: &mut Bench) {
@@ -422,6 +435,7 @@ fn main() {
     };
     bench_eigen(&mut h);
     bench_expm(&mut h);
+    bench_cz(&mut h);
     bench_bitstream(&mut h);
     bench_decomposition(&mut h);
     bench_compile(&mut h);

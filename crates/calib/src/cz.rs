@@ -12,8 +12,19 @@
 //! * optimizes the interleaved single-qubit layers (Nelder–Mead multistart
 //!   seeded with the X-echo structure) and reports the residual CZ error —
 //!   the quantity mapped over drift in Fig 7.
+//!
+//! The optimizer is the hot loop of Fig 7 and Fig 10b, so its objective
+//! allocates nothing: each layer is a `[C64; 16]` built from two
+//! [`u_zyz_array`]s by [`kron_into`], the echo chain multiplies through
+//! [`matmul_fixed`]`::<4>`, and the score is
+//! [`average_gate_error_slice`] — the same kernels, in the same f64
+//! operation order, that the `CMat` forms delegate to, so the errors are
+//! bit-for-bit those of the matrix chain.
 
-use qsim::matrix::CMat;
+use qsim::complex::C64;
+use qsim::fidelity::average_gate_error_slice;
+use qsim::gates::u_zyz_array;
+use qsim::matrix::{kron_into, matmul_fixed, CMat};
 use qsim::optimize::nelder_mead;
 use qsim::rng::StdRng;
 use qsim::two_qubit::{CoupledTransmons, DetuningWaveform, PropagatorCache};
@@ -79,16 +90,21 @@ pub fn uqq_for_drift(
     pair.uqq(&wf)
 }
 
-/// Builds `(A ⊗ B)` from two ZYZ-parameterized single-qubit gates.
-fn local_layer(params: &[f64]) -> CMat {
-    let a = qsim::gates::u_zyz(params[0], params[1], params[2]);
-    let b = qsim::gates::u_zyz(params[3], params[4], params[5]);
-    a.kron(&b)
+/// Writes the local layer `A ⊗ B` of two ZYZ-parameterized single-qubit
+/// gates into `out`.
+fn local_layer(params: &[f64], out: &mut [C64; 16]) {
+    let a = u_zyz_array(params[0], params[1], params[2]);
+    let b = u_zyz_array(params[3], params[4], params[5]);
+    kron_into(&a, (2, 2), &b, (2, 2), out);
 }
 
 /// CZ error of an echo sequence `L_n·Uqq·L_{n−1}·…·Uqq·L_0` with the local
 /// layers optimized numerically (multistart Nelder–Mead; deterministic
 /// given `seed`). `n_pulses ∈ 1..=3` matches Fig 7's three panels.
+///
+/// Each objective evaluation builds its layers and products in 4×4 stack
+/// arrays (no allocation) and tallies `256·(n_pulses+1) + 1024·n_pulses`
+/// flops.
 ///
 /// # Panics
 ///
@@ -97,16 +113,21 @@ pub fn cz_error_with_local_1q(uqq: &CMat, n_pulses: usize, starts: usize, seed: 
     assert_eq!((uqq.rows(), uqq.cols()), (4, 4));
     assert!(n_pulses >= 1);
     let target = qsim::gates::cz();
+    let (uqq, target) = (uqq.as_slice(), target.as_slice());
     let n_layers = n_pulses + 1;
     let dim = 6 * n_layers;
 
     let objective = |params: &[f64]| -> f64 {
-        let mut m = local_layer(&params[0..6]);
+        let mut m = [C64::ZERO; 16];
+        let mut pulsed = [C64::ZERO; 16];
+        let mut layer = [C64::ZERO; 16];
+        local_layer(&params[0..6], &mut m);
         for k in 0..n_pulses {
-            m = uqq.matmul(&m);
-            m = local_layer(&params[6 * (k + 1)..6 * (k + 2)]).matmul(&m);
+            matmul_fixed::<4>(uqq, &m, &mut pulsed);
+            local_layer(&params[6 * (k + 1)..6 * (k + 2)], &mut layer);
+            matmul_fixed::<4>(&layer, &pulsed, &mut m);
         }
-        qsim::fidelity::average_gate_error(&m, &target)
+        average_gate_error_slice(4, &m, target)
     };
 
     let mut rng = StdRng::seed_from_u64(seed);

@@ -16,10 +16,10 @@
 //!   is not counted (derived impl), nor are transient `Vec<f64>` scratch
 //!   vectors outside the matrix type.
 //! * **flops** — 8 per complex multiply-accumulate:
-//!   `matmul`/`matmul_into` count `8·rows·inner·cols`, `apply`/
-//!   `apply_into` count `8·rows·cols`, one Jacobi plane rotation counts
-//!   `48·n` (three n-length two-output updates of two complex MACs
-//!   each), and the fused spectral apply counts `8·n³ + 6·n²`.
+//!   `matmul`/`matmul_into`/`matmul_fixed` count `8·rows·inner·cols`,
+//!   `apply`/`apply_into` count `8·rows·cols`, one Jacobi plane rotation
+//!   counts `48·n` (three n-length two-output updates of two complex
+//!   MACs each), and the fused spectral apply counts `8·n³ + 6·n²`.
 //! * **compile passes** (qcircuit routers/schedulers) — one alloc per
 //!   **materialized output artifact**, exactly: a route is 2 (the
 //!   routed circuit plus the final layout), a schedule is 1 (the slot

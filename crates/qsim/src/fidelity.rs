@@ -25,15 +25,15 @@
 use crate::complex::C64;
 use crate::matrix::CMat;
 
-/// `Tr(M†M)` as a direct O(d²) column sum — no dagger/product matrices.
+/// `Tr(M†M)` of a row-major `n × n` slice as a direct O(n²) column sum —
+/// no dagger/product matrices.
 ///
 /// Accumulation order matches the historical `m.dagger().matmul(m).trace()`
 /// chain exactly (diagonal index ascending, inner index ascending, real
 /// part at the end), so results are bitwise-identical to the allocating
 /// path — the golden files depend on that.
-fn trace_mdm(m: &CMat) -> f64 {
-    let n = m.rows();
-    let d = m.as_slice();
+#[inline]
+fn trace_mdm(n: usize, d: &[C64]) -> f64 {
     let mut tr = 0.0;
     for i in 0..n {
         let mut di = 0.0;
@@ -46,11 +46,10 @@ fn trace_mdm(m: &CMat) -> f64 {
     tr
 }
 
-/// `Tr(V†M)` as a direct O(d²) column sum (same ordering contract as
-/// [`trace_mdm`]).
-fn trace_vdm(v: &CMat, m: &CMat) -> C64 {
-    let n = m.rows();
-    let (vd, md) = (v.as_slice(), m.as_slice());
+/// `Tr(V†M)` of row-major `n × n` slices as a direct O(n²) column sum
+/// (same ordering contract as [`trace_mdm`]).
+#[inline]
+fn trace_vdm(n: usize, vd: &[C64], md: &[C64]) -> C64 {
     let mut tr = C64::ZERO;
     for i in 0..n {
         let mut di = C64::ZERO;
@@ -65,6 +64,28 @@ fn trace_vdm(v: &CMat, m: &CMat) -> C64 {
     tr
 }
 
+/// [`average_gate_fidelity`] of row-major `d × d` slices: the kernel the
+/// matrix form delegates to, callable directly on stack arrays by loops
+/// that must not allocate.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than `d·d`.
+#[inline]
+pub fn average_gate_fidelity_slice(d: usize, m: &[C64], v: &[C64]) -> f64 {
+    let mdm = trace_mdm(d, m);
+    let ov = trace_vdm(d, v, m).abs2();
+    let d = d as f64;
+    ((mdm + ov) / (d * (d + 1.0))).clamp(0.0, 1.0)
+}
+
+/// [`average_gate_error`] of row-major `d × d` slices (see
+/// [`average_gate_fidelity_slice`]).
+#[inline]
+pub fn average_gate_error_slice(d: usize, m: &[C64], v: &[C64]) -> f64 {
+    1.0 - average_gate_fidelity_slice(d, m, v)
+}
+
 /// Average gate fidelity of (possibly sub-unitary) evolution `m` against
 /// unitary target `v`, both `d × d`.
 ///
@@ -76,10 +97,7 @@ fn trace_vdm(v: &CMat, m: &CMat) -> C64 {
 pub fn average_gate_fidelity(m: &CMat, v: &CMat) -> f64 {
     assert!(m.is_square() && v.is_square());
     assert_eq!(m.rows(), v.rows(), "fidelity: dimension mismatch");
-    let d = m.rows() as f64;
-    let mdm = trace_mdm(m);
-    let ov = trace_vdm(v, m).abs2();
-    ((mdm + ov) / (d * (d + 1.0))).clamp(0.0, 1.0)
+    average_gate_fidelity_slice(m.rows(), m.as_slice(), v.as_slice())
 }
 
 /// Average gate **error** `ε = 1 − F̄`, the quantity plotted throughout the
@@ -100,7 +118,7 @@ pub fn average_gate_error(m: &CMat, v: &CMat) -> f64 {
 pub fn leakage(m: &CMat) -> f64 {
     assert!(m.is_square());
     let d = m.rows() as f64;
-    (1.0 - trace_mdm(m) / d).max(0.0)
+    (1.0 - trace_mdm(m.rows(), m.as_slice()) / d).max(0.0)
 }
 
 /// Combines per-gate errors into a circuit error estimate by fidelity
@@ -173,7 +191,7 @@ mod tests {
         let v = gates::id2();
         let d = 2.0;
         // Entanglement (process) fidelity |Tr(V†M)|²/d².
-        let fpro = trace_vdm(&v, &m).abs2() / (d * d);
+        let fpro = trace_vdm(2, v.as_slice(), m.as_slice()).abs2() / (d * d);
         let favg = average_gate_fidelity(&m, &v);
         let expect = (d * d * fpro / d + 1.0) / (d + 1.0);
         assert!((favg - expect).abs() < 1e-12);
@@ -197,9 +215,9 @@ mod tests {
             )
         });
         let mdm_naive = m.dagger().matmul(&m).trace().re;
-        assert_eq!(trace_mdm(&m).to_bits(), mdm_naive.to_bits());
+        assert_eq!(trace_mdm(6, m.as_slice()).to_bits(), mdm_naive.to_bits());
         let ov_naive = v.dagger().matmul(&m).trace();
-        let ov = trace_vdm(&v, &m);
+        let ov = trace_vdm(6, v.as_slice(), m.as_slice());
         assert_eq!(ov.re.to_bits(), ov_naive.re.to_bits());
         assert_eq!(ov.im.to_bits(), ov_naive.im.to_bits());
     }

@@ -19,7 +19,7 @@
 //! ```
 
 use crate::complex::C64;
-use crate::matrix::CMat;
+use crate::matrix::{matmul_fixed, CMat};
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// 2×2 identity.
@@ -85,20 +85,43 @@ pub fn rx(theta: f64) -> CMat {
 
 /// Rotation about y: `exp(−i·θ·Y/2)`.
 pub fn ry(theta: f64) -> CMat {
+    CMat::from_slice(2, 2, &ry_entries(theta))
+}
+
+fn ry_entries(theta: f64) -> [C64; 4] {
     let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-    CMat::from_real(2, 2, &[c, -s, s, c])
+    [C64::real(c), C64::real(-s), C64::real(s), C64::real(c)]
 }
 
 /// Rotation about z: `exp(−i·θ·Z/2) = diag(e^{−iθ/2}, e^{iθ/2})`.
 pub fn rz(theta: f64) -> CMat {
-    CMat::diag(&[C64::cis(-theta / 2.0), C64::cis(theta / 2.0)])
+    CMat::from_slice(2, 2, &rz_entries(theta))
+}
+
+fn rz_entries(theta: f64) -> [C64; 4] {
+    [
+        C64::cis(-theta / 2.0),
+        C64::ZERO,
+        C64::ZERO,
+        C64::cis(theta / 2.0),
+    ]
 }
 
 /// General single-qubit unitary in ZYZ form:
 /// `U(θ, φ, λ) = Rz(φ)·Ry(θ)·Rz(λ)` (up to global phase, the universal
 /// parameterization used by OpenQASM's `u3` modulo phase conventions).
 pub fn u_zyz(theta: f64, phi: f64, lam: f64) -> CMat {
-    rz(phi).matmul(&ry(theta)).matmul(&rz(lam))
+    CMat::from_slice(2, 2, &u_zyz_array(theta, phi, lam))
+}
+
+/// [`u_zyz`] as a row-major stack array, for loops that must not
+/// allocate: the same products through the same fixed 2×2 core, so the
+/// entries and the flop tally are identical.
+pub fn u_zyz_array(theta: f64, phi: f64, lam: f64) -> [C64; 4] {
+    let (mut zy, mut u) = ([C64::ZERO; 4], [C64::ZERO; 4]);
+    matmul_fixed::<2>(&rz_entries(phi), &ry_entries(theta), &mut zy);
+    matmul_fixed::<2>(&zy, &rz_entries(lam), &mut u);
+    u
 }
 
 /// The paper's DigiQ_opt gate form (§IV-A2):

@@ -35,13 +35,21 @@ pub struct CMat {
     data: Vec<C64>,
 }
 
-/// Fixed-size core of [`CMat::matmul_into`] for `N × N` operands.
+/// `out = a · b` for row-major `N × N` slices: the fixed-size core
+/// [`CMat::matmul_into`] dispatches its hot square shapes to, callable
+/// directly on stack arrays by loops that must not allocate.
 ///
 /// Same i-k-j order and f64-pair multiply-adds as the generic loop — the
 /// results are bit-for-bit identical — but with `N` a compile-time constant
 /// the k/j loops fully unroll and the output row lives in registers.
+/// Tallies `8·N³` flops, like `matmul_into`.
+///
+/// # Panics
+///
+/// Panics if an operand or `out` is shorter than `N·N`.
 #[inline]
-fn matmul_fixed<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
+pub fn matmul_fixed<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
+    counters::tally_flops(8 * (N * N * N) as u64);
     for i in 0..N {
         let arow = &a[i * N..i * N + N];
         let orow = &mut out[i * N..i * N + N];
@@ -53,6 +61,41 @@ fn matmul_fixed<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
                 let (rr, ri) = (r.re, r.im);
                 o.re += ar * rr - ai * ri;
                 o.im += ar * ri + ai * rr;
+            }
+        }
+    }
+}
+
+/// `out = a ⊗ b` for row-major `ar × ac` and `br × bc` slices (`out` is
+/// `(ar·br) × (ac·bc)`): the core of [`CMat::kron`], callable directly on
+/// stack arrays. A zero entry of `a` writes its whole block as exact
+/// zeros without multiplying.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its shape.
+#[inline]
+pub fn kron_into(
+    a: &[C64],
+    (ar, ac): (usize, usize),
+    b: &[C64],
+    (br, bc): (usize, usize),
+    out: &mut [C64],
+) {
+    let out_cols = ac * bc;
+    for i in 0..ar {
+        for j in 0..ac {
+            let x = a[i * ac + j];
+            let skip = x.re == 0.0 && x.im == 0.0;
+            for k in 0..br {
+                let orow = &mut out[(i * br + k) * out_cols + j * bc..][..bc];
+                if skip {
+                    orow.fill(C64::ZERO);
+                } else {
+                    for (o, &y) in orow.iter_mut().zip(&b[k * bc..(k + 1) * bc]) {
+                        *o = x * y;
+                    }
+                }
             }
         }
     }
@@ -225,12 +268,8 @@ impl CMat {
             self.rows,
             rhs.cols
         );
-        counters::tally_flops(8 * (self.rows * self.cols * rhs.cols) as u64);
         let inner = self.cols;
         let n = rhs.cols;
-        if n == 0 {
-            return;
-        }
         // The hot shapes (3×3 transmon frames, 4×4 computational blocks,
         // 9×9 two-qubit propagators) go through monomorphized cores where
         // the loop bounds are compile-time constants: the optimizer keeps
@@ -245,6 +284,10 @@ impl CMat {
                 9 => return matmul_fixed::<9>(&self.data, &rhs.data, &mut out.data),
                 _ => {}
             }
+        }
+        counters::tally_flops(8 * (self.rows * inner * n) as u64);
+        if n == 0 {
+            return;
         }
         for i in 0..self.rows {
             let arow = &self.data[i * inner..(i + 1) * inner];
@@ -370,19 +413,13 @@ impl CMat {
     /// Kronecker (tensor) product `self ⊗ rhs`.
     pub fn kron(&self, rhs: &CMat) -> CMat {
         let mut out = CMat::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                if a.re == 0.0 && a.im == 0.0 {
-                    continue;
-                }
-                for k in 0..rhs.rows {
-                    for l in 0..rhs.cols {
-                        out[(i * rhs.rows + k, j * rhs.cols + l)] = a * rhs[(k, l)];
-                    }
-                }
-            }
-        }
+        kron_into(
+            &self.data,
+            (self.rows, self.cols),
+            &rhs.data,
+            (rhs.rows, rhs.cols),
+            &mut out.data,
+        );
         out
     }
 

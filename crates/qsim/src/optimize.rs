@@ -55,6 +55,10 @@ pub struct OptResult {
 /// iterations, and the search stops early when the simplex's value spread
 /// falls below `tol`.
 ///
+/// The simplex lives in one flat row-major buffer, and every scratch
+/// vector is allocated once per call: each iteration stable-sorts an index
+/// order by value (NaN last) and permutes the rows into it in place.
+///
 /// # Panics
 ///
 /// Panics if `x0` is empty.
@@ -73,92 +77,99 @@ pub fn nelder_mead(
     let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
     let mut evals = 0usize;
 
-    // Initial simplex: x0 plus n perturbed points.
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
+    // Initial simplex: x0 plus n perturbed points, as n + 1 rows.
+    let mut simplex = Vec::with_capacity((n + 1) * n);
+    simplex.extend_from_slice(x0);
     for i in 0..n {
-        let mut p = x0.to_vec();
-        p[i] += step;
-        simplex.push(p);
+        simplex.extend_from_slice(x0);
+        simplex[(i + 1) * n + i] += step;
     }
     let mut values: Vec<f64> = simplex
-        .iter()
+        .chunks_exact(n)
         .map(|p| {
             evals += 1;
             f(p)
         })
         .collect();
+    let mut order: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut centroid = vec![0.0; n];
+    let mut reflect = vec![0.0; n];
+    let mut trial = vec![0.0; n];
 
     for _ in 0..max_iter {
-        // Sort simplex by value.
-        let mut order: Vec<usize> = (0..=n).collect();
+        // Sort simplex by value: row i becomes the old row order[i]. Each
+        // old row sits at the first position of its order chain not yet
+        // filled, so one swap per row permutes in place.
+        order.clear();
+        order.extend(0..=n);
         order.sort_by(|&a, &b| nan_last(values[a], values[b]));
-        let simplex_sorted: Vec<Vec<f64>> = order.iter().map(|&i| simplex[i].clone()).collect();
-        let values_sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
-        simplex = simplex_sorted;
-        values = values_sorted;
+        for i in 0..=n {
+            let mut src = order[i];
+            while src < i {
+                src = order[src];
+            }
+            if src != i {
+                let (head, tail) = simplex.split_at_mut(src * n);
+                head[i * n..(i + 1) * n].swap_with_slice(&mut tail[..n]);
+                values.swap(i, src);
+            }
+        }
 
         if (values[n] - values[0]).abs() < tol {
             break;
         }
 
         // Centroid of all but the worst.
-        let mut centroid = vec![0.0; n];
-        for p in simplex.iter().take(n) {
-            for (c, v) in centroid.iter_mut().zip(p.iter()) {
+        centroid.fill(0.0);
+        for p in simplex.chunks_exact(n).take(n) {
+            for (c, v) in centroid.iter_mut().zip(p) {
                 *c += v / n as f64;
             }
         }
 
-        let worst = simplex[n].clone();
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(worst.iter())
-            .map(|(c, w)| c + alpha * (c - w))
-            .collect();
+        let worst = &mut simplex[n * n..];
+        for ((r, c), w) in reflect.iter_mut().zip(&centroid).zip(worst.iter()) {
+            *r = c + alpha * (c - w);
+        }
         evals += 1;
         let fr = f(&reflect);
 
         if fr < values[0] {
             // Try expansion.
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(worst.iter())
-                .map(|(c, w)| c + gamma * (c - w))
-                .collect();
+            for ((e, c), w) in trial.iter_mut().zip(&centroid).zip(worst.iter()) {
+                *e = c + gamma * (c - w);
+            }
             evals += 1;
-            let fe = f(&expand);
+            let fe = f(&trial);
             if fe < fr {
-                simplex[n] = expand;
+                worst.copy_from_slice(&trial);
                 values[n] = fe;
             } else {
-                simplex[n] = reflect;
+                worst.copy_from_slice(&reflect);
                 values[n] = fr;
             }
         } else if fr < values[n - 1] {
-            simplex[n] = reflect;
+            worst.copy_from_slice(&reflect);
             values[n] = fr;
         } else {
             // Contraction.
-            let contract: Vec<f64> = centroid
-                .iter()
-                .zip(worst.iter())
-                .map(|(c, w)| c + rho * (w - c))
-                .collect();
+            for ((k, c), w) in trial.iter_mut().zip(&centroid).zip(worst.iter()) {
+                *k = c + rho * (w - c);
+            }
             evals += 1;
-            let fc = f(&contract);
+            let fc = f(&trial);
             if fc < values[n] {
-                simplex[n] = contract;
+                worst.copy_from_slice(&trial);
                 values[n] = fc;
             } else {
                 // Shrink towards the best point.
-                let best = simplex[0].clone();
-                for i in 1..=n {
-                    for j in 0..n {
-                        simplex[i][j] = best[j] + sigma * (simplex[i][j] - best[j]);
+                let (best, rest) = simplex.split_at_mut(n);
+                for (p, value) in rest.chunks_exact_mut(n).zip(&mut values[1..]) {
+                    for (v, b) in p.iter_mut().zip(best.iter()) {
+                        *v = b + sigma * (*v - b);
                     }
                     evals += 1;
-                    values[i] = f(&simplex[i]);
+                    *value = f(p);
                 }
             }
         }
@@ -171,7 +182,7 @@ pub fn nelder_mead(
         }
     }
     OptResult {
-        x: simplex[best].clone(),
+        x: simplex[best * n..(best + 1) * n].to_vec(),
         value: values[best],
         evals,
     }
@@ -455,5 +466,197 @@ mod tests {
     #[should_panic]
     fn ga_rejects_bad_seed_length() {
         let _ = ga_bitstring(|_| 0.0, 8, &[vec![true; 4]], GaConfig::default());
+    }
+
+    /// The earlier `nelder_mead`, verbatim: a `Vec<Vec<f64>>` simplex
+    /// re-collected through the sorted order every iteration.
+    mod oracle {
+        use super::super::{nan_last, OptResult};
+
+        pub fn nelder_mead(
+            mut f: impl FnMut(&[f64]) -> f64,
+            x0: &[f64],
+            step: f64,
+            max_iter: usize,
+            tol: f64,
+        ) -> OptResult {
+            assert!(
+                !x0.is_empty(),
+                "nelder_mead requires at least one parameter"
+            );
+            let n = x0.len();
+            let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
+            let mut evals = 0usize;
+
+            // Initial simplex: x0 plus n perturbed points.
+            let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
+            simplex.push(x0.to_vec());
+            for i in 0..n {
+                let mut p = x0.to_vec();
+                p[i] += step;
+                simplex.push(p);
+            }
+            let mut values: Vec<f64> = simplex
+                .iter()
+                .map(|p| {
+                    evals += 1;
+                    f(p)
+                })
+                .collect();
+
+            for _ in 0..max_iter {
+                // Sort simplex by value.
+                let mut order: Vec<usize> = (0..=n).collect();
+                order.sort_by(|&a, &b| nan_last(values[a], values[b]));
+                let simplex_sorted: Vec<Vec<f64>> =
+                    order.iter().map(|&i| simplex[i].clone()).collect();
+                let values_sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+                simplex = simplex_sorted;
+                values = values_sorted;
+
+                if (values[n] - values[0]).abs() < tol {
+                    break;
+                }
+
+                // Centroid of all but the worst.
+                let mut centroid = vec![0.0; n];
+                for p in simplex.iter().take(n) {
+                    for (c, v) in centroid.iter_mut().zip(p.iter()) {
+                        *c += v / n as f64;
+                    }
+                }
+
+                let worst = simplex[n].clone();
+                let reflect: Vec<f64> = centroid
+                    .iter()
+                    .zip(worst.iter())
+                    .map(|(c, w)| c + alpha * (c - w))
+                    .collect();
+                evals += 1;
+                let fr = f(&reflect);
+
+                if fr < values[0] {
+                    // Try expansion.
+                    let expand: Vec<f64> = centroid
+                        .iter()
+                        .zip(worst.iter())
+                        .map(|(c, w)| c + gamma * (c - w))
+                        .collect();
+                    evals += 1;
+                    let fe = f(&expand);
+                    if fe < fr {
+                        simplex[n] = expand;
+                        values[n] = fe;
+                    } else {
+                        simplex[n] = reflect;
+                        values[n] = fr;
+                    }
+                } else if fr < values[n - 1] {
+                    simplex[n] = reflect;
+                    values[n] = fr;
+                } else {
+                    // Contraction.
+                    let contract: Vec<f64> = centroid
+                        .iter()
+                        .zip(worst.iter())
+                        .map(|(c, w)| c + rho * (w - c))
+                        .collect();
+                    evals += 1;
+                    let fc = f(&contract);
+                    if fc < values[n] {
+                        simplex[n] = contract;
+                        values[n] = fc;
+                    } else {
+                        // Shrink towards the best point.
+                        let best = simplex[0].clone();
+                        for i in 1..=n {
+                            for j in 0..n {
+                                simplex[i][j] = best[j] + sigma * (simplex[i][j] - best[j]);
+                            }
+                            evals += 1;
+                            values[i] = f(&simplex[i]);
+                        }
+                    }
+                }
+            }
+
+            let mut best = 0;
+            for i in 1..=n {
+                if values[i] < values[best] {
+                    best = i;
+                }
+            }
+            OptResult {
+                x: simplex[best].clone(),
+                value: values[best],
+                evals,
+            }
+        }
+    }
+
+    #[test]
+    fn nelder_mead_matches_the_cloning_oracle_bit_for_bit() {
+        type Case = (&'static str, fn(&[f64]) -> f64, Vec<f64>, f64, usize, f64);
+        let cases: Vec<Case> = vec![
+            (
+                "sphere",
+                |x| x.iter().map(|v| v * v).sum(),
+                vec![2.0, -3.0, 1.0],
+                0.5,
+                1000,
+                1e-14,
+            ),
+            (
+                "rosenbrock",
+                |x| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2),
+                vec![-1.0, 1.0],
+                0.5,
+                5000,
+                1e-16,
+            ),
+            (
+                "nan half-space",
+                |x| {
+                    if x[0] > 1.0 {
+                        f64::NAN
+                    } else {
+                        (x[0] - 0.5).powi(2) + x[1] * x[1]
+                    }
+                },
+                vec![0.9, 0.3],
+                0.5,
+                2000,
+                1e-14,
+            ),
+            // A kink at the minimum: a non-smooth descent.
+            (
+                "abs kink",
+                |x| x.iter().map(|v| v.abs()).sum(),
+                vec![0.3, -0.7, 0.2, 0.9],
+                1.0,
+                400,
+                0.0,
+            ),
+            // All ties: with `tol = 0` neither reflection nor contraction
+            // ever improves on the worst vertex, so every iteration is a
+            // shrink, and the stable sort must keep the row order.
+            ("flat", |_| 1.0, vec![0.0, 0.0, 0.0], 0.1, 50, 0.0),
+            // A one-dimensional simplex.
+            ("1-D", |x| (x[0] - 0.25).powi(2), vec![3.0], 0.4, 200, 1e-15),
+        ];
+        for (name, f, x0, step, max_iter, tol) in cases {
+            let mut calls = 0;
+            let count = |x: &[f64]| {
+                calls += 1;
+                f(x)
+            };
+            let got = nelder_mead(count, &x0, step, max_iter, tol);
+            let want = oracle::nelder_mead(f, &x0, step, max_iter, tol);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.x), bits(&want.x), "{name}: x");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "{name}: value");
+            assert_eq!(got.evals, want.evals, "{name}: evals");
+            assert_eq!(calls, got.evals, "{name}: one call per counted eval");
+        }
     }
 }

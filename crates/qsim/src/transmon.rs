@@ -220,11 +220,6 @@ impl AsymmetricTransmon {
         (8.0 * self.effective_ej(phi) * self.ec_ghz).sqrt() - self.ec_ghz
     }
 
-    /// The fixed-frequency [`Transmon`] model at reduced flux `phi`.
-    pub fn at_flux(&self, phi: f64) -> Transmon {
-        Transmon::with_params(self.frequency_at(phi), self.ec_ghz, self.levels)
-    }
-
     /// Finds the reduced flux (within `[0, 0.5)`) that detunes the qubit to
     /// `target_freq_ghz`, by bisection on the monotone branch.
     ///

@@ -169,11 +169,6 @@ impl NetlistStats {
         self.cell_counts.get(&cell).copied().unwrap_or(0)
     }
 
-    /// Total cell instances.
-    pub fn total_cells(&self) -> u64 {
-        self.cell_counts.values().sum()
-    }
-
     /// Merges another stats block scaled by `count` instances — the
     /// hierarchical composition primitive.
     pub fn add_scaled(&mut self, other: &NetlistStats, count: u64) {
@@ -524,7 +519,7 @@ mod tests {
         assert_eq!(s.count(CellType::And2), 1);
         assert_eq!(s.total_jj, (18 + 16) as u64);
         assert_eq!(s.cell_area_um2, 7000.0);
-        assert_eq!(s.total_cells(), 2);
+        assert_eq!(s.cell_counts.values().sum::<u64>(), 2);
     }
 
     #[test]

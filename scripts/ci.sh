@@ -3,8 +3,9 @@
 #
 #   scripts/ci.sh                # build + tests (workspace and perfbench,
 #                                # plus the opt decomposition, bitstream
-#                                # search and exec model differential
-#                                # tests in release) + kernels bench build
+#                                # search, exec model and CZ echo
+#                                # optimizer differential tests in
+#                                # release) + kernels bench build
 #                                # + fmt check + rustdoc warnings gate
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
@@ -86,6 +87,12 @@ cargo test -q --release --offline -p calib --test bitstream_differential
 # marks, against the sort-based model) in release on the full one.
 echo "==> exec model differential test (release)"
 cargo test -q --release --offline -p digiq-core --test exec_differential
+
+# And for the CZ echo optimizer: debug runs a reduced drift grid and does
+# not vectorize, so run its differential (stack-array objective, in-place
+# Nelder–Mead, against the allocating one) in release on the full matrix.
+echo "==> CZ echo optimizer differential test (release)"
+cargo test -q --release --offline -p calib --test cz_differential
 
 # `cargo test` does not build bench targets, so neither run above
 # compiles the kernels bench; only --smoke and --bench-* would. Build it
