@@ -268,6 +268,19 @@ fn bench_decomposition(h: &mut Bench) {
     h.bench("min_mitm_query_depth20", || {
         calib::min_decomp::decompose_min(black_box(&target), &min_basis, &db, 1e-4)
     });
+    // The drifted basis of `drifted_basis_still_universal` with a zero
+    // error target: the scan visits every database entry's neighbourhood
+    // without an early exit, like every Fig 10a call.
+    let drifted_min = calib::min_decomp::MinBasis::new(vec![
+        qsim::gates::rz(0.11)
+            .matmul(&qsim::gates::ry(std::f64::consts::FRAC_PI_2 + 0.04))
+            .matmul(&qsim::gates::rz(-0.07)),
+        qsim::gates::rz(std::f64::consts::FRAC_PI_4 + 0.03),
+    ]);
+    let drifted_db = calib::min_decomp::SequenceDb::build(&drifted_min, 8);
+    h.bench("min_mitm_drifted_depth16", || {
+        calib::min_decomp::decompose_min(black_box(&target), &drifted_min, &drifted_db, 0.0)
+    });
 }
 
 fn bench_compile(h: &mut Bench) {

@@ -6,9 +6,11 @@
 //! qubit-specific operations. The paper uses "a brute-force search … up
 //! to a maximum depth of 28"; this module implements that search as a
 //! meet-in-the-middle: a database of all products up to depth 14 is built
-//! once per qubit (deduplicated, spatially hashed over the SU(2)
-//! quaternion ball), and each target `T` is split as `T ≈ A·B` with both
-//! halves looked up — the same search space at √cost.
+//! once per qubit (deduplicated, and indexed by its sorted quantization
+//! cells over the SU(2) quaternion ball), and each target `T` is split as
+//! `T ≈ A·B` with both halves looked up — the same search space at √cost.
+//! A half's 3⁴-cell neighbourhood is read as at most three contiguous
+//! runs of that sorted index, not as 81 hash probes.
 //!
 //! Leakage handling follows §V-A: the search runs over the unitarized
 //! SU(2) parts ("working with the full six-level representation" is
@@ -88,22 +90,49 @@ impl MinDecomposition {
     }
 }
 
-/// Quantization cell for the spatial hash (quaternion components in
-/// [−1, 1] → i8 grid).
-fn cell_key(q: Su2, res: f64) -> (i16, i16, i16, i16) {
-    (
+/// Quantization cell of `q` (quaternion components in [−1, 1] → integer
+/// grid of pitch `res`).
+fn cell_key(q: Su2, res: f64) -> [i16; 4] {
+    [
         (q.w / res).round() as i16,
         (q.x / res).round() as i16,
         (q.y / res).round() as i16,
         (q.z / res).round() as i16,
-    )
+    ]
+}
+
+/// Packs a cell key into four offset-binary `u16` fields, so numeric
+/// order of packed keys is the lexicographic order of the cells.
+fn pack(cell: [i16; 4]) -> u64 {
+    cell.iter()
+        .fold(0, |acc, &k| acc << 16 | u64::from(k as u16 ^ 0x8000))
+}
+
+/// Field `i` (0 = w … 3 = z) of a packed cell key.
+fn field(key: u64, i: usize) -> i32 {
+    i32::from((key >> (48 - 16 * i)) as u16) - 0x8000
 }
 
 /// One half-depth product database for a basis.
+///
+/// Entries are indexed by quantization cell: `index` lists every
+/// `(packed cell, entry)` pair in ascending order, so cells come in
+/// lexicographic order and each cell's entries in insertion order. The
+/// pairs of one `(w, x)` cell prefix, a *slab*, are contiguous, and
+/// `slab_starts` maps each slab of the occupied `(w, x)` rectangle to
+/// where it begins in `index` (plus one final end offset), so a
+/// neighbourhood query reads its slabs' ranges directly instead of
+/// searching for them.
 #[derive(Debug)]
 pub struct SequenceDb {
     entries: Vec<(Su2, Vec<u8>)>,
-    hash: HashMap<(i16, i16, i16, i16), Vec<u32>>,
+    index: Vec<(u64, u32)>,
+    /// The `(w, x)` fields of the rectangle's first slab.
+    slab_origin: [i32; 2],
+    /// Slabs per `w` row of the rectangle (its `x` extent).
+    slab_cols: i32,
+    /// Row-major start offsets of the rectangle's slabs, then `index.len()`.
+    slab_starts: Vec<u32>,
     res: f64,
 }
 
@@ -118,8 +147,8 @@ impl SequenceDb {
         let res = 0.04;
         let dedup_res = 5e-4;
         let mut entries: Vec<(Su2, Vec<u8>)> = vec![(Su2::IDENTITY, Vec::new())];
-        let mut seen: HashMap<(i16, i16, i16, i16), Vec<u32>> = HashMap::new();
-        seen.entry(cell_key(Su2::IDENTITY, dedup_res))
+        let mut seen: HashMap<u64, Vec<u32>> = HashMap::new();
+        seen.entry(pack(cell_key(Su2::IDENTITY, dedup_res)))
             .or_default()
             .push(0);
 
@@ -131,7 +160,7 @@ impl SequenceDb {
                 for (b, &op) in basis.su2.iter().enumerate() {
                     // Gate fired after the existing sequence: new = op ∘ q.
                     let nq = op.compose(q);
-                    let key = cell_key(nq, dedup_res);
+                    let key = pack(cell_key(nq, dedup_res));
                     let dup = seen.get(&key).map_or(false, |v| {
                         v.iter().any(|&i| entries[i as usize].0.distance(nq) < 1e-6)
                     });
@@ -152,11 +181,39 @@ impl SequenceDb {
             }
         }
 
-        let mut hash: HashMap<(i16, i16, i16, i16), Vec<u32>> = HashMap::new();
-        for (i, (q, _)) in entries.iter().enumerate() {
-            hash.entry(cell_key(*q, res)).or_default().push(i as u32);
+        let mut index: Vec<(u64, u32)> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (q, _))| (pack(cell_key(*q, res)), i as u32))
+            .collect();
+        index.sort_unstable();
+        // The occupied `(w, x)` rectangle: `index` holds at least the
+        // identity and is sorted by `w` first. Unit quaternions keep every
+        // field within ±1/res, so it spans at most 51 × 51 slabs.
+        let w = [index[0].0, index[index.len() - 1].0].map(|k| field(k, 0));
+        let x = index
+            .iter()
+            .fold([i32::MAX, i32::MIN], |[lo, hi], &(k, _)| {
+                [lo.min(field(k, 1)), hi.max(field(k, 1))]
+            });
+        let slab_cols = x[1] - x[0] + 1;
+        let slab = |key: u64| ((field(key, 0) - w[0]) * slab_cols + field(key, 1) - x[0]) as usize;
+        // CSR offsets: count each slab's pairs, then prefix-sum.
+        let mut slab_starts = vec![0u32; ((w[1] - w[0] + 1) * slab_cols) as usize + 1];
+        for &(key, _) in &index {
+            slab_starts[slab(key) + 1] += 1;
         }
-        SequenceDb { entries, hash, res }
+        for s in 1..slab_starts.len() {
+            slab_starts[s] += slab_starts[s - 1];
+        }
+        SequenceDb {
+            entries,
+            index,
+            slab_origin: [w[0], x[0]],
+            slab_cols,
+            slab_starts,
+            res,
+        }
     }
 
     /// Number of distinct products stored.
@@ -170,23 +227,29 @@ impl SequenceDb {
     }
 
     /// Visits entries near `q` (its cell and the 3⁴ neighbourhood) in the
-    /// same deterministic cell order the decomposition has always used,
-    /// without materializing the 81-cell list per query — the MITM scan
-    /// calls this once per database entry. `f` returns `false` to stop.
+    /// deterministic order the decomposition has always used: cells
+    /// lexicographically by offset, each cell's entries ascending. `f`
+    /// returns `false` to stop.
+    ///
+    /// For each `w` offset, the slabs `(w', x − 1)` to `(w', x + 1)` are
+    /// one contiguous run of `index`, already in that order; the scan keeps
+    /// the cells whose `y` and `z` fields are within 1 of `q`'s. The MITM
+    /// scan calls this once per database entry.
     fn for_each_near(&self, q: Su2, mut f: impl FnMut(u32) -> bool) {
-        let (a, b, c, d) = cell_key(q, self.res);
-        for da in -1i16..=1 {
-            for db in -1i16..=1 {
-                for dc in -1i16..=1 {
-                    for dd in -1i16..=1 {
-                        if let Some(v) = self.hash.get(&(a + da, b + db, c + dc, d + dd)) {
-                            for &i in v {
-                                if !f(i) {
-                                    return;
-                                }
-                            }
-                        }
-                    }
+        let [w, x, y, z] = cell_key(q, self.res).map(i32::from);
+        let [w0, x0] = self.slab_origin;
+        let cols = self.slab_cols;
+        let rows = (self.slab_starts.len() as i32 - 1) / cols;
+        let (first, last) = ((x - 1 - x0).max(0), (x + 1 - x0).min(cols - 1));
+        if first > last {
+            return;
+        }
+        for row in (w - 1 - w0).max(0)..=(w + 1 - w0).min(rows - 1) {
+            let slabs = self.slab_starts[(row * cols + first) as usize] as usize
+                ..self.slab_starts[(row * cols + last + 1) as usize] as usize;
+            for &(key, i) in &self.index[slabs] {
+                if (field(key, 2) - y).abs() <= 1 && (field(key, 3) - z).abs() <= 1 && !f(i) {
+                    return;
                 }
             }
         }

@@ -199,12 +199,6 @@ impl SystemConfig {
         }
     }
 
-    /// CZ duration in controller cycles (the paper: 60 ns "expands over
-    /// three controller cycles" for DigiQ_opt).
-    pub fn cz_cycles(&self) -> usize {
-        (self.cz_ns / self.cycle_ns()).ceil() as usize
-    }
-
     /// Per-qubit select bits per cycle: choose one of `BS` gates, a 2q
     /// start/stop, or nothing (§VI-A4).
     pub fn sel_bits_per_qubit(&self) -> usize {
@@ -334,10 +328,13 @@ mod tests {
 
     #[test]
     fn cz_spans_three_opt_cycles() {
+        // The paper: the 60 ns CZ "expands over three controller cycles"
+        // for DigiQ_opt.
+        let cz_cycles = |c: &SystemConfig| (c.cz_ns / c.cycle_ns()).ceil() as usize;
         let opt = SystemConfig::paper_default(ControllerDesign::DigiqOpt { bs: 16 }, 2);
-        assert_eq!(opt.cz_cycles(), 3);
+        assert_eq!(cz_cycles(&opt), 3);
         let min = SystemConfig::paper_default(ControllerDesign::DigiqMin { bs: 2 }, 2);
-        assert_eq!(min.cz_cycles(), 6);
+        assert_eq!(cz_cycles(&min), 6);
     }
 
     #[test]

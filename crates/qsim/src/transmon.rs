@@ -220,28 +220,6 @@ impl AsymmetricTransmon {
         (8.0 * self.effective_ej(phi) * self.ec_ghz).sqrt() - self.ec_ghz
     }
 
-    /// Finds the reduced flux (within `[0, 0.5)`) that detunes the qubit to
-    /// `target_freq_ghz`, by bisection on the monotone branch.
-    ///
-    /// Returns `None` if the target is outside the tunable band.
-    pub fn flux_for_frequency(&self, target_freq_ghz: f64) -> Option<f64> {
-        let f0 = self.frequency_at(0.0);
-        let fmin = self.frequency_at(0.5);
-        if target_freq_ghz > f0 || target_freq_ghz < fmin {
-            return None;
-        }
-        let (mut lo, mut hi) = (0.0f64, 0.5f64);
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if self.frequency_at(mid) > target_freq_ghz {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(0.5 * (lo + hi))
-    }
-
     /// Applies multiplicative Josephson-energy variation (the paper's
     /// σ=0.2% Monte-Carlo model, §VI-B): each junction energy is scaled by
     /// the given factors.
@@ -337,16 +315,6 @@ mod tests {
         // Sweet spot: derivative ≈ 0 at Φ=0 (quadratic dependence).
         let df = (a.frequency_at(1e-4) - f0).abs();
         assert!(df < 1e-5);
-    }
-
-    #[test]
-    fn flux_for_frequency_inverts_curve() {
-        let a = AsymmetricTransmon::design(6.21286, 0.3, 0.25, 6);
-        let target = 4.392;
-        let phi = a.flux_for_frequency(target).expect("in band");
-        assert!((a.frequency_at(phi) - target).abs() < 1e-9);
-        // Out-of-band requests return None.
-        assert!(a.flux_for_frequency(7.0).is_none());
     }
 
     #[test]

@@ -96,17 +96,15 @@ pub(crate) fn put_scratch(s: PassScratch) {
     let _ = WS.try_with(|w| w.borrow_mut().scratch = s);
 }
 
-/// Number of nodes currently pooled on this thread (observability for
-/// tests).
-pub fn pooled_nodes() -> usize {
-    WS.try_with(|w| w.borrow().spare_nodes.len()).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cells::CellType;
     use crate::netlist::Netlist;
+
+    fn pooled_nodes() -> usize {
+        WS.with(|w| w.borrow().spare_nodes.len())
+    }
 
     #[test]
     fn dropping_a_netlist_refills_the_pool() {

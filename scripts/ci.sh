@@ -3,9 +3,9 @@
 #
 #   scripts/ci.sh                # build + tests (workspace and perfbench,
 #                                # plus the opt decomposition, bitstream
-#                                # search, exec model and CZ echo
-#                                # optimizer differential tests in
-#                                # release) + kernels bench build
+#                                # search, exec model, CZ echo optimizer
+#                                # and DigiQ_min cell index differential
+#                                # tests in release) + kernels bench build
 #                                # + fmt check + rustdoc warnings gate
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
@@ -93,6 +93,12 @@ cargo test -q --release --offline -p digiq-core --test exec_differential
 # Nelder–Mead, against the allocating one) in release on the full matrix.
 echo "==> CZ echo optimizer differential test (release)"
 cargo test -q --release --offline -p calib --test cz_differential
+
+# And for the DigiQ_min search: debug runs a reduced matrix, so run the
+# sorted-cell-index differential (range scans, against the hash map it
+# replaced) in release on every basis, depth, error target and target.
+echo "==> DigiQ_min cell index differential test (release)"
+cargo test -q --release --offline -p calib --test min_decomp_differential
 
 # `cargo test` does not build bench targets, so neither run above
 # compiles the kernels bench; only --smoke and --bench-* would. Build it
