@@ -31,17 +31,16 @@
 //!   (divide + accumulate) and 4 per randomized candidate score
 //!   (weight multiply, two adds, one tie-break scale).
 //! * **cells** — netlist nodes examined by a synthesis pass (sfq-hw):
-//!   each of `insert_splitters`, `path_balance` and `check-style` walks
-//!   tallies the node count it scans, and every `retime` fixpoint
-//!   iteration tallies the full node count again (the fixpoint trip
-//!   count is itself deterministic).
+//!   `insert_splitters` and `path_balance` each tally the node count
+//!   they scan, and every `retime` fixpoint iteration tallies the full
+//!   node count again (the fixpoint trip count is itself deterministic).
 //! * **dffs_moved** — balancing DFFs materialized or relocated:
 //!   `path_balance` tallies every edge-weight DFF it inserts, `retime`
 //!   tallies every DFF it lifts from an input edge to the output.
 //! * **synth_allocs** — one per materialized netlist (`Netlist::new`),
-//!   kept apart from `allocs` so the two tiers never mix. Pooled node
-//!   buffers, pass scratch (topo orders, fanout CSRs, endpoint queues)
-//!   and `Clone` are never tallied.
+//!   kept apart from `allocs` so the two tiers never mix. Node storage,
+//!   the passes' local buffers (topo orders, fanout tables, endpoint
+//!   queues) and `Clone` are never tallied.
 //!
 //! Only outputs count, in every tier, so a pass's cold and warm tallies
 //! are identical by construction.

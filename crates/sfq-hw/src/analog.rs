@@ -74,14 +74,6 @@ impl CurrentGenerator {
         }
     }
 
-    /// Steady-state load current with all blocks on, in mA:
-    /// `I∞ = n·Vs/(R1+R2)` — linear in the enabled block count, which is
-    /// how the array modulates flux amplitude.
-    pub fn plateau_ma(&self) -> f64 {
-        let n = self.n_blocks as f64;
-        n * self.v_source_uv / (self.r1_ohm + self.r2_ohm) * 1e-3
-    }
-
     /// Number of enabled blocks at time `t_ns`.
     pub fn blocks_on(&self, t_ns: f64) -> usize {
         let ramp = |since: f64| -> usize {
@@ -180,10 +172,17 @@ impl CurrentWaveform {
 mod tests {
     use super::*;
 
+    /// Steady-state load current with all blocks on, in mA:
+    /// `I∞ = n·Vs/(R1+R2)` — linear in the enabled block count, which is
+    /// how the array modulates flux amplitude.
+    fn plateau_ma(gen: &CurrentGenerator) -> f64 {
+        gen.n_blocks as f64 * gen.v_source_uv / (gen.r1_ohm + gen.r2_ohm) * 1e-3
+    }
+
     #[test]
     fn plateau_matches_fig4b() {
         let gen = CurrentGenerator::paper_fig4();
-        assert!((gen.plateau_ma() - 1.2).abs() < 0.01);
+        assert!((plateau_ma(&gen) - 1.2).abs() < 0.01);
         let wave = gen.simulate(70.0, 0.25);
         assert!(
             (wave.peak_ma() - 1.2).abs() < 0.06,
@@ -238,7 +237,7 @@ mod tests {
         let mut gen = CurrentGenerator::paper_fig4();
         gen.n_blocks = 10;
         // Amplitude is linear in block count: 10/25 of 1.2 mA.
-        assert!((gen.plateau_ma() - 0.48).abs() < 1e-9);
+        assert!((plateau_ma(&gen) - 0.48).abs() < 1e-9);
         let wave = gen.simulate(70.0, 0.25);
         assert!(wave.peak_ma() < 0.6);
     }

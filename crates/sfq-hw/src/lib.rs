@@ -14,8 +14,6 @@
 //!   counters, comparators, broadcast trees, SFQ/DC arrays, double
 //!   buffers);
 //! * [`passes`] — splitter insertion, full path balancing, retiming;
-//! * [`workspace`] — per-thread node pool and pass scratch keeping the
-//!   synthesis iteration path allocation-free;
 //! * [`cost`] — calibrated power/area/delay roll-up;
 //! * [`analog`] — transient simulation of the Fig 4 current generator;
 //! * [`cables`] — room-temperature digital link sizing (Fig 8c).
@@ -43,7 +41,6 @@ pub mod generators;
 pub mod json;
 pub mod netlist;
 pub mod passes;
-pub mod workspace;
 
 pub use cells::CellType;
 pub use cost::{CostModel, CostReport};

@@ -88,7 +88,7 @@ impl Node {
 
     /// Whether the node defines a pipeline stage (clocked cell).
     pub fn is_clocked(&self) -> bool {
-        self.cell().map_or(false, CellType::is_clocked)
+        self.cell().is_some_and(CellType::is_clocked)
     }
 
     /// Total balancing DFFs attached to this node.
@@ -182,6 +182,22 @@ impl NetlistStats {
     }
 }
 
+/// Sink lists of every node, from [`Netlist::fanouts`].
+#[derive(Debug, Clone)]
+pub struct Fanouts {
+    /// `sinks[off[i]..off[i + 1]]` are node `i`'s sinks.
+    off: Vec<u32>,
+    sinks: Vec<(NodeId, u32)>,
+}
+
+impl Fanouts {
+    /// The `(sink, pin)` edges driven by `id`, in sink node order.
+    pub fn of(&self, id: NodeId) -> &[(NodeId, u32)] {
+        let i = id.index();
+        &self.sinks[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
 /// A gate-level netlist (see module docs).
 #[derive(Debug, Clone)]
 pub struct Netlist {
@@ -195,9 +211,7 @@ pub struct Netlist {
 impl Netlist {
     /// Creates an empty netlist with a diagnostic name.
     ///
-    /// Tallied as one `synth_allocs` in `qsim::counters`; node storage
-    /// is drawn from the per-thread pool in [`crate::workspace`], so warm
-    /// construction is allocation-light.
+    /// Tallied as one `synth_allocs` in `qsim::counters`.
     pub fn new(name: impl Into<String>) -> Self {
         qsim::counters::tally_synth_allocs(1);
         Netlist {
@@ -205,28 +219,6 @@ impl Netlist {
             nodes: Vec::new(),
             outputs: Vec::new(),
             feedback: Vec::new(),
-        }
-    }
-
-    /// Builds a node from the recycled pool when possible (every field is
-    /// re-initialized; recycled `Vec`s keep only their capacity).
-    fn fresh_node(kind: NodeKind, fanin: &[NodeId]) -> Node {
-        match crate::workspace::pop_node() {
-            Some(mut node) => {
-                node.kind = kind;
-                node.fanin.clear();
-                node.fanin.extend_from_slice(fanin);
-                node.in_dffs.clear();
-                node.in_dffs.resize(fanin.len(), 0);
-                node.out_dffs = 0;
-                node
-            }
-            None => Node {
-                kind,
-                fanin: fanin.to_vec(),
-                in_dffs: vec![0; fanin.len()],
-                out_dffs: 0,
-            },
         }
     }
 
@@ -247,7 +239,7 @@ impl Netlist {
 
     /// Adds a primary input. The name is only for diagnostics.
     pub fn input(&mut self, _name: &str) -> NodeId {
-        self.push(Self::fresh_node(NodeKind::Input, &[]))
+        self.push(NodeKind::Input, &[])
     }
 
     /// Adds `n` primary inputs at once.
@@ -274,7 +266,7 @@ impl Netlist {
         for f in fanin {
             assert!(f.index() < self.nodes.len(), "fanin id out of range");
         }
-        self.push(Self::fresh_node(NodeKind::Gate(cell), fanin))
+        self.push(NodeKind::Gate(cell), fanin)
     }
 
     /// Adds a chain of `n` copies of a single-input cell after `src`,
@@ -336,48 +328,50 @@ impl Netlist {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Computes per-node fanout counts (combinational edges only).
-    pub fn fanout_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.nodes.len()];
-        for n in &self.nodes {
-            for f in &n.fanin {
-                counts[f.index()] += 1;
+    /// Per-node sink lists `(sink, pin)` of the combinational edges, as
+    /// one flat table; each node's sinks are in node order.
+    pub fn fanouts(&self) -> Fanouts {
+        let n = self.nodes.len();
+        // Counts go two slots up, so after the prefix sum `off[i + 1]` is
+        // node i's start; filling advances it to node i's end, which is
+        // node i + 1's start. The spare last slot is then dropped.
+        let mut off = vec![0u32; n + 2];
+        for node in &self.nodes {
+            for f in &node.fanin {
+                off[f.index() + 2] += 1;
             }
         }
-        counts
-    }
-
-    /// Computes per-node sink lists `(sink, pin)` (combinational edges
-    /// only).
-    pub fn fanouts(&self) -> Vec<Vec<(NodeId, usize)>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (pin, f) in n.fanin.iter().enumerate() {
-                out[f.index()].push((NodeId(i as u32), pin));
+        for i in 2..n + 2 {
+            off[i] += off[i - 1];
+        }
+        let mut sinks = vec![(NodeId(0), 0); off[n + 1] as usize];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for (pin, f) in node.fanin.iter().enumerate() {
+                let slot = &mut off[f.index() + 1];
+                sinks[*slot as usize] = (NodeId(i as u32), pin as u32);
+                *slot += 1;
             }
         }
-        out
+        off.pop();
+        Fanouts { off, sinks }
     }
 
-    /// Kahn topological order of the combinational graph.
+    /// Kahn topological order of the combinational graph (LIFO worklist).
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if no such order
     /// exists.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, NetlistError> {
-        let n = self.nodes.len();
-        let mut order = Vec::with_capacity(n);
         let fanouts = self.fanouts();
         // In-degree = fanin count (combinational edges only).
-        let mut indeg = vec![0u32; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            indeg[i] = node.fanin.len() as u32;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut indeg: Vec<u32> = self.nodes.iter().map(|n| n.fanin.len() as u32).collect();
+        let mut queue: Vec<usize> = (0..indeg.len()).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(indeg.len());
         while let Some(i) = queue.pop() {
-            order.push(NodeId(i as u32));
-            for &(sink, _) in &fanouts[i] {
+            let id = NodeId(i as u32);
+            order.push(id);
+            for &(sink, _) in fanouts.of(id) {
                 let s = sink.index();
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
@@ -385,7 +379,7 @@ impl Netlist {
                 }
             }
         }
-        if order.len() == n {
+        if order.len() == indeg.len() {
             Ok(order)
         } else {
             Err(NetlistError::CombinationalCycle)
@@ -413,10 +407,10 @@ impl Netlist {
         }
         self.topo_order()?;
         for &(_, dst) in &self.feedback {
-            let ok = self.nodes[dst.index()]
+            if !self.nodes[dst.index()]
                 .cell()
-                .map_or(false, CellType::is_storage);
-            if !ok {
+                .is_some_and(CellType::is_storage)
+            {
                 return Err(NetlistError::FeedbackIntoNonStorage { node: dst.0 });
             }
         }
@@ -447,22 +441,19 @@ impl Netlist {
         s
     }
 
-    pub(crate) fn push(&mut self, node: Node) -> NodeId {
+    fn push(&mut self, kind: NodeKind, fanin: &[NodeId]) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
+        self.nodes.push(Node {
+            kind,
+            fanin: fanin.to_vec(),
+            in_dffs: vec![0; fanin.len()],
+            out_dffs: 0,
+        });
         id
     }
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
-    }
-}
-
-impl Drop for Netlist {
-    fn drop(&mut self) {
-        // Recycle node buffers (with their capacities) into the
-        // per-thread pool for the next construction.
-        crate::workspace::recycle_nodes(std::mem::take(&mut self.nodes));
     }
 }
 
@@ -547,14 +538,12 @@ mod tests {
     #[test]
     fn fanout_counting() {
         let nl = half_adder();
-        let counts = nl.fanout_counts();
-        // Inputs a and b each drive XOR and AND.
-        assert_eq!(counts[0], 2);
-        assert_eq!(counts[1], 2);
-        assert_eq!(counts[2], 0);
         let fo = nl.fanouts();
-        assert_eq!(fo[0].len(), 2);
-        assert_eq!(fo[0][0], (NodeId(2), 0));
+        // Inputs a and b each drive XOR (pin 0/1) and AND (pin 0/1).
+        assert_eq!(fo.of(NodeId(0)), &[(NodeId(2), 0), (NodeId(3), 0)]);
+        assert_eq!(fo.of(NodeId(1)), &[(NodeId(2), 1), (NodeId(3), 1)]);
+        assert!(fo.of(NodeId(2)).is_empty());
+        assert!(fo.of(NodeId(3)).is_empty());
     }
 
     #[test]

@@ -39,139 +39,50 @@
 
 use crate::cells::CellType;
 use crate::netlist::{Netlist, NetlistError, NodeId};
-use crate::workspace::{put_scratch, take_scratch, PassScratch};
 use qsim::counters;
-
-/// Builds the CSR fanout adjacency of `nl` into the scratch buffers:
-/// `csr_sinks[csr_off[i]..csr_off[i+1]]` lists node `i`'s `(sink, pin)`
-/// edges in the same per-source order as [`Netlist::fanouts`].
-fn build_fanout_csr(nl: &Netlist, s: &mut PassScratch) {
-    let n = nl.len();
-    let PassScratch {
-        csr_off,
-        csr_cur,
-        csr_sinks,
-        ..
-    } = s;
-    csr_off.clear();
-    csr_off.resize(n + 1, 0);
-    let mut total = 0u32;
-    for (_, node) in nl.iter() {
-        for f in &node.fanin {
-            csr_off[f.index() + 1] += 1;
-        }
-        total += node.fanin.len() as u32;
-    }
-    for i in 0..n {
-        csr_off[i + 1] += csr_off[i];
-    }
-    csr_cur.clear();
-    csr_cur.extend_from_slice(&csr_off[..n]);
-    csr_sinks.clear();
-    csr_sinks.resize(total as usize, (NodeId(0), 0));
-    for (id, node) in nl.iter() {
-        for (pin, f) in node.fanin.iter().enumerate() {
-            let slot = csr_cur[f.index()];
-            csr_sinks[slot as usize] = (id, pin as u32);
-            csr_cur[f.index()] = slot + 1;
-        }
-    }
-}
-
-/// Kahn topological order into `s.order`, mirroring
-/// [`Netlist::topo_order`] exactly (same worklist discipline, so the same
-/// order) without its per-call allocations.
-fn topo_into(nl: &Netlist, s: &mut PassScratch) -> Result<(), NetlistError> {
-    build_fanout_csr(nl, s);
-    let n = nl.len();
-    let PassScratch {
-        csr_off,
-        csr_sinks,
-        indeg,
-        queue,
-        order,
-        ..
-    } = s;
-    indeg.clear();
-    for (_, node) in nl.iter() {
-        indeg.push(node.fanin.len() as u32);
-    }
-    order.clear();
-    queue.clear();
-    queue.extend((0..n).filter(|&i| indeg[i] == 0));
-    while let Some(i) = queue.pop() {
-        order.push(NodeId(i as u32));
-        for &(sink, _) in &csr_sinks[csr_off[i] as usize..csr_off[i + 1] as usize] {
-            let si = sink.index();
-            indeg[si] -= 1;
-            if indeg[si] == 0 {
-                queue.push(si);
-            }
-        }
-    }
-    if order.len() == n {
-        Ok(())
-    } else {
-        Err(NetlistError::CombinationalCycle)
-    }
-}
 
 /// Legalizes fanout: any node driving more than [`CellType::max_fanout`]
 /// sinks gets a balanced binary splitter tree. Returns the number of
 /// splitters added.
 ///
+/// Primary inputs are driven by off-module drivers and get the same
+/// single-sink discipline (their splitter trees are counted here so
+/// module costs are self-contained).
+///
 /// Splitters are asynchronous (no clock), so the pass leaves stage depths
 /// untouched; it must therefore run *before* [`path_balance`].
-///
-/// Allocation-free on the iteration path: the fanout adjacency and the
-/// endpoint queue live in the per-thread [`crate::workspace`] scratch, and
-/// new splitter nodes come from the node pool.
 pub fn insert_splitters(nl: &mut Netlist) -> u64 {
     let n0 = nl.len();
     counters::tally_cells(n0 as u64);
-    let mut s = take_scratch();
-    build_fanout_csr(nl, &mut s);
+    let fanouts = nl.fanouts();
+    let mut endpoints = Vec::new();
     let mut added = 0u64;
     for i in 0..n0 {
         let id = NodeId(i as u32);
-        let max = nl
-            .node(id)
-            .cell()
-            .map_or(usize::MAX.min(2), CellType::max_fanout)
-            .max(1);
-        // Primary inputs are driven by off-module drivers; give them the
-        // same single-sink discipline (the driver needs a splitter tree
-        // too — counted here so module costs are self-contained).
-        let max = if nl.node(id).cell().is_none() { 1 } else { max };
-        let (lo, hi) = (s.csr_off[i] as usize, s.csr_off[i + 1] as usize);
-        if hi - lo <= max {
+        let sinks = fanouts.of(id);
+        if sinks.len() <= nl.node(id).cell().map_or(1, CellType::max_fanout) {
             continue;
         }
-        // Build a balanced tree: repeatedly split the endpoint with the
-        // fewest downstream leaves until we have enough endpoints. The
-        // queue is a head cursor over the endpoints buffer (FIFO without
-        // the `remove(0)` shifting).
-        let needed = hi - lo;
-        s.endpoints.clear();
-        s.endpoints.push(id);
+        // Build a balanced tree: repeatedly split the earliest endpoint
+        // (queue order keeps the tree balanced) until there are enough
+        // endpoints; `head` is the queue front.
+        endpoints.clear();
+        endpoints.push(id);
         let mut head = 0usize;
-        while s.endpoints.len() - head < needed {
-            // Take the earliest endpoint (round-robin keeps the tree
-            // balanced: queue behaviour).
-            let src = s.endpoints[head];
+        while endpoints.len() - head < sinks.len() {
+            let src = endpoints[head];
             head += 1;
             let spl = nl.gate(CellType::Splitter, &[src]);
             added += 1;
-            s.endpoints.push(spl);
-            s.endpoints.push(spl);
+            endpoints.push(spl);
+            endpoints.push(spl);
         }
         // A splitter output may feed two sinks; each endpoint id appears
         // once per available output. Rewire each original sink pin.
-        for (k, &(sink, pin)) in s.csr_sinks[lo..hi].iter().enumerate() {
-            nl.node_mut(sink).fanin[pin as usize] = s.endpoints[head + k];
+        for (&(sink, pin), &src) in sinks.iter().zip(&endpoints[head..]) {
+            nl.node_mut(sink).fanin[pin as usize] = src;
         }
     }
-    put_scratch(s);
     added
 }
 
@@ -201,47 +112,35 @@ pub fn stage_depths(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
 /// every multi-input clocked gate sees equal arrival stages on all pins.
 /// Returns the number of DFFs inserted.
 ///
-/// Allocation-free on the iteration path: the topological order and depth
-/// array live in the per-thread scratch, and per-node arrivals are folded
-/// on the fly instead of collected.
-///
 /// # Panics
 ///
 /// Panics if the netlist contains a combinational cycle (validate first).
 pub fn path_balance(nl: &mut Netlist) -> u64 {
     counters::tally_cells(nl.len() as u64);
-    let mut s = take_scratch();
-    topo_into(nl, &mut s).expect("path_balance requires acyclic netlist");
+    let order = nl
+        .topo_order()
+        .expect("path_balance requires acyclic netlist");
+    let mut depth = vec![0u32; nl.len()];
     let mut inserted = 0u64;
-    {
-        let PassScratch { order, depth, .. } = &mut s;
-        depth.clear();
-        depth.resize(nl.len(), 0);
-        for &id in order.iter() {
-            let node = nl.node(id);
-            if node.fanin.is_empty() {
-                depth[id.index()] = node.out_dffs;
-                continue;
-            }
-            let mut max_arrival = 0u32;
-            for (pin, &src) in node.fanin.iter().enumerate() {
-                max_arrival = max_arrival.max(depth[src.index()] + node.in_dffs[pin]);
-            }
-            let own = if node.is_clocked() { 1 } else { 0 };
-            let out = node.out_dffs;
-            if node.fanin.len() > 1 {
-                let node = nl.node_mut(id);
-                for pin in 0..node.fanin.len() {
-                    let a = depth[node.fanin[pin].index()] + node.in_dffs[pin];
-                    let lag = max_arrival - a;
-                    node.in_dffs[pin] += lag;
-                    inserted += lag as u64;
-                }
-            }
-            depth[id.index()] = max_arrival + own + out;
+    for id in order {
+        let node = nl.node(id);
+        let mut max_arrival = 0u32;
+        for (pin, &src) in node.fanin.iter().enumerate() {
+            max_arrival = max_arrival.max(depth[src.index()] + node.in_dffs[pin]);
         }
+        let own = if node.is_clocked() { 1 } else { 0 };
+        let out = node.out_dffs;
+        if node.fanin.len() > 1 {
+            let node = nl.node_mut(id);
+            for pin in 0..node.fanin.len() {
+                let a = depth[node.fanin[pin].index()] + node.in_dffs[pin];
+                let lag = max_arrival - a;
+                node.in_dffs[pin] += lag;
+                inserted += lag as u64;
+            }
+        }
+        depth[id.index()] = max_arrival + own + out;
     }
-    put_scratch(s);
     counters::tally_dffs_moved(inserted);
     inserted
 }
@@ -337,42 +236,22 @@ pub fn synthesize(nl: &mut Netlist) -> (u64, u64, u64) {
 
 /// Checks the full-path-balance invariant: every multi-input clocked gate
 /// sees equal arrival stages on all pins. Returns the first violating node
-/// if any.
+/// in storage order, or node 0 for a cyclic netlist.
 pub fn check_balance(nl: &Netlist) -> Result<(), NodeId> {
-    let mut s = take_scratch();
-    if topo_into(nl, &mut s).is_err() {
-        put_scratch(s);
-        return Err(NodeId(0));
-    }
-    let mut result = Ok(());
-    {
-        let PassScratch { order, depth, .. } = &mut s;
-        depth.clear();
-        depth.resize(nl.len(), 0);
-        'walk: for &id in order.iter() {
-            let node = nl.node(id);
-            let mut max_arrival = 0u32;
-            let mut first = 0u32;
-            let mut equal = true;
-            for (pin, &src) in node.fanin.iter().enumerate() {
-                let a = depth[src.index()] + node.in_dffs[pin];
-                if pin == 0 {
-                    first = a;
-                } else if a != first {
-                    equal = false;
-                }
-                max_arrival = max_arrival.max(a);
+    let depth = stage_depths(nl).map_err(|_| NodeId(0))?;
+    for (id, node) in nl.iter() {
+        let mut arrivals = node
+            .fanin
+            .iter()
+            .zip(&node.in_dffs)
+            .map(|(src, &d)| depth[src.index()] + d);
+        if let Some(first) = arrivals.next() {
+            if arrivals.any(|a| a != first) {
+                return Err(id);
             }
-            if node.fanin.len() > 1 && !equal {
-                result = Err(id);
-                break 'walk;
-            }
-            let own = if node.is_clocked() { 1 } else { 0 };
-            depth[id.index()] = max_arrival + own + node.out_dffs;
         }
     }
-    put_scratch(s);
-    result
+    Ok(())
 }
 
 #[cfg(test)]
@@ -402,14 +281,11 @@ mod tests {
         let added = insert_splitters(&mut nl);
         assert_eq!(added, 4, "k sinks need k−1 splitters");
         // All fanouts now legal.
-        let fo = nl.fanout_counts();
+        let fo = nl.fanouts();
         for (id, node) in nl.iter() {
             let max = node.cell().map_or(1, CellType::max_fanout);
-            assert!(
-                (fo[id.index()] as usize) <= max,
-                "node {id:?} fanout {} > {max}",
-                fo[id.index()]
-            );
+            let k = fo.of(id).len();
+            assert!(k <= max, "node {id:?} fanout {k} > {max}");
         }
         assert!(nl.validate().is_ok());
     }

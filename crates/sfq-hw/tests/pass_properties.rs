@@ -37,9 +37,9 @@ fn random_netlist(rng: &mut StdRng) -> Netlist {
         pool.push(id);
     }
     // Mark sinks (nodes with no fanout) as outputs.
-    let fo = nl.fanout_counts();
+    let fo = nl.fanouts();
     for id in nl.ids().collect::<Vec<_>>() {
-        if fo[id.index()] == 0 && nl.node(id).cell().is_some() {
+        if fo.of(id).is_empty() && nl.node(id).cell().is_some() {
             nl.mark_output("o", id);
         }
     }
@@ -61,15 +61,13 @@ fn fanout_is_legal_after_splitter_insertion() {
     for case in 0..CASES {
         let mut nl = random_netlist(&mut StdRng::seed_from_u64(case));
         insert_splitters(&mut nl);
-        let fo = nl.fanout_counts();
+        let fo = nl.fanouts();
         for (id, node) in nl.iter() {
             let max = node.cell().map_or(1, CellType::max_fanout);
+            let k = fo.of(id).len();
             assert!(
-                (fo[id.index()] as usize) <= max,
-                "case {case}: node {:?} fanout {} exceeds {}",
-                id,
-                fo[id.index()],
-                max
+                k <= max,
+                "case {case}: node {id:?} fanout {k} exceeds {max}"
             );
         }
     }
@@ -196,13 +194,15 @@ fn synthesis_counters_cold_equal_warm() {
             nl.stats().total_jj
         })
     };
-    let (jj_cold, cold) = run(); // first run: empty node pool and scratch
-    let (jj_warm, warm) = run(); // second run: pooled buffers in play
+    // Synthesis keeps no state between calls, so a second run must
+    // repeat the first exactly, results and tallies alike.
+    let (jj_cold, cold) = run();
+    let (jj_warm, warm) = run();
     assert_eq!(
         jj_cold, jj_warm,
-        "pooling must not change synthesis results"
+        "a rerun must not change synthesis results"
     );
-    assert_eq!(cold, warm, "tallies must be pool-state-independent");
+    assert_eq!(cold, warm, "tallies must not depend on earlier runs");
     assert!(cold.cells > 0, "cells examined must be counted");
     assert_eq!(cold.synth_allocs, 1, "one netlist materialized per run");
 }

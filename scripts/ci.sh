@@ -133,16 +133,16 @@ echo "dependency graph is workspace-only"
 # `static` OnceLock/LazyLock/Mutex/RwLock in library code, at module level
 # or nested in a function, is a hidden process-wide memo beside it.
 # `#[cfg(test)]` modules are exempt. `thread_local!` is allowed only in
-# the four files below: the counter table, the eigensolver and synthesis
-# scratch, and the compile pipeline's one per-thread workspace. Every
-# other kernel takes its workspace from the caller.
+# the three files below: the counter table, the eigensolver's workspace,
+# and the compile pipeline's one per-thread workspace. Every other kernel
+# takes its workspace from the caller or keeps its buffers local.
 echo "==> no process-wide memos in crates/*/src"
 thread_locals=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
     !in_test && /thread_local!/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ":" $0 }' \
     | grep -v -e '^crates/qsim/src/counters\.rs:' -e '^crates/qsim/src/eigen\.rs:' \
-        -e '^crates/sfq-hw/src/workspace\.rs:' -e '^crates/qcircuit/src/pipeline\.rs:' || true)
+        -e '^crates/qcircuit/src/pipeline\.rs:' || true)
 if [[ -n "$thread_locals" ]]; then
     echo "thread_local! outside the allowlisted files (pass the workspace in):" >&2
     echo "$thread_locals" >&2
