@@ -8,13 +8,13 @@
 //! (flags parsed by `digiq_bench::cli`).
 use digiq_bench::cli::CommonArgs;
 use digiq_core::engine::default_workers;
-use digiq_core::hardware::fig8_sweep_parallel;
+use digiq_core::hardware::fig8_sweep;
 use sfq_hw::json::ToJson;
 
 fn main() {
     let args = CommonArgs::parse(default_workers());
     let workers = args.workers;
-    let rows = fig8_sweep_parallel(&sfq_hw::cost::CostModel::default(), workers);
+    let rows = fig8_sweep(&sfq_hw::cost::CostModel::default(), workers);
     if args.json {
         println!("{}", rows.to_json_string());
         return;

@@ -256,7 +256,6 @@ fn main() {
     }
 
     let engine = args.engine();
-    let session = engine.root_session();
 
     // Distributed modes, all anchored on one shared `--cache-dir`:
     // `--worker-id N` runs one claiming worker (normally spawned as a
@@ -285,7 +284,7 @@ fn main() {
                 cfg.claim_ttl = Duration::from_millis(ms as u64);
             }
             cfg.hold = count_flag("--dist-hold-ms").map(|ms| Duration::from_millis(ms as u64));
-            if let Err(e) = session.run_distributed(&spec, dir, &cfg, RunControl::default()) {
+            if let Err(e) = engine.run_distributed(&spec, dir, &cfg, RunControl::default()) {
                 eprintln!("error: worker w{id}: {e}");
                 std::process::exit(1);
             }
@@ -334,13 +333,13 @@ fn main() {
         // Merge (runs for both the coordinator and `--merge`): assemble
         // the report from every shard journal under the cache dir. The
         // result is byte-identical to a serial in-process run.
-        session.merge_distributed(&spec, dir).unwrap_or_else(|e| {
+        engine.merge_distributed(&spec, dir).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
         })
     } else {
         match &args.cache_dir {
-            None => session.run(&spec, workers),
+            None => engine.run(&spec, workers),
             Some(dir) => {
                 // Persistent mode: journal completed jobs under the cache
                 // dir (keyed by the spec fingerprint) so `--resume` can skip
@@ -357,7 +356,7 @@ fn main() {
                     interrupt_after: count_flag("--interrupt-after"),
                     stop: None,
                 };
-                match session.run_journaled(&spec, workers, &journal, args.resume, ctl) {
+                match engine.run_journaled(&spec, workers, &journal, args.resume, ctl) {
                     Some(report) => report,
                     None => {
                         eprintln!(

@@ -23,10 +23,10 @@
 //! firing count `L`, delay class) from the shared
 //! [`crate::delay_model::DelayModel`], so a [`CosimReport`] produced from
 //! the same compiled artifact ([`qcircuit::pipeline::CompileArtifact`])
-//! + [`ExecParams`] as an [`ExecReport`] is
-//! *exactly* comparable: integer cycle counters (`oneq_cycles`,
-//! `serialization_cycles`, CZ segments, slots) must agree to the cycle,
-//! and `total_ns` to f64 rounding (the co-simulator sums exact integer
+//! and [`ExecParams`] as an [`ExecReport`] is *exactly* comparable:
+//! integer cycle counters (`oneq_cycles`, `serialization_cycles`, CZ
+//! segments, slots) must agree to the cycle, and `total_ns` to f64
+//! rounding (the co-simulator sums exact integer
 //! ticks where the analytic model sums f64 nanoseconds) — see
 //! [`diff_analytic`] and `crates/core/tests/cosim_diff.rs`. What the
 //! co-simulator adds over the closed form is *attribution*: per-group

@@ -9,7 +9,7 @@
 //!
 //! * a declarative [`SweepSpec`] enumerates the jobs (design-major, then
 //!   benchmark, then seed — the job index is the merge order);
-//! * **one evaluation core**, [`EvalSession::evaluate_circuit`], takes a
+//! * **one evaluation core**, [`EvalEngine::evaluate_circuit`], takes a
 //!   circuit from compile to a normalized [`BenchmarkReport`]; every
 //!   sweep job is that call on its benchmark circuit and derived seed;
 //! * **one run loop** executes them: scoped workers each take the next
@@ -20,7 +20,7 @@
 //!   counter over the jobs not yet journaled, or the claim-file scan of
 //!   a distributed worker ([`crate::store::JobClaims`], one thread per
 //!   process) — and three sinks: none, the base [`SweepJournal`], or a
-//!   worker's shard journal. Every run mode of [`EvalSession`] is one
+//!   worker's shard journal. Every run mode of [`EvalEngine`] is one
 //!   pick of source × sink, and all of them hand their records to one
 //!   report assembly that stamps either the live cache delta or the
 //!   deterministic cold-run accounting;
@@ -38,22 +38,19 @@
 //!   ([`StoreConfig::cache_dir`], `--cache-dir`), compiles, baselines
 //!   and co-simulations additionally persist across processes, so a
 //!   second run warm-starts with **zero pass builds**; with
-//!   [`EvalSession::run_journaled`] a sweep journals every completed job
+//!   [`EvalEngine::run_journaled`] a sweep journals every completed job
 //!   and an interrupted run resumes (`sweep --resume`) byte-identically
 //!   to an uninterrupted one.
 //!
-//! Accounting lives in sessions: [`EvalEngine::session`] opens an
-//! isolated one per request, and the engine's own evaluation methods
-//! ([`EvalEngine::run`], [`EvalEngine::run_job`], …) charge its
-//! cumulative [`EvalEngine::root_session`].
-//!
-//! Per-pass build metrics live in [`PassCacheStats`]
-//! ([`EvalEngine::pass_cache_stats`]) and store-wide counters in
-//! [`EvalEngine::store_stats`]; like the co-simulation counters they are
-//! kept out of [`CacheStats`] so the serialized sweep report — and the
-//! `tests/golden/engine_smoke.json` golden — is byte-for-byte unchanged
-//! by the store refactor ([`CacheStats::compile_hits`] /
-//! `compile_misses` account the whole-compile lookups).
+//! The engine keeps one accounting: [`CacheStats`]
+//! ([`EvalEngine::cache_stats`]) is read from the store's per-namespace
+//! counters, whole-compile lookups included
+//! ([`CacheStats::compile_hits`] / `compile_misses`). Per-pass build
+//! metrics live in [`PassCacheStats`] ([`EvalEngine::pass_cache_stats`])
+//! and store-wide counters in [`EvalEngine::store_stats`]; like the
+//! co-simulation counters they are kept out of [`CacheStats`] so the
+//! serialized sweep report — and the `tests/golden/engine_smoke.json`
+//! golden — carries no wall-clock figures.
 //!
 //! Results are **deterministic regardless of worker count**: jobs are
 //! pure functions of the spec (per-job exec seeds are derived by hashing
@@ -101,16 +98,14 @@ use calib::min_decomp::{SequenceDb, SharedSequenceDb};
 use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
-use qcircuit::pipeline::{
-    CompileArtifact, PassMetrics, PipelineConfig, RouteStrategy, ScheduleStrategy,
-};
+use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
 use qcircuit::topology::Grid;
 use qsim::counters::KernelCounters;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -964,15 +959,16 @@ impl ToJson for PassCacheStats {
     }
 }
 
-/// The batched evaluation engine: holds the cost model and the unified
-/// [`ArtifactStore`] every artifact memoizes into. Cheap to share behind
-/// `&self` — all methods are thread-safe — and long-lived engines keep
-/// their store warm across [`EvalEngine::run`] calls. Engines built over
-/// a disk-backed store ([`EvalEngine::with_store`]) additionally
-/// warm-start compiles, baselines and co-simulations from a previous
-/// process. Multi-tenant drivers (the `digiq-serve` daemon)
-/// share one engine across worker threads and open an [`EvalSession`]
-/// per request for isolated accounting.
+/// The batched evaluation engine: holds the cost model, the unified
+/// [`ArtifactStore`] every artifact memoizes into, and the per-pass build
+/// totals of its compiles. Cheap to share behind `&self` — all methods
+/// are thread-safe — and long-lived engines keep their store warm across
+/// [`EvalEngine::run`] calls. Engines built over a disk-backed store
+/// ([`EvalEngine::with_store`]) additionally warm-start compiles,
+/// baselines and co-simulations from a previous process. Every run mode
+/// is a method here, each one a pick of job source × record sink for the
+/// module's single run loop (see the module docs); the `digiq-serve`
+/// daemon shares one engine across its worker threads.
 #[derive(Debug)]
 pub struct EvalEngine {
     model: CostModel,
@@ -980,18 +976,6 @@ pub struct EvalEngine {
     /// [`EvalEngine::store`] and [`EvalEngine::with_store`]; note that
     /// sharing also shares counters).
     store: Arc<ArtifactStore>,
-    /// The accounting of the engine's own session
-    /// ([`EvalEngine::root_session`]), cumulative across runs.
-    root: Arc<SessionState>,
-}
-
-/// The accounting one [`EvalSession`] owns: whole-compile hit/miss
-/// counters ([`CacheStats::compile_hits`] / `compile_misses`) and
-/// per-pass build aggregates.
-#[derive(Debug, Default)]
-struct SessionState {
-    compile_hits: AtomicU64,
-    compile_misses: AtomicU64,
     /// Build metrics per stage label, accumulated on compile misses
     /// (the only time a pass actually runs inside the engine).
     pass_builds: Mutex<BTreeMap<String, PassCacheStat>>,
@@ -1004,7 +988,7 @@ impl Default for EvalEngine {
 }
 
 /// The compiled artifact, execution parameters and group map of one
-/// circuit under one design point, assembled by `EvalSession::context`
+/// circuit under one design point, assembled by `EvalEngine::context`
 /// for both evaluation modes.
 struct EvalContext {
     key: CompileKey,
@@ -1098,7 +1082,7 @@ impl EvalEngine {
         EvalEngine {
             model,
             store,
-            root: Arc::default(),
+            pass_builds: Mutex::default(),
         }
     }
 
@@ -1132,7 +1116,7 @@ impl EvalEngine {
     /// pipeline `cfg` selects ([`PipelineConfig::run`]), memoized as
     /// **one store entry** per (circuit, layout, grid, pipeline config):
     /// the pipeline runs once per benchmark and every design and seed of
-    /// a sweep reuses the result. Charged to the root session.
+    /// a sweep reuses the result.
     ///
     /// # Panics
     ///
@@ -1145,7 +1129,45 @@ impl EvalEngine {
         grid: &Grid,
         cfg: &PipelineConfig,
     ) -> Arc<CompileArtifact> {
-        self.root_session().compiled_with(circuit, grid, cfg)
+        self.compiled(circuit, grid, cfg, compile_key(circuit, grid, cfg))
+    }
+
+    /// One whole-compile store lookup under `key`: a miss runs the full
+    /// pipeline once and folds every stage's metrics into the engine's
+    /// pass-build totals; a hit (coalesced waiters included) runs nothing.
+    fn compiled(
+        &self,
+        circuit: &Circuit,
+        grid: &Grid,
+        cfg: &PipelineConfig,
+        key: CompileKey,
+    ) -> Arc<CompileArtifact> {
+        let mut built = Vec::new();
+        let artifact =
+            self.store
+                .get_or_build_artifact(ns::COMPILE, compile_store_key(key), || {
+                    let layout = Layout::snake(circuit.n_qubits(), grid);
+                    let (out, metrics) = cfg
+                        .run(CompileArtifact::new(circuit.clone(), layout), grid)
+                        .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
+                    built = metrics;
+                    out
+                });
+        for m in &built {
+            let mut passes = lock_unpoisoned(&self.pass_builds);
+            let agg = passes
+                .entry(m.pass.clone())
+                .or_insert_with(|| PassCacheStat {
+                    pass: m.pass.clone(),
+                    ..PassCacheStat::default()
+                });
+            agg.wall_ns += m.wall_ns;
+            agg.gates_in += m.gates_before as u64;
+            agg.gates_out += m.gates_after as u64;
+            agg.swaps_added += m.swap_delta() as u64;
+            agg.slots_out += m.slots_after.unwrap_or(0) as u64;
+        }
+        artifact
     }
 
     /// The synthesized hardware of a design point (paper-default system
@@ -1193,18 +1215,37 @@ impl EvalEngine {
     }
 
     /// Current cumulative cache accounting, read from the store's
-    /// per-namespace counters (compile hits/misses account the
-    /// whole-compile lookups of this engine's own compiles).
+    /// per-namespace counters (compile hits/misses are the whole-compile
+    /// lookups).
     pub fn cache_stats(&self) -> CacheStats {
-        self.root_session().cache_stats()
+        let store = self.store.stats();
+        let mut stats = CacheStats::default();
+        for (namespace, [hits, misses]) in [
+            (ns::CIRCUIT, ["circuit_hits", "circuit_misses"]),
+            (ns::COMPILE, ["compile_hits", "compile_misses"]),
+            (ns::HARDWARE, ["hardware_hits", "hardware_misses"]),
+            (ns::SEQ_DB, ["seq_db_hits", "seq_db_misses"]),
+            (ns::MIN_LENGTHS, ["min_lengths_hits", "min_lengths_misses"]),
+            (ns::BASELINE, ["baseline_hits", "baseline_misses"]),
+        ] {
+            if let Some(s) = store.get(namespace) {
+                *stats.field_mut(hits) = s.hits;
+                *stats.field_mut(misses) = s.misses;
+            }
+        }
+        stats
     }
 
-    /// Per-pass build metrics of the engine's own compiles,
-    /// label-sorted. Gate, SWAP and slot totals are deterministic for a
-    /// fixed job set regardless of worker count (under the default
-    /// unbounded in-memory store).
+    /// Per-pass build metrics of the engine's compiles, label-sorted.
+    /// Gate, SWAP and slot totals are deterministic for a fixed job set
+    /// regardless of worker count (under the default unbounded in-memory
+    /// store).
     pub fn pass_cache_stats(&self) -> PassCacheStats {
-        self.root_session().pass_cache_stats()
+        let passes = lock_unpoisoned(&self.pass_builds)
+            .values()
+            .cloned()
+            .collect();
+        PassCacheStats { passes }
     }
 
     /// [`CacheStats`] of a **cold, uninterrupted** run of `spec` on a
@@ -1294,26 +1335,6 @@ impl EvalEngine {
         }
     }
 
-    /// Evaluates one job (pure given the spec; used by [`EvalEngine::run`]
-    /// and directly by tests). Charged to the root session.
-    pub fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
-        self.root_session().run_job(spec, job)
-    }
-
-    /// Runs the whole sweep on `workers` scoped threads and merges the
-    /// records in job-index order. The report (including its cache
-    /// accounting) is identical for any worker count. Charged to the
-    /// root session.
-    pub fn run(&self, spec: &SweepSpec, workers: usize) -> SweepReport {
-        self.root_session().run(spec, workers)
-    }
-
-    /// The co-simulation sweep ([`EvalSession::run_cosim`]), charged to
-    /// the root session.
-    pub fn run_cosim(&self, spec: &SweepSpec, workers: usize) -> CosimSweepReport {
-        self.root_session().run_cosim(spec, workers)
-    }
-
     /// Co-simulation cache accounting: `(hits, misses)`. Kept out of
     /// [`CacheStats`] so the analytic sweep's serialized report (and its
     /// golden file) is unchanged by the co-simulation mode.
@@ -1321,34 +1342,10 @@ impl EvalEngine {
         let s = self.store.namespace_stats(ns::COSIM);
         (s.hits, s.misses)
     }
-
-    /// The engine's own session: its counters are cumulative over the
-    /// engine's lifetime, and every `EvalEngine` evaluation method
-    /// charges it. Batch drivers that want the journaled or distributed
-    /// run modes call them here.
-    pub fn root_session(&self) -> EvalSession<'_> {
-        EvalSession {
-            engine: self,
-            state: Arc::clone(&self.root),
-            store_base: None,
-        }
-    }
-
-    /// Opens a per-request [`EvalSession`] over this engine — the unit
-    /// of isolation digiq-serve gives each client request while the
-    /// engine itself (and its `Arc<ArtifactStore>`) is shared across
-    /// every server worker thread.
-    pub fn session(&self) -> EvalSession<'_> {
-        EvalSession {
-            engine: self,
-            state: Arc::default(),
-            store_base: Some(self.store.stats()),
-        }
-    }
 }
 
 /// Configuration of one distributed sweep worker
-/// ([`EvalSession::run_distributed`]).
+/// ([`EvalEngine::run_distributed`]).
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
     /// Worker label: names the shard journal file and is written into
@@ -1397,128 +1394,7 @@ pub struct RunControl<'a> {
     pub stop: Option<&'a AtomicBool>,
 }
 
-/// Evaluation state over a shared [`EvalEngine`], and the home of every
-/// run mode — each one a pick of job source × record sink for the
-/// module's single run loop (see the module docs).
-///
-/// digiq-serve shares one engine and its store across every worker
-/// thread and opens a session per request ([`EvalEngine::session`]), so
-/// the accounting (compile counters, pass-build aggregates, store
-/// snapshots) is isolated per request while the artifacts stay shared
-/// build-once. The engine's own cumulative accounting is an ordinary
-/// session too ([`EvalEngine::root_session`]).
-#[derive(Debug)]
-pub struct EvalSession<'e> {
-    engine: &'e EvalEngine,
-    state: Arc<SessionState>,
-    /// Store counters when the session opened; `None` for the root
-    /// session, which reports the store's cumulative counters.
-    store_base: Option<StoreStats>,
-}
-
-impl EvalSession<'_> {
-    /// Folds one pass build's metrics into this session's accounting.
-    fn record_pass_build(&self, m: &PassMetrics) {
-        let mut map = lock_unpoisoned(&self.state.pass_builds);
-        let agg = map.entry(m.pass.clone()).or_insert_with(|| PassCacheStat {
-            pass: m.pass.clone(),
-            ..PassCacheStat::default()
-        });
-        agg.wall_ns += m.wall_ns;
-        agg.gates_in += m.gates_before as u64;
-        agg.gates_out += m.gates_after as u64;
-        agg.swaps_added += m.swap_delta() as u64;
-        agg.slots_out += m.slots_after.unwrap_or(0) as u64;
-    }
-
-    /// [`EvalEngine::compiled_with`] charged to this session.
-    fn compiled_with(
-        &self,
-        circuit: &Circuit,
-        grid: &Grid,
-        cfg: &PipelineConfig,
-    ) -> Arc<CompileArtifact> {
-        self.compiled(circuit, grid, cfg, compile_key(circuit, grid, cfg))
-    }
-
-    /// One whole-compile store lookup under `key`: a miss runs the full
-    /// pipeline once and folds every stage's metrics into this session's
-    /// build accounting; a hit (coalesced waiters included) runs nothing.
-    fn compiled(
-        &self,
-        circuit: &Circuit,
-        grid: &Grid,
-        cfg: &PipelineConfig,
-        key: CompileKey,
-    ) -> Arc<CompileArtifact> {
-        let store = &self.engine.store;
-        let mut built = Vec::new();
-        let (artifact, missed) = store.fetch_artifact(ns::COMPILE, compile_store_key(key), || {
-            let layout = Layout::snake(circuit.n_qubits(), grid);
-            let (out, metrics) = cfg
-                .run(CompileArtifact::new(circuit.clone(), layout), grid)
-                .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
-            built = metrics;
-            out
-        });
-        for m in &built {
-            self.record_pass_build(m);
-        }
-        let counter = if missed {
-            &self.state.compile_misses
-        } else {
-            &self.state.compile_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        artifact
-    }
-
-    /// The store's counters since this session opened.
-    fn store_stats(&self) -> StoreStats {
-        let stats = self.engine.store.stats();
-        match &self.store_base {
-            Some(base) => stats.since(base),
-            None => stats,
-        }
-    }
-
-    /// Cache accounting since this session opened: compile counters are
-    /// exactly this session's; the store-backed counters are the store
-    /// delta since the session opened (concurrent sessions sharing the
-    /// store bleed into them — per-request exact accounting is what
-    /// [`EvalSession::run_deterministic`] stamps instead).
-    pub fn cache_stats(&self) -> CacheStats {
-        let store = self.store_stats();
-        let mut stats = CacheStats {
-            compile_hits: self.state.compile_hits.load(Ordering::Relaxed),
-            compile_misses: self.state.compile_misses.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        };
-        for (namespace, [hits, misses]) in [
-            (ns::CIRCUIT, ["circuit_hits", "circuit_misses"]),
-            (ns::HARDWARE, ["hardware_hits", "hardware_misses"]),
-            (ns::SEQ_DB, ["seq_db_hits", "seq_db_misses"]),
-            (ns::MIN_LENGTHS, ["min_lengths_hits", "min_lengths_misses"]),
-            (ns::BASELINE, ["baseline_hits", "baseline_misses"]),
-        ] {
-            if let Some(s) = store.get(namespace) {
-                *stats.field_mut(hits) = s.hits;
-                *stats.field_mut(misses) = s.misses;
-            }
-        }
-        stats
-    }
-
-    /// Per-pass build metrics of this session's compile misses,
-    /// label-sorted.
-    pub fn pass_cache_stats(&self) -> PassCacheStats {
-        let passes = lock_unpoisoned(&self.state.pass_builds)
-            .values()
-            .cloned()
-            .collect();
-        PassCacheStats { passes }
-    }
-
+impl EvalEngine {
     /// Assembles the per-circuit artifacts — identical for the analytic
     /// and co-simulation modes: the memoized compile, then the design's
     /// execution parameters (paper-default system on `grid`, seeded with
@@ -1539,7 +1415,7 @@ impl EvalSession<'_> {
         config.n_qubits = grid.n_qubits();
         let mut params = ExecParams::new(config);
         params.seed = exec_seed;
-        if let Some(lengths) = self.engine.min_lengths(point.design) {
+        if let Some(lengths) = self.min_lengths(point.design) {
             params.min_lengths = (*lengths).clone();
         }
 
@@ -1587,8 +1463,7 @@ impl EvalSession<'_> {
         // (and persist it: with a disk-backed store a warm-started sweep
         // skips the baseline executions too).
         let base_exec =
-            self.engine
-                .store
+            self.store
                 .get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
                     let mut base = params.clone();
                     base.config.design = ControllerDesign::ImpossibleMimd;
@@ -1605,11 +1480,12 @@ impl EvalSession<'_> {
     }
 
     /// Evaluates one job (pure given the spec): its benchmark circuit
-    /// through [`EvalSession::evaluate_circuit`] with the job's derived
+    /// through [`EvalEngine::evaluate_circuit`] with the job's derived
     /// exec seed, plus the design's power when the spec asks for it.
-    fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
+    /// [`EvalEngine::run`] is this call on every job.
+    pub fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
         let grid = Grid::new(spec.grid_rows, spec.grid_cols);
-        let circuit = self.engine.benchmark_circuit(job.bench, spec.base_seed);
+        let circuit = self.benchmark_circuit(job.bench, spec.base_seed);
         let name = job.bench.bench.name();
         let report = self.evaluate_circuit(
             name,
@@ -1620,8 +1496,7 @@ impl EvalSession<'_> {
             derive_seed(spec.base_seed, job.seed),
         );
         let power_w = if spec.synthesize_hardware {
-            self.engine
-                .hardware(job.point.design, job.point.groups)
+            self.hardware(job.point.design, job.point.groups)
                 .map(|hw| hw.report.power_w)
         } else {
             None
@@ -1644,7 +1519,7 @@ impl EvalSession<'_> {
     /// derived seed).
     fn run_cosim_job(&self, spec: &SweepSpec, job: &JobSpec) -> CosimRecord {
         let grid = Grid::new(spec.grid_rows, spec.grid_cols);
-        let circuit = self.engine.benchmark_circuit(job.bench, spec.base_seed);
+        let circuit = self.benchmark_circuit(job.bench, spec.base_seed);
         let EvalContext {
             key,
             compiled,
@@ -1657,7 +1532,7 @@ impl EvalSession<'_> {
             job.point,
             derive_seed(spec.base_seed, job.seed),
         );
-        let cosim = self.engine.store.get_or_build_artifact(
+        let cosim = self.store.get_or_build_artifact(
             ns::COSIM,
             cosim_store_key(key, job.point.design, job.point.groups, params.seed),
             || {
@@ -1698,7 +1573,7 @@ impl EvalSession<'_> {
         }
         let cache = match live_since {
             Some(before) => self.cache_stats().since(&before),
-            None => self.engine.cold_cache_stats_warm(spec),
+            None => self.cold_cache_stats_warm(spec),
         };
         Some(SweepReport {
             grid_rows: spec.grid_rows,
@@ -1725,12 +1600,13 @@ impl EvalSession<'_> {
 
     /// Runs the whole sweep on `workers` scoped threads and merges the
     /// records in job-index order, reporting the live cache delta of
-    /// this session. The report is identical for any worker count.
+    /// this run. The report (including its cache accounting) is
+    /// identical for any worker count.
     pub fn run(&self, spec: &SweepSpec, workers: usize) -> SweepReport {
         self.run_all(spec, workers, Some(self.cache_stats()))
     }
 
-    /// [`EvalSession::run`] with the report's cache accounting replaced
+    /// [`EvalEngine::run`] with the report's cache accounting replaced
     /// by the deterministic cold-run accounting
     /// ([`EvalEngine::cold_cache_stats`]) — what the server serializes,
     /// so a response is byte-identical to a fresh `sweep` CLI run of the
@@ -1741,7 +1617,7 @@ impl EvalSession<'_> {
     }
 
     /// The co-simulation evaluation mode: the same sweep sharding and
-    /// job-index merge as [`EvalSession::run`], but every job runs the
+    /// job-index merge as [`EvalEngine::run`], but every job runs the
     /// cycle-accurate machine alongside the analytic model. The cosim
     /// report carries no cache accounting, so its bytes are independent
     /// of worker count and store warmth.
@@ -1757,7 +1633,7 @@ impl EvalSession<'_> {
         }
     }
 
-    /// [`EvalSession::run`] with a job-completion journal: every
+    /// [`EvalEngine::run`] with a job-completion journal: every
     /// finished job is appended (and flushed) to `journal`, and with
     /// `resume` the jobs already journaled are loaded instead of re-run
     /// — an interrupted sweep picks up exactly where it stopped. The
@@ -1800,7 +1676,7 @@ impl EvalSession<'_> {
     /// claims stop being heartbeated, go stale after the TTL, and are
     /// reclaimed by the survivors — and every worker returns only once
     /// all jobs are journaled, handing back the merged report (identical
-    /// bytes to [`EvalSession::merge_distributed`], the serial run, and
+    /// bytes to [`EvalEngine::merge_distributed`], the serial run, and
     /// the journaled run).
     ///
     /// `ctl` stops the worker between jobs (returning `Ok(None)`), the
@@ -1839,7 +1715,7 @@ impl EvalSession<'_> {
     /// Assembles the final report of a distributed sweep from whatever
     /// shard layout the workers left behind: the base journal plus every
     /// worker shard, merged in job-index order with the cold-run cache
-    /// accounting — byte-identical to a serial [`EvalSession::run`] of
+    /// accounting — byte-identical to a serial [`EvalEngine::run`] of
     /// the same spec no matter how many workers ran, which worker
     /// evaluated which job, or how often a job was re-run after a claim
     /// expired.
@@ -2184,7 +2060,7 @@ mod tests {
         for q in (0..15).step_by(2) {
             c.cz(q, q + 1);
         }
-        let report = engine.session().evaluate_circuit(
+        let report = engine.evaluate_circuit(
             "smoke",
             &c,
             &Grid::paper_grid(),
@@ -2387,29 +2263,25 @@ mod tests {
     }
 
     #[test]
-    fn sessions_isolate_counters_over_a_shared_engine() {
+    fn warm_rerun_hits_every_compile_and_builds_no_pass() {
         let engine = EvalEngine::new(CostModel::default());
         let spec = SweepSpec::smoke();
-        // Warm the shared store through the engine's own root session.
         let cold = engine.run(&spec, 2);
-        assert!(cold.cache.total_misses() > 0);
+        assert!(cold.cache.compile_misses > 0);
+        let passes = engine.pass_cache_stats();
+        assert!(!passes.passes.is_empty());
 
-        // A fresh session on the warm engine sees its own counters only:
-        // compile lookups are all hits charged to the session, and no
-        // root-session history leaks in.
-        let session = engine.session();
-        let warm = session.run(&spec, 2);
-        assert_eq!(cold.jobs, warm.jobs, "shared cache must not change results");
+        // A second run on the warm engine: every compile lookup is a hit
+        // read from the store's counters, and no pass runs again.
+        let warm = engine.run(&spec, 2);
+        assert_eq!(cold.jobs, warm.jobs, "a warm store must not change results");
         assert_eq!(warm.cache.compile_misses, 0);
-        assert_eq!(session.cache_stats().compile_misses, 0);
-        assert!(session.cache_stats().compile_hits > 0);
-        // Session pass stats: nothing was built by this session.
-        assert!(session.pass_cache_stats().passes.is_empty());
-
-        // The engine's cumulative root counters are unchanged by the
-        // session's activity on the compile side it owns.
-        let root = engine.cache_stats();
-        assert_eq!(root.compile_misses, cold.cache.compile_misses);
+        assert!(warm.cache.compile_hits > 0);
+        assert_eq!(engine.pass_cache_stats(), passes);
+        assert_eq!(
+            engine.cache_stats().compile_misses,
+            cold.cache.compile_misses
+        );
     }
 
     #[test]
@@ -2422,7 +2294,7 @@ mod tests {
         // A long-lived server engine, already warm from earlier requests.
         let engine = EvalEngine::new(CostModel::default());
         engine.run(&spec, 2);
-        let served = engine.session().run_deterministic(&spec, 2);
+        let served = engine.run_deterministic(&spec, 2);
         assert_eq!(served.to_json_string(), cli);
     }
 
@@ -2445,12 +2317,11 @@ mod tests {
             interrupt_after: None,
             stop: Some(&stop),
         };
-        let session = engine.session();
-        assert_eq!(session.run_journaled(&spec, 2, &journal, false, ctl), None);
+        assert_eq!(engine.run_journaled(&spec, 2, &journal, false, ctl), None);
 
         // Resume with the flag clear: the journal fills in and the
         // merged report is byte-identical to an uninterrupted run.
-        let resumed = session
+        let resumed = engine
             .run_journaled(&spec, 2, &journal, true, RunControl::default())
             .expect("uninterrupted resume completes");
         let uninterrupted = EvalEngine::new(CostModel::default()).run(&spec, 2);

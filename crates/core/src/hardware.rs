@@ -280,16 +280,11 @@ pub fn fig8_points() -> Vec<(ControllerDesign, usize)> {
     points
 }
 
-/// Runs the full Fig 8 sweep serially (rows in [`fig8_points`] order).
-pub fn fig8_sweep(model: &CostModel) -> Vec<Fig8Row> {
-    fig8_sweep_parallel(model, 1)
-}
-
 /// Runs the full Fig 8 sweep sharded over `workers` threads via the
 /// evaluation engine's ordered map — each point synthesizes
 /// independently, and rows merge in [`fig8_points`] order regardless of
 /// worker count.
-pub fn fig8_sweep_parallel(model: &CostModel, workers: usize) -> Vec<Fig8Row> {
+pub fn fig8_sweep(model: &CostModel, workers: usize) -> Vec<Fig8Row> {
     let points = fig8_points();
     crate::engine::par_map_ordered(&points, workers, |_, &(design, groups)| {
         fig8_row(design, groups, model)
@@ -442,7 +437,7 @@ mod tests {
 
     #[test]
     fn fig8_sweep_has_all_points() {
-        let rows = fig8_sweep(&model());
+        let rows = fig8_sweep(&model(), 1);
         // 2 baselines + 4 G × (2 min + 4 opt) = 26.
         assert_eq!(rows.len(), 26);
         assert_eq!(rows.len(), fig8_points().len());
@@ -451,8 +446,8 @@ mod tests {
 
     #[test]
     fn fig8_sweep_parallel_matches_serial() {
-        let serial = fig8_sweep(&model());
-        let parallel = fig8_sweep_parallel(&model(), 4);
+        let serial = fig8_sweep(&model(), 1);
+        let parallel = fig8_sweep(&model(), 4);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.design, b.design);

@@ -21,7 +21,7 @@
 //!   DigiQ_min decomposition-length distribution;
 //! * [`engine`] — the one evaluation path: a circuit at a design point
 //!   (compile → route → schedule → execute → normalize,
-//!   [`engine::EvalSession::evaluate_circuit`]) and the batched,
+//!   [`engine::EvalEngine::evaluate_circuit`]) and the batched,
 //!   multi-threaded sweep engine built on it: declarative design ×
 //!   benchmark × seed specs sharded across scoped workers, deterministic
 //!   for any worker count;

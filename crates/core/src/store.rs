@@ -585,11 +585,11 @@ impl ArtifactStore {
     }
 
     /// The one lookup behind [`ArtifactStore::get_or_build`] and
-    /// [`ArtifactStore::fetch_artifact`]: `init` produces a missing value
-    /// and says whether it came from disk. The miss is counted inside the
+    /// [`ArtifactStore::get_or_build_artifact`]: `init` produces a missing
+    /// value and says whether it came from disk. The miss is counted inside the
     /// slot's initializer, before the value becomes visible (see
     /// [`ArtifactStore::count_lookup`]).
-    fn lookup(&self, ns: &str, key: u64, init: impl FnOnce() -> (ArcAny, bool)) -> (ArcAny, bool) {
+    fn lookup(&self, ns: &str, key: u64, init: impl FnOnce() -> (ArcAny, bool)) -> ArcAny {
         let slot = self.slot(ns, key);
         let pending = slot.get().is_none();
         let mut initialized = false;
@@ -607,7 +607,7 @@ impl ArtifactStore {
         } else {
             self.count_lookup(ns, false, false, pending);
         }
-        (any, initialized)
+        any
     }
 
     /// Returns the value for `(ns, key)`, building it in memory on first
@@ -620,24 +620,22 @@ impl ArtifactStore {
         key: u64,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
-        let (any, _) = self.lookup(ns, key, || (Arc::new(build()) as ArcAny, false));
+        let any = self.lookup(ns, key, || (Arc::new(build()) as ArcAny, false));
         Self::downcast(ns, any)
     }
 
     /// The persistent variant of [`ArtifactStore::get_or_build`]: on a
     /// memory miss, the store first tries `<disk_root>/<ns>/<key>.json`
     /// (a *disk hit* — no build), and only then runs the builder and
-    /// writes the result back with atomic write-then-rename. Also
-    /// reports whether *this* call populated the entry (a miss). Without
-    /// a disk root this is exactly [`ArtifactStore::get_or_build`] plus
-    /// the miss flag.
-    pub fn fetch_artifact<T: Artifact>(
+    /// writes the result back with atomic write-then-rename. Without a
+    /// disk root this is exactly [`ArtifactStore::get_or_build`].
+    pub fn get_or_build_artifact<T: Artifact>(
         &self,
         ns: &str,
         key: u64,
         build: impl FnOnce() -> T,
-    ) -> (Arc<T>, bool) {
-        let (any, initialized) = self.lookup(ns, key, || match self.disk_load::<T>(ns, key) {
+    ) -> Arc<T> {
+        let any = self.lookup(ns, key, || match self.disk_load::<T>(ns, key) {
             Some(v) => (Arc::new(v) as ArcAny, true),
             None => {
                 let v = build();
@@ -645,7 +643,7 @@ impl ArtifactStore {
                 (Arc::new(v) as ArcAny, false)
             }
         });
-        (Self::downcast(ns, any), initialized)
+        Self::downcast(ns, any)
     }
 
     /// A counter-neutral read: the resident value for `(ns, key)` if it
@@ -658,16 +656,6 @@ impl ArtifactStore {
         let any = shard.get(&(ns.to_string(), key))?.slot.get()?.clone();
         drop(shard);
         Some(Self::downcast(ns, any))
-    }
-
-    /// [`ArtifactStore::fetch_artifact`] without the miss flag.
-    pub fn get_or_build_artifact<T: Artifact>(
-        &self,
-        ns: &str,
-        key: u64,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        self.fetch_artifact(ns, key, build).0
     }
 
     fn disk_path(&self, ns: &str, key: u64) -> Option<PathBuf> {

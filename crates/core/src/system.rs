@@ -2,7 +2,7 @@
 //! evaluation mode.
 //!
 //! A circuit is evaluated one way, by
-//! [`EvalSession::evaluate_circuit`](crate::engine::EvalSession::evaluate_circuit):
+//! [`EvalEngine::evaluate_circuit`](crate::engine::EvalEngine::evaluate_circuit):
 //! compile through the §VI-B pipeline (lower → route on the grid → lower
 //! SWAPs → crosstalk-aware schedule), execute under a design point, and
 //! normalize to the Impossible MIMD baseline (Fig 9). This module holds

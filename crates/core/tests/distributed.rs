@@ -89,7 +89,6 @@ fn concurrent_workers_merge_byte_identical_to_serial_without_double_journaling()
                 let engine = EvalEngine::new(CostModel::default());
                 let cfg = worker_cfg(&format!("w{w}"), w * jobs / n);
                 let report = engine
-                    .root_session()
                     .run_distributed(spec, dir, &cfg, RunControl::default())
                     .expect("worker IO")
                     .expect("no stop flag, so the worker runs to completion");
@@ -100,7 +99,6 @@ fn concurrent_workers_merge_byte_identical_to_serial_without_double_journaling()
     });
 
     let merged = EvalEngine::new(CostModel::default())
-        .root_session()
         .merge_distributed(&spec, dir.path())
         .expect("all jobs journaled");
     assert_eq!(merged.to_json_string(), serial);
@@ -143,7 +141,6 @@ fn abandoned_claim_expires_and_survivor_finishes_with_identical_bytes() {
     let mut cfg = worker_cfg("survivor", 0);
     cfg.claim_ttl = ttl;
     let report = engine
-        .root_session()
         .run_distributed(&spec, dir.path(), &cfg, RunControl::default())
         .expect("worker IO")
         .expect("runs to completion");
@@ -156,7 +153,6 @@ fn merge_of_incomplete_sweep_reports_progress() {
     let spec = SweepSpec::smoke();
     let engine = EvalEngine::new(CostModel::default());
     let err = engine
-        .root_session()
         .merge_distributed(&spec, dir.path())
         .expect_err("nothing journaled yet");
     assert!(

@@ -263,7 +263,6 @@ fn journaled_sweep_resumes_byte_identically() {
     let journal_a =
         SweepJournal::open(&ArtifactStore::journal_dir(dir_a.path()), spec.stable_key()).unwrap();
     let uninterrupted = engine_a
-        .root_session()
         .run_journaled(&spec, workers, &journal_a, true, RunControl::default())
         .expect("uninterrupted run completes");
 
@@ -280,7 +279,6 @@ fn journaled_sweep_resumes_byte_identically() {
         let journal = SweepJournal::open(&journal_dir, spec.stable_key()).unwrap();
         assert!(
             engine
-                .root_session()
                 .run_journaled(&spec, workers, &journal, true, interrupt_after(3))
                 .is_none(),
             "interrupted run returns no report"
@@ -290,7 +288,6 @@ fn journaled_sweep_resumes_byte_identically() {
     let engine = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir_b)));
     let journal = SweepJournal::open(&journal_dir, spec.stable_key()).unwrap();
     let resumed = engine
-        .root_session()
         .run_journaled(&spec, workers, &journal, true, RunControl::default())
         .expect("resumed run completes");
     assert_eq!(
@@ -331,7 +328,6 @@ fn journal_tolerates_corrupt_lines_and_foreign_specs() {
     // run re-runs that job instead of trusting it.
     let engine = EvalEngine::with_store(CostModel::default(), Arc::new(disk_store(&dir)));
     let report = engine
-        .root_session()
         .run_journaled(&spec, 1, &journal, true, RunControl::default())
         .unwrap();
     let reference = EvalEngine::new(CostModel::default()).run(&spec, 1);

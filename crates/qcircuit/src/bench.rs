@@ -288,7 +288,7 @@ impl BlockAdderLayout {
     /// Panics if `n` is not a positive multiple of `block`.
     pub fn new(n: usize, block: usize) -> Self {
         assert!(
-            block > 0 && n > 0 && n % block == 0,
+            block > 0 && n > 0 && n.is_multiple_of(block),
             "n must be a multiple of block"
         );
         let nb = n / block;
@@ -493,7 +493,10 @@ impl GroverSqrtLayout {
     ///
     /// Panics if `bits` is zero or odd.
     pub fn new(bits: usize) -> Self {
-        assert!(bits > 0 && bits % 2 == 0, "radicand width must be even");
+        assert!(
+            bits > 0 && bits.is_multiple_of(2),
+            "radicand width must be even"
+        );
         let x_bits = bits / 2;
         // x | acc(bits) | y shifted-copy (bits) | cin+cout | mcz ancillas
         let qubits = x_bits + bits + bits + 2 + bits.saturating_sub(2);

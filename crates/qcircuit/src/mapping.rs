@@ -443,13 +443,13 @@ fn insert_swaps<S: Scorer>(
                     // candidates below patch only the gates whose
                     // endpoints ride the swapped pair.
                     let mut window_len = 0usize;
-                    for k in 0..window {
+                    for (k, d) in base_d.iter_mut().enumerate().take(window) {
                         let idx = next_2q + 1 + k;
                         if idx >= upcoming.len() {
                             break;
                         }
                         let (x, y) = upcoming[idx];
-                        base_d[k] = grid.distance(layout.phys(x), layout.phys(y));
+                        *d = grid.distance(layout.phys(x), layout.phys(y));
                         window_len = k + 1;
                     }
                     // Candidates in a fixed order, so the greedy RNG draws

@@ -441,11 +441,6 @@ impl PipelineConfig {
         .flatten()
     }
 
-    /// Stage labels, in execution order.
-    pub fn stage_labels(&self) -> Vec<&'static str> {
-        self.stages().map(Stage::label).collect()
-    }
-
     /// Stable fingerprint of the whole configuration — the chain of its
     /// stages' fingerprints (used in compile cache keys).
     pub fn fingerprint(&self) -> u64 {

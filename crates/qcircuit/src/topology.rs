@@ -205,7 +205,7 @@ mod tests {
             assert!(g.are_adjacent(w[0], w[1]), "{} {} not adjacent", w[0], w[1]);
         }
         // Visits every qubit exactly once.
-        let mut seen = vec![false; 20];
+        let mut seen = [false; 20];
         for &q in &snake {
             assert!(!seen[q]);
             seen[q] = true;

@@ -63,7 +63,7 @@ fn ref_route(c: &Circuit, grid: &Grid, initial: &Layout, cfg: &RouterConfig) -> 
             cfg.seed.wrapping_add(t as u64),
             cfg,
         );
-        if best.as_ref().map_or(true, |b| r.swap_count < b.swap_count) {
+        if best.as_ref().is_none_or(|b| r.swap_count < b.swap_count) {
             best = Some(r);
         }
     }

@@ -204,6 +204,10 @@ impl Mul for C64 {
 impl Div for C64 {
     type Output = C64;
     #[inline]
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division is multiplication by the reciprocal; every pinned f64 result depends on this operation order"
+    )]
     fn div(self, rhs: C64) -> C64 {
         self * rhs.recip()
     }

@@ -10,12 +10,11 @@
 //! `A[p][q]` (reducing the 2×2 block to a real symmetric one), then applies
 //! the standard real Jacobi angle `tan 2θ = 2|A_pq| / (A_pp − A_qq)`.
 //!
-//! The hot path is allocation-free after warmup: [`eigh_into`] runs the
-//! whole iteration inside a caller-owned [`EighWorkspace`] (the
-//! module-level [`eigh`] keeps one per thread), and the 9×9 shape that
-//! dominates `expm` goes through a monomorphized (literal-dimension)
-//! core. Scanning costs are cut without touching the trajectory: a
-//! conservative `|β|²` screen skips the libm `hypot` on
+//! [`eigh`] runs the whole iteration inside one workspace it owns for
+//! the call, so the only tallied allocation is the output, and the 9×9
+//! shape that dominates `expm` goes through a monomorphized
+//! (literal-dimension) core. Scanning costs are cut without touching the
+//! trajectory: a conservative `|β|²` screen skips the libm `hypot` on
 //! already-converged pairs, a branch-free row pre-check skips whole
 //! screened rows, per-row off-diagonal tallies let sweeps skip the
 //! O(n²) convergence rescan while provably far from converged, and
@@ -43,7 +42,6 @@
 
 use crate::complex::C64;
 use crate::matrix::CMat;
-use std::cell::Cell;
 
 /// Result of a Hermitian eigendecomposition `A = V · diag(values) · V†`.
 #[derive(Debug, Clone)]
@@ -141,39 +139,18 @@ fn map_spectrum_fixed<const N: usize>(fv: &[C64], v: &[C64], od: &mut [C64]) {
     }
 }
 
-/// Reusable buffers for [`eigh_into`]: the working copy of the matrix, the
+/// The scratch of one [`eigh`] call: the working copy of the matrix, the
 /// accumulated eigenvector rotations, the per-row off-diagonal tallies used
-/// for the cheap convergence pre-check, and the sort scratch.
-///
-/// All buffers are plain `Vec`s (never tallied by `qsim::counters` — the
-/// allocation contract counts materialized *outputs* only), fully
-/// overwritten at the start of every decomposition, so a workspace that
-/// just processed a pathological (NaN) matrix produces bit-identical
-/// results on the next clean input (pinned by the non-poisoning test in
-/// `tests/eigh_differential.rs`).
+/// for the cheap convergence pre-check, and the sort scratch. All buffers
+/// are plain `Vec`s, never tallied by `qsim::counters` (the allocation
+/// contract counts materialized *outputs* only).
 #[derive(Debug, Default)]
-pub struct EighWorkspace {
+struct EighWorkspace {
     m: Vec<C64>,
     v: Vec<C64>,
     row_off: Vec<f64>,
     order: Vec<usize>,
     vals: Vec<f64>,
-}
-
-impl EighWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-thread_local! {
-    // `Cell<Option<Box<…>>>` take/put instead of a `RefCell`: the
-    // workspace is stolen for the duration of the call and put back after,
-    // which is a plain pointer swap on each side (no borrow-flag
-    // bookkeeping). A (currently impossible) re-entrant call would simply
-    // see an empty slot and run on a fresh workspace.
-    static EIGH_WS: Cell<Option<Box<EighWorkspace>>> = const { Cell::new(None) };
 }
 
 /// Off-diagonal Frobenius norm squared of a row-major `n × n` buffer (the
@@ -248,7 +225,7 @@ fn rotate_columns2(
 /// across rotations, because the column half is a unitary rotation of
 /// each `(A_kp, A_kq)` pair — `|A_kp|² + |A_kq|²` is conserved in exact
 /// arithmetic, so a stored tally only drifts by rounding (absorbed by the
-/// `guard` margin in [`eigh_into`]). The tallies are estimates only: not
+/// `guard` margin in [`eigh`]). The tallies are estimates only: not
 /// flop-tallied, summed in whatever order is fastest, and never feeding a
 /// pinned output.
 #[inline(always)]
@@ -309,7 +286,7 @@ fn col_pair(akp: C64, akq: C64, r: RotCoeffs) -> (C64, C64) {
 }
 
 /// One cyclic sweep over all `(p, q)` pairs; returns the number of
-/// rotations applied. `#[inline(always)]` so [`eigh_into`]'s literal-`n`
+/// rotations applied. `#[inline(always)]` so [`eigh`]'s literal-`n`
 /// call sites const-propagate the dimension into the rotation kernels
 /// (fully unrolled inner loops for the hot 9×9 shape) while keeping a
 /// single source of truth for the operation order.
@@ -390,7 +367,7 @@ fn jacobi_sweep(md: &mut [C64], vd: &mut [C64], row_off: &mut [f64], n: usize, t
                 && jqp.im.is_finite()
                 && jqq.re.is_finite()
                 && jqq.im.is_finite()
-                && !(!s.is_sign_negative() && jqq.re.is_sign_negative());
+                && (s.is_sign_negative() || !jqq.re.is_sign_negative());
 
             // A ← J†·(A·J) — reference two-pass order, every pass a
             // uniform full-length loop (runtime-bounded segment loops
@@ -413,9 +390,7 @@ fn jacobi_sweep(md: &mut [C64], vd: &mut [C64], row_off: &mut [f64], n: usize, t
 /// The input is symmetrized as `(A + A†)/2` first, so tiny Hermiticity
 /// violations from accumulated arithmetic are tolerated.
 ///
-/// Runs inside a per-thread [`EighWorkspace`]; steady-state allocations
-/// are the output only (one `vectors` matrix). Use [`eigh_into`] to manage
-/// the workspace explicitly.
+/// The only tallied allocation is the output (one `vectors` matrix).
 ///
 /// # Panics
 ///
@@ -423,21 +398,14 @@ fn jacobi_sweep(md: &mut [C64], vd: &mut [C64], row_off: &mut [f64], n: usize, t
 /// (which for Hermitian input does not happen in practice; the limit is a
 /// defensive bound of 100 sweeps).
 pub fn eigh(a: &CMat) -> EigH {
-    EIGH_WS.with(|slot| {
-        let mut ws = slot.take().unwrap_or_default();
-        let out = eigh_into(a, &mut ws);
-        slot.set(Some(ws));
-        out
-    })
+    eigh_in(a, &mut EighWorkspace::default())
 }
 
-/// [`eigh`] with a caller-owned workspace: allocation-free after warmup
-/// except for the output `EigH` itself.
-///
-/// # Panics
-///
-/// Same contract as [`eigh`].
-pub fn eigh_into(a: &CMat, ws: &mut EighWorkspace) -> EigH {
+/// [`eigh`] over its workspace. Kept a function of its own: in
+/// unoptimized builds the sign of a NaN output depends on the code the
+/// body is compiled into, and `tests/eigh_differential.rs` pins NaN
+/// outputs bit for bit against the naive reference.
+fn eigh_in(a: &CMat, ws: &mut EighWorkspace) -> EigH {
     assert!(a.is_square(), "eigh requires a square matrix");
     // Literal-`n` call sites: `eigh_body` is `#[inline(always)]`, so each
     // arm clones the whole body with the dimension const-propagated —
@@ -452,7 +420,7 @@ pub fn eigh_into(a: &CMat, ws: &mut EighWorkspace) -> EigH {
     }
 }
 
-/// The monomorphizable body of [`eigh_into`]; `n == a.rows()`.
+/// The monomorphizable body of [`eigh`]; `n == a.rows()`.
 #[inline(always)]
 fn eigh_body(a: &CMat, ws: &mut EighWorkspace, n: usize) -> EigH {
     let ad = a.as_slice();
@@ -716,19 +684,5 @@ mod tests {
             assert!((v - 2.0).abs() < 1e-14);
         }
         assert!(e.vectors.is_unitary(1e-12));
-    }
-
-    #[test]
-    fn explicit_workspace_matches_thread_local() {
-        let h = random_hermitian(9, 21);
-        let mut ws = EighWorkspace::new();
-        let a = eigh_into(&h, &mut ws);
-        let b = eigh(&h);
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.vectors.as_slice(), b.vectors.as_slice());
-        // Reuse across sizes must not leak state.
-        let h2 = random_hermitian(5, 22);
-        let c = eigh_into(&h2, &mut ws);
-        assert_eq!(c.values, eigh(&h2).values);
     }
 }

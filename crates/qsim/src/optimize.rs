@@ -392,7 +392,7 @@ mod tests {
         let r = ga_bitstring(
             move |b| b.iter().zip(sc.iter()).filter(|(x, y)| x == y).count() as f64,
             32,
-            &[secret.clone()],
+            std::slice::from_ref(&secret),
             GaConfig {
                 generations: 2,
                 ..GaConfig::default()

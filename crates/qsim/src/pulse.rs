@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn all_zero_bitstream_is_identity_on_qubit_subspace() {
         let s = sim();
-        let u = s.frame_gate_qubit(&vec![false; 100]);
+        let u = s.frame_gate_qubit(&[false; 100]);
         // Free evolution in the qubit's own frame: diagonal, no qubit
         // rotation; phases on |0⟩,|1⟩ levels are trivial.
         assert!(

@@ -95,7 +95,7 @@ impl DetuningWaveform {
             let x = (k as f64 + 0.5) / nr as f64;
             deltas.push(delta_ghz * 0.5 * (1.0 - (PI * x).cos()));
         }
-        deltas.extend(std::iter::repeat(delta_ghz).take(nh));
+        deltas.extend(std::iter::repeat_n(delta_ghz, nh));
         // The raised-cosine fall is the rise mirrored in time; copying the
         // stored rise samples (rather than re-evaluating the cosine) makes
         // the symmetry exact to the bit, so the propagator memo in

@@ -1,7 +1,7 @@
 //! Differential suite for the workspace/fused/fixed-N Jacobi eigensolver.
 //!
 //! `qsim::eigen::eigh` is an optimization of the textbook two-pass cyclic
-//! Jacobi iteration: reusable workspace buffers, the column/row rotation
+//! Jacobi iteration: flat workspace buffers, the column/row rotation
 //! halves fused into one pass, a monomorphized 9×9 core, and an
 //! incremental off-norm tally that only *skips* redundant convergence
 //! rescans. All of it is a pure reordering — identical f64 expressions
@@ -9,12 +9,12 @@
 //! reference **bitwise** on every family here: random Hermitian, generic
 //! complex (exercising the symmetrization), degenerate spectra (exercising
 //! stable-sort tie handling), and NaN-poisoned matrices (exercising the
-//! never-converges path). A NaN run through a workspace must not poison
-//! the next clean decomposition.
+//! never-converges path). A NaN run must not poison the next clean
+//! decomposition.
 
 use qsim::complex::C64;
 use qsim::counters;
-use qsim::eigen::{eigh, eigh_into, EigH, EighWorkspace};
+use qsim::eigen::{eigh, EigH};
 use qsim::matrix::CMat;
 use qsim::rng::StdRng;
 
@@ -176,7 +176,7 @@ fn degenerate_spectrum(n: usize, rng: &mut StdRng) -> CMat {
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                d[i * n + j] = d[i * n + j] * 1e-3;
+                d[i * n + j] *= 1e-3;
             }
         }
         d[i * n + i] = C64::real(((i / 2) as f64) * 2.0);
@@ -226,9 +226,6 @@ fn assert_bitwise_eq(opt: &EigH, reference: &EigH, what: &str) {
 fn check(m: &CMat, what: &str) {
     let reference = naive_eigh(m);
     assert_bitwise_eq(&eigh(m), &reference, what);
-    // The explicit-workspace entry point takes the identical path.
-    let mut ws = EighWorkspace::new();
-    assert_bitwise_eq(&eigh_into(m, &mut ws), &reference, what);
 }
 
 #[test]
@@ -284,17 +281,9 @@ fn workspace_reuse_is_not_poisoned_by_nan() {
     let bad = random_with_nan(9, &mut rng);
     let clean = random_hermitian(9, &mut rng);
 
-    let mut fresh = EighWorkspace::new();
-    let expect = eigh_into(&clean, &mut fresh);
-
-    let mut reused = EighWorkspace::new();
-    let _ = eigh_into(&bad, &mut reused); // leaves NaNs in every buffer
-    let got = eigh_into(&clean, &mut reused);
-    assert_bitwise_eq(&got, &expect, "post-NaN workspace reuse");
-
-    // And the thread-local path recovers identically.
+    let expect = eigh(&clean);
     let _ = eigh(&bad);
-    assert_bitwise_eq(&eigh(&clean), &expect, "post-NaN thread-local reuse");
+    assert_bitwise_eq(&eigh(&clean), &expect, "clean input after a NaN one");
 }
 
 // ------------------------------------------------------------------
@@ -306,16 +295,10 @@ fn eigh_counters_output_only_and_deterministic() {
     let mut rng = StdRng::seed_from_u64(0x33);
     let m = random_hermitian(9, &mut rng);
     let (_, cold) = counters::counted(|| eigh(&m));
-    // Steady-state allocation contract: the output `vectors` matrix only
-    // (workspace buffers are reused scratch and never tallied).
+    // Allocation contract: the output `vectors` matrix only (the
+    // per-call workspace buffers are scratch and never tallied).
     assert_eq!(cold.allocs, 1, "eigh allocates exactly the output");
     assert!(cold.flops > 0, "rotations must tally flops");
     let (_, warm) = counters::counted(|| eigh(&m));
     assert_eq!(cold, warm, "eigh counters must be state-independent");
-
-    // The flop tally (48·n per applied rotation) is identical to the
-    // reference trajectory: same rotations, same order.
-    let mut ws = EighWorkspace::new();
-    let (_, explicit) = counters::counted(|| eigh_into(&m, &mut ws));
-    assert_eq!(explicit, warm, "eigh_into tallies match eigh");
 }

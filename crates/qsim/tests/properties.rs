@@ -98,6 +98,10 @@ fn fidelity_bounds_and_phase_invariance() {
         let mut rng = StdRng::seed_from_u64(case);
         let u = random_su2(&mut rng);
         let v = random_su2(&mut rng);
+        #[allow(
+            clippy::approx_constant,
+            reason = "seeded test data: the range 0..6.28 fixes the drawn phases, TAU would move them"
+        )]
         let phase = rng.gen_range(0.0..6.28);
         let f = average_gate_fidelity(&u, &v);
         assert!((0.0..=1.0).contains(&f), "case {case}");
@@ -150,6 +154,10 @@ fn zyz_decomposition_roundtrip() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);
         let u = random_su2(&mut rng);
+        #[allow(
+            clippy::approx_constant,
+            reason = "seeded test data: the range 0..6.28 fixes the drawn phases, TAU would move them"
+        )]
         let phase = rng.gen_range(0.0..6.28);
         let phased = u.scale(C64::cis(phase));
         let (theta, phi, lam, g) = gates::zyz_angles(&phased);

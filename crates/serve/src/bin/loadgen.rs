@@ -66,25 +66,39 @@ impl WaveStats {
     }
 }
 
-/// One wave: `clients` threads, each `requests` sequential evaluations
-/// of the identical spec, released together once every connection is
-/// up. Panics (exit non-zero) on any refused or failed request — the
+/// What every wave sends: `clients` connections to `addr`, each making
+/// `requests` sequential evaluations of `spec`, every report checked
+/// against `expect` when given.
+#[derive(Clone, Copy)]
+struct Load<'a> {
+    addr: &'a str,
+    spec: &'a SweepSpec,
+    workers: usize,
+    clients: usize,
+    requests: usize,
+    cosim: bool,
+    expect: Option<&'a str>,
+}
+
+/// One wave of `load`: `clients` threads, each `requests` sequential
+/// evaluations of the identical spec, released together once every
+/// connection is up. Panics (exit non-zero) on any refused or failed request — the
 /// smoke asserts clean service.
 ///
 /// `stagger` delays client `c`'s first send by `c * stagger`: the
 /// coalescing assertion uses a few milliseconds so later duplicates
 /// land mid-build (a cold smoke evaluation runs tens of milliseconds)
 /// instead of racing the first request's completion on a loaded box.
-fn wave(
-    addr: &str,
-    spec: &SweepSpec,
-    workers: usize,
-    clients: usize,
-    requests: usize,
-    cosim: bool,
-    expect: Option<&str>,
-    stagger: Duration,
-) -> WaveStats {
+fn wave(load: &Load<'_>, stagger: Duration) -> WaveStats {
+    let Load {
+        addr,
+        spec,
+        workers,
+        clients,
+        requests,
+        cosim,
+        expect,
+    } = *load;
     let t0 = Instant::now();
     let mut latencies: Vec<f64> = Vec::new();
     let ready = Barrier::new(clients);
@@ -220,26 +234,17 @@ fn main() {
     } else {
         Duration::ZERO
     };
-    let cold = wave(
-        &addr,
-        &spec,
-        args.workers,
+    let load = Load {
+        addr: &addr,
+        spec: &spec,
+        workers: args.workers,
         clients,
         requests,
         cosim,
-        expect.as_deref(),
-        stagger,
-    );
-    let warm = wave(
-        &addr,
-        &spec,
-        args.workers,
-        clients,
-        requests,
-        cosim,
-        expect.as_deref(),
-        Duration::ZERO,
-    );
+        expect: expect.as_deref(),
+    };
+    let cold = wave(&load, stagger);
+    let warm = wave(&load, Duration::ZERO);
 
     let mut probe = Client::connect(&addr).expect("stats connection");
     let stats = probe.stats().expect("stats request");

@@ -170,12 +170,7 @@ impl Shared {
                     std::thread::sleep(delay);
                 }
                 if cosim {
-                    Some(
-                        self.engine
-                            .session()
-                            .run_cosim(spec, workers)
-                            .to_json_string(),
-                    )
+                    Some(self.engine.run_cosim(spec, workers).to_json_string())
                 } else {
                     self.run_sweep(spec, workers)
                 }
@@ -210,7 +205,6 @@ impl Shared {
     /// An unusable cache dir falls back to the plain run too. Every mode
     /// renders the bytes of a cold `sweep` CLI run.
     fn run_sweep(&self, spec: &SweepSpec, workers: usize) -> Option<String> {
-        let session = self.engine.session();
         let ctl = RunControl {
             interrupt_after: self.cfg.interrupt_after,
             stop: Some(&self.draining),
@@ -219,14 +213,16 @@ impl Shared {
             if let Some(ttl) = self.cfg.dist_claims_ttl {
                 let mut dcfg = DistributedConfig::new(format!("serve-{}", std::process::id()));
                 dcfg.claim_ttl = ttl;
-                return session.run_distributed(spec, dir, &dcfg, ctl);
+                return self.engine.run_distributed(spec, dir, &dcfg, ctl);
             }
             let journal = SweepJournal::open(&ArtifactStore::journal_dir(dir), spec.stable_key())?;
-            Ok(session.run_journaled(spec, workers, &journal, true, ctl))
+            Ok(self
+                .engine
+                .run_journaled(spec, workers, &journal, true, ctl))
         });
         let report = match persisted {
             Some(Ok(report)) => report,
-            _ => Some(session.run_deterministic(spec, workers)),
+            _ => Some(self.engine.run_deterministic(spec, workers)),
         };
         report.map(|r| r.to_json_string())
     }

@@ -36,7 +36,7 @@ use crate::netlist::{Netlist, NodeId};
 pub fn circulating_register(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("circulating_register_{n}"));
-    let load = nl.input("load");
+    let load = nl.input();
     let head = nl.gate(CellType::NdroDff, &[load]);
     let mut cur = nl.gate(CellType::NdroDff, &[head]);
     for _ in 1..n {
@@ -59,7 +59,7 @@ pub fn ndro_bank(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("ndro_bank_{n}"));
     for i in 0..n {
-        let d = nl.input(&format!("d{i}"));
+        let d = nl.input();
         let q = nl.gate(CellType::NdroDff, &[d]);
         nl.mark_output(format!("q{i}"), q);
     }
@@ -125,9 +125,9 @@ pub fn one_hot_mux(k: usize) -> Netlist {
     assert!(k > 0);
     let mut nl = Netlist::new(format!("one_hot_mux_{k}"));
     let mut gated = Vec::with_capacity(k);
-    for i in 0..k {
-        let d = nl.input(&format!("data{i}"));
-        let s = nl.input(&format!("sel{i}"));
+    for _ in 0..k {
+        let d = nl.input();
+        let s = nl.input();
         let hold = nl.gate(CellType::NdroDff, &[s]);
         gated.push(nl.gate(CellType::And2, &[d, hold]));
     }
@@ -146,7 +146,7 @@ pub fn one_hot_mux(k: usize) -> Netlist {
 pub fn binary_counter(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("binary_counter_{n}"));
-    let tick = nl.input("tick");
+    let tick = nl.input();
     let mut carry = tick;
     for i in 0..n {
         // Fan the carry out through a pipelined tree (state DFF, XOR,
@@ -177,9 +177,9 @@ pub fn equality_comparator(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("equality_comparator_{n}"));
     let mut eq_bits = Vec::with_capacity(n);
-    for i in 0..n {
-        let a = nl.input(&format!("a{i}"));
-        let b = nl.input(&format!("b{i}"));
+    for _ in 0..n {
+        let a = nl.input();
+        let b = nl.input();
         let x = nl.gate(CellType::Xor2, &[a, b]);
         eq_bits.push(nl.gate(CellType::Not, &[x]));
     }
@@ -200,7 +200,7 @@ pub fn tapped_delay_line(len: usize, taps: &[usize]) -> Netlist {
     assert!(!taps.is_empty());
     assert!(taps.iter().all(|&t| t <= len), "tap beyond line length");
     let mut nl = Netlist::new(format!("delay_line_{len}x{}", taps.len()));
-    let din = nl.input("din");
+    let din = nl.input();
     let mut sorted: Vec<usize> = taps.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
@@ -263,7 +263,7 @@ pub fn pipelined_fanout(
 pub fn broadcast_tree(k: usize) -> Netlist {
     assert!(k > 0);
     let mut nl = Netlist::new(format!("broadcast_{k}"));
-    let src = nl.input("src");
+    let src = nl.input();
     if k == 1 {
         nl.mark_output("out0", src);
         return nl;
@@ -285,7 +285,7 @@ pub fn broadcast_tree(k: usize) -> Netlist {
 pub fn sfqdc_array(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("sfqdc_array_{n}"));
-    let trigger = nl.input("trigger");
+    let trigger = nl.input();
     let endpoints = if n == 1 {
         vec![trigger]
     } else {
@@ -309,7 +309,7 @@ pub fn double_buffer(n: usize) -> Netlist {
     assert!(n > 0);
     let mut nl = Netlist::new(format!("double_buffer_{n}"));
     for i in 0..n {
-        let d = nl.input(&format!("d{i}"));
+        let d = nl.input();
         let b1 = nl.gate(CellType::DroDff, &[d]);
         let b2 = nl.gate(CellType::NdroDff, &[b1]);
         nl.mark_output(format!("q{i}"), b2);

@@ -27,8 +27,8 @@
 //! use sfq_hw::cells::CellType;
 //!
 //! let mut nl = Netlist::new("half_adder");
-//! let a = nl.input("a");
-//! let b = nl.input("b");
+//! let a = nl.input();
+//! let b = nl.input();
 //! let sum = nl.gate(CellType::Xor2, &[a, b]);
 //! let carry = nl.gate(CellType::And2, &[a, b]);
 //! nl.mark_output("sum", sum);
@@ -237,16 +237,14 @@ impl Netlist {
         self.nodes.is_empty()
     }
 
-    /// Adds a primary input. The name is only for diagnostics.
-    pub fn input(&mut self, _name: &str) -> NodeId {
+    /// Adds a primary input.
+    pub fn input(&mut self) -> NodeId {
         self.push(NodeKind::Input, &[])
     }
 
     /// Adds `n` primary inputs at once.
-    pub fn inputs(&mut self, _prefix: &str, n: usize) -> Vec<NodeId> {
-        // Input names are diagnostic-only and discarded by `input`; no
-        // point formatting one per node.
-        (0..n).map(|_| self.input("")).collect()
+    pub fn inputs(&mut self, n: usize) -> Vec<NodeId> {
+        (0..n).map(|_| self.input()).collect()
     }
 
     /// Adds a gate driven by `fanin`.
@@ -484,8 +482,8 @@ mod tests {
 
     fn half_adder() -> Netlist {
         let mut nl = Netlist::new("ha");
-        let a = nl.input("a");
-        let b = nl.input("b");
+        let a = nl.input();
+        let b = nl.input();
         let s = nl.gate(CellType::Xor2, &[a, b]);
         let c = nl.gate(CellType::And2, &[a, b]);
         nl.mark_output("s", s);
@@ -564,21 +562,21 @@ mod tests {
     #[should_panic]
     fn wrong_arity_panics_at_build() {
         let mut nl = Netlist::new("bad");
-        let a = nl.input("a");
+        let a = nl.input();
         let _ = nl.gate(CellType::And2, &[a]);
     }
 
     #[test]
     fn feedback_must_hit_storage() {
         let mut nl = Netlist::new("loop");
-        let a = nl.input("a");
+        let a = nl.input();
         let d = nl.gate(CellType::DroDff, &[a]);
         let n = nl.gate(CellType::Not, &[d]);
         nl.add_feedback(n, d);
         assert!(nl.validate().is_ok());
 
         let mut bad = Netlist::new("badloop");
-        let a = bad.input("a");
+        let a = bad.input();
         let g = bad.gate(CellType::Not, &[a]);
         bad.add_feedback(g, g);
         assert_eq!(
@@ -590,7 +588,7 @@ mod tests {
     #[test]
     fn chain_builder() {
         let mut nl = Netlist::new("chain");
-        let a = nl.input("a");
+        let a = nl.input();
         let end = nl.chain(CellType::DroDff, a, 5);
         assert_eq!(nl.len(), 6);
         assert_eq!(nl.stats().count(CellType::DroDff), 5);

@@ -25,8 +25,8 @@
 //! use sfq_hw::passes::{insert_splitters, path_balance, retime, stage_depths};
 //!
 //! let mut nl = Netlist::new("unbalanced");
-//! let a = nl.input("a");
-//! let b = nl.input("b");
+//! let a = nl.input();
+//! let b = nl.input();
 //! let deep = nl.gate(CellType::Not, &[a]);       // depth 1
 //! let g = nl.gate(CellType::And2, &[deep, b]);   // pin 1 arrives early
 //! nl.mark_output("g", g);
@@ -196,7 +196,7 @@ pub fn materialize_balancing(nl: &Netlist) -> Netlist {
     for id in order {
         let node = nl.node(id);
         let new_id = match node.cell() {
-            None => out.input("in"),
+            None => out.input(),
             Some(cell) => {
                 let fanin: Vec<NodeId> = node
                     .fanin
@@ -262,7 +262,7 @@ mod tests {
     /// A 4-input AND tree with deliberately skewed depths.
     fn skewed_tree() -> Netlist {
         let mut nl = Netlist::new("skew");
-        let ins = nl.inputs("i", 4);
+        let ins = nl.inputs(4);
         let a = nl.gate(CellType::And2, &[ins[0], ins[1]]); // depth 1
         let b = nl.gate(CellType::And2, &[a, ins[2]]); // skew on pin 1
         let c = nl.gate(CellType::And2, &[b, ins[3]]); // more skew
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn splitter_insertion_legalizes_fanout() {
         let mut nl = Netlist::new("fan");
-        let a = nl.input("a");
+        let a = nl.input();
         let sinks: Vec<_> = (0..5).map(|_| nl.gate(CellType::Not, &[a])).collect();
         for (i, s) in sinks.iter().enumerate() {
             nl.mark_output(format!("o{i}"), *s);
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn splitter_tree_is_balanced() {
         let mut nl = Netlist::new("fan8");
-        let a = nl.input("a");
+        let a = nl.input();
         for _ in 0..8 {
             let g = nl.gate(CellType::Not, &[a]);
             nl.mark_output("o", g);
@@ -337,8 +337,8 @@ mod tests {
         // shorter side; deliberately put DFFs on both sides to let retime
         // merge them.
         let mut nl = Netlist::new("rt");
-        let a = nl.input("a");
-        let b = nl.input("b");
+        let a = nl.input();
+        let b = nl.input();
         let na = nl.gate(CellType::Not, &[a]);
         let nb = nl.gate(CellType::Not, &[b]);
         let g = nl.gate(CellType::And2, &[na, nb]);
@@ -357,8 +357,8 @@ mod tests {
     #[test]
     fn retime_noop_when_one_edge_dry() {
         let mut nl = Netlist::new("rt2");
-        let a = nl.input("a");
-        let b = nl.input("b");
+        let a = nl.input();
+        let b = nl.input();
         let g = nl.gate(CellType::And2, &[a, b]);
         nl.mark_output("g", g);
         nl.node_mut(g).in_dffs = vec![3, 0];

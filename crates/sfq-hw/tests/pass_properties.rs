@@ -23,7 +23,7 @@ fn random_netlist(rng: &mut StdRng) -> Netlist {
     let n_inputs = rng.gen_range(2usize..6);
     let n_gates = rng.gen_range(1usize..40);
     let mut nl = Netlist::new("prop");
-    let mut pool: Vec<NodeId> = nl.inputs("i", n_inputs);
+    let mut pool: Vec<NodeId> = nl.inputs(n_inputs);
     for _ in 0..n_gates {
         let a = pool[rng.gen_range(0..pool.len())];
         let b = pool[rng.gen_range(0..pool.len())];
@@ -161,7 +161,7 @@ fn stats_scale_linearly() {
 fn pass_counters_match_returned_work() {
     use qsim::counters;
     let mut nl = Netlist::new("cnt");
-    let ins = nl.inputs("i", 4);
+    let ins = nl.inputs(4);
     let a = nl.gate(CellType::And2, &[ins[0], ins[1]]);
     let b = nl.gate(CellType::And2, &[a, ins[2]]);
     let c = nl.gate(CellType::And2, &[b, ins[3]]);

@@ -436,7 +436,7 @@ fn random_netlist(seed: u64) -> Netlist {
     let n_inputs = rng.gen_range(1usize..8);
     let n_gates = rng.gen_range(1usize..120);
     let mut nl = Netlist::new("diff");
-    let mut pool: Vec<NodeId> = nl.inputs("i", n_inputs);
+    let mut pool: Vec<NodeId> = nl.inputs(n_inputs);
     let mut hot = vec![pool[0]];
     for _ in 0..n_gates {
         let cell = ALL_CELLS[rng.gen_range(0..ALL_CELLS.len())];
@@ -502,14 +502,14 @@ fn generator_netlists() -> Vec<(String, Netlist)> {
             ("and_tree", generators::and_tree),
         ] {
             let mut nl = Netlist::new(name);
-            let leaves = nl.inputs("l", n);
+            let leaves = nl.inputs(n);
             let root = tree(&mut nl, &leaves);
             nl.mark_output("o", root);
             out.push((format!("{name}({n})"), nl));
         }
         for every in [1usize, 2, 3] {
             let mut nl = Netlist::new("pipelined_fanout");
-            let src = nl.input("src");
+            let src = nl.input();
             for (i, e) in generators::pipelined_fanout(&mut nl, src, n, every)
                 .into_iter()
                 .enumerate()

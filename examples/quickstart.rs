@@ -41,7 +41,7 @@ fn main() {
 
     // 4. Compile: lower → route on the 32×32 grid → schedule → execute,
     //    normalized to Impossible MIMD.
-    let report = engine.root_session().evaluate_circuit(
+    let report = engine.evaluate_circuit(
         "ghz32+t",
         &circuit,
         &Grid::paper_grid(),

@@ -6,7 +6,8 @@
 #                                # search, exec model, CZ echo optimizer
 #                                # and DigiQ_min cell index differential
 #                                # tests in release) + kernels bench build
-#                                # + fmt check + rustdoc warnings gate
+#                                # + fmt check + clippy -D warnings
+#                                # + rustdoc warnings gate
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
@@ -109,6 +110,9 @@ cargo build --release --offline -p digiq-bench --benches
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy -D warnings (workspace, all targets)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 # Broken intra-doc links and paper citations rustdoc misreads as links
 # (`[59]`; write `\[59\]`) fail here for every workspace crate.
 echo "==> rustdoc -D warnings (workspace)"
@@ -133,15 +137,15 @@ echo "dependency graph is workspace-only"
 # `static` OnceLock/LazyLock/Mutex/RwLock in library code, at module level
 # or nested in a function, is a hidden process-wide memo beside it.
 # `#[cfg(test)]` modules are exempt. `thread_local!` is allowed only in
-# the three files below: the counter table, the eigensolver's workspace,
-# and the compile pipeline's one per-thread workspace. Every other kernel
-# takes its workspace from the caller or keeps its buffers local.
+# the two files below: the counter table and the compile pipeline's one
+# per-thread workspace. Every other kernel takes its workspace from the
+# caller or keeps its buffers local.
 echo "==> no process-wide memos in crates/*/src"
 thread_locals=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
     !in_test && /thread_local!/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ":" $0 }' \
-    | grep -v -e '^crates/qsim/src/counters\.rs:' -e '^crates/qsim/src/eigen\.rs:' \
+    | grep -v -e '^crates/qsim/src/counters\.rs:' \
         -e '^crates/qcircuit/src/pipeline\.rs:' || true)
 if [[ -n "$thread_locals" ]]; then
     echo "thread_local! outside the allowlisted files (pass the workspace in):" >&2

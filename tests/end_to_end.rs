@@ -72,7 +72,7 @@ fn evaluate(
     pipeline: PipelineConfig,
     circuit: &Circuit,
 ) -> BenchmarkReport {
-    engine.root_session().evaluate_circuit(
+    engine.evaluate_circuit(
         "qgan",
         circuit,
         &Grid::paper_grid(),
@@ -273,7 +273,7 @@ fn parking_and_drift_are_consistent() {
     );
 }
 
-/// Compiler pass pipeline through the facade crate's engine: a session
+/// Compiler pass pipeline through the facade crate's engine: the engine
 /// reports the per-pass metrics of its compiles, and every strategy
 /// combination yields a valid evaluation whose numbers respond to the
 /// strategy — the full scenario-diversity surface in one cross-crate
@@ -281,19 +281,25 @@ fn parking_and_drift_are_consistent() {
 #[test]
 fn pass_pipeline_strategies_through_the_facade() {
     use digiq::digiq_core::engine::{BenchScale, BenchmarkSpec};
-    use digiq::qcircuit::pipeline::{RouteStrategy, ScheduleStrategy};
+    use digiq::qcircuit::mapping::Layout;
+    use digiq::qcircuit::pipeline::{CompileArtifact, RouteStrategy, ScheduleStrategy};
 
     let engine = EvalEngine::new(CostModel::default());
     let design = ControllerDesign::DigiqOpt { bs: 8 };
     let qgan = bench::qgan(64, 2, 11);
 
     let default = PipelineConfig::default();
-    assert_eq!(
-        default.stage_labels(),
-        ["lower", "route", "lower_swaps", "schedule"]
-    );
-    let session = engine.session();
-    let r_default = session.evaluate_circuit(
+    let grid = Grid::new(4, 4);
+    let small = bench::qgan(16, 1, 11);
+    let (_, run_metrics) = default
+        .run(
+            CompileArtifact::new(small.clone(), Layout::snake(small.n_qubits(), &grid)),
+            &grid,
+        )
+        .expect("the default pipeline compiles");
+    let labels: Vec<&str> = run_metrics.iter().map(|m| m.pass.as_str()).collect();
+    assert_eq!(labels, ["lower", "route", "lower_swaps", "schedule"]);
+    let r_default = engine.evaluate_circuit(
         "qgan",
         &qgan,
         &Grid::paper_grid(),
@@ -303,7 +309,7 @@ fn pass_pipeline_strategies_through_the_facade() {
     );
     // Per-pass metrics of the one compile agree with the evaluation
     // report.
-    let metrics = session.pass_cache_stats();
+    let metrics = engine.pass_cache_stats();
     assert_eq!(metrics.passes.len(), 4);
     let schedule = metrics.get("schedule").expect("schedule ran");
     assert!(schedule.slots_out > 0);
