@@ -4,12 +4,10 @@
 //! analytic execution model and synthesis (Figs 8/9).
 //!
 //! Runs on the std-only harness in `digiq_bench::timing` (no criterion —
-//! the workspace is offline and dependency-free). `--quick` shrinks the
-//! budgets for CI smoke runs; `--filter SUBSTR` runs only the kernels
-//! whose name contains the substring (iterating on one hot path without
-//! paying for the rest); `--json-out FILE` additionally writes the
-//! collected stats as a JSON array (what `scripts/ci.sh --bench-json`
-//! records in `BENCH_<date>.json`).
+//! the workspace is offline and dependency-free); its flags are the
+//! extras declared in `main`. `--json-out FILE` writes the collected
+//! stats as a JSON array (what `scripts/ci.sh --bench-json` records in
+//! `BENCH_<date>.json`).
 //!
 //! Besides wall time, each kernel is run once under
 //! `qsim::counters::counted` to record its deterministic counters, one
@@ -20,6 +18,7 @@
 //! (exit 1), wall-time regressions only warn — the CI container timing
 //! is too noisy to gate on.
 
+use digiq_bench::cli::CommonArgs;
 use digiq_bench::record::{self, RecordRow};
 use digiq_bench::timing::{Harness, Stats};
 use qsim::counters::KernelCounters;
@@ -437,14 +436,24 @@ impl RecordRow for Row<'_> {
 }
 
 fn main() {
+    let args = CommonArgs::parse_for(
+        "kernels",
+        &[
+            ("--quick", "smaller timing budgets (CI smoke mode)"),
+            ("--filter SUBSTR", "only time kernels whose name has SUBSTR"),
+            ("--json-out FILE", "write the fresh rows to FILE"),
+            ("--compare FILE", "gate the rows on a committed record"),
+        ],
+        1,
+    );
     let mut h = Bench {
-        h: if digiq_bench::has_flag("--quick") {
+        h: if args.flag("--quick") {
             Harness::quick()
         } else {
             Harness::standard()
         },
         counters: Vec::new(),
-        filter: digiq_bench::arg_value("--filter"),
+        filter: args.value("--filter").map(str::to_string),
     };
     bench_eigen(&mut h);
     bench_expm(&mut h);
@@ -465,7 +474,7 @@ fn main() {
                 counters,
             })
             .collect();
-    record::finish(&rows, &record::KERNELS, |row, base| {
+    record::finish(&rows, &record::KERNELS, &args, |row, base| {
         record::counter_gate(&row.counters, base)
     });
 }

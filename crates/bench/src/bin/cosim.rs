@@ -19,22 +19,18 @@
 //! * `--trace` — co-simulates one small DigiQ_opt workload with the
 //!   per-cycle trace enabled and prints the first events.
 //!
-//! Common flags (parsed by `digiq_bench::cli`): `--workers N` (default:
-//! all cores), `--seeds N` (drift seeds `0..N`), `--json` (print the
-//! report JSON instead of the table), the pass-pipeline strategy
-//! selection `--router greedy|lookahead` / `--scheduler crosstalk|asap`
-//! (the differential check holds for every configuration — both engines
-//! consume the identical compiled artifact), and the artifact-store
-//! flags `--cache-dir DIR` (persist compiles and co-simulation
-//! reports so a second run warm-starts; store counters go to stderr) /
-//! `--store-capacity N` (LRU-bound the in-memory store).
+//! `cosim --help` lists every flag (the `digiq_bench::cli` family plus
+//! the extras declared in `main`). The differential check holds for
+//! every `--router`/`--scheduler` selection, since both engines consume
+//! the identical compiled artifact; under `--cache-dir` compiles and
+//! co-simulation reports persist (store counters go to stderr).
 
 use digiq_bench::cli::CommonArgs;
 use digiq_core::cosim::{simulate, CosimParams};
 use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::engine::{default_workers, CosimSweepReport, EvalEngine, SweepSpec};
 use digiq_core::exec::{checkerboard_groups, ExecParams};
-use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
+use qcircuit::bench::Benchmark;
 use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
 use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
@@ -49,15 +45,7 @@ fn spec_for_mode(smoke: bool, full: bool, seeds: usize) -> SweepSpec {
         // one definition, one golden.
         SweepSpec::cosim_smoke()
     } else if full {
-        let mut s = SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, 32, 32);
-        s.benchmarks = ALL_BENCHMARKS
-            .iter()
-            .map(|&bench| digiq_core::engine::BenchmarkSpec {
-                bench,
-                scale: digiq_core::engine::BenchScale::Paper,
-            })
-            .collect();
-        s
+        SweepSpec::fig9_paper()
     } else {
         let mut designs = vec![ControllerDesign::ImpossibleMimd.into()];
         designs.extend(SweepSpec::table_one_designs());
@@ -178,10 +166,6 @@ fn trace_demo() {
 }
 
 fn main() {
-    if digiq_bench::has_flag("--trace") {
-        trace_demo();
-        return;
-    }
     let args = CommonArgs::parse_for(
         "cosim",
         &[
@@ -196,6 +180,10 @@ fn main() {
         ],
         default_workers(),
     );
+    if args.flag("--trace") {
+        trace_demo();
+        return;
+    }
     let (smoke, workers) = (args.smoke, args.workers);
     let spec = spec_for_mode(smoke, args.full, args.seeds).with_pipeline(args.pipeline);
 
@@ -223,7 +211,7 @@ fn main() {
         }
     }
 
-    if digiq_bench::has_flag("--diff-analytic") {
+    if args.flag("--diff-analytic") {
         // In --json mode stdout stays pure JSON; validation chatter goes
         // to stderr, and the exit code still reports divergence.
         let quiet = args.json;

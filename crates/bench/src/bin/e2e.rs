@@ -35,12 +35,10 @@
 //! Sizes are bounded so the whole set finishes in well under a minute of
 //! compute on a single-CPU container (the fig10 row dominates).
 
+use digiq_bench::cli::CommonArgs;
 use digiq_bench::record::{self, RecordRow};
-use digiq_core::engine::{
-    default_workers, par_map_ordered, BenchScale, BenchmarkSpec, EvalEngine, SweepSpec,
-};
+use digiq_core::engine::{default_workers, par_map_ordered, EvalEngine, SweepSpec};
 use digiq_core::error_model::{calibrate_shared, fig10a, fig10b, ErrorModelConfig};
-use qcircuit::bench::ALL_BENCHMARKS;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::io::BufRead;
@@ -104,21 +102,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t.elapsed().as_nanos() as f64)
 }
 
-/// Cold paper-scale sweep: the `sweep --full` spec (Fig 9 designs × all
-/// Table IV benchmarks at paper scale on the 32×32 grid) on a fresh
-/// engine, seed 0. The serialized report is digested whole — it is
-/// byte-identical across worker counts by the engine's merge-order
-/// contract, so the digest is scheduling-independent.
+/// Cold paper-scale sweep: [`SweepSpec::fig9_paper`] (the `sweep
+/// --full` spec) on a fresh engine. The serialized report is digested
+/// whole — it is byte-identical across worker counts by the engine's
+/// merge-order contract, so the digest is scheduling-independent.
 fn sweep_cold_full(workers: usize) -> Row {
-    let mut spec = SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, 32, 32);
-    spec.benchmarks = ALL_BENCHMARKS
-        .iter()
-        .map(|&bench| BenchmarkSpec {
-            bench,
-            scale: BenchScale::Paper,
-        })
-        .collect();
-    let spec = spec.with_seeds(vec![0]);
+    let spec = SweepSpec::fig9_paper();
     let (report, wall_ns) = timed(|| EvalEngine::new(CostModel::default()).run(&spec, workers));
     let mut d = Fnv64::new();
     d.update(report.to_json_string().as_bytes());
@@ -307,10 +296,16 @@ fn reap_daemon(daemon: &mut Child, loadgen_ok: bool) {
 }
 
 fn main() {
-    let workers = digiq_bench::arg_value("--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(default_workers)
-        .max(1);
+    let args = CommonArgs::parse_for(
+        "e2e",
+        &[
+            ("--json-out FILE", "write the fresh rows to FILE"),
+            ("--compare FILE", "gate the rows on a committed record"),
+            ("--skip-serve", "leave out the serve_loadgen row"),
+        ],
+        default_workers(),
+    );
+    let workers = args.workers;
     let mut rows = Vec::new();
     for (name, run) in [
         ("sweep_cold_full", sweep_cold_full as fn(usize) -> Row),
@@ -320,7 +315,7 @@ fn main() {
         eprintln!("e2e: {name}…");
         rows.push(run(workers));
     }
-    if digiq_bench::has_flag("--skip-serve") {
+    if args.flag("--skip-serve") {
         eprintln!("e2e: serve_loadgen skipped (--skip-serve)");
     } else {
         eprintln!("e2e: serve_loadgen…");
@@ -340,7 +335,7 @@ fn main() {
             checks.join(" ")
         );
     }
-    record::finish(&rows, &record::E2E, |row, base| {
+    record::finish(&rows, &record::E2E, &args, |row, base| {
         record::checks_gate(&row.checks, base)
     });
 }

@@ -11,7 +11,7 @@ use digiq_core::engine::default_workers;
 use digiq_core::error_model::{calibrate_shared, fig10a, fig10b, ErrorModelConfig};
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig10_gate_error", &[], default_workers());
     let full = args.full;
     let mut config = if full {
         ErrorModelConfig::default()

@@ -10,7 +10,7 @@ use qsim::pulse::{SfqParams, SfqPulseSim};
 use qsim::transmon::Transmon;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig2_trajectory", &[], default_workers());
     let sim = SfqPulseSim::new(Transmon::new(6.21286), SfqParams::default());
     let driven = sim.resonant_comb(16);
     let mut free_prefixed = vec![true];

@@ -10,7 +10,7 @@ use digiq_core::engine::default_workers;
 use sfq_hw::json::{Json, ToJson};
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig3_cycle", &[], default_workers());
     let basis = OptBasis::ideal(255);
     let target = qsim::gates::h();
     let dec = decompose_opt(&target, &basis, 0.0, 2, 1e-6);

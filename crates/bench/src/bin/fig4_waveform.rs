@@ -9,7 +9,7 @@ use sfq_hw::analog::CurrentGenerator;
 use sfq_hw::json::{Json, ToJson};
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig4_waveform", &[], default_workers());
     let gen = CurrentGenerator::paper_fig4();
     let wave = gen.simulate(70.0, 0.5);
     if args.json {

@@ -11,7 +11,7 @@ use digiq_core::engine::{default_workers, par_map_ordered};
 use qsim::two_qubit::CoupledTransmons;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig7_cz_error", &[], default_workers());
     let (grid, pulses_max) = if args.small { (3, 2) } else { (5, 3) };
     let pair = CoupledTransmons::paper_pair(6.21286, 4.14238);
     let pulse = calibrate_shared_pulse(&pair, 4.0, 0.25);

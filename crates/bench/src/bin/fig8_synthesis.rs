@@ -12,7 +12,7 @@ use digiq_core::hardware::fig8_sweep;
 use sfq_hw::json::ToJson;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig8_synthesis", &[], default_workers());
     let workers = args.workers;
     let rows = fig8_sweep(&sfq_hw::cost::CostModel::default(), workers);
     if args.json {

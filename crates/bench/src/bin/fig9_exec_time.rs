@@ -13,24 +13,19 @@
 //! with zero pass builds.
 
 use digiq_bench::cli::CommonArgs;
-use digiq_core::engine::{default_workers, BenchScale, BenchmarkSpec, SweepSpec};
+use digiq_core::engine::{default_workers, SweepSpec};
 use qcircuit::bench::ALL_BENCHMARKS;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("fig9_exec_time", &[], default_workers());
     let (small, workers) = (args.small, args.workers);
-    let (rows, cols) = if small { (8, 8) } else { (32, 32) };
-    let mut spec = SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, rows, cols)
-        .with_pipeline(args.pipeline);
-    if !small {
-        spec.benchmarks = ALL_BENCHMARKS
-            .iter()
-            .map(|&bench| BenchmarkSpec {
-                bench,
-                scale: BenchScale::Paper,
-            })
-            .collect();
+    let spec = if small {
+        SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, 8, 8)
+    } else {
+        SweepSpec::fig9_paper()
     }
+    .with_pipeline(args.pipeline);
+    let (rows, cols) = (spec.grid_rows, spec.grid_cols);
 
     let engine = args.engine();
     let report = engine.run(&spec, workers);

@@ -9,7 +9,7 @@ use digiq_core::scalability::scalability_table_parallel;
 use sfq_hw::json::ToJson;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("scalability", &[], default_workers());
     let workers = args.workers;
     let rows = scalability_table_parallel(&sfq_hw::cost::CostModel::default(), workers);
     if args.json {

@@ -20,18 +20,12 @@
 //!   into a report byte-identical to the serial run; `--merge` runs
 //!   just the merge step over existing shards.
 //!
-//! Common flags (parsed by `digiq_bench::cli`): `--workers N` (default:
-//! all cores), `--seeds N` (drift seeds `0..N`), `--json` (print the
-//! report JSON — with per-pass pipeline metrics and store counters
-//! appended — instead of the table), the pass-pipeline strategy
-//! selection `--router greedy|lookahead` / `--scheduler crosstalk|asap`,
-//! and the artifact-store flags: `--cache-dir DIR` persists compiles,
-//! baselines and the job journal so a second run warm-starts
-//! (report JSON byte-identical, zero pass builds — store counters go to
-//! stderr), `--resume` skips journaled jobs after an interruption, and
-//! `--store-capacity N` bounds the in-memory store (LRU eviction).
-//! `--interrupt-after N` deliberately stops after `N` fresh jobs (the
-//! interruption-testing hook behind the CI resume check).
+//! `sweep --help` lists every flag (the `digiq_bench::cli` family plus
+//! the extras declared in `main`). `--json` appends per-pass pipeline
+//! metrics and store counters to the report JSON; under `--cache-dir` a
+//! second run warm-starts with byte-identical JSON and zero pass builds
+//! (store counters go to stderr), and `--interrupt-after N` is the
+//! interruption hook behind the CI resume check.
 
 use digiq_bench::cli::CommonArgs;
 use digiq_core::engine::{
@@ -39,7 +33,7 @@ use digiq_core::engine::{
     SweepSpec,
 };
 use digiq_core::store::{ArtifactStore, SweepJournal};
-use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
+use qcircuit::bench::Benchmark;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::path::Path;
@@ -51,15 +45,7 @@ fn spec_for_mode(smoke: bool, full: bool, seeds: usize) -> SweepSpec {
         // one definition, one golden.
         SweepSpec::smoke()
     } else if full {
-        let mut s = SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, 32, 32);
-        s.benchmarks = ALL_BENCHMARKS
-            .iter()
-            .map(|&bench| digiq_core::engine::BenchmarkSpec {
-                bench,
-                scale: digiq_core::engine::BenchScale::Paper,
-            })
-            .collect();
-        s
+        SweepSpec::fig9_paper()
     } else {
         SweepSpec::small_grid(
             SweepSpec::table_one_designs(),
@@ -156,17 +142,6 @@ fn json_with_pass_stats(
     j.render()
 }
 
-/// Parse an optional non-negative integer flag, exiting with a usage
-/// error on malformed values.
-fn count_flag(flag: &str) -> Option<usize> {
-    digiq_bench::arg_value(flag).map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: `{flag}` needs a non-negative integer, got `{v}`");
-            std::process::exit(2);
-        })
-    })
-}
-
 fn main() {
     let args = CommonArgs::parse_for(
         "sweep",
@@ -209,7 +184,7 @@ fn main() {
     let (smoke, workers) = (args.smoke, args.workers);
     let spec = spec_for_mode(smoke, args.full, args.seeds).with_pipeline(args.pipeline);
 
-    if digiq_bench::has_flag("--compare-serial") {
+    if args.flag("--compare-serial") {
         // The serial equivalent of the old hand-rolled loops: every job
         // rebuilds its artifacts from scratch (a fresh engine per job, so
         // nothing is shared — exactly what the per-figure binaries did
@@ -262,9 +237,9 @@ fn main() {
     // child of `--distributed`), `--distributed` spawns `--n-workers`
     // such children and merges once they exit, and `--merge` assembles
     // a report from whatever shard journals are already on disk.
-    let worker_id = count_flag("--worker-id");
-    let distributed = digiq_bench::has_flag("--distributed");
-    let merge_only = digiq_bench::has_flag("--merge");
+    let worker_id = args.count("--worker-id");
+    let distributed = args.flag("--distributed");
+    let merge_only = args.flag("--merge");
 
     let report = if worker_id.is_some() || distributed || merge_only {
         let Some(dir) = args.cache_dir.as_deref() else {
@@ -272,7 +247,7 @@ fn main() {
             std::process::exit(2);
         };
         let dir = Path::new(dir);
-        let n_workers = count_flag("--n-workers").unwrap_or(4).max(1);
+        let n_workers = args.count("--n-workers").unwrap_or(4).max(1);
 
         if let Some(id) = worker_id {
             // Worker process: claim → evaluate → shard-journal until the
@@ -280,10 +255,12 @@ fn main() {
             // coordinator (or `--merge`) owns the report.
             let mut cfg = DistributedConfig::new(format!("w{id}"));
             cfg.scan_offset = id * spec.job_count() / n_workers;
-            if let Some(ms) = count_flag("--claim-ttl-ms") {
+            if let Some(ms) = args.count("--claim-ttl-ms") {
                 cfg.claim_ttl = Duration::from_millis(ms as u64);
             }
-            cfg.hold = count_flag("--dist-hold-ms").map(|ms| Duration::from_millis(ms as u64));
+            cfg.hold = args
+                .count("--dist-hold-ms")
+                .map(|ms| Duration::from_millis(ms as u64));
             if let Err(e) = engine.run_distributed(&spec, dir, &cfg, RunControl::default()) {
                 eprintln!("error: worker w{id}: {e}");
                 std::process::exit(1);
@@ -300,14 +277,11 @@ fn main() {
                 eprintln!("error: cannot locate the sweep binary: {e}");
                 std::process::exit(1);
             });
-            let forwarded: Vec<String> = std::env::args()
-                .skip(1)
-                .filter(|a| a != "--distributed")
-                .collect();
+            let forwarded = args.argv().iter().filter(|a| *a != "--distributed");
             let mut children = Vec::new();
             for id in 0..n_workers {
                 let child = std::process::Command::new(&exe)
-                    .args(&forwarded)
+                    .args(forwarded.clone())
                     .args(["--worker-id", &id.to_string()])
                     .args(["--n-workers", &n_workers.to_string()])
                     .spawn()
@@ -353,7 +327,7 @@ fn main() {
                         std::process::exit(1);
                     });
                 let ctl = RunControl {
-                    interrupt_after: count_flag("--interrupt-after"),
+                    interrupt_after: args.count("--interrupt-after"),
                     stop: None,
                 };
                 match engine.run_journaled(&spec, workers, &journal, args.resume, ctl) {

@@ -8,7 +8,7 @@ use digiq_core::engine::{default_workers, SweepSpec};
 use sfq_hw::json::ToJson;
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("table1_design_space", &[], default_workers());
     let rows = digiq_core::design::design_space_table();
     if args.json {
         println!("{}", rows.to_json_string());

@@ -1,8 +1,7 @@
 //! Regenerates Table II: optimal parking frequencies and drift tolerance
 //! for delay-implemented Rz gates with error ≤ 1e-4 at N = 255.
 //!
-//! `--max-rows N` caps the ranked rows (default 3, the paper's count —
-//! the one bespoke flag beside the `digiq_bench::cli` family);
+//! `--max-rows N` caps the ranked rows (default 3, the paper's count);
 //! `--json` emits the rows via `sfq_hw::json`.
 use digiq_bench::cli::CommonArgs;
 use digiq_core::engine::default_workers;
@@ -18,9 +17,7 @@ fn main() {
         default_workers(),
     );
     let step = if args.full { 2.0e-5 } else { 1.0e-4 };
-    let max_rows = digiq_bench::arg_value("--max-rows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let max_rows = args.count("--max-rows").unwrap_or(3);
     let rows = calib::parking::parking_search((4.0, 6.5), 0.040, 255, 1.0e-4, step, max_rows);
     if args.json {
         let json = Json::Arr(

@@ -7,7 +7,7 @@ use digiq_core::engine::default_workers;
 use sfq_hw::json::{Json, ToJson};
 
 fn main() {
-    let args = CommonArgs::parse(default_workers());
+    let args = CommonArgs::parse_for("table3_cells", &[], default_workers());
     if args.json {
         let json = Json::Arr(
             sfq_hw::cells::ALL_CELLS

@@ -19,11 +19,10 @@
 //! | `sweep`               | batched design × benchmark × seed sweeps via `digiq_core::engine` |
 //! | `cosim`               | cycle-accurate co-simulation (`digiq_core::cosim`) with `--diff-analytic` validation of the Fig 9 model and `--trace` per-cycle dumps |
 //!
-//! Every binary parses the shared flag family in [`cli`] (`--small` /
-//! `--full` / `--smoke`, `--workers`, `--seeds`, `--json`, `--router` /
-//! `--scheduler`, and the artifact-store flags `--cache-dir` /
-//! `--resume` / `--store-capacity`); `--help` / `-h` print the family
-//! plus each binary's bespoke extras. The sweep-shaped binaries are
+//! Every binary (these, `e2e`, the `kernels` bench, `serve` and
+//! `loadgen`) reads argv only through [`cli`]: the shared flag family
+//! plus its declared extras, which `--help` / `-h` print and which exit
+//! 2 when malformed or missing their value. The sweep-shaped binaries are
 //! driven by the batched evaluation engine (`digiq_core::engine`): jobs
 //! shard over `--workers` threads (default: every core), shared
 //! artifacts are memoized in the unified `digiq_core::store`
@@ -52,19 +51,6 @@ pub mod cli;
 pub mod record;
 pub mod timing;
 
-/// Parses a `--flag` style boolean from argv.
-pub fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Parses `--key value` from argv.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Prints a rule line for table output.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -74,8 +60,6 @@ pub fn rule(width: usize) {
 mod tests {
     #[test]
     fn helpers_do_not_panic() {
-        assert!(!super::has_flag("--definitely-not-set"));
-        assert!(super::arg_value("--nope").is_none());
         super::rule(10);
     }
 }

@@ -11,6 +11,7 @@
 //! ([`counter_gate`] for kernel rows, [`checks_gate`] for e2e rows); any
 //! failed row, and any unreadable record, exits 1.
 
+use crate::cli::CommonArgs;
 use crate::timing::fmt_ns;
 use qsim::counters::KernelCounters;
 use sfq_hw::json::Json;
@@ -63,24 +64,30 @@ fn die(msg: String) -> ! {
     std::process::exit(1)
 }
 
-/// Writes `--json-out FILE` and runs `--compare FILE`, whichever argv
-/// names. `gate` judges each fresh row against its baseline row. Exits 1
-/// when the output cannot be written, the record cannot be read or
-/// parsed, or `gate` fails a row.
-pub fn finish<R: RecordRow>(rows: &[R], section: &Section, gate: impl FnMut(&R, &Json) -> Verdict) {
+/// Writes `--json-out FILE` and runs `--compare FILE`, whichever of the
+/// two extras the caller declared in `args` was given. `gate` judges
+/// each fresh row against its baseline row. Exits 1 when the output
+/// cannot be written, the record cannot be read or parsed, or `gate`
+/// fails a row.
+pub fn finish<R: RecordRow>(
+    rows: &[R],
+    section: &Section,
+    args: &CommonArgs,
+    gate: impl FnMut(&R, &Json) -> Verdict,
+) {
     let key = section.key;
-    if let Some(path) = crate::arg_value("--json-out") {
+    if let Some(path) = args.value("--json-out") {
         let out = Json::Arr(rows.iter().map(R::to_json).collect());
-        std::fs::write(&path, out.render())
+        std::fs::write(path, out.render())
             .unwrap_or_else(|e| die(format!("cannot write `{path}`: {e}")));
         eprintln!("{key} rows written to {path}");
     }
-    if let Some(path) = crate::arg_value("--compare") {
-        let text = std::fs::read_to_string(&path)
+    if let Some(path) = args.value("--compare") {
+        let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(format!("cannot read `{path}`: {e}")));
         let record =
             Json::parse(&text).unwrap_or_else(|e| die(format!("cannot parse `{path}`: {e:?}")));
-        let outcome = compare(rows, section, &path, &record, gate);
+        let outcome = compare(rows, section, path, &record, gate);
         outcome.out.iter().for_each(|line| println!("{line}"));
         outcome.err.iter().for_each(|line| eprintln!("{line}"));
         if !outcome.ok {

@@ -4,7 +4,26 @@
 
 use digiq_bench::cli::CommonArgs;
 use qcircuit::pipeline::{PipelineConfig, RouteStrategy, ScheduleStrategy};
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Runs `bin args` to completion, or kills it after 60 s: a binary that
+/// refuses its flags is done in milliseconds, and one that goes on to
+/// real work (or serves forever) must fail the test, not hang it.
+fn run_bounded(bin: &str, args: &[&str]) -> Output {
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run binary");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll binary").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("collect binary output")
+}
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
@@ -31,6 +50,7 @@ fn the_full_flag_family_parses() {
             "--store-capacity",
             "9",
         ]),
+        &[],
         1,
     )
     .unwrap();
@@ -41,7 +61,7 @@ fn the_full_flag_family_parses() {
     assert_eq!(a.cache_dir.as_deref(), Some("/tmp/x"));
     assert_eq!(a.store_capacity, Some(9));
     // Unknown flags are ignored (bespoke per-binary extras pass through).
-    assert!(CommonArgs::from_args(&argv(&["--max-rows", "4"]), 1).is_ok());
+    assert!(CommonArgs::from_args(&argv(&["--max-rows", "4"]), &[], 1).is_ok());
 }
 
 #[test]
@@ -56,51 +76,74 @@ fn bad_values_are_rejected_with_the_offending_flag_named() {
         (vec!["--cache-dir"], "--cache-dir"),
         (vec!["--resume"], "--cache-dir"),
     ] {
-        let err = CommonArgs::from_args(&argv(&args), 1).unwrap_err();
+        let err = CommonArgs::from_args(&argv(&args), &[], 1).unwrap_err();
         assert!(err.contains(needle), "{args:?}: {err}");
     }
 }
 
-/// The process-level contract: a malformed flag exits the real binary
-/// with status 2 and a message on stderr, before any work happens.
+/// The process-level contract: a malformed flag — shared or one of the
+/// binary's declared extras — exits the real binary with status 2 and a
+/// message naming the flag on stderr, before any work happens.
 #[test]
 fn malformed_flags_exit_the_binary_with_status_2() {
-    for args in [
-        &["--workers", "0"][..],
-        &["--router", "magic"],
-        &["--resume"],
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    for (bin, args, flag) in [
+        (sweep, &["--workers", "0"][..], "--workers"),
+        (sweep, &["--router", "magic"], "magic"),
+        (sweep, &["--resume"], "--resume"),
+        (sweep, &["--smoke", "--worker-id"], "--worker-id"),
+        (
+            env!("CARGO_BIN_EXE_table2_parking"),
+            &["--max-rows", "abc"],
+            "--max-rows",
+        ),
+        (env!("CARGO_BIN_EXE_e2e"), &["--workers", "0"], "--workers"),
+        (env!("CARGO_BIN_EXE_e2e"), &["--compare"], "--compare"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-            .args(args)
-            .output()
-            .expect("run sweep binary");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let out = run_bounded(bin, args);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(stderr.starts_with("error:"), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed to stdout");
     }
 }
 
 /// `--help` / `-h` print the shared flag family plus the binary's own
-/// extras and exit 0 before any work happens.
+/// extras and exit 0 before any work happens, whatever other flags are
+/// given.
 #[test]
 fn help_exits_zero_and_documents_the_flag_family() {
-    for (bin, flag, extra) in [
-        (env!("CARGO_BIN_EXE_sweep"), "--help", "--compare-serial"),
-        (env!("CARGO_BIN_EXE_sweep"), "-h", "--interrupt-after"),
-        (env!("CARGO_BIN_EXE_cosim"), "--help", "--diff-analytic"),
-        (env!("CARGO_BIN_EXE_table2_parking"), "-h", "--max-rows"),
+    for (bin, args, extra) in [
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--help"][..],
+            "--compare-serial",
+        ),
+        (env!("CARGO_BIN_EXE_sweep"), &["-h"], "--interrupt-after"),
+        (env!("CARGO_BIN_EXE_cosim"), &["--help"], "--diff-analytic"),
+        (
+            env!("CARGO_BIN_EXE_cosim"),
+            &["--trace", "--help"],
+            "--trace",
+        ),
+        (env!("CARGO_BIN_EXE_table2_parking"), &["-h"], "--max-rows"),
+        (env!("CARGO_BIN_EXE_e2e"), &["--help"], "--skip-serve"),
     ] {
-        let out = Command::new(bin).arg(flag).output().expect("run binary");
-        assert_eq!(out.status.code(), Some(0), "{bin} {flag}");
+        let out = run_bounded(bin, args);
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:"), "{bin} {args:?}: {stdout}");
         // The shared family…
         for shared in ["--workers", "--seeds", "--cache-dir", "--router", "--help"] {
-            assert!(stdout.contains(shared), "{bin} {flag} is missing {shared}");
+            assert!(
+                stdout.contains(shared),
+                "{bin} {args:?} is missing {shared}"
+            );
         }
         // …plus the binary's bespoke extras.
-        assert!(stdout.contains(extra), "{bin} {flag} is missing {extra}");
-        assert!(out.stderr.is_empty(), "{bin} {flag} wrote to stderr");
+        assert!(stdout.contains(extra), "{bin} {args:?} is missing {extra}");
+        assert!(out.stderr.is_empty(), "{bin} {args:?} wrote to stderr");
     }
 }
 
@@ -112,8 +155,12 @@ fn router_and_scheduler_selections_roundtrip() {
         ("lookahead", "crosstalk"),
         ("lookahead", "asap"),
     ] {
-        let a = CommonArgs::from_args(&argv(&["--router", router, "--scheduler", scheduler]), 1)
-            .unwrap();
+        let a = CommonArgs::from_args(
+            &argv(&["--router", router, "--scheduler", scheduler]),
+            &[],
+            1,
+        )
+        .unwrap();
         // The parsed names round-trip back to the flag values…
         assert_eq!(a.pipeline.router.name(), router);
         assert_eq!(a.pipeline.scheduler.name(), scheduler);
@@ -125,6 +172,7 @@ fn router_and_scheduler_selections_roundtrip() {
                 "--scheduler",
                 a.pipeline.scheduler.name(),
             ]),
+            &[],
             1,
         )
         .unwrap();
@@ -132,7 +180,7 @@ fn router_and_scheduler_selections_roundtrip() {
     }
     // Defaults reproduce the paper pipeline exactly.
     assert_eq!(
-        CommonArgs::from_args(&[], 1).unwrap().pipeline,
+        CommonArgs::from_args(&[], &[], 1).unwrap().pipeline,
         PipelineConfig::default()
     );
 }

@@ -95,7 +95,7 @@ use crate::store::{
 };
 use crate::system::{measured_min_lengths_with_db, BenchmarkReport, MinBasisKind};
 use calib::min_decomp::{SequenceDb, SharedSequenceDb};
-use qcircuit::bench::Benchmark;
+use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
@@ -406,12 +406,26 @@ impl SweepSpec {
         )
     }
 
+    /// The paper-scale Fig 9 sweep: the five [`SweepSpec::fig9_designs`]
+    /// × all six Table IV benchmarks at [`BenchScale::Paper`] on the
+    /// 32×32 grid, seed 0 — what `sweep --full`, `cosim --full`,
+    /// `fig9_exec_time` and the e2e `sweep_cold_full` row run.
+    pub fn fig9_paper() -> Self {
+        let mut spec = SweepSpec::small_grid(SweepSpec::fig9_designs(), &ALL_BENCHMARKS, 32, 32);
+        for b in &mut spec.benchmarks {
+            b.scale = BenchScale::Paper;
+        }
+        spec
+    }
+
     /// Reads a spec back from its [`ToJson`] form, enforcing the
     /// plausibility bounds a network-facing server needs: non-empty
     /// axes, at most 4096 entries per design/benchmark axis, at most
     /// 65536 seeds (each below 2⁵³, the JSON round-trip bound), at most
-    /// 2¹⁶ grid sites, group counts in `1..=4096`, and small-scale
-    /// benchmark budgets in `8..=2^16` qubits.
+    /// 2²⁰ jobs in all (designs × benchmarks × seeds, so
+    /// [`SweepSpec::jobs`] never allocates for more), at most 2¹⁶ grid
+    /// sites, group counts in `1..=4096`, and small-scale benchmark
+    /// budgets in `8..=2^16` qubits.
     ///
     /// # Errors
     ///
@@ -421,6 +435,7 @@ impl SweepSpec {
         const CTX: &str = "sweep spec";
         const MAX_AXIS: usize = 4096;
         const MAX_SEEDS: usize = 65_536;
+        const MAX_JOBS: usize = 1 << 20;
         const MAX_SITES: u64 = 1 << 16;
 
         let mut designs = Vec::new();
@@ -483,6 +498,10 @@ impl SweepSpec {
                 "sweep spec axis too large (designs/benchmarks <= 4096, seeds <= 65536)"
                     .to_string(),
             );
+        }
+        let jobs = designs.len() * benchmarks.len() * seeds.len();
+        if jobs > MAX_JOBS {
+            return Err(format!("sweep spec too large: {jobs} jobs (at most 2^20)"));
         }
         let grid_rows = j.count_field("grid_rows", CTX)?;
         let grid_cols = j.count_field("grid_cols", CTX)?;
@@ -2165,24 +2184,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_reuses_everything() {
-        let engine = EvalEngine::new(CostModel::default());
-        let spec = SweepSpec::small_grid(
-            vec![ControllerDesign::DigiqOpt { bs: 4 }.into()],
-            &[Benchmark::Ising],
-            4,
-            4,
-        );
-        let cold = engine.run(&spec, 1);
-        let warm = engine.run(&spec, 3);
-        assert_eq!(cold.jobs, warm.jobs, "cache hits must not change results");
-        assert_eq!(warm.cache.circuit_misses, 0);
-        assert_eq!(warm.cache.compile_misses, 0);
-        assert_eq!(warm.cache.total_misses(), 0);
-        assert!(warm.cache.total_hits() > 0);
-    }
-
-    #[test]
     fn sweep_spec_round_trips_through_json() {
         let mut spec = SweepSpec::smoke()
             .with_seeds(vec![0, 3, 9_007_199_254_740_991])
@@ -2242,6 +2243,20 @@ mod tests {
     }
 
     #[test]
+    fn sweep_spec_from_json_bounds_the_job_count() {
+        // Every axis within its own bound, 2^20 jobs in all: accepted.
+        let mut spec = SweepSpec::smoke().with_seeds((0..65_536).collect());
+        spec.designs = vec![spec.designs[0]; 4];
+        spec.benchmarks = vec![spec.benchmarks[0]; 4];
+        assert_eq!(SweepSpec::parse(&spec.to_json_string()), Ok(spec.clone()));
+        // One more benchmark: 1.25 * 2^20 jobs, refused before any
+        // enumeration could allocate for them.
+        spec.benchmarks.push(spec.benchmarks[0]);
+        let err = SweepSpec::parse(&spec.to_json_string()).unwrap_err();
+        assert!(err.contains("1310720 jobs"), "{err}");
+    }
+
+    #[test]
     fn smoke_specs_match_the_cli_smoke_modes() {
         // The serve tests rely on these constructors enumerating exactly
         // the jobs the golden files pin.
@@ -2260,28 +2275,6 @@ mod tests {
             ControllerDesign::DigiqMin { bs: 2 }
         );
         assert_ne!(smoke.stable_key(), cosim.stable_key());
-    }
-
-    #[test]
-    fn warm_rerun_hits_every_compile_and_builds_no_pass() {
-        let engine = EvalEngine::new(CostModel::default());
-        let spec = SweepSpec::smoke();
-        let cold = engine.run(&spec, 2);
-        assert!(cold.cache.compile_misses > 0);
-        let passes = engine.pass_cache_stats();
-        assert!(!passes.passes.is_empty());
-
-        // A second run on the warm engine: every compile lookup is a hit
-        // read from the store's counters, and no pass runs again.
-        let warm = engine.run(&spec, 2);
-        assert_eq!(cold.jobs, warm.jobs, "a warm store must not change results");
-        assert_eq!(warm.cache.compile_misses, 0);
-        assert!(warm.cache.compile_hits > 0);
-        assert_eq!(engine.pass_cache_stats(), passes);
-        assert_eq!(
-            engine.cache_stats().compile_misses,
-            cold.cache.compile_misses
-        );
     }
 
     #[test]

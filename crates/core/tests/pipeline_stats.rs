@@ -197,16 +197,25 @@ fn asap_schedules_fewer_slots_than_crosstalk_aware() {
 }
 
 /// A warm engine re-running the same spec rebuilds nothing: every
-/// compile hits and the per-pass build metrics stay exactly as they were.
+/// circuit and compile hits, the results are those of the cold run on
+/// any worker count, and the per-pass build metrics stay exactly as they
+/// were.
 #[test]
 fn warm_engine_has_zero_stage_misses_on_rerun() {
     let engine = EvalEngine::new(CostModel::default());
     let spec = fig9_style_spec();
-    engine.run(&spec, 2);
+    let cold = engine.run(&spec, 2);
+    assert!(cold.cache.compile_misses > 0);
     let (before, cache_before) = (engine.pass_cache_stats(), engine.cache_stats());
-    engine.run(&spec, 3);
+    let warm = engine.run(&spec, 3);
     let (after, cache_after) = (engine.pass_cache_stats(), engine.cache_stats());
+    assert_eq!(cold.jobs, warm.jobs, "cache hits must not change results");
+    assert_eq!(warm.cache.circuit_misses, 0);
+    assert_eq!(warm.cache.compile_misses, 0);
+    assert_eq!(warm.cache.total_misses(), 0);
+    assert!(warm.cache.compile_hits > 0 && warm.cache.total_hits() > 0);
     assert_eq!(cache_after.compile_misses, cache_before.compile_misses);
+    assert_eq!(cache_after.compile_misses, cold.cache.compile_misses);
     assert_eq!(cache_after.compile_hits, cache_before.compile_hits + 15);
     assert_eq!(after, before, "a warm rerun must not run any pass");
     assert_eq!(after.passes.len(), 4);

@@ -18,12 +18,8 @@
 //! Shared flags used: `--seeds K` scales the replayed sweep spec
 //! (heavier specs widen the coalescing window), `--workers N` is the
 //! per-request worker ask, `--json` emits the summary as JSON (what
-//! `scripts/ci.sh --bench-json` records in `BENCH_<date>.json`).
-//! Assertions for the CI smoke: `--expect FILE` requires every report
-//! byte-identical to the committed golden, `--assert-coalesced`
-//! requires that the duplicate concurrent requests coalesced onto one
-//! evaluation, `--expect-interrupted` requires the (draining) server to
-//! answer Interrupted.
+//! `scripts/ci.sh --bench-json` records in `BENCH_<date>.json`). The CI
+//! smoke's assertions are extras that `loadgen --help` lists.
 
 use digiq_bench::cli::CommonArgs;
 use digiq_bench::timing::{fmt_ns, percentile};
@@ -160,7 +156,7 @@ fn main() {
         &[
             ("--addr HOST:PORT", "server address (required)"),
             ("--clients N", "concurrent client connections (default 4)"),
-            ("--requests M", "sequential requests per client (default 2)"),
+            ("--requests N", "sequential requests per client (default 2)"),
             (
                 "--cosim",
                 "replay co-simulation sweeps instead of analytic ones",
@@ -181,17 +177,13 @@ fn main() {
         ],
         2,
     );
-    let Some(addr) = digiq_bench::arg_value("--addr") else {
+    let Some(addr) = args.value("--addr") else {
         eprintln!("error: `--addr HOST:PORT` is required (the serve daemon prints its address)");
         std::process::exit(2);
     };
-    let clients = digiq_bench::arg_value("--clients")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let requests = digiq_bench::arg_value("--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let cosim = digiq_bench::has_flag("--cosim");
+    let clients = args.count("--clients").unwrap_or(4);
+    let requests = args.count("--requests").unwrap_or(2);
+    let cosim = args.flag("--cosim");
     let spec = if cosim {
         SweepSpec::cosim_smoke()
     } else {
@@ -199,8 +191,8 @@ fn main() {
     }
     .with_seeds((0..args.seeds.max(1) as u64).collect());
 
-    if digiq_bench::has_flag("--expect-interrupted") {
-        let mut client = Client::connect(&addr).unwrap_or_else(|e| {
+    if args.flag("--expect-interrupted") {
+        let mut client = Client::connect(addr).unwrap_or_else(|e| {
             eprintln!("error: connect {addr}: {e}");
             std::process::exit(1);
         });
@@ -217,8 +209,8 @@ fn main() {
         return;
     }
 
-    let expect = digiq_bench::arg_value("--expect").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let expect = args.value("--expect").map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read golden `{path}`: {e}");
             std::process::exit(1);
         });
@@ -229,13 +221,14 @@ fn main() {
 
     // Only the cold wave is staggered, and only when the coalescing
     // assertion is on — throughput waves send as fast as they can.
-    let stagger = if digiq_bench::has_flag("--assert-coalesced") {
+    let assert_coalesced = args.flag("--assert-coalesced");
+    let stagger = if assert_coalesced {
         Duration::from_millis(5)
     } else {
         Duration::ZERO
     };
     let load = Load {
-        addr: &addr,
+        addr,
         spec: &spec,
         workers: args.workers,
         clients,
@@ -246,14 +239,14 @@ fn main() {
     let cold = wave(&load, stagger);
     let warm = wave(&load, Duration::ZERO);
 
-    let mut probe = Client::connect(&addr).expect("stats connection");
+    let mut probe = Client::connect(addr).expect("stats connection");
     let stats = probe.stats().expect("stats request");
     let ns = stats
         .get(if cosim { NS_COSIM } else { NS_SWEEP })
         .cloned()
         .unwrap_or_default();
 
-    if digiq_bench::has_flag("--assert-coalesced") {
+    if assert_coalesced {
         assert_eq!(
             ns.builds, 1,
             "identical requests must share one evaluation (saw {} builds)",
@@ -296,7 +289,7 @@ fn main() {
         );
     }
 
-    if digiq_bench::has_flag("--shutdown") {
+    if args.flag("--shutdown") {
         let _ = probe.shutdown();
     }
 }

@@ -8,14 +8,14 @@
 //! per-sweep worker budget, and the store flags (`--cache-dir DIR`,
 //! `--store-capacity N`) configure the shared artifact store — with a
 //! cache dir, sweeps are journaled so a drain is resumable after
-//! restart. Bespoke flags: `--addr`, `--eval-workers`,
-//! `--queue-capacity`, and the CI drain hooks `--drain-after` /
-//! `--interrupt-after`.
+//! restart. `serve --help` lists the bespoke flags; a malformed one
+//! exits 2 before the bind.
 
 use digiq_bench::cli::CommonArgs;
 use digiq_core::engine::default_workers;
 use digiq_serve::{serve, ServeConfig};
 use std::io::Write;
+use std::time::Duration;
 
 fn main() {
     let args = CommonArgs::parse_for(
@@ -52,24 +52,17 @@ fn main() {
         ],
         default_workers(),
     );
-    let parse_count = |flag: &str| {
-        digiq_bench::arg_value(flag).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("error: `{flag}` needs a non-negative integer, got `{v}`");
-                std::process::exit(2);
-            })
-        })
-    };
+    let millis = |flag: &str| args.count(flag).map(|ms| Duration::from_millis(ms as u64));
     let cfg = ServeConfig {
-        addr: digiq_bench::arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        eval_workers: parse_count("--eval-workers").unwrap_or(2) as usize,
+        addr: args.value("--addr").unwrap_or("127.0.0.1:0").to_string(),
+        eval_workers: args.count("--eval-workers").unwrap_or(2),
         sweep_workers: args.workers,
-        queue_capacity: parse_count("--queue-capacity").unwrap_or(16) as usize,
+        queue_capacity: args.count("--queue-capacity").unwrap_or(16),
         store: args.store_config(),
-        drain_after: parse_count("--drain-after"),
-        interrupt_after: parse_count("--interrupt-after").map(|n| n as usize),
-        eval_delay: parse_count("--eval-delay-ms").map(std::time::Duration::from_millis),
-        dist_claims_ttl: parse_count("--dist-claims-ttl-ms").map(std::time::Duration::from_millis),
+        drain_after: args.count("--drain-after").map(|n| n as u64),
+        interrupt_after: args.count("--interrupt-after"),
+        eval_delay: millis("--eval-delay-ms"),
+        dist_claims_ttl: millis("--dist-claims-ttl-ms"),
     };
     let handle = serve(cfg).unwrap_or_else(|e| {
         eprintln!("error: cannot bind: {e}");

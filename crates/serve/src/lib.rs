@@ -16,9 +16,9 @@
 //! * [`client`] — the blocking client `loadgen` and the integration
 //!   tests drive.
 //!
-//! Binaries: `serve` (the daemon, inheriting the `digiq_bench::cli`
-//! store flag family) and `loadgen` (N concurrent clients, req/s and
-//! p50/p99 latency, warm vs cold store).
+//! Binaries: `serve` (the daemon) and `loadgen` (N concurrent clients,
+//! req/s and p50/p99 latency, warm vs cold store); both parse argv with
+//! `digiq_bench::cli`, so a malformed flag exits 2 before any I/O.
 
 pub mod client;
 pub mod proto;

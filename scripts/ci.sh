@@ -56,8 +56,25 @@
 #                                # predating the section pass with a note);
 #                                # --bench-json/--bench-compare embed the
 #                                # same rows in the record they write
+#
+# Flags combine: the default path runs once, then every flag given, in
+# the order given (`scripts/ci.sh --store-smoke --dist-smoke` runs both).
+# An unknown flag exits 2 before anything is built.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+for arg in "$@"; do
+    case "$arg" in
+        --smoke | --engine-smoke | --cosim-smoke | --pipeline-smoke | --store-smoke \
+            | --dist-smoke | --serve-smoke | --bench-json | --bench-compare | --bench-e2e \
+            | --force) ;;
+        *)
+            echo "scripts/ci.sh: unknown flag \`$arg\` (the usage is at the top of the script)" >&2
+            exit 2 ;;
+    esac
+done
+force=""
+[[ " $* " == *" --force "* ]] && force=1
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -357,30 +374,6 @@ serve_smoke() {
     echo "serve smoke OK (coalesced, byte-identical, drain-resumable)"
 }
 
-if [[ "${1:-}" == "--engine-smoke" ]]; then
-    engine_smoke
-fi
-
-if [[ "${1:-}" == "--cosim-smoke" ]]; then
-    cosim_smoke
-fi
-
-if [[ "${1:-}" == "--pipeline-smoke" ]]; then
-    pipeline_smoke
-fi
-
-if [[ "${1:-}" == "--store-smoke" ]]; then
-    store_smoke
-fi
-
-if [[ "${1:-}" == "--dist-smoke" ]]; then
-    dist_smoke
-fi
-
-if [[ "${1:-}" == "--serve-smoke" ]]; then
-    serve_smoke
-fi
-
 # The newest committed benchmark record (empty if none). Names embed an
 # ISO date plus an optional _rN re-run suffix; N is compared numerically
 # (lexicographic sort would put _r10 before _r2) with the plain date
@@ -439,16 +432,18 @@ bench_record() {
     echo "benchmark numbers written to $out"
 }
 
-if [[ "${1:-}" == "--bench-json" ]]; then
+bench_json() {
+    local out
     out="BENCH_$(date +%F).json"
-    if [[ -e "$out" && "${2:-}" != "--force" ]]; then
+    if [[ -e "$out" && -z "$force" ]]; then
         echo "$out already exists; pass --force to overwrite it" >&2
         exit 1
     fi
     bench_record "$out"
-fi
+}
 
-if [[ "${1:-}" == "--bench-compare" ]]; then
+bench_compare() {
+    local baseline out n
     baseline=$(latest_bench)
     if [[ -z "$baseline" ]]; then
         echo "no committed BENCH_*.json to compare against" >&2
@@ -465,9 +460,10 @@ if [[ "${1:-}" == "--bench-compare" ]]; then
     echo "==> bench compare vs $baseline (counters hard-fail, wall time warn-only)"
     # Absolute path: cargo bench runs the binary with cwd = crates/bench.
     bench_record "$out" --compare "$PWD/$baseline"
-fi
+}
 
-if [[ "${1:-}" == "--bench-e2e" ]]; then
+bench_e2e() {
+    local baseline
     echo "==> end-to-end rows (bounded sizes; deterministic checks hard-fail, wall time warns)"
     baseline=$(latest_bench)
     if [[ -n "$baseline" ]]; then
@@ -475,9 +471,10 @@ if [[ "${1:-}" == "--bench-e2e" ]]; then
     else
         ./target/release/e2e
     fi
-fi
+}
 
-if [[ "${1:-}" == "--smoke" ]]; then
+smoke() {
+    local b e baseline
     echo "==> bench binaries (--small)"
     for b in table1_design_space table2_parking table3_cells fig2_trajectory \
              fig3_cycle fig4_waveform fig7_cz_error fig8_synthesis \
@@ -511,6 +508,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
     else
         cargo bench --offline -p digiq-bench --bench kernels -- --quick
     fi
-fi
+}
+
+# Each flag runs the function it names: `--store-smoke` → store_smoke.
+for step in "$@"; do
+    step=${step#--}
+    [[ "$step" == force ]] || "${step//-/_}"
+done
 
 echo "CI OK"
