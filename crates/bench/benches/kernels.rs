@@ -46,141 +46,12 @@ impl Bench {
     }
 }
 
-/// Naive two-pass cyclic Jacobi reference (the pre-workspace `eigh`):
-/// allocating `dagger`/`identity`, separate column and row rotation
-/// passes, exact O(n²) off-norm rescan at the top of every sweep. Priced
-/// here so `eigh_9x9_cold`'s speedup has an in-record denominator.
-mod naive_eigen {
-    use qsim::complex::C64;
-    use qsim::eigen::EigH;
-    use qsim::matrix::CMat;
-
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_columns(
-        data: &mut [C64],
-        n: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        jqp: C64,
-        jqq: C64,
-    ) {
-        for row in data.chunks_exact_mut(n) {
-            let (akp, akq) = (row[p], row[q]);
-            row[p] = C64::new(
-                akp.re * c + (akq.re * jqp.re - akq.im * jqp.im),
-                akp.im * c + (akq.re * jqp.im + akq.im * jqp.re),
-            );
-            row[q] = C64::new(
-                -akp.re * s + (akq.re * jqq.re - akq.im * jqq.im),
-                -akp.im * s + (akq.re * jqq.im + akq.im * jqq.re),
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rotate_rows(
-        data: &mut [C64],
-        n: usize,
-        p: usize,
-        q: usize,
-        c: f64,
-        s: f64,
-        jqp: C64,
-        jqq: C64,
-    ) {
-        let (head, tail) = data.split_at_mut(q * n);
-        let prow = &mut head[p * n..(p + 1) * n];
-        let qrow = &mut tail[..n];
-        let (cqp, cqq) = (jqp.conj(), jqq.conj());
-        for (ap, aq) in prow.iter_mut().zip(qrow.iter_mut()) {
-            let (apk, aqk) = (*ap, *aq);
-            *ap = C64::new(
-                apk.re * c + (aqk.re * cqp.re - aqk.im * cqp.im),
-                apk.im * c + (aqk.re * cqp.im + aqk.im * cqp.re),
-            );
-            *aq = C64::new(
-                -apk.re * s + (aqk.re * cqq.re - aqk.im * cqq.im),
-                -apk.im * s + (aqk.re * cqq.im + aqk.im * cqq.re),
-            );
-        }
-    }
-
-    pub fn naive_eigh(a: &CMat) -> EigH {
-        let n = a.rows();
-        let mut m = a.dagger();
-        for i in 0..n {
-            for j in 0..n {
-                m[(i, j)] = (m[(i, j)] + a[(i, j)]) * 0.5;
-            }
-        }
-        let mut v = CMat::identity(n);
-        let scale = m.frobenius_norm().max(1.0);
-        let tol = (scale * 1e-15).powi(2) * (n * n) as f64;
-        let thresh = scale * 1e-16;
-        let md = m.as_mut_slice();
-        let vd = v.as_mut_slice();
-        for _sweep in 0..100 {
-            let mut off = 0.0;
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j {
-                        off += md[i * n + j].abs2();
-                    }
-                }
-            }
-            if off <= tol {
-                break;
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let beta = md[p * n + q];
-                    let b = beta.abs();
-                    if b <= thresh {
-                        continue;
-                    }
-                    let phi = beta.arg();
-                    let alpha = md[p * n + p].re;
-                    let gamma = md[q * n + q].re;
-                    let zeta = (alpha - gamma) / (2.0 * b);
-                    let t = if zeta >= 0.0 {
-                        1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
-                    } else {
-                        -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    let e_m = C64::cis(-phi);
-                    let jqp = e_m * s;
-                    let jqq = e_m * c;
-                    rotate_columns(md, n, p, q, c, s, jqp, jqq);
-                    rotate_rows(md, n, p, q, c, s, jqp, jqq);
-                    rotate_columns(vd, n, p, q, c, s, jqp, jqq);
-                }
-            }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        let vals: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
-        order.sort_by(|&i, &j| vals[i].total_cmp(&vals[j]));
-        let sorted_vals: Vec<f64> = order.iter().map(|&i| vals[i]).collect();
-        let sorted_vecs = CMat::from_fn(n, n, |i, j| v[(i, order[j])]);
-        EigH {
-            values: sorted_vals,
-            vectors: sorted_vecs,
-        }
-    }
-}
-
 fn bench_eigen(h: &mut Bench) {
     let pair = qsim::two_qubit::CoupledTransmons::paper_pair(6.21286, 4.14238);
     let ham = pair.hamiltonian(-1.8);
     // The raw workspace Jacobi core, the deepest numeric tier under
     // every propagator.
     h.bench("eigh_9x9_cold", || qsim::eigen::eigh(black_box(&ham)));
-    h.bench("eigh_9x9_naive", || {
-        naive_eigen::naive_eigh(black_box(&ham))
-    });
 }
 
 fn bench_expm(h: &mut Bench) {

@@ -5,8 +5,8 @@
 //! The micro-kernel gate (`benches/kernels.rs`) catches hot-loop churn;
 //! these rows catch regressions that only show up when the layers
 //! compose — store coalescing, pipeline workspace reuse across thousands
-//! of jobs, worker sharding. Three in-process workloads plus one
-//! over-the-wire round:
+//! of jobs, worker sharding. Three in-process workloads, the paper's
+//! §VI evaluation at bench scale:
 //!
 //! * `sweep_cold_full` — a cold `sweep --full` (the five Fig 9
 //!   configurations × all six Table IV benchmarks, paper-scale 32×32
@@ -15,10 +15,11 @@
 //!   Fig 7 panels (5×5 drift grid, 3 Uqq echo depths);
 //! * `fig10_64q` — the bounded Fig 10 error model (64 qubits, coupler
 //!   stride 4): shared-bitstream calibration, per-qubit 1q medians, CZ
-//!   couplers;
-//! * `serve_loadgen` — a serve daemon plus one loadgen round over
-//!   localhost TCP (sibling binaries next to this one; skipped with a
-//!   note when they are not built).
+//!   couplers.
+//!
+//! The serve daemon is measured elsewhere: `scripts/ci.sh`'s
+//! `bench_record` writes one loadgen round to the record's `loadgen`
+//! section, and perfbench's `serve_mix` workload is the sustained load.
 //!
 //! Every row records `wall_ns` plus a `checks` object of deterministic
 //! fields (job counts, FNV-1a digests of the numeric output).
@@ -41,8 +42,6 @@ use digiq_core::engine::{default_workers, par_map_ordered, EvalEngine, SweepSpec
 use digiq_core::error_model::{calibrate_shared, fig10a, fig10b, ErrorModelConfig};
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
-use std::io::BufRead;
-use std::process::{Child, Command};
 use std::time::Instant;
 
 /// One end-to-end row: wall time (warn-only in compares) plus the
@@ -187,121 +186,12 @@ fn fig10_64q(workers: usize) -> Row {
     }
 }
 
-/// One serve+loadgen round over localhost TCP: 4 clients × 2 requests
-/// (cold wave builds, warm wave replays the coalesced artifacts). The
-/// sibling binaries live next to this one in `target/release`; when they
-/// are not built the row is skipped with a note rather than failing —
-/// the in-process rows still gate.
-fn serve_loadgen() -> Option<Row> {
-    let dir = std::env::current_exe().ok()?.parent()?.to_path_buf();
-    let (serve, loadgen) = (dir.join("serve"), dir.join("loadgen"));
-    if !serve.exists() || !loadgen.exists() {
-        eprintln!(
-            "note: skipping serve_loadgen row ({} not built; run `cargo build --release -p digiq-serve`)",
-            if serve.exists() { "loadgen" } else { "serve" }
-        );
-        return None;
-    }
-    let mut daemon = Command::new(&serve)
-        .args(["--workers", "2"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| eprintln!("note: skipping serve_loadgen row (cannot spawn serve: {e})"))
-        .ok()?;
-    // Keep the stdout pipe open until the daemon exits — it prints a
-    // drain message on shutdown, and closing the pipe early would turn
-    // that into an EPIPE panic inside serve.
-    let mut reader = daemon.stdout.take().map(std::io::BufReader::new);
-    let mut addr = None;
-    if let Some(r) = reader.as_mut() {
-        let mut line = String::new();
-        while r.read_line(&mut line).is_ok_and(|n| n > 0) {
-            if let Some(a) = line.trim_end().strip_prefix("digiq-serve listening on ") {
-                addr = Some(a.to_string());
-                break;
-            }
-            line.clear();
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("note: skipping serve_loadgen row (serve never printed its address)");
-        let _ = daemon.kill();
-        return None;
-    };
-    let (output, wall_ns) = timed(|| {
-        Command::new(&loadgen)
-            .args(["--addr", &addr, "--clients", "4", "--requests", "2"])
-            .args(["--json", "--shutdown"])
-            .output()
-    });
-    reap_daemon(
-        &mut daemon,
-        output.as_ref().is_ok_and(|o| o.status.success()),
-    );
-    drop(reader);
-    let output = output
-        .map_err(|e| eprintln!("note: skipping serve_loadgen row (cannot run loadgen: {e})"))
-        .ok()?;
-    if !output.status.success() {
-        eprintln!("note: skipping serve_loadgen row (loadgen failed)");
-        return None;
-    }
-    let text = String::from_utf8_lossy(&output.stdout);
-    let j = Json::parse(text.trim())
-        .map_err(|e| eprintln!("note: skipping serve_loadgen row (bad loadgen JSON: {e:?})"))
-        .ok()?;
-    let wave = |name: &str, field: &str| {
-        j.get(name)
-            .and_then(|w| w.num_field(field, "wave").ok())
-            .unwrap_or(f64::NAN)
-    };
-    Some(Row {
-        name: "serve_loadgen",
-        wall_ns,
-        checks: vec![
-            (
-                "requests".to_string(),
-                ((j.count_field("clients", "loadgen").unwrap_or(0))
-                    * (j.count_field("requests_per_client", "loadgen").unwrap_or(0)))
-                .to_json(),
-            ),
-            (
-                "mode".to_string(),
-                j.str_field("mode", "loadgen").unwrap_or("?").to_json(),
-            ),
-        ],
-        info: vec![
-            (
-                "cold_req_per_s".to_string(),
-                wave("cold", "req_per_s").to_json(),
-            ),
-            (
-                "warm_req_per_s".to_string(),
-                wave("warm", "req_per_s").to_json(),
-            ),
-            ("warm_p99_ns".to_string(), wave("warm", "p99_ns").to_json()),
-        ],
-    })
-}
-
-/// Waits for the serve daemon after its loadgen round. Loadgen drains
-/// the daemon (`--shutdown`) only when it runs to the end, so after a
-/// loadgen that failed to spawn, exited early or panicked, the daemon is
-/// killed first: waiting on a daemon nobody shut down never returns.
-fn reap_daemon(daemon: &mut Child, loadgen_ok: bool) {
-    if !loadgen_ok {
-        let _ = daemon.kill();
-    }
-    let _ = daemon.wait();
-}
-
 fn main() {
     let args = CommonArgs::parse_for(
         "e2e",
         &[
             ("--json-out FILE", "write the fresh rows to FILE"),
             ("--compare FILE", "gate the rows on a committed record"),
-            ("--skip-serve", "leave out the serve_loadgen row"),
         ],
         default_workers(),
     );
@@ -314,12 +204,6 @@ fn main() {
     ] {
         eprintln!("e2e: {name}…");
         rows.push(run(workers));
-    }
-    if args.flag("--skip-serve") {
-        eprintln!("e2e: serve_loadgen skipped (--skip-serve)");
-    } else {
-        eprintln!("e2e: serve_loadgen…");
-        rows.extend(serve_loadgen());
     }
     println!("\n{:<18} {:>12}  checks", "row", "wall");
     for row in &rows {
@@ -338,35 +222,4 @@ fn main() {
     record::finish(&rows, &record::E2E, &args, |row, base| {
         record::checks_gate(&row.checks, base)
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    #[test]
-    fn failed_loadgen_never_hangs_on_the_daemon() {
-        // A daemon that never exits by itself, as after a loadgen that
-        // died before sending `Shutdown`. The reap runs on its own thread
-        // so a regression fails here in bounded time instead of hanging.
-        let mut daemon = Command::new("sleep").arg("600").spawn().unwrap();
-        let pid = daemon.id();
-        let (tx, rx) = mpsc::channel();
-        let reaper = std::thread::spawn(move || {
-            reap_daemon(&mut daemon, false);
-            let _ = tx.send(());
-        });
-        let hung = rx.recv_timeout(Duration::from_secs(30)).is_err();
-        if hung {
-            // Unblock the reaper so it can be joined.
-            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-        }
-        reaper.join().unwrap();
-        assert!(
-            !hung,
-            "reap_daemon blocked on a daemon that loadgen never shut down"
-        );
-    }
 }

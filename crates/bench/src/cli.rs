@@ -4,9 +4,10 @@
 //! plus its own extras, declared once as the `("--flag PLACEHOLDER",
 //! "what it does")` table its `--help` prints: `N` takes a non-negative
 //! integer, any other placeholder a value, none nothing. A malformed or
-//! value-less flag is an error, and [`CommonArgs::flag`] / `value` /
-//! `count` read only what the table declares. Unknown flags are ignored
-//! (so `cargo bench`'s `--bench` passes through).
+//! value-less flag is an error (a value may not itself be a `--flag`),
+//! and [`CommonArgs::flag`] / `value` / `count` read only what the table
+//! declares. Unknown flags are ignored (so `cargo bench`'s `--bench`
+//! passes through).
 //!
 //! ```
 //! use digiq_bench::cli::CommonArgs;
@@ -86,12 +87,14 @@ fn has(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The argument after the first `name`, if `name` is given.
+/// The argument after the first `name`, if `name` is given. A missing
+/// argument, or one that is itself a `--flag`, is an error.
 fn value(args: &[String], name: &str) -> Result<Option<String>, String> {
     args.iter()
         .position(|a| a == name)
         .map(|i| {
             args.get(i + 1)
+                .filter(|v| !v.starts_with("--"))
                 .cloned()
                 .ok_or_else(|| format!("`{name}` needs a value"))
         })
@@ -430,6 +433,7 @@ mod tests {
         for (args, needle) in [
             (&["--compare"][..], "`--compare` needs a value"),
             (&["--quick", "--max-rows"], "`--max-rows` needs a value"),
+            (&["--max-rows", "--quick"], "`--max-rows` needs a value"),
             (
                 &["--max-rows", "abc"],
                 "`--max-rows` needs a non-negative integer",

@@ -50,26 +50,6 @@ impl ToJson for Stats {
     }
 }
 
-impl Stats {
-    /// Reads stats back from their [`ToJson`] form (one row of a
-    /// committed `BENCH_<date>.json` record). `stddev_ns` is optional so
-    /// records written before it existed still parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first missing/mistyped field.
-    pub fn from_json(j: &Json) -> Result<Stats, String> {
-        Ok(Stats {
-            min_ns: j.num_field("min_ns", "stats")?,
-            median_ns: j.num_field("median_ns", "stats")?,
-            mean_ns: j.num_field("mean_ns", "stats")?,
-            stddev_ns: j.num_field("stddev_ns", "stats").unwrap_or(0.0),
-            samples: j.count_field("samples", "stats")? as usize,
-            iters_per_sample: j.count_field("iters_per_sample", "stats")?,
-        })
-    }
-}
-
 /// The `p`-th percentile (0–100) of a latency sample by
 /// nearest-rank on a sorted copy — what `loadgen` reports as p50/p99.
 /// Returns 0.0 on an empty sample.
@@ -228,28 +208,6 @@ mod tests {
             s.iters_per_sample
         );
         assert!(s.iters_per_sample * s.samples as u64 >= 30);
-    }
-
-    #[test]
-    fn stats_round_trip_through_json() {
-        let s = Stats {
-            min_ns: 1.25,
-            median_ns: 2.5,
-            mean_ns: 3.75,
-            stddev_ns: 0.5,
-            samples: 4,
-            iters_per_sample: 5,
-        };
-        let j = Json::parse(&s.to_json_string()).unwrap();
-        assert_eq!(Stats::from_json(&j), Ok(s));
-        // Records written before stddev existed still parse (as 0.0).
-        let legacy = Json::parse(
-            r#"{"min_ns":1,"median_ns":2,"mean_ns":3,"samples":4,"iters_per_sample":5}"#,
-        )
-        .unwrap();
-        let parsed = Stats::from_json(&legacy).unwrap();
-        assert_eq!(parsed.stddev_ns, 0.0);
-        assert_eq!(parsed.iters_per_sample, 5);
     }
 
     #[test]

@@ -93,6 +93,11 @@ fn malformed_flags_exit_the_binary_with_status_2() {
         (sweep, &["--resume"], "--resume"),
         (sweep, &["--smoke", "--worker-id"], "--worker-id"),
         (
+            sweep,
+            &["--smoke", "--cache-dir", "--resume"],
+            "--cache-dir",
+        ),
+        (
             env!("CARGO_BIN_EXE_table2_parking"),
             &["--max-rows", "abc"],
             "--max-rows",
@@ -128,7 +133,7 @@ fn help_exits_zero_and_documents_the_flag_family() {
             "--trace",
         ),
         (env!("CARGO_BIN_EXE_table2_parking"), &["-h"], "--max-rows"),
-        (env!("CARGO_BIN_EXE_e2e"), &["--help"], "--skip-serve"),
+        (env!("CARGO_BIN_EXE_e2e"), &["--help"], "--compare"),
     ] {
         let out = run_bounded(bin, args);
         assert_eq!(out.status.code(), Some(0), "{bin} {args:?}");

@@ -908,25 +908,6 @@ impl ToJson for PassCacheStat {
     }
 }
 
-impl PassCacheStat {
-    /// Reads a stat back from its [`ToJson`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        const CTX: &str = "pass cache stat";
-        Ok(PassCacheStat {
-            pass: j.str_field("pass", CTX)?.to_string(),
-            wall_ns: j.num_field("wall_ns", CTX)?,
-            gates_in: j.count_field("gates_in", CTX)?,
-            gates_out: j.count_field("gates_out", CTX)?,
-            swaps_added: j.count_field("swaps_added", CTX)?,
-            slots_out: j.count_field("slots_out", CTX)?,
-        })
-    }
-}
-
 /// Per-pass build metrics of an engine, label-sorted. Like
 /// [`EvalEngine::cosim_cache_stats`], this lives **outside**
 /// [`CacheStats`] so the serialized sweep report and its golden file
@@ -943,32 +924,6 @@ impl PassCacheStats {
     /// The entry for a stage label, if that stage ever ran.
     pub fn get(&self, pass: &str) -> Option<&PassCacheStat> {
         self.passes.iter().find(|p| p.pass == pass)
-    }
-
-    /// Reads the stats back from their [`ToJson`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let passes = match j.get("passes") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(PassCacheStat::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("pass cache stats missing array `passes`".to_string()),
-        };
-        Ok(PassCacheStats { passes })
-    }
-
-    /// Parses serialized stats (the inverse of [`ToJson::to_json_string`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the JSON syntax error or the first structural mismatch.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let j = Json::parse(text).map_err(|e| e.to_string())?;
-        PassCacheStats::from_json(&j)
     }
 }
 

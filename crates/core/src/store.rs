@@ -1667,18 +1667,35 @@ mod tests {
             std::process::id(),
             qsim::rng::stable_hash_str("claims", &[line!() as u64])
         ));
-        let ttl = Duration::from_millis(80);
+        // Claims are aged by backdating their mtime, never by sleeping
+        // past the TTL, so a loaded host cannot turn a fresh claim stale.
+        let ttl = Duration::from_secs(2);
         let a = JobClaims::open(&dir, 7, "a", ttl).unwrap();
         let b = JobClaims::open(&dir, 7, "b", ttl).unwrap();
+        let path = a.claim_path(3);
+        let backdate = || {
+            let stale = std::time::SystemTime::now() - ttl * 2;
+            let f = std::fs::File::options().write(true).open(&path).unwrap();
+            f.set_modified(stale).unwrap();
+        };
         assert!(a.try_claim(3), "vacant claim acquired");
         assert!(!b.try_claim(3), "fresh claim is not stealable");
-        // A heartbeated claim outlives the TTL un-stolen.
+        // A heartbeated claim outlives the TTL un-stolen: the refresher
+        // rewrites a claim that has aged past it.
         let hb = a.heartbeat(3);
-        std::thread::sleep(ttl * 3);
+        backdate();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while a.is_stale(&path) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the refresher never rewrote the stale claim"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
         assert!(!b.try_claim(3), "refreshed claim stays fresh");
         drop(hb);
         // Without the refresher the claim goes stale and is stolen.
-        std::thread::sleep(ttl * 2);
+        backdate();
         assert!(b.try_claim(3), "stale claim stolen");
         assert!(!a.try_claim(3), "the thief's claim is fresh again");
         // Releasing vacates the name for a plain re-acquisition.

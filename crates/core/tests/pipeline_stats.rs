@@ -6,7 +6,7 @@
 //! modes.
 
 use digiq_core::design::ControllerDesign;
-use digiq_core::engine::{EvalEngine, PassCacheStats, SweepSpec};
+use digiq_core::engine::{EvalEngine, SweepSpec};
 use digiq_core::store::ns;
 use qcircuit::bench::Benchmark;
 use qcircuit::pipeline::{PipelineConfig, RouteStrategy, ScheduleStrategy};
@@ -98,18 +98,6 @@ fn pass_counters_are_worker_count_invariant() {
         assert_eq!(report1, report_n, "report must not depend on workers");
         assert_eq!(stats1, stats_n, "pass counters must not depend on workers");
     }
-}
-
-#[test]
-fn pass_cache_stats_roundtrip_through_json() {
-    let engine = EvalEngine::new(CostModel::default());
-    engine.run(&fig9_style_spec(), 2);
-    let stats = engine.pass_cache_stats();
-    assert!(!stats.passes.is_empty());
-    let parsed = PassCacheStats::parse(&stats.to_json_string()).unwrap();
-    assert_eq!(parsed, stats);
-    assert!(PassCacheStats::parse("{}").is_err());
-    assert!(PassCacheStats::parse("{\"passes\":[{}]}").is_err());
 }
 
 /// `sweep --json` appends the per-pass accounting as an extra top-level

@@ -48,9 +48,9 @@
 #                                # regressions hard-fail, wall-time
 #                                # regressions warn only; then record the
 #                                # fresh numbers as a new BENCH file
-#   scripts/ci.sh --bench-e2e    # run just the end-to-end rows (cold
-#                                # sweep --full, paper-scale fig7, bounded
-#                                # fig10, serve+loadgen) and diff their
+#   scripts/ci.sh --bench-e2e    # run just the three end-to-end rows
+#                                # (cold sweep --full, paper-scale fig7,
+#                                # bounded fig10) and diff their
 #                                # deterministic checks against the latest
 #                                # BENCH record's "e2e" section (records
 #                                # predating the section pass with a note);
