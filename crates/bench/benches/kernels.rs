@@ -86,14 +86,12 @@ fn bench_bitstream(h: &mut Bench) {
     h.bench("bitstream_frame_gate_253", || {
         sim.frame_gate_qubit(black_box(&bits))
     });
+    // The search's fitness: the z-phase-free score prepared once per
+    // target, as `find_bitstream` runs it.
     let m = sim.frame_gate_qubit(&bits);
-    h.bench("bitstream_fitness_free_z", || {
-        calib::bitstream::fidelity_with_freedom(
-            black_box(&m),
-            &target,
-            calib::bitstream::ZFreedom::PrePost,
-        )
-    });
+    let score =
+        calib::bitstream::FreedomFidelity::new(&target, calib::bitstream::ZFreedom::PrePost);
+    h.bench("bitstream_fitness_free_z", || score.fidelity(black_box(&m)));
     // One whole shared-calibration search (§V-A step 1): the GA at the
     // `ErrorModelConfig::small` budget, then the prefix-resumed polish.
     let search = calib::bitstream::SearchConfig {

@@ -127,7 +127,7 @@ fn fig7_paper(workers: usize) -> Row {
     let pair = qsim::two_qubit::CoupledTransmons::paper_pair(6.21286, 4.14238);
     let panels: Vec<usize> = (1..=3).collect();
     let ((pulse, results), wall_ns) = timed(|| {
-        let pulse = calib::cz::calibrate_shared_pulse(&pair, 4.0, 0.25);
+        let pulse = calib::cz::calibrate_shared_pulse_on(&pair, 4.0, 0.25, workers);
         let results = par_map_ordered(&panels, workers.min(panels.len()), |_, &n| {
             calib::cz::fig7_panel(&pair, &pulse, n, 0.006, 5, 3)
         });

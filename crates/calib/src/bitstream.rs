@@ -47,54 +47,118 @@ pub struct BitstreamResult {
 
 /// Fidelity of a (6-level, rotating-frame) evolution's qubit block `m`
 /// against 2×2 target `v`, maximizing over the allowed z-phase freedom.
+/// One-off form of [`FreedomFidelity`]; a search scoring many evolutions
+/// against one target prepares that once instead.
 ///
 /// # Panics
 ///
 /// Panics if shapes are not 2×2.
 pub fn fidelity_with_freedom(m: &CMat, v: &CMat, freedom: ZFreedom) -> f64 {
-    assert_eq!((m.rows(), m.cols()), (2, 2));
-    assert_eq!((v.rows(), v.cols()), (2, 2));
-    let mm = m.dagger().matmul(m).trace().re;
-    let overlap2 = match freedom {
-        ZFreedom::None => v.dagger().matmul(m).trace().abs2(),
-        ZFreedom::PrePost => {
-            // tr((Rz(a)·V·Rz(b))†·M) = e^{ib/2}·X00(a) + e^{−ib/2}·X11(a)
-            // with X = V†·diag(e^{ia/2},e^{−ia/2})·M; max over b is
-            // |X00|+|X11|; scan a (the sinusoids make 256 points ample),
-            // then golden-refine.
-            let vd = v.dagger();
-            let best_at = |a: f64| -> f64 {
-                let d0 = C64::cis(a / 2.0);
-                let d1 = C64::cis(-a / 2.0);
-                let x00 = vd[(0, 0)] * d0 * m[(0, 0)] + vd[(0, 1)] * d1 * m[(1, 0)];
-                let x11 = vd[(1, 0)] * d0 * m[(0, 1)] + vd[(1, 1)] * d1 * m[(1, 1)];
-                x00.abs() + x11.abs()
-            };
-            let mut best = 0.0f64;
-            let mut best_a = 0.0f64;
-            for k in 0..256 {
-                let a = k as f64 / 256.0 * 4.0 * PI; // period 4π in a/2
-                let s = best_at(a);
-                if s > best {
-                    best = s;
-                    best_a = a;
+    FreedomFidelity::new(v, freedom).fidelity(m)
+}
+
+/// Points of the z-phase scan over `a ∈ [0, 4π)` (the sinusoids make 256
+/// ample).
+const SCAN_POINTS: usize = 256;
+
+/// The `k`-th scan angle; the period is 4π in `a/2`.
+fn scan_angle(k: usize) -> f64 {
+    k as f64 / SCAN_POINTS as f64 * 4.0 * PI
+}
+
+/// The left factors of `X = V†·diag(e^{ia/2}, e^{−ia/2})·M`'s diagonal:
+/// `[V†00·d0, V†01·d1, V†10·d0, V†11·d1]` with `d0 = e^{ia/2}`,
+/// `d1 = e^{−ia/2}`.
+fn phase_row(vd: &CMat, a: f64) -> [C64; 4] {
+    let d0 = C64::cis(a / 2.0);
+    let d1 = C64::cis(-a / 2.0);
+    [
+        vd[(0, 0)] * d0,
+        vd[(0, 1)] * d1,
+        vd[(1, 0)] * d0,
+        vd[(1, 1)] * d1,
+    ]
+}
+
+/// `|X00| + |X11|` at the angle `row` was built for.
+fn phase_overlap(row: &[C64; 4], m: &CMat) -> f64 {
+    let x00 = row[0] * m[(0, 0)] + row[1] * m[(1, 0)];
+    let x11 = row[2] * m[(0, 1)] + row[3] * m[(1, 1)];
+    x00.abs() + x11.abs()
+}
+
+/// [`fidelity_with_freedom`] against one target, prepared once: `V†`
+/// and, for [`ZFreedom::PrePost`], the 256 rows of the z-phase scan,
+/// whose angles do not depend on `m`. Each score is bit for bit the
+/// from-scratch one, since a row holds the left factor of the same
+/// left-associated products (`V†ij·d·Mjk`).
+#[derive(Debug, Clone)]
+pub struct FreedomFidelity {
+    vd: CMat,
+    freedom: ZFreedom,
+    /// [`phase_row`] at every [`scan_angle`]; empty without freedom.
+    scan: Vec<[C64; 4]>,
+}
+
+impl FreedomFidelity {
+    /// Prepares the score against 2×2 target `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not 2×2.
+    pub fn new(v: &CMat, freedom: ZFreedom) -> Self {
+        assert_eq!((v.rows(), v.cols()), (2, 2));
+        let vd = v.dagger();
+        let scan = match freedom {
+            ZFreedom::None => Vec::new(),
+            ZFreedom::PrePost => (0..SCAN_POINTS)
+                .map(|k| phase_row(&vd, scan_angle(k)))
+                .collect(),
+        };
+        FreedomFidelity { vd, freedom, scan }
+    }
+
+    /// The fidelity of qubit block `m` against the target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not 2×2.
+    pub fn fidelity(&self, m: &CMat) -> f64 {
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        let mm = m.dagger().matmul(m).trace().re;
+        let overlap2 = match self.freedom {
+            ZFreedom::None => self.vd.matmul(m).trace().abs2(),
+            ZFreedom::PrePost => {
+                // tr((Rz(a)·V·Rz(b))†·M) = e^{ib/2}·X00(a) + e^{−ib/2}·X11(a)
+                // with X = V†·diag(e^{ia/2},e^{−ia/2})·M; max over b is
+                // |X00|+|X11|; scan a, then golden-refine.
+                let best_at = |a: f64| phase_overlap(&phase_row(&self.vd, a), m);
+                let mut best = 0.0f64;
+                let mut best_a = 0.0f64;
+                for (k, row) in self.scan.iter().enumerate() {
+                    let s = phase_overlap(row, m);
+                    if s > best {
+                        best = s;
+                        best_a = scan_angle(k);
+                    }
                 }
-            }
-            // Local refinement.
-            let (mut lo, mut hi) = (best_a - 4.0 * PI / 256.0, best_a + 4.0 * PI / 256.0);
-            for _ in 0..40 {
-                let m1 = lo + (hi - lo) / 3.0;
-                let m2 = hi - (hi - lo) / 3.0;
-                if best_at(m1) < best_at(m2) {
-                    lo = m1;
-                } else {
-                    hi = m2;
+                // Local refinement.
+                let step = 4.0 * PI / SCAN_POINTS as f64;
+                let (mut lo, mut hi) = (best_a - step, best_a + step);
+                for _ in 0..40 {
+                    let m1 = lo + (hi - lo) / 3.0;
+                    let m2 = hi - (hi - lo) / 3.0;
+                    if best_at(m1) < best_at(m2) {
+                        lo = m1;
+                    } else {
+                        hi = m2;
+                    }
                 }
+                best_at(0.5 * (lo + hi)).max(best).powi(2)
             }
-            best_at(0.5 * (lo + hi)).max(best).powi(2)
-        }
-    };
-    ((mm + overlap2) / 6.0).clamp(0.0, 1.0)
+        };
+        ((mm + overlap2) / 6.0).clamp(0.0, 1.0)
+    }
 }
 
 /// A constructive pulse comb: `n_pulses` pulses, one per qubit period,
@@ -194,34 +258,39 @@ pub fn find_bitstream(
         seeds.push(vec![false; cfg.length]);
     }
 
-    let fitness = |m: &CMat| fidelity_with_freedom(m, target, freedom);
+    let score = FreedomFidelity::new(target, freedom);
     let result = ga_bitstring(
-        |bits: &[bool]| fitness(&sim.frame_gate_qubit(bits)),
+        |bits: &[bool]| score.fidelity(&sim.frame_gate_qubit(bits)),
         cfg.length,
         &seeds,
         cfg.ga,
     );
 
-    // Greedy single-bit-flip polish: sweep the bits in order, accepting
-    // any flip that improves fidelity, until a full sweep finds none.
-    // It makes most of a search's fitness calls (1,000–3,200 against the
-    // GA's 600 at `ErrorModelConfig::small`'s budget) and reliably gains
-    // a decade of error. A flip of
-    // bit `i` leaves the prefix product of ticks `0..i` unchanged, so
-    // each trial resumes from the trail's block `i` (half a stream on
-    // average) and is bit-for-bit the from-scratch fitness.
+    // Greedy single-bit-flip polish: cycle through the bits, accepting
+    // any flip that improves fidelity, until `cfg.length` flips in a row
+    // are rejected. It stops in the state where sweeping until a whole
+    // sweep is clean would, with fewer calls: once every bit has been
+    // rejected in one state, the rest of that last sweep could only
+    // repeat those trials. The polish makes most of a search's fitness
+    // calls (690–2,980 at `ErrorModelConfig::small`'s budget, against
+    // the GA's 504) and reliably gains a decade of error. A flip of bit
+    // `i` leaves the prefix product of ticks `0..i` unchanged, so each
+    // trial resumes from the trail's block `i` (half a stream on
+    // average) and is bit for bit the from-scratch fitness.
     let mut trail = QubitTrail::new(&sim, &result.bits);
-    let mut best_f = fitness(&trail.gate());
-    let mut improved = true;
-    while improved {
-        improved = false;
-        for i in 0..cfg.length {
-            let f = fitness(&trail.flipped_gate(i));
-            if f > best_f {
-                best_f = f;
-                improved = true;
-                trail.accept_flip(i);
-            }
+    let mut best_f = score.fidelity(&trail.gate());
+    let mut rejected_in_a_row = 0;
+    for i in (0..cfg.length).cycle() {
+        if rejected_in_a_row == cfg.length {
+            break;
+        }
+        let f = score.fidelity(&trail.flipped_gate(i));
+        if f > best_f {
+            best_f = f;
+            rejected_in_a_row = 0;
+            trail.accept_flip(i);
+        } else {
+            rejected_in_a_row += 1;
         }
     }
     BitstreamResult {

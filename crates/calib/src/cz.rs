@@ -7,7 +7,8 @@
 //! gates ("similar to the 'echo' sequences … but with single-qubit gates
 //! obtained via numerical optimization"). This module:
 //!
-//! * calibrates the nominal flux waveform (hold time) once, at zero drift;
+//! * calibrates the nominal flux waveform (hold time) once, at zero drift,
+//!   scanning the holds in parallel over one shared propagator cache;
 //! * computes `Uqq` for a drifted pair via `qsim::two_qubit`;
 //! * optimizes the interleaved single-qubit layers (Nelder–Mead multistart
 //!   seeded with the X-echo structure) and reports the residual CZ error —
@@ -26,6 +27,7 @@ use qsim::fidelity::average_gate_error_slice;
 use qsim::gates::u_zyz_array;
 use qsim::matrix::{kron_into, matmul_fixed, CMat};
 use qsim::optimize::nelder_mead;
+use qsim::par::{default_workers, par_map_ordered};
 use qsim::rng::StdRng;
 use qsim::two_qubit::{CoupledTransmons, DetuningWaveform, PropagatorCache};
 use std::f64::consts::PI;
@@ -42,25 +44,45 @@ pub struct SharedCzPulse {
 /// Calibrates the hold time of a rounded flux pulse so a single `Uqq`
 /// realizes CZ as well as possible at the nominal (zero-drift)
 /// frequencies. Scans hold times around the analytic half-Rabi period
-/// `1/(2√2·g)`.
+/// `1/(2√2·g)` on [`default_workers`] threads; see
+/// [`calibrate_shared_pulse_on`].
 pub fn calibrate_shared_pulse(pair: &CoupledTransmons, rise_ns: f64, dt_ns: f64) -> SharedCzPulse {
+    calibrate_shared_pulse_on(pair, rise_ns, dt_ns, default_workers())
+}
+
+/// [`calibrate_shared_pulse`] on `workers` threads. The holds are
+/// independent, so they run through [`par_map_ordered`]; the first hold
+/// with the strictly smallest error wins, as in a serial scan, so the
+/// pulse does not depend on `workers`.
+pub fn calibrate_shared_pulse_on(
+    pair: &CoupledTransmons,
+    rise_ns: f64,
+    dt_ns: f64,
+    workers: usize,
+) -> SharedCzPulse {
     let delta = pair.cz_resonance_detuning();
     let t_analytic = 1.0 / (2.0 * 2f64.sqrt() * pair.coupling_ghz);
-    let mut best: Option<(f64, DetuningWaveform)> = None;
+    // The rounded edges contribute partial interaction; scan a bracket.
+    let mut holds = Vec::new();
+    let mut hold = (t_analytic - rise_ns).max(1.0);
+    while hold <= t_analytic + 6.0 {
+        holds.push(hold);
+        hold += 0.5;
+    }
     // Every hold time shares the same rise/fall/plateau detuning samples,
     // so one propagator cache serves the whole scan — each distinct
     // per-sample Hamiltonian is exponentiated once, not once per hold.
     let cache = PropagatorCache::new();
-    // The rounded edges contribute partial interaction; scan a bracket.
-    let mut hold = (t_analytic - rise_ns).max(1.0);
-    while hold <= t_analytic + 6.0 {
+    let scanned = par_map_ordered(&holds, workers, |_, &hold| {
         let wf = DetuningWaveform::rounded(delta, rise_ns, hold, dt_ns);
         let uqq = pair.uqq_with_cache(&wf, &cache);
-        let err = cz_error_with_local_1q(&uqq, 1, 4, 0xCA11);
+        (cz_error_with_local_1q(&uqq, 1, 4, 0xCA11), wf)
+    });
+    let mut best: Option<(f64, DetuningWaveform)> = None;
+    for (err, wf) in scanned {
         if best.as_ref().is_none_or(|(e, _)| err < *e) {
             best = Some((err, wf));
         }
-        hold += 0.5;
     }
     let (nominal_error, waveform) = best.expect("scan non-empty");
     SharedCzPulse {

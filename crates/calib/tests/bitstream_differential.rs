@@ -1,13 +1,22 @@
-//! Differential test of the two-column bitstream search.
+//! Differential test of the bitstream search.
 //!
 //! `SfqPulseSim::frame_gate_qubit` propagates only columns 0 and 1 of
-//! the lab-frame product, and `find_bitstream`'s single-flip polish
-//! resumes every trial from a trail of prefix blocks. The oracle below is
-//! the earlier implementation, kept verbatim: the same GA call, then a
-//! polish that re-evaluates every trial from scratch through the full
-//! 6×6 `frame_gate(bits).top_left_block(2)`. Both must agree bit for bit
+//! the lab-frame product; `find_bitstream` scores through a
+//! `FreedomFidelity` prepared once per target (the z-phase scan's
+//! `V†·e^{±ia/2}` factors tabled), runs a GA that keeps its elites'
+//! scores, and polishes with single flips resumed from a trail of prefix
+//! blocks until one full cycle of flips is rejected. The oracle below is
+//! the earlier implementation, kept verbatim: the earlier
+//! `fidelity_with_freedom` (every scan angle's `cis` recomputed per call)
+//! and `ga_bitstring` (every elite scored again each generation), then a
+//! polish that sweeps until a whole sweep is clean and re-evaluates every
+//! trial from scratch through the full 6×6
+//! `frame_gate(bits).top_left_block(2)`. Both must agree bit for bit
 //! (`to_bits` equality on every entry, fidelity and error) on:
 //!
+//! * the fitness under both freedoms: seeded frame gates, near-unitary
+//!   2×2s and the named gates, against the named gates, Ry(π/2) and
+//!   Haar-random targets;
 //! * the qubit block of seeded random streams, the all-zero stream and
 //!   resonant combs, at both parking frequencies, both tip angles (opt
 //!   and min) and lengths 1, 64, 225 and 253, plus resumed single flips;
@@ -16,17 +25,18 @@
 //!   seeds;
 //! * `calibrate_shared` at 1, 2 and 8 threads.
 //!
-//! Debug builds run a reduced search matrix to keep the suite fast;
+//! Debug builds run a reduced matrix to keep the suite fast;
 //! `scripts/ci.sh` runs the full matrix in release (`cargo test --release
 //! -p calib --test bitstream_differential`).
 
 use calib::bitstream::{
-    comb_seed, fidelity_with_freedom, find_bitstream, rz_seed, BitstreamResult, SearchConfig,
-    ZFreedom,
+    comb_seed, fidelity_with_freedom, find_bitstream, rz_seed, BitstreamResult, FreedomFidelity,
+    SearchConfig, ZFreedom,
 };
 use digiq_core::error_model::{calibrate_shared, ErrorModelConfig};
+use qsim::complex::C64;
 use qsim::matrix::CMat;
-use qsim::optimize::{ga_bitstring, GaConfig};
+use qsim::optimize::{GaConfig, GaResult};
 use qsim::pulse::{QubitTrail, SfqParams, SfqPulseSim};
 use qsim::rng::StdRng;
 use qsim::transmon::Transmon;
@@ -35,10 +45,171 @@ use std::f64::consts::PI;
 const PARKING: [f64; 2] = [6.21286, 4.14238];
 
 mod oracle {
-    //! The earlier `find_bitstream`, verbatim, with the fitness through
-    //! the full-level frame gate.
+    //! The earlier `fidelity_with_freedom`, `ga_bitstring` (with its
+    //! private `nan_last`/`fitter`) and `find_bitstream`, verbatim, with
+    //! the fitness through the full-level frame gate.
 
     use super::*;
+    use std::cmp::Ordering;
+
+    pub fn fidelity_with_freedom(m: &CMat, v: &CMat, freedom: ZFreedom) -> f64 {
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!((v.rows(), v.cols()), (2, 2));
+        let mm = m.dagger().matmul(m).trace().re;
+        let overlap2 = match freedom {
+            ZFreedom::None => v.dagger().matmul(m).trace().abs2(),
+            ZFreedom::PrePost => {
+                // tr((Rz(a)·V·Rz(b))†·M) = e^{ib/2}·X00(a) + e^{−ib/2}·X11(a)
+                // with X = V†·diag(e^{ia/2},e^{−ia/2})·M; max over b is
+                // |X00|+|X11|; scan a (the sinusoids make 256 points ample),
+                // then golden-refine.
+                let vd = v.dagger();
+                let best_at = |a: f64| -> f64 {
+                    let d0 = C64::cis(a / 2.0);
+                    let d1 = C64::cis(-a / 2.0);
+                    let x00 = vd[(0, 0)] * d0 * m[(0, 0)] + vd[(0, 1)] * d1 * m[(1, 0)];
+                    let x11 = vd[(1, 0)] * d0 * m[(0, 1)] + vd[(1, 1)] * d1 * m[(1, 1)];
+                    x00.abs() + x11.abs()
+                };
+                let mut best = 0.0f64;
+                let mut best_a = 0.0f64;
+                for k in 0..256 {
+                    let a = k as f64 / 256.0 * 4.0 * PI; // period 4π in a/2
+                    let s = best_at(a);
+                    if s > best {
+                        best = s;
+                        best_a = a;
+                    }
+                }
+                // Local refinement.
+                let (mut lo, mut hi) = (best_a - 4.0 * PI / 256.0, best_a + 4.0 * PI / 256.0);
+                for _ in 0..40 {
+                    let m1 = lo + (hi - lo) / 3.0;
+                    let m2 = hi - (hi - lo) / 3.0;
+                    if best_at(m1) < best_at(m2) {
+                        lo = m1;
+                    } else {
+                        hi = m2;
+                    }
+                }
+                best_at(0.5 * (lo + hi)).max(best).powi(2)
+            }
+        };
+        ((mm + overlap2) / 6.0).clamp(0.0, 1.0)
+    }
+
+    fn nan_last(a: f64, b: f64) -> Ordering {
+        match (a.is_nan(), b.is_nan()) {
+            (false, false) if a < b => Ordering::Less,
+            (false, false) if a > b => Ordering::Greater,
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
+        }
+    }
+
+    fn fitter(a: f64, b: f64) -> bool {
+        nan_last(-a, -b).is_lt()
+    }
+
+    pub fn ga_bitstring(
+        mut fitness: impl FnMut(&[bool]) -> f64,
+        len: usize,
+        seeds: &[Vec<bool>],
+        cfg: GaConfig,
+    ) -> GaResult {
+        assert!(len > 0, "bitstring length must be positive");
+        assert!(cfg.population >= 4, "population too small");
+        for s in seeds {
+            assert_eq!(s.len(), len, "seed length mismatch");
+        }
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut population: Vec<Vec<bool>> = Vec::with_capacity(cfg.population);
+        for s in seeds.iter().take(cfg.population) {
+            population.push(s.clone());
+        }
+        while population.len() < cfg.population {
+            // Mutated copies of seeds (if any) plus pure random fill.
+            if !seeds.is_empty() && population.len() < cfg.population / 2 {
+                let base = &seeds[population.len() % seeds.len()];
+                let mut ind = base.clone();
+                for b in ind.iter_mut() {
+                    if rng.gen::<f64>() < 0.05 {
+                        *b = !*b;
+                    }
+                }
+                population.push(ind);
+            } else {
+                population.push((0..len).map(|_| rng.gen::<bool>()).collect());
+            }
+        }
+        let mut scores: Vec<f64> = population.iter().map(|p| fitness(p)).collect();
+
+        let mut best_idx = 0;
+        for gen in 0..cfg.generations {
+            // Track best.
+            for (i, &s) in scores.iter().enumerate() {
+                if fitter(s, scores[best_idx]) {
+                    best_idx = i;
+                }
+            }
+            if gen + 1 == cfg.generations {
+                break;
+            }
+
+            let mut order: Vec<usize> = (0..cfg.population).collect();
+            order.sort_by(|&a, &b| nan_last(-scores[a], -scores[b]));
+
+            let mut next: Vec<Vec<bool>> = order
+                .iter()
+                .take(cfg.elitism)
+                .map(|&i| population[i].clone())
+                .collect();
+
+            let tournament_pick = |rng: &mut StdRng, scores: &[f64]| -> usize {
+                let mut best = rng.gen_range(0..cfg.population);
+                for _ in 1..cfg.tournament {
+                    let c = rng.gen_range(0..cfg.population);
+                    if fitter(scores[c], scores[best]) {
+                        best = c;
+                    }
+                }
+                best
+            };
+
+            while next.len() < cfg.population {
+                let p1 = tournament_pick(&mut rng, &scores);
+                let p2 = tournament_pick(&mut rng, &scores);
+                let mut child: Vec<bool> = (0..len)
+                    .map(|j| {
+                        if rng.gen::<bool>() {
+                            population[p1][j]
+                        } else {
+                            population[p2][j]
+                        }
+                    })
+                    .collect();
+                for b in child.iter_mut() {
+                    if rng.gen::<f64>() < cfg.mutation_rate {
+                        *b = !*b;
+                    }
+                }
+                next.push(child);
+            }
+            population = next;
+            scores = population.iter().map(|p| fitness(p)).collect();
+            best_idx = 0;
+        }
+
+        for (i, &s) in scores.iter().enumerate() {
+            if fitter(s, scores[best_idx]) {
+                best_idx = i;
+            }
+        }
+        GaResult {
+            bits: population[best_idx].clone(),
+            fitness: scores[best_idx],
+            generations: cfg.generations,
+        }
+    }
 
     pub fn frame_gate_qubit(sim: &SfqPulseSim, bits: &[bool]) -> CMat {
         sim.frame_gate(bits).top_left_block(2)
@@ -125,6 +296,81 @@ fn assert_bits_eq(got: &CMat, want: &CMat, what: &str) {
 
 fn random_bits(rng: &mut StdRng, len: usize, density: f64) -> Vec<bool> {
     (0..len).map(|_| rng.gen::<f64>() < density).collect()
+}
+
+/// A Haar-random 2×2 unitary (Haar tip angle, uniform Euler phases and
+/// a global phase).
+fn haar_unitary(rng: &mut StdRng) -> CMat {
+    let theta = 2.0 * rng.gen::<f64>().sqrt().asin();
+    let u = qsim::gates::u_zyz(theta, rng.gen_range(-PI..PI), rng.gen_range(-PI..PI));
+    u.scale(C64::cis(rng.gen_range(-PI..PI)))
+}
+
+/// The fitness differential's evolutions `m`: qubit blocks of seeded
+/// frame gates, near-unitary 2×2s (a Haar unitary shrunk and nudged, as
+/// leakage and drift leave a block) and the named gates.
+fn fitness_evolutions(rng: &mut StdRng) -> Vec<(CMat, String)> {
+    let per_kind = if cfg!(debug_assertions) { 6 } else { 40 };
+    let mut out = Vec::new();
+    for f in PARKING {
+        for (pname, params) in [("opt", opt_params()), ("min", min_params())] {
+            let sim = SfqPulseSim::new(Transmon::new(f), params);
+            out.push((
+                sim.frame_gate_qubit(&sim.resonant_comb(63)),
+                format!("{f} {pname} comb"),
+            ));
+            for k in 0..per_kind {
+                let bits = random_bits(rng, 253, 0.05 + 0.1 * (k % 5) as f64);
+                out.push((
+                    sim.frame_gate_qubit(&bits),
+                    format!("{f} {pname} stream {k}"),
+                ));
+            }
+        }
+    }
+    for k in 0..per_kind {
+        let mut m = haar_unitary(rng).scale(C64::new(1.0 - 0.02 * rng.gen::<f64>(), 0.0));
+        for z in m.as_mut_slice() {
+            *z += C64::new(rng.gen_range(-1e-3..1e-3), rng.gen_range(-1e-3..1e-3));
+        }
+        out.push((m, format!("near-unitary {k}")));
+    }
+    for (name, g) in named_gates() {
+        out.push((g, name.to_string()));
+    }
+    out
+}
+
+fn named_gates() -> [(&'static str, CMat); 4] {
+    use qsim::gates::{h, s, t, x};
+    [("H", h()), ("X", x()), ("S", s()), ("T", t())]
+}
+
+#[test]
+fn fitness_matches_the_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xF17_0E55);
+    let evolutions = fitness_evolutions(&mut rng);
+    let mut targets: Vec<(CMat, String)> = named_gates()
+        .into_iter()
+        .map(|(name, g)| (g, name.to_string()))
+        .collect();
+    targets.push((qsim::gates::ry(PI / 2.0), "Ry(pi/2)".to_string()));
+    let haar = if cfg!(debug_assertions) { 4 } else { 24 };
+    for k in 0..haar {
+        targets.push((haar_unitary(&mut rng), format!("Haar {k}")));
+    }
+    for freedom in [ZFreedom::None, ZFreedom::PrePost] {
+        for (v, vname) in &targets {
+            let prepared = FreedomFidelity::new(v, freedom);
+            for (m, mname) in &evolutions {
+                let want = oracle::fidelity_with_freedom(m, v, freedom);
+                let what = format!("{freedom:?}: {mname} against {vname}");
+                for got in [prepared.fidelity(m), fidelity_with_freedom(m, v, freedom)] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got:e} vs {want:e}");
+                }
+            }
+        }
+    }
 }
 
 /// Every case of the qubit-block matrix: both frequencies, both tip

@@ -12,7 +12,10 @@
 //!   pulses, 2 starts, seeds `0xF160_10B0 + idx` and `0xF160_10B1 + idx`)
 //!   and a 3-pulse call per pair;
 //! * `n_pulses` 1..=3 × `starts` 1..=4 × several seeds on a few pairs;
-//! * `calibrate_shared_pulse`'s hold scan.
+//! * `calibrate_shared_pulse`'s hold scan, and `calibrate_shared_pulse_on`
+//!   at 1, 2 and 8 workers (the holds scanned in parallel over one
+//!   shared propagator cache), whose counter tallies must also be equal
+//!   across worker counts.
 //!
 //! Every call must also tally exactly the oracle's flops, and its counted
 //! allocations must stay at a constant that does not grow with the
@@ -22,7 +25,10 @@
 //! `scripts/ci.sh` runs the full matrix in release (`cargo test --release
 //! -p calib --test cz_differential`).
 
-use calib::cz::{calibrate_shared_pulse, cz_error_with_local_1q, uqq_for_drift, SharedCzPulse};
+use calib::cz::{
+    calibrate_shared_pulse, calibrate_shared_pulse_on, cz_error_with_local_1q, uqq_for_drift,
+    SharedCzPulse,
+};
 use qsim::counters::counted;
 use qsim::matrix::CMat;
 use qsim::two_qubit::{CoupledTransmons, DetuningWaveform, PropagatorCache};
@@ -339,4 +345,25 @@ fn shared_pulse_calibration_matches() {
     let got = calibrate_shared_pulse(&pair, 4.0, 0.25);
     assert_eq!(got.waveform, want.waveform);
     assert_eq!(got.nominal_error.to_bits(), want.nominal_error.to_bits());
+}
+
+#[test]
+fn parallel_hold_scan_matches_at_any_worker_count() {
+    let pair = paper_pair();
+    let want = oracle::calibrate_shared_pulse(&pair, 4.0, 0.25);
+    let mut tallies = Vec::new();
+    for workers in [1, 2, 8] {
+        let (got, tally) = counted(|| calibrate_shared_pulse_on(&pair, 4.0, 0.25, workers));
+        assert_eq!(got.waveform, want.waveform, "{workers} workers");
+        assert_eq!(
+            got.nominal_error.to_bits(),
+            want.nominal_error.to_bits(),
+            "{workers} workers"
+        );
+        assert!(tally.flops > 0, "{workers} workers: tallies lost");
+        tallies.push((workers, tally));
+    }
+    for (workers, tally) in &tallies[1..] {
+        assert_eq!(*tally, tallies[0].1, "{workers} workers vs 1");
+    }
 }

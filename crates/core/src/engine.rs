@@ -23,7 +23,9 @@
 //!   worker's shard journal. Every run mode of [`EvalEngine`] is one
 //!   pick of source × sink, and all of them hand their records to one
 //!   report assembly that stamps either the live cache delta or the
-//!   deterministic cold-run accounting;
+//!   deterministic cold-run accounting. Its workers come from
+//!   [`qsim::par::run_pool`], the pool that the re-exported
+//!   [`par_map_ordered`] runs on too;
 //! * expensive shared artifacts are memoized build-once in the engine's
 //!   [`ArtifactStore`] (see [`crate::store`]) so no artifact is built
 //!   twice across the sweep: synthesized [`DesignHardware`] per
@@ -100,7 +102,6 @@ use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, ScheduleStrategy};
 use qcircuit::topology::Grid;
-use qsim::counters::KernelCounters;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
@@ -109,67 +110,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The number of workers a sweep uses when the caller does not care:
-/// every available core.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The crate's one worker pool: `workers` (at least one) scoped threads,
-/// each calling `step` until it returns `false`. Both the sweep executor
-/// and [`par_map_ordered`] run on it.
-fn run_pool(workers: usize, step: impl Fn() -> bool + Sync) {
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1) {
-            s.spawn(|| while step() {});
-        }
-    });
-}
-
-/// Order-preserving parallel map: `f(i, &items[i])` runs on a pool of
-/// `workers` scoped threads pulling indices from an atomic counter, and
-/// the results are returned **in input order** regardless of worker count
-/// or scheduling — the merge step every deterministic sweep binary uses.
-///
-/// The `qsim::counters` tallies each call accrues on its worker thread
-/// are added into the calling thread's table at the join, so a
-/// `counted` scope around the map sees the same totals for any worker
-/// count.
-///
-/// # Panics
-///
-/// Propagates any panic raised inside `f`.
-pub fn par_map_ordered<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(R, KernelCounters)>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    run_pool(workers.min(items.len()), || {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(item) = items.get(i) else {
-            return false;
-        };
-        *lock_unpoisoned(&slots[i]) = Some(qsim::counters::counted(|| f(i, item)));
-        true
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            let (r, tally) = m
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("worker completed every claimed job");
-            qsim::counters::add(&tally);
-            r
-        })
-        .collect()
-}
+use qsim::par::run_pool;
+pub use qsim::par::{default_workers, par_map_ordered};
 
 /// Scale at which a benchmark instance is generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -2046,17 +1988,6 @@ mod tests {
         assert!(report.normalized_time >= 1.0);
         assert!(report.exec.total_ns > 0.0);
         assert_eq!(report.logical_gates, 16 + 8);
-    }
-
-    #[test]
-    fn par_map_preserves_order_for_any_worker_count() {
-        let items: Vec<usize> = (0..57).collect();
-        let serial = par_map_ordered(&items, 1, |i, &x| i * 1000 + x * x);
-        for workers in [2, 4, 9] {
-            let parallel = par_map_ordered(&items, workers, |i, &x| i * 1000 + x * x);
-            assert_eq!(serial, parallel);
-        }
-        assert!(par_map_ordered(&[] as &[usize], 4, |_, &x| x).is_empty());
     }
 
     #[test]

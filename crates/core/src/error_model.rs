@@ -16,13 +16,15 @@
 //!
 //! Every parallel stage goes through [`crate::engine::par_map_ordered`]:
 //! the six shared-bitstream searches of [`calibrate_shared`] (three per
-//! parking frequency), the qubits of [`fig10a`] and the couplers of
-//! [`fig10b`]. Results merge in input order, so every output is
-//! independent of the thread count.
+//! parking frequency), the qubits of [`fig10a`], and in [`fig10b`] the
+//! shared CZ pulse's hold-time scan
+//! ([`calib::cz::calibrate_shared_pulse_on`]) and then the couplers.
+//! Results merge in input order, so every output is independent of the
+//! thread count.
 
 use crate::engine::par_map_ordered;
 use calib::bitstream::{basis_op_for_qubit, find_bitstream, SearchConfig, ZFreedom};
-use calib::cz::{calibrate_shared_pulse, cz_error_with_local_1q, uqq_for_drift, SharedCzPulse};
+use calib::cz::{calibrate_shared_pulse_on, cz_error_with_local_1q, uqq_for_drift, SharedCzPulse};
 use calib::drift::{sample_population, DriftModel};
 use calib::min_decomp::{decompose_min, MinBasis, SequenceDb};
 use calib::opt_decomp::{decompose_opt_with, OptBasis, OptTables};
@@ -53,8 +55,8 @@ pub struct ErrorModelConfig {
     /// GA budget for the shared-bitstream searches.
     pub ga: GaConfig,
     /// Worker threads for each parallel stage: the shared-bitstream
-    /// searches, the Fig 10a qubits and the Fig 10b couplers. Results
-    /// do not depend on it.
+    /// searches, the Fig 10a qubits, the Fig 10b CZ hold-time scan and
+    /// the Fig 10b couplers. Results do not depend on it.
     pub threads: usize,
 }
 
@@ -289,7 +291,9 @@ impl ToJson for CouplerErrorRow {
     }
 }
 
-/// Evaluates Fig 10b over (a sample of) the grid couplers.
+/// Evaluates Fig 10b over (a sample of) the grid couplers, after
+/// calibrating the shared CZ pulse's hold time on `config.threads`
+/// workers.
 ///
 /// `oneq_error` supplies the per-qubit single-qubit error (from
 /// [`fig10a`]) folded in for the gates flanking each `Uqq`;
@@ -309,7 +313,7 @@ pub fn fig10b(
     );
     let nominal =
         CoupledTransmons::paper_pair(config.parking_ghz[0], *config.parking_ghz.last().unwrap());
-    let pulse: SharedCzPulse = calibrate_shared_pulse(&nominal, 4.0, 0.25);
+    let pulse: SharedCzPulse = calibrate_shared_pulse_on(&nominal, 4.0, 0.25, config.threads);
 
     let couplers: Vec<(usize, (usize, usize))> = grid
         .couplers()

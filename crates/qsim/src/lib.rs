@@ -21,7 +21,9 @@
 //! * [`fidelity`] — average gate fidelity with leakage accounting
 //!   (refs \[44\], \[45\]);
 //! * [`optimize`] — Nelder–Mead and a genetic bitstring search used by
-//!   the software-calibration layer.
+//!   the software-calibration layer;
+//! * [`par`] — the one worker pool and order-preserving parallel map,
+//!   which rolls worker [`counters`] into the caller's table.
 //!
 //! ## Units
 //!
@@ -52,6 +54,7 @@ pub mod fidelity;
 pub mod gates;
 pub mod matrix;
 pub mod optimize;
+pub mod par;
 pub mod pulse;
 pub mod rng;
 pub mod transmon;

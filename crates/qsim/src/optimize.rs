@@ -237,6 +237,10 @@ impl Default for GaConfig {
 /// is random. This mirrors the genetic bitstream search of the paper's
 /// ref \[13\].
 ///
+/// `fitness` must be pure (the same bits always score the same): elites
+/// carried into the next generation keep their scores instead of being
+/// scored again.
+///
 /// # Panics
 ///
 /// Panics if `len == 0`, `cfg.population < 4`, or any seed has the wrong
@@ -289,11 +293,15 @@ pub fn ga_bitstring(
         let mut order: Vec<usize> = (0..cfg.population).collect();
         order.sort_by(|&a, &b| nan_last(-scores[a], -scores[b]));
 
+        // The elites keep their scores: the fitness is pure, so scoring
+        // an unchanged clone again would only repeat the call.
         let mut next: Vec<Vec<bool>> = order
             .iter()
             .take(cfg.elitism)
             .map(|&i| population[i].clone())
             .collect();
+        let mut next_scores: Vec<f64> =
+            order.iter().take(cfg.elitism).map(|&i| scores[i]).collect();
 
         let tournament_pick = |rng: &mut StdRng, scores: &[f64]| -> usize {
             let mut best = rng.gen_range(0..cfg.population);
@@ -325,8 +333,9 @@ pub fn ga_bitstring(
             }
             next.push(child);
         }
+        next_scores.extend(next[next_scores.len()..].iter().map(|p| fitness(p)));
         population = next;
-        scores = population.iter().map(|p| fitness(p)).collect();
+        scores = next_scores;
         best_idx = 0;
     }
 
@@ -407,6 +416,30 @@ mod tests {
         let a = ga_bitstring(f, 16, &[], GaConfig::default());
         let b = ga_bitstring(f, 16, &[], GaConfig::default());
         assert_eq!(a.bits, b.bits);
+    }
+
+    #[test]
+    fn ga_scores_each_elite_once() {
+        // The first generation scores the whole population; every later
+        // one scores only its children, not the carried elites.
+        let calls = std::cell::Cell::new(0usize);
+        let cfg = GaConfig {
+            population: 10,
+            generations: 7,
+            elitism: 3,
+            ..GaConfig::default()
+        };
+        let r = ga_bitstring(
+            |b: &[bool]| {
+                calls.set(calls.get() + 1);
+                b.iter().filter(|&&x| x).count() as f64
+            },
+            16,
+            &[],
+            cfg,
+        );
+        assert_eq!(calls.get(), 10 + 6 * (10 - 3));
+        assert_eq!(r.fitness, r.bits.iter().filter(|&&x| x).count() as f64);
     }
 
     #[test]

@@ -169,12 +169,6 @@ impl SfqPulseSim {
         (2.0 * PI * self.transmon.frequency_ghz * self.params.clock_period_ns).rem_euclid(2.0 * PI)
     }
 
-    /// The Rz angle reachable by delaying a stored bitstream by `d` clock
-    /// cycles: `θ_d = d·2π·f·T_clk mod 2π` (§IV-A2).
-    pub fn delay_phase(&self, d: usize) -> f64 {
-        (d as f64 * self.phase_per_tick()).rem_euclid(2.0 * PI)
-    }
-
     /// A deterministic resonant comb: pulses as close as possible to once
     /// per qubit oscillation period, for `n_pulses` pulses. This is the
     /// intuitive Fig 2 drive and the seed for the genetic bitstream search.
@@ -470,14 +464,21 @@ mod tests {
         assert!((traj[1].0 - traj[2].0).abs() > 1e-3);
     }
 
+    /// The Rz angle reachable by delaying a stored bitstream by `d` clock
+    /// cycles: `θ_d = d·2π·f·T_clk mod 2π` (§IV-A2).
+    fn delay_phase(s: &SfqPulseSim, d: usize) -> f64 {
+        (d as f64 * s.phase_per_tick()).rem_euclid(2.0 * PI)
+    }
+
     #[test]
     fn delay_phase_wraps_correctly() {
         let s = sim();
         let per = s.phase_per_tick();
-        assert!((s.delay_phase(1) - per).abs() < 1e-12);
-        let d3 = s.delay_phase(3);
+        assert!((0.0..2.0 * PI).contains(&per));
+        assert!((delay_phase(&s, 1) - per).abs() < 1e-12);
+        let d3 = delay_phase(&s, 3);
         assert!((d3 - (3.0 * per).rem_euclid(2.0 * PI)).abs() < 1e-12);
-        assert_eq!(s.delay_phase(0), 0.0);
+        assert_eq!(delay_phase(&s, 0), 0.0);
     }
 
     #[test]
@@ -495,7 +496,7 @@ mod tests {
         // Broadcasting the stored bitstream `d` cycles late is the
         // diagonal conjugation Rz(−θ_d) · U(b) · Rz(θ_d) of Fig 3.
         let base = s.frame_gate(&bits);
-        let theta = s.delay_phase(d);
+        let theta = delay_phase(&s, d);
         let rz = CMat::diag(
             &(0..base.rows())
                 .map(|k| C64::cis(-(k as f64) * theta))

@@ -35,7 +35,7 @@ use crate::matrix::CMat;
 use crate::transmon::Transmon;
 use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of levels per transmon in the two-qubit model. Three levels
 /// suffice to capture the |20⟩ state that mediates the CZ interaction and
@@ -292,12 +292,17 @@ impl CoupledTransmons {
 /// Each entry is `exp(−i·H(δ)·2π·dt)` for one physical pair; scope a cache
 /// per [`CoupledTransmons`] instance (the key does not include the pair's
 /// frequencies). Shared behind a `Mutex` so a calibration scan can be
-/// parallelized over `std::thread::scope` workers without duplicating
-/// `expm` work.
+/// parallelized over `std::thread::scope` workers, and each step is built
+/// once: a worker that asks for a step another worker is building waits
+/// for it, so below the 1,024-step bound the scan's total `expm` work
+/// (and its counter tallies) do not depend on the worker count.
 #[derive(Debug, Default)]
 pub struct PropagatorCache {
-    steps: Mutex<HashMap<(u64, u64), Arc<CMat>>>,
+    steps: Mutex<HashMap<(u64, u64), StepSlot>>,
 }
+
+/// One cached step: filled once by whichever worker asked for it first.
+type StepSlot = Arc<OnceLock<Arc<CMat>>>;
 
 impl PropagatorCache {
     /// Creates an empty cache.
@@ -305,7 +310,8 @@ impl PropagatorCache {
         Self::default()
     }
 
-    /// Number of distinct `(delta, dt)` propagators built so far.
+    /// Number of distinct `(delta, dt)` propagators built (or being
+    /// built) so far.
     pub fn len(&self) -> usize {
         self.steps.lock().unwrap().len()
     }
@@ -317,20 +323,25 @@ impl PropagatorCache {
 
     fn get_or_build(&self, delta_bits: u64, dt_ns: f64, build: impl FnOnce() -> CMat) -> Arc<CMat> {
         let key = (delta_bits, dt_ns.to_bits());
-        if let Some(step) = self.steps.lock().unwrap().get(&key) {
-            return step.clone();
-        }
-        // Built outside the lock: expm is the expensive part, and a rare
-        // duplicate build is cheaper than holding the mutex through it.
-        let step = Arc::new(build());
-        let mut steps = self.steps.lock().unwrap();
-        // Bound the memo: a sweep over thousands of distinct amplitudes
-        // degrades to cache misses instead of unbounded growth (each 9×9
-        // entry is ~1.3 KB). Clearing never changes results, only timing.
-        if steps.len() >= 1024 {
-            steps.clear();
-        }
-        steps.entry(key).or_insert(step).clone()
+        let slot = {
+            let mut steps = self.steps.lock().unwrap();
+            match steps.get(&key) {
+                Some(slot) => slot.clone(),
+                None => {
+                    // Bound the memo: a sweep over thousands of distinct
+                    // amplitudes degrades to cache misses instead of
+                    // unbounded growth (each 9×9 entry is ~1.3 KB).
+                    // Clearing never changes results, only timing.
+                    if steps.len() >= 1024 {
+                        steps.clear();
+                    }
+                    steps.entry(key).or_default().clone()
+                }
+            }
+        };
+        // Built outside the map lock: expm is the expensive part, and
+        // only requests for this one step wait on it.
+        slot.get_or_init(|| Arc::new(build())).clone()
     }
 }
 
