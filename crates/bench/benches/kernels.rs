@@ -210,10 +210,12 @@ fn bench_compile(h: &mut Bench) {
 
 /// The analytic Fig 9 execution model over the six Table IV benchmarks
 /// at paper scale, compiled once on the 32×32 grid by the default
-/// pipeline: one row per design family the model charges differently.
+/// pipeline: one row per design family the model charges differently,
+/// each executing prebuilt plans as the engine does, plus the one-off
+/// plan build of every compile.
 fn bench_exec(h: &mut Bench) {
     use digiq_core::design::{ControllerDesign, SystemConfig};
-    use digiq_core::exec::{checkerboard_groups, execute, ExecParams};
+    use digiq_core::exec::{checkerboard_groups, execute_plan, ExecParams, ExecPlan};
     use qcircuit::mapping::Layout;
     use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
     use qcircuit::topology::Grid;
@@ -229,6 +231,16 @@ fn bench_exec(h: &mut Bench) {
                 .0
         })
         .collect();
+    h.bench("exec_plan_build_paper", || {
+        compiled
+            .iter()
+            .map(|art| ExecPlan::new(black_box(&art.circuit), art.scheduled()))
+            .collect::<Vec<_>>()
+    });
+    let plans: Vec<ExecPlan> = compiled
+        .iter()
+        .map(|art| ExecPlan::new(&art.circuit, art.scheduled()))
+        .collect();
     let groups = checkerboard_groups(grid.cols(), grid.n_qubits(), 2);
     for (name, design) in [
         ("exec_opt_bs8_paper", ControllerDesign::DigiqOpt { bs: 8 }),
@@ -237,11 +249,9 @@ fn bench_exec(h: &mut Bench) {
         let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
         params.config.n_qubits = grid.n_qubits();
         h.bench(name, || {
-            compiled
+            plans
                 .iter()
-                .map(|art| {
-                    execute(&art.circuit, art.scheduled(), &groups, black_box(&params)).total_ns
-                })
+                .map(|plan| execute_plan(plan, &groups, black_box(&params)).total_ns)
                 .sum::<f64>()
         });
     }

@@ -87,6 +87,24 @@ fn phase_overlap(row: &[C64; 4], m: &CMat) -> f64 {
     x00.abs() + x11.abs()
 }
 
+/// `tr(A·B)` of 2×2 blocks, entry `A[i][k]` given by `a(i, k)`, summed in
+/// exactly the order of `matmul_into` then `trace` but on the stack: each
+/// diagonal entry accumulates its two products from zero in `k` order,
+/// and the trace adds the diagonal to zero.
+fn trace_of_product(a: impl Fn(usize, usize) -> C64, b: &CMat) -> C64 {
+    let mut trace = C64::ZERO;
+    for i in 0..2 {
+        let mut d = C64::ZERO;
+        for k in 0..2 {
+            let (x, y) = (a(i, k), b[(k, i)]);
+            d.re += x.re * y.re - x.im * y.im;
+            d.im += x.re * y.im + x.im * y.re;
+        }
+        trace += d;
+    }
+    trace
+}
+
 /// [`fidelity_with_freedom`] against one target, prepared once: `V†`
 /// and, for [`ZFreedom::PrePost`], the 256 rows of the z-phase scan,
 /// whose angles do not depend on `m`. Each score is bit for bit the
@@ -125,9 +143,9 @@ impl FreedomFidelity {
     /// Panics if `m` is not 2×2.
     pub fn fidelity(&self, m: &CMat) -> f64 {
         assert_eq!((m.rows(), m.cols()), (2, 2));
-        let mm = m.dagger().matmul(m).trace().re;
+        let mm = trace_of_product(|i, k| m[(k, i)].conj(), m).re;
         let overlap2 = match self.freedom {
-            ZFreedom::None => self.vd.matmul(m).trace().abs2(),
+            ZFreedom::None => trace_of_product(|i, k| self.vd[(i, k)], m).abs2(),
             ZFreedom::PrePost => {
                 // tr((Rz(a)·V·Rz(b))†·M) = e^{ib/2}·X00(a) + e^{−ib/2}·X11(a)
                 // with X = V†·diag(e^{ia/2},e^{−ia/2})·M; max over b is

@@ -16,8 +16,13 @@
 //! All three are pure functions of the gate, the qubit, and
 //! [`crate::exec::ExecParams`], hashed through the repo's pinned
 //! [`qsim::rng::stable_hash`]. A [`DelayModel`] lives for one engine call
-//! and hashes each distinct draw key once, into per-call tables; delay
-//! classes come back as canonical ids assigned by draw value. Keeping
+//! and hashes each distinct draw key once, into per-call tables: dense
+//! arrays indexed by the gate's angle bin for every fixed and rotation
+//! gate, and a hash map for the rest (`U` gates, whose bins are sparse).
+//! Delay classes come back as canonical ids assigned by draw value. The
+//! `*_of_bin` entry points take a bin computed once per gate kind, which
+//! is how [`crate::exec::execute_plan`] avoids recomputing [`gate_bin`]
+//! per gate. Keeping
 //! them here — instead of inlined in each engine — is what makes the
 //! differential tests (`crates/core/tests/cosim_diff.rs`) meaningful: the
 //! two engines agree on *what each gate costs* by construction, so any
@@ -73,12 +78,12 @@ pub fn gate_bin(kind: OneQ, bins: usize) -> u64 {
 /// of [`DelayModel::firing_count`]).
 pub const MAX_FIRINGS: usize = 3;
 
-/// Multiply-rotate word hasher for the per-gate draw-table lookups. The
-/// keys are small integer tuples derived from compiled circuits, not
-/// outside input, and the default SipHash doubles the per-gate cost of
-/// `exec::execute`.
+/// Multiply-rotate word hasher for the draw-table maps and the exec
+/// plan's kind interning. The keys are small integer tuples derived from
+/// compiled circuits, not outside input, and the default SipHash doubles
+/// their per-gate cost.
 #[derive(Default)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
@@ -100,10 +105,24 @@ impl Hasher for WordHasher {
     }
 }
 
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Bins below this index get dense draw tables; the fixed gates (1–8)
+/// and the rotation bins (`100 + 3·angle_bins` at most) land there for
+/// up to 299 angle bins, while `U` bins (1000 and up) use the maps.
+const DENSE_BIN_LIMIT: u64 = 1000;
+
+/// Most dense-table entries a model allocates; params whose tables
+/// would be larger draw through the maps alone.
+const DENSE_ENTRY_LIMIT: usize = 1 << 16;
+
+/// "Not drawn yet" in the dense tables. A real draw equal to the marker
+/// only means that entry is re-drawn on each use, with the same value.
+const UNDRAWN_DEPTH: usize = usize::MAX;
+const UNDRAWN_ROW: [u32; MAX_FIRINGS] = [u32::MAX; MAX_FIRINGS];
 
 /// The per-gate cost/delay assignment of one [`ExecParams`] over one
-/// circuit's qubits, owned by one `exec::execute` or `cosim::simulate`
+/// circuit's qubits, owned by one `exec::execute_plan` or `cosim::simulate`
 /// call. Both execution engines take every draw through it, so identical
 /// params guarantee identical draws.
 ///
@@ -111,7 +130,9 @@ type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 /// needs a key fills a table, and every later gate reads the table (a
 /// delay-class row draws all [`MAX_FIRINGS`] positions at once). A value
 /// is always exactly [`qsim::rng::stable_hash`] of the same words, and the
-/// tables die with the model, so nothing outlives the call.
+/// tables die with the model, so nothing outlives the call. Which table
+/// holds a key (dense array or map) never changes a value or the order
+/// in which class ids are assigned.
 #[derive(Debug, Clone)]
 pub struct DelayModel<'a> {
     seed: u64,
@@ -121,10 +142,18 @@ pub struct DelayModel<'a> {
     /// Per qubit: `(q % variation_classes) << 1 | group % 2`, the qubit's
     /// part of its delay-class keys.
     qubit_keys: Vec<u64>,
-    /// `min_depth` draws by `(gate_bin, q % 7)`.
+    /// Bound on the qubit keys (the row stride of `dense_classes`).
+    key_count: usize,
+    /// Bins below this have dense tables (0 when they would be too big).
+    dense_bins: u64,
+    /// `min_depth` draws at `bin * 7 + q % 7`, allocated on first use.
+    dense_depths: Vec<usize>,
+    /// Class-id rows at `bin * key_count + qubit key`, allocated on
+    /// first use.
+    dense_classes: Vec<[u32; MAX_FIRINGS]>,
+    /// `min_depth` draws of the sparse bins by `(gate_bin, q % 7)`.
     depths: WordMap<(u64, u64), usize>,
-    /// Canonical class ids of every firing position by `(gate_bin,
-    /// qubit key)`.
+    /// Class-id rows of the sparse bins by `(gate_bin, qubit key)`.
     classes: WordMap<(u64, u64), [u32; MAX_FIRINGS]>,
     /// Draw value → canonical class id, in first-draw order.
     class_ids: WordMap<u64, u32>,
@@ -136,22 +165,42 @@ impl<'a> DelayModel<'a> {
     /// in SIMD group `group_of[q]` (group 0 past the end of `group_of`).
     pub fn new(params: &'a ExecParams, group_of: &[usize], n_qubits: usize) -> Self {
         let variation_classes = params.variation_classes.max(1);
+        let qubit_keys: Vec<u64> = (0..n_qubits)
+            .map(|q| {
+                let parity = group_of.get(q).copied().unwrap_or(0) % 2; // frequency class
+                let variation = q % variation_classes; // drift-forced
+                (variation as u64) << 1 | parity as u64
+            })
+            .collect();
+        // A key is `variation << 1 | parity` with `variation < n_qubits`,
+        // so the keys index a dense row directly.
+        let key_count = 2 * variation_classes.min(n_qubits.max(1));
+        let bins = (params.angle_bins as u64)
+            .saturating_mul(3)
+            .saturating_add(101)
+            .min(DENSE_BIN_LIMIT);
+        let fits = (bins as usize).saturating_mul(key_count.max(7)) <= DENSE_ENTRY_LIMIT;
         DelayModel {
             seed: params.seed,
             angle_bins: params.angle_bins,
             opt_l3_threshold: params.opt_l3_threshold,
             min_lengths: &params.min_lengths,
-            qubit_keys: (0..n_qubits)
-                .map(|q| {
-                    let parity = group_of.get(q).copied().unwrap_or(0) % 2; // frequency class
-                    let variation = q % variation_classes; // drift-forced
-                    (variation as u64) << 1 | parity as u64
-                })
-                .collect(),
+            qubit_keys,
+            key_count,
+            dense_bins: if fits { bins } else { 0 },
+            dense_depths: Vec::new(),
+            dense_classes: Vec::new(),
             depths: WordMap::default(),
             classes: WordMap::default(),
             class_ids: WordMap::default(),
         }
+    }
+
+    /// The angle bin of `kind` under this model's params: the draw-table
+    /// key of [`DelayModel::min_depth_of_bin`] and
+    /// [`DelayModel::delay_class_row`].
+    pub fn bin(&self, kind: OneQ) -> u64 {
+        gate_bin(kind, self.angle_bins)
     }
 
     /// Decomposition depth `K` (controller cycles) charged to a 1q gate on
@@ -159,12 +208,29 @@ impl<'a> DelayModel<'a> {
     /// deterministic draw from the empirical length distribution, keyed by
     /// the gate's angle class and a mild per-qubit variation.
     pub fn min_depth(&mut self, kind: OneQ, q: usize) -> usize {
-        let key = (gate_bin(kind, self.angle_bins), q as u64 % 7);
+        self.min_depth_of_bin(self.bin(kind), q)
+    }
+
+    /// [`DelayModel::min_depth`] of a gate whose [`DelayModel::bin`] is
+    /// `bin`.
+    pub fn min_depth_of_bin(&mut self, bin: u64, q: usize) -> usize {
+        let variation = q as u64 % 7;
         let (seed, lengths) = (self.seed, self.min_lengths);
-        *self.depths.entry(key).or_insert_with(|| {
-            let idx = hash_u64(&[seed, key.0, key.1]) as usize % lengths.len().max(1);
+        let draw = || {
+            let idx = hash_u64(&[seed, bin, variation]) as usize % lengths.len().max(1);
             lengths.get(idx).copied().unwrap_or(1)
-        })
+        };
+        if bin >= self.dense_bins {
+            return *self.depths.entry((bin, variation)).or_insert_with(draw);
+        }
+        if self.dense_depths.is_empty() {
+            self.dense_depths = vec![UNDRAWN_DEPTH; self.dense_bins as usize * 7];
+        }
+        let entry = &mut self.dense_depths[bin as usize * 7 + variation as usize];
+        if *entry == UNDRAWN_DEPTH {
+            *entry = draw();
+        }
+        *entry
     }
 
     /// Number of delayed-Ubs firing positions `L ∈ {1, 2, 3}` a 1q gate
@@ -196,17 +262,38 @@ impl<'a> DelayModel<'a> {
     /// Panics if `q` is not below the model's `n_qubits`.
     pub fn delay_classes(&mut self, kind: OneQ, q: usize) -> &[u32] {
         let firings = self.firing_count(kind);
-        let key = (gate_bin(kind, self.angle_bins), self.qubit_keys[q]);
+        &self.delay_class_row(self.bin(kind), q)[..firings]
+    }
+
+    /// The class ids of all [`MAX_FIRINGS`] positions of a gate on qubit
+    /// `q` whose [`DelayModel::bin`] is `bin`: [`DelayModel::delay_classes`]
+    /// is the first `firing_count` of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not below the model's `n_qubits`.
+    pub fn delay_class_row(&mut self, bin: u64, q: usize) -> &[u32; MAX_FIRINGS] {
+        let key = self.qubit_keys[q];
         let (seed, ids) = (self.seed, &mut self.class_ids);
-        let row = self.classes.entry(key).or_insert_with(|| {
-            let (bin, parity, variation) = (key.0, key.1 & 1, key.1 >> 1);
+        let mut draw = || {
+            let (parity, variation) = (key & 1, key >> 1);
             std::array::from_fn(|pos| {
                 let value = hash_u64(&[seed, bin, pos as u64, parity, variation]);
                 let fresh = ids.len() as u32;
                 *ids.entry(value).or_insert(fresh)
             })
-        });
-        &row[..firings]
+        };
+        if bin >= self.dense_bins {
+            return self.classes.entry((bin, key)).or_insert_with(draw);
+        }
+        if self.dense_classes.is_empty() {
+            self.dense_classes = vec![UNDRAWN_ROW; self.dense_bins as usize * self.key_count];
+        }
+        let row = &mut self.dense_classes[bin as usize * self.key_count + key as usize];
+        if *row == UNDRAWN_ROW {
+            *row = draw();
+        }
+        row
     }
 
     /// The empirical DigiQ_min length distribution backing
@@ -273,41 +360,60 @@ mod tests {
 
     #[test]
     fn class_ids_follow_the_draw_value() {
-        // Reference: the draws themselves, canonicalized by value.
-        let p = params();
-        let group_of = [2, 0, 3, 3, 1, 1, 0];
-        let mut m = DelayModel::new(&p, &group_of, 9);
-        let mut ids: Vec<u64> = Vec::new();
-        for (kind, q) in [
-            (OneQ::Ry(0.4), 5),
-            (OneQ::X, 7),
-            (OneQ::Ry(0.4), 8),
-            (OneQ::Rz(1.1), 2),
-            (OneQ::Ry(0.4), 2),
-        ] {
-            let group = group_of.get(q).copied().unwrap_or(0);
-            let got = m.delay_classes(kind, q).to_vec();
-            // The reference numbers ids in draw order: a row draws every
-            // position.
-            let want: Vec<u32> = (0..MAX_FIRINGS)
-                .map(|pos| {
-                    let value = hash_u64(&[
-                        p.seed,
-                        gate_bin(kind, p.angle_bins),
-                        pos as u64,
-                        (group % 2) as u64,
-                        (q % p.variation_classes) as u64,
-                    ]);
-                    match ids.iter().position(|&v| v == value) {
-                        Some(i) => i as u32,
-                        None => {
-                            ids.push(value);
-                            ids.len() as u32 - 1
+        // Reference: the draws themselves, canonicalized by value. The
+        // param sets put the gates' bins in the dense tables, past the
+        // dense range (400 bins), and in the maps alone (tables too big).
+        for (angle_bins, variation_classes) in [(48, 3), (400, 3), (48, 100_000)] {
+            let mut p = params();
+            p.angle_bins = angle_bins;
+            p.variation_classes = variation_classes;
+            let group_of = [2, 0, 3, 3, 1, 1, 0];
+            let mut m = DelayModel::new(&p, &group_of, 9);
+            let mut ids: Vec<u64> = Vec::new();
+            for (kind, q) in [
+                (OneQ::Ry(0.4), 5),
+                (OneQ::X, 7),
+                (OneQ::Ry(0.4), 8),
+                (OneQ::Rz(1.1), 2),
+                (OneQ::Rz(6.2), 2),
+                (
+                    OneQ::U {
+                        theta: 0.3,
+                        phi: 1.0,
+                        lam: 2.0,
+                    },
+                    6,
+                ),
+                (OneQ::Ry(0.4), 2),
+            ] {
+                let group = group_of.get(q).copied().unwrap_or(0);
+                let bin = gate_bin(kind, p.angle_bins);
+                let got = m.delay_classes(kind, q).to_vec();
+                // The reference numbers ids in draw order: a row draws
+                // every position.
+                let want: Vec<u32> = (0..MAX_FIRINGS)
+                    .map(|pos| {
+                        let value = hash_u64(&[
+                            p.seed,
+                            bin,
+                            pos as u64,
+                            (group % 2) as u64,
+                            (q % p.variation_classes) as u64,
+                        ]);
+                        match ids.iter().position(|&v| v == value) {
+                            Some(i) => i as u32,
+                            None => {
+                                ids.push(value);
+                                ids.len() as u32 - 1
+                            }
                         }
-                    }
-                })
-                .collect();
-            assert_eq!(got, want[..m.firing_count(kind)], "{kind:?} on q{q}");
+                    })
+                    .collect();
+                let label = format!("{kind:?} on q{q}, {angle_bins} bins");
+                assert_eq!(got, want[..m.firing_count(kind)], "{label}");
+                let idx = hash_u64(&[p.seed, bin, q as u64 % 7]) as usize % p.min_lengths.len();
+                assert_eq!(m.min_depth(kind, q), p.min_lengths[idx], "{label}");
+            }
         }
     }
 }

@@ -16,16 +16,19 @@
 //!   job from a *source*, evaluate it, append the record to a *sink* and
 //!   mark the job done, until the source is exhausted or the
 //!   [`RunControl`] stops the run (a fresh-job budget or a stop flag).
-//!   There are two sources — an atomic
-//!   counter over the jobs not yet journaled, or the claim-file scan of
-//!   a distributed worker ([`crate::store::JobClaims`], one thread per
-//!   process) — and three sinks: none, the base [`SweepJournal`], or a
+//!   There are two sources — the in-process job queue over the jobs not
+//!   yet journaled, or the claim-file scan of a distributed worker
+//!   ([`crate::store::JobClaims`], one thread per process) — and three
+//!   sinks: none, the base [`SweepJournal`], or a
 //!   worker's shard journal. Every run mode of [`EvalEngine`] is one
 //!   pick of source × sink, and all of them hand their records to one
 //!   report assembly that stamps either the live cache delta or the
 //!   deterministic cold-run accounting. Its workers come from
 //!   [`qsim::par::run_pool`], the pool that the re-exported
-//!   [`par_map_ordered`] runs on too;
+//!   [`par_map_ordered`] runs on too. The queue hands out jobs in index
+//!   order but passes over a job whose benchmark another worker is
+//!   compiling right now, while other work is pending, so no worker sits
+//!   idle on a compile it would only wait for;
 //! * expensive shared artifacts are memoized build-once in the engine's
 //!   [`ArtifactStore`] (see [`crate::store`]) so no artifact is built
 //!   twice across the sweep: synthesized [`DesignHardware`] per
@@ -34,7 +37,8 @@
 //!   per compile**, keyed by the circuit and layout fingerprints
 //!   ([`Circuit::cache_key`] / `Layout::cache_key`), the grid and the
 //!   pipeline fingerprint, so [`PipelineConfig::run`] compiles once per
-//!   benchmark and every design and seed reuses it — sequence databases
+//!   benchmark and every design and seed reuses it, together with the
+//!   compile's [`ExecPlan`] (built in the same entry) — sequence databases
 //!   / length distributions per [`MinBasisKind`], Impossible-MIMD
 //!   baselines, and co-simulation reports. With a disk-backed store
 //!   ([`StoreConfig::cache_dir`], `--cache-dir`), compiles, baselines
@@ -89,11 +93,11 @@
 
 use crate::cosim::{self, CosimParams, CosimReport};
 use crate::design::{ControllerDesign, SystemConfig};
-use crate::exec::{checkerboard_groups, execute, ExecParams, ExecReport};
+use crate::exec::{checkerboard_groups, execute_plan, ExecParams, ExecPlan, ExecReport};
 use crate::hardware::{build_hardware, DesignHardware};
 use crate::store::{
-    self, lock_unpoisoned, ns, ArtifactStore, ClaimHeartbeat, JobClaims, StoreConfig, StoreStats,
-    SweepJournal,
+    self, lock_unpoisoned, ns, Artifact, ArtifactStore, ClaimHeartbeat, JobClaims, StoreConfig,
+    StoreStats, SweepJournal,
 };
 use crate::system::{measured_min_lengths_with_db, BenchmarkReport, MinBasisKind};
 use calib::min_decomp::{SequenceDb, SharedSequenceDb};
@@ -104,7 +108,7 @@ use qcircuit::pipeline::{CompileArtifact, PipelineConfig, RouteStrategy, Schedul
 use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::{Json, ToJson};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -132,6 +136,17 @@ pub struct BenchmarkSpec {
     pub bench: Benchmark,
     /// At which scale.
     pub scale: BenchScale,
+}
+
+impl BenchmarkSpec {
+    /// Qubits the generated instance needs, computed without generating
+    /// it.
+    pub fn qubits(&self) -> usize {
+        match self.scale {
+            BenchScale::Paper => self.bench.paper_qubits(),
+            BenchScale::Small { max_qubits } => self.bench.scaled_qubits(max_qubits),
+        }
+    }
 }
 
 /// One design axis entry of a sweep.
@@ -366,8 +381,9 @@ impl SweepSpec {
     /// 65536 seeds (each below 2⁵³, the JSON round-trip bound), at most
     /// 2²⁰ jobs in all (designs × benchmarks × seeds, so
     /// [`SweepSpec::jobs`] never allocates for more), at most 2¹⁶ grid
-    /// sites, group counts in `1..=4096`, and small-scale benchmark
-    /// budgets in `8..=2^16` qubits.
+    /// sites, group counts in `1..=4096`, small-scale benchmark budgets
+    /// in `8..=2^16` qubits, and every benchmark instance fitting the
+    /// grid ([`BenchmarkSpec::qubits`]).
     ///
     /// # Errors
     ///
@@ -451,6 +467,18 @@ impl SweepSpec {
         if !sites.is_some_and(|n| (1..=MAX_SITES).contains(&n)) {
             return Err(format!(
                 "sweep spec grid out of range (1..=2^16 sites): {grid_rows}x{grid_cols}"
+            ));
+        }
+        // Every instance must fit the grid (the snake layout needs a site
+        // per logical qubit); the bound is computed, not generated.
+        if let Some(b) = benchmarks
+            .iter()
+            .find(|b| b.qubits() as u64 > grid_rows * grid_cols)
+        {
+            return Err(format!(
+                "benchmark `{}` needs {} qubits, more than the {grid_rows}x{grid_cols} grid has",
+                b.bench.name(),
+                b.qubits()
             ));
         }
         let p = j.get("pipeline").ok_or("sweep spec missing `pipeline`")?;
@@ -903,12 +931,58 @@ impl Default for EvalEngine {
     }
 }
 
-/// The compiled artifact, execution parameters and group map of one
-/// circuit under one design point, assembled by `EvalEngine::context`
-/// for both evaluation modes.
+/// The compile store entry: the pipeline's artifact and its
+/// [`ExecPlan`], built together once per compile and shared by every
+/// design and seed that executes it. Derefs to the artifact. On disk it
+/// is the artifact alone; a disk hit rebuilds the plan as it decodes.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The compiled circuit, schedule and layouts.
+    pub artifact: CompileArtifact,
+    /// The scheduled circuit flattened for [`execute_plan`].
+    pub plan: ExecPlan,
+}
+
+impl Compiled {
+    /// Pairs `artifact` with its plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact is unscheduled or its circuit unlowered.
+    pub fn new(artifact: CompileArtifact) -> Self {
+        let plan = ExecPlan::new(&artifact.circuit, artifact.scheduled());
+        Compiled { artifact, plan }
+    }
+}
+
+impl std::ops::Deref for Compiled {
+    type Target = CompileArtifact;
+
+    fn deref(&self) -> &CompileArtifact {
+        &self.artifact
+    }
+}
+
+impl Artifact for Compiled {
+    fn encode(&self) -> Json {
+        self.artifact.encode()
+    }
+
+    fn decode(j: &Json) -> Result<Self, String> {
+        let artifact = CompileArtifact::decode(j)?;
+        if artifact.slots.is_none() || !qcircuit::lower::is_lowered(&artifact.circuit) {
+            return Err("compile artifact is not a lowered, scheduled circuit".to_string());
+        }
+        Ok(Compiled::new(artifact))
+    }
+}
+
+/// The compile, execution parameters and group map of one circuit under
+/// one design point, assembled by `EvalEngine::context` for both
+/// evaluation modes.
 struct EvalContext {
     key: CompileKey,
-    compiled: Arc<CompileArtifact>,
+    compiled: Arc<Compiled>,
     params: ExecParams,
     groups: Vec<usize>,
 }
@@ -1032,7 +1106,7 @@ impl EvalEngine {
     /// pipeline `cfg` selects ([`PipelineConfig::run`]), memoized as
     /// **one store entry** per (circuit, layout, grid, pipeline config):
     /// the pipeline runs once per benchmark and every design and seed of
-    /// a sweep reuses the result.
+    /// a sweep reuses the result and its [`ExecPlan`].
     ///
     /// # Panics
     ///
@@ -1044,20 +1118,21 @@ impl EvalEngine {
         circuit: &Circuit,
         grid: &Grid,
         cfg: &PipelineConfig,
-    ) -> Arc<CompileArtifact> {
+    ) -> Arc<Compiled> {
         self.compiled(circuit, grid, cfg, compile_key(circuit, grid, cfg))
     }
 
     /// One whole-compile store lookup under `key`: a miss runs the full
-    /// pipeline once and folds every stage's metrics into the engine's
-    /// pass-build totals; a hit (coalesced waiters included) runs nothing.
+    /// pipeline once, builds the plan and folds every stage's metrics into
+    /// the engine's pass-build totals; a hit (coalesced waiters included)
+    /// runs nothing.
     fn compiled(
         &self,
         circuit: &Circuit,
         grid: &Grid,
         cfg: &PipelineConfig,
         key: CompileKey,
-    ) -> Arc<CompileArtifact> {
+    ) -> Arc<Compiled> {
         let mut built = Vec::new();
         let artifact =
             self.store
@@ -1067,7 +1142,7 @@ impl EvalEngine {
                         .run(CompileArtifact::new(circuit.clone(), layout), grid)
                         .unwrap_or_else(|e| panic!("compile pipeline: {e}"));
                     built = metrics;
-                    out
+                    Compiled::new(out)
                 });
         for m in &built {
             let mut passes = lock_unpoisoned(&self.pass_builds);
@@ -1371,7 +1446,7 @@ impl EvalEngine {
             params,
             groups,
         } = self.context(circuit, grid, pipeline, point, exec_seed);
-        let exec = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
+        let exec = execute_plan(&compiled.plan, &groups, &params);
         // The Impossible MIMD normalization baseline ignores the seed,
         // the group map and the decomposition distribution, so it is a
         // pure function of the compiled artifact — memoize it per
@@ -1383,7 +1458,7 @@ impl EvalEngine {
                 .get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
                     let mut base = params.clone();
                     base.config.design = ControllerDesign::ImpossibleMimd;
-                    execute(&compiled.circuit, compiled.scheduled(), &groups, &base)
+                    execute_plan(&compiled.plan, &groups, &base)
                 });
         BenchmarkReport {
             benchmark: name.to_string(),
@@ -1460,7 +1535,7 @@ impl EvalEngine {
                 )
             },
         );
-        let analytic = execute(&compiled.circuit, compiled.scheduled(), &groups, &params);
+        let analytic = execute_plan(&compiled.plan, &groups, &params);
         CosimRecord {
             design: job.point.design,
             groups: job.point.groups,
@@ -1506,7 +1581,7 @@ impl EvalEngine {
         workers: usize,
         live_since: Option<CacheStats>,
     ) -> SweepReport {
-        let source = Source::Counter(spec.jobs(), AtomicUsize::default());
+        let source = Source::queue(spec.jobs());
         let records = execute_jobs(source, workers, None, RunControl::default(), |job| {
             self.run_job(spec, job)
         });
@@ -1538,7 +1613,7 @@ impl EvalEngine {
     /// report carries no cache accounting, so its bytes are independent
     /// of worker count and store warmth.
     pub fn run_cosim(&self, spec: &SweepSpec, workers: usize) -> CosimSweepReport {
-        let source = Source::Counter(spec.jobs(), AtomicUsize::default());
+        let source = Source::queue(spec.jobs());
         let records = execute_jobs(source, workers, None, RunControl::default(), |job| {
             self.run_cosim_job(spec, job)
         });
@@ -1574,7 +1649,7 @@ impl EvalEngine {
         };
         let mut pending: Vec<JobSpec> = spec.jobs();
         pending.retain(|j| !records.contains_key(&j.index));
-        let source = Source::Counter(pending, AtomicUsize::default());
+        let source = Source::queue(pending);
         records.extend(execute_jobs(source, workers, Some(journal), ctl, |job| {
             self.run_job(spec, job)
         }));
@@ -1675,21 +1750,24 @@ fn journaled_records(lines: Vec<(u64, Json)>, spec: &SweepSpec) -> BTreeMap<usiz
 
 /// Where the run loop's workers take their next job from.
 enum Source<'a> {
-    /// The in-process counter over the jobs not yet journaled.
-    Counter(Vec<JobSpec>, AtomicUsize),
+    /// The in-process queue over the jobs not yet journaled.
+    Queue(Mutex<JobQueue>),
     /// A distributed worker's claim-file scan (run it on one thread).
     Claims(Mutex<ClaimScan<'a>>),
 }
 
 impl Source<'_> {
+    /// The in-process source over `jobs`.
+    fn queue(jobs: Vec<JobSpec>) -> Self {
+        Source::Queue(Mutex::new(JobQueue::new(jobs)))
+    }
+
     /// The next job (with its claim's heartbeat, for a claimed job), or
     /// `None` once the source is exhausted or `stopped`.
     fn take(&self, stopped: &dyn Fn() -> bool) -> Option<(JobSpec, Option<ClaimHeartbeat>)> {
         match self {
-            Source::Counter(..) if stopped() => None,
-            Source::Counter(jobs, next) => {
-                Some((*jobs.get(next.fetch_add(1, Ordering::Relaxed))?, None))
-            }
+            Source::Queue(..) if stopped() => None,
+            Source::Queue(queue) => Some((lock_unpoisoned(queue).take()?, None)),
             Source::Claims(scan) => lock_unpoisoned(scan).take(stopped),
         }
     }
@@ -1699,9 +1777,74 @@ impl Source<'_> {
     /// tick can outlive the claim.
     fn done(&self, job: &JobSpec, heartbeat: Option<ClaimHeartbeat>) {
         drop(heartbeat);
-        if let Source::Claims(scan) = self {
-            lock_unpoisoned(scan).release(job.index);
+        match self {
+            Source::Queue(queue) => lock_unpoisoned(queue).done(job),
+            Source::Claims(scan) => lock_unpoisoned(scan).release(job.index),
         }
+    }
+}
+
+/// Where a benchmark's compile stands, as far as the job queue knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Compile {
+    /// No job of the benchmark taken yet.
+    Cold,
+    /// A job of the benchmark is running and none has finished: its
+    /// worker is (or may be) compiling it.
+    InFlight,
+    /// A job of the benchmark finished, so its compile is in the store.
+    Warm,
+}
+
+/// The in-process job queue. It hands out jobs in index order, except
+/// that it passes over a job whose benchmark another worker is compiling
+/// right now while other work is pending: taking it would only park the
+/// worker on that compile's store slot. When every pending job waits on
+/// such a compile, the first pending job goes anyway and coalesces onto
+/// the build in the store. Benchmarks are keyed by value, so duplicate
+/// spec entries share one state. Records merge by job index, so the
+/// order changes no byte of a report.
+struct JobQueue {
+    jobs: Vec<JobSpec>,
+    taken: Vec<bool>,
+    /// Every job before this position is taken.
+    first_pending: usize,
+    compiles: HashMap<BenchmarkSpec, Compile>,
+}
+
+impl JobQueue {
+    fn new(jobs: Vec<JobSpec>) -> Self {
+        let compiles = jobs.iter().map(|j| (j.bench, Compile::Cold)).collect();
+        JobQueue {
+            taken: vec![false; jobs.len()],
+            jobs,
+            first_pending: 0,
+            compiles,
+        }
+    }
+
+    fn take(&mut self) -> Option<JobSpec> {
+        let mut pending = (self.first_pending..self.jobs.len()).filter(|&i| !self.taken[i]);
+        let first = pending.next()?;
+        let ready = |i: &usize| self.compiles[&self.jobs[*i].bench] != Compile::InFlight;
+        let pick = std::iter::once(first)
+            .chain(pending)
+            .find(ready)
+            .unwrap_or(first);
+        self.taken[pick] = true;
+        while self.taken.get(self.first_pending) == Some(&true) {
+            self.first_pending += 1;
+        }
+        let job = self.jobs[pick];
+        let compile = self.compiles.get_mut(&job.bench).expect("queued benchmark");
+        if *compile == Compile::Cold {
+            *compile = Compile::InFlight;
+        }
+        Some(job)
+    }
+
+    fn done(&mut self, job: &JobSpec) {
+        self.compiles.insert(job.bench, Compile::Warm);
     }
 }
 
@@ -2083,6 +2226,8 @@ mod tests {
             bench: Benchmark::Ising,
             scale: BenchScale::Paper,
         });
+        // The paper-scale entry needs the paper's grid.
+        (spec.grid_rows, spec.grid_cols) = (32, 32);
         let text = spec.to_json_string();
         assert_eq!(SweepSpec::parse(&text), Ok(spec));
         // The default smoke spec too — this is the wire form the serve
@@ -2126,6 +2271,43 @@ mod tests {
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
         assert!(SweepSpec::parse("{nope").is_err());
+    }
+
+    #[test]
+    fn sweep_spec_from_json_refuses_benchmarks_larger_than_the_grid() {
+        let ok = SweepSpec::smoke().to_json_string();
+        assert!(ok.contains("{\"max_qubits\":16}"), "{ok}");
+        for (mutation, needle) in [
+            (
+                ok.replacen("{\"max_qubits\":16}", "\"paper\"", 1),
+                "needs 1024 qubits, more than the 4x4 grid has",
+            ),
+            (
+                ok.replace("\"max_qubits\":16", "\"max_qubits\":60000"),
+                "needs 60000 qubits",
+            ),
+            // Add2's smallest instance has 15 qubits, more than 3×3 sites.
+            (
+                SweepSpec::small_grid(
+                    vec![ControllerDesign::ImpossibleMimd.into()],
+                    &[Benchmark::Add2],
+                    3,
+                    3,
+                )
+                .to_json_string(),
+                "benchmark `Add2` needs 15 qubits",
+            ),
+        ] {
+            let err = SweepSpec::parse(&mutation).expect_err(&mutation);
+            assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+        // The same budgets parse on a grid that holds them.
+        let wide = ok
+            .replace("\"max_qubits\":16", "\"max_qubits\":60000")
+            .replace("\"grid_rows\":4", "\"grid_rows\":256")
+            .replace("\"grid_cols\":4", "\"grid_cols\":256");
+        assert!(SweepSpec::parse(&wide).is_ok(), "{wide}");
+        assert_eq!(SweepSpec::parse(&ok), Ok(SweepSpec::smoke()));
     }
 
     #[test]
@@ -2206,5 +2388,68 @@ mod tests {
         let uninterrupted = EvalEngine::new(CostModel::default()).run(&spec, 2);
         assert_eq!(resumed.to_json_string(), uninterrupted.to_json_string());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The queue over `benches` × `seeds` at one design point.
+    fn queue(benches: &[Benchmark], seeds: usize) -> JobQueue {
+        let spec = SweepSpec::small_grid(
+            vec![ControllerDesign::DigiqOpt { bs: 4 }.into()],
+            benches,
+            4,
+            4,
+        )
+        .with_seeds((0..seeds as u64).collect());
+        JobQueue::new(spec.jobs())
+    }
+
+    fn take(queue: &mut JobQueue) -> Option<usize> {
+        queue.take().map(|job| job.index)
+    }
+
+    #[test]
+    fn queue_passes_over_followers_of_an_in_flight_compile() {
+        // Jobs: 0 BV s0, 1 BV s1, 2 QGAN s0, 3 QGAN s1.
+        let mut q = queue(&[Benchmark::Bv, Benchmark::Qgan], 2);
+        assert_eq!(take(&mut q), Some(0));
+        // BV is compiling: its follower waits while QGAN can start.
+        assert_eq!(take(&mut q), Some(2));
+        // Both compiles in flight and only their followers left: the
+        // first pending job goes anyway (it coalesces in the store).
+        assert_eq!(take(&mut q), Some(1));
+        assert_eq!(take(&mut q), Some(3));
+        assert_eq!(take(&mut q), None);
+    }
+
+    #[test]
+    fn queue_releases_followers_once_a_job_of_the_benchmark_finishes() {
+        let mut q = queue(&[Benchmark::Bv, Benchmark::Qgan, Benchmark::Ising], 2);
+        assert_eq!(take(&mut q), Some(0));
+        assert_eq!(take(&mut q), Some(2));
+        let first = q.jobs[0];
+        q.done(&first);
+        // BV is warm now, so its follower comes before the next compile.
+        assert_eq!(take(&mut q), Some(1));
+        assert_eq!(take(&mut q), Some(4));
+        assert_eq!(take(&mut q), Some(3));
+    }
+
+    #[test]
+    fn queue_with_one_worker_runs_in_index_order() {
+        let mut q = queue(&[Benchmark::Bv, Benchmark::Qgan, Benchmark::Bv], 3);
+        let mut order = Vec::new();
+        while let Some(job) = q.take() {
+            order.push(job.index);
+            q.done(&job);
+        }
+        assert_eq!(order, (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn queue_shares_one_state_between_duplicate_benchmark_entries() {
+        // Jobs: 0 BV, 1 BV (a second entry of the same benchmark), 2 QGAN.
+        let mut q = queue(&[Benchmark::Bv, Benchmark::Bv, Benchmark::Qgan], 1);
+        assert_eq!(take(&mut q), Some(0));
+        assert_eq!(take(&mut q), Some(2), "the duplicate entry waits on BV");
+        assert_eq!(take(&mut q), Some(1));
     }
 }

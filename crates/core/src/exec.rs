@@ -25,18 +25,26 @@
 //! contention distribution); all draws are deterministic hashes, so runs
 //! reproduce exactly.
 //!
-//! Each [`execute`] call owns one [`DelayModel`]: a per-call draw table
-//! that hashes every distinct draw key once and hands later gates the
-//! stored value. DigiQ_opt contention is counted without sorting:
-//! [`opt_slot_cost`] marks each `(delay class, firing position, group)`
-//! a slot demands with the slot's generation stamp in an
-//! [`OptWorkspace`] reused across slots. The marks are over canonical
-//! class ids assigned by draw *value*, so two keys whose 64-bit draws
-//! collide count once, exactly as deduplicating the drawn values would.
+//! The model runs on an [`ExecPlan`]: the scheduled circuit flattened
+//! once into slot-order operations, with each distinct 1q gate kind
+//! interned. A compile's plan serves every design, seed and parameter
+//! set: the engine builds it once per compile, next to the compiled
+//! artifact. [`execute_plan`] computes each kind's angle bin and firing
+//! count once per call, then walks the operations in order. [`execute`]
+//! is `execute_plan` on a plan built for the call.
+//!
+//! Each call owns one [`DelayModel`]: per-call draw tables that hash
+//! every distinct draw key once and hand later gates the stored value.
+//! DigiQ_opt contention is counted without sorting: [`OptSlots`] marks
+//! each `(delay class, firing position, group)` a slot demands with the
+//! slot's generation stamp in a workspace reused across slots.
+//! The marks are over canonical class ids assigned by draw *value*, so
+//! two keys whose 64-bit draws collide count once, exactly as
+//! deduplicating the drawn values would.
 
-use crate::delay_model::{DelayModel, MAX_FIRINGS};
+use crate::delay_model::{gate_bin, DelayModel, WordMap, MAX_FIRINGS};
 use crate::design::{ControllerDesign, SystemConfig};
-use qcircuit::ir::{Circuit, Gate};
+use qcircuit::ir::{Circuit, Gate, OneQ};
 use qcircuit::schedule::Slot;
 use sfq_hw::json::{Json, ToJson};
 
@@ -143,16 +151,16 @@ pub struct OptSlotCost {
     pub cz_count: u64,
 }
 
-/// Reusable scratch of [`opt_slot_cost`] over one call's slots: the
-/// dense group index of each qubit, and generation-stamped "seen" marks
-/// that count distinct delay classes per `(group, firing position)`
-/// without sorting.
+/// Scratch of [`OptSlots`] over one call's slots: the dense group index
+/// of each qubit, and generation-stamped "seen" marks that count
+/// distinct delay classes per `(group, firing position)` without
+/// sorting.
 ///
 /// The mark of `(class, pos, group)` sits at index
 /// `(class * MAX_FIRINGS + pos) * groups + group`, so the workspace grows
 /// to `MAX_FIRINGS × classes × groups` stamps.
 #[derive(Debug, Clone)]
-pub struct OptWorkspace {
+struct OptWorkspace {
     /// Dense group index of each qubit of `group_of`.
     group_of: Vec<u32>,
     /// Dense index of group 0, which holds the qubits past `group_of`.
@@ -175,7 +183,7 @@ pub struct OptWorkspace {
 impl OptWorkspace {
     /// An empty workspace over the SIMD group map `group_of` (see
     /// [`execute`]).
-    pub fn new(group_of: &[usize]) -> Self {
+    fn new(group_of: &[usize]) -> Self {
         let mut values: Vec<usize> = group_of.iter().copied().chain([0]).collect();
         values.sort_unstable();
         values.dedup();
@@ -193,67 +201,209 @@ impl OptWorkspace {
     }
 }
 
-/// Computes [`OptSlotCost`] for one schedule slot of a lowered circuit
-/// under DigiQ_opt with `bs` broadcast delay slots per cycle. `model` and
-/// `ws` carry the call's draw tables and marks from slot to slot.
-///
-/// # Panics
-///
-/// Panics if a slot references an out-of-range gate, or the circuit
-/// contains non-lowered gates.
-pub fn opt_slot_cost(
-    circuit: &Circuit,
-    slot: &Slot,
-    model: &mut DelayModel<'_>,
-    ws: &mut OptWorkspace,
-    bs: usize,
-) -> OptSlotCost {
-    ws.stamp += 1;
-    let mut cost = OptSlotCost::default();
-    for &gi in slot {
-        match circuit.gates()[gi] {
-            Gate::Cz { .. } => cost.cz_count += 1,
-            Gate::OneQ { q, kind } => {
-                let g = ws.group_of.get(q).copied().unwrap_or(ws.group_zero) as usize;
-                if ws.group_seen[g] != ws.stamp {
-                    ws.group_seen[g] = ws.stamp;
-                    ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS].fill(0);
-                    ws.touched.push(g as u32);
-                }
-                for (pos, &class) in model.delay_classes(kind, q).iter().enumerate() {
-                    let mark = (class as usize * MAX_FIRINGS + pos) * ws.groups + g;
-                    if mark >= ws.seen.len() {
-                        let len = (mark + 1).max(2 * ws.seen.len());
-                        ws.seen.resize(len, 0);
-                    }
-                    if ws.seen[mark] != ws.stamp {
-                        ws.seen[mark] = ws.stamp;
-                        ws.distinct[g * MAX_FIRINGS + pos] += 1;
-                    }
-                }
-            }
-            _ => panic!("executor requires a lowered circuit"),
-        }
-    }
-    // Per group: sum over firing positions of the contention-expanded
-    // sub-cycles; the slot waits for the slowest group.
-    for &g in &ws.touched {
-        let g = g as usize;
-        let mut group_cycles = 0u64;
-        for &distinct in &ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS] {
-            if distinct > 0 {
-                let sub = distinct.div_ceil(bs as u64);
-                cost.serialization_cycles += sub - 1;
-                group_cycles += sub;
-            }
-        }
-        cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
-    }
-    ws.touched.clear();
-    cost
+/// One operation of an [`ExecPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PlanOp {
+    /// A 1q gate on qubit `q` of interned kind `kind`.
+    OneQ { q: u32, kind: u32 },
+    /// A CZ between qubits `a` and `b`.
+    Cz { a: u32, b: u32 },
 }
 
-/// Executes a scheduled circuit under the model, returning the report.
+/// A scheduled, lowered circuit flattened for the execution model: its
+/// gates copied out in slot order, each 1q gate's kind interned. It
+/// depends on the circuit and the schedule only, so one plan serves
+/// every design, seed and [`ExecParams`] ([`execute_plan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecPlan {
+    n_qubits: usize,
+    /// Distinct 1q gate kinds (bitwise), in first-use order.
+    kinds: Vec<OneQ>,
+    /// Every slot's gates, slot after slot.
+    ops: Vec<PlanOp>,
+    /// End of each slot in `ops`.
+    slot_ends: Vec<u32>,
+}
+
+/// Interns gate kinds by bitwise identity, numbering them in first-use
+/// order. The fixed gates, most of the big benchmarks' 1q gates, skip
+/// the map.
+#[derive(Default)]
+struct KindTable {
+    kinds: Vec<OneQ>,
+    /// Ids of the eight fixed gates, by `gate_bin` − 1.
+    fixed: [Option<u32>; 8],
+    /// Ids of the angled gates, by variant tag and angle bits.
+    angled: WordMap<(u64, u64, u64, u64), u32>,
+}
+
+impl KindTable {
+    fn intern(&mut self, kind: OneQ) -> u32 {
+        let fresh = self.kinds.len() as u32;
+        let a = |x: f64| x.to_bits();
+        let mut angled = |words| *self.angled.entry(words).or_insert(fresh);
+        let id = match kind {
+            OneQ::Rx(x) => angled((0, a(x), 0, 0)),
+            OneQ::Ry(x) => angled((1, a(x), 0, 0)),
+            OneQ::Rz(x) => angled((2, a(x), 0, 0)),
+            OneQ::U { theta, phi, lam } => angled((3, a(theta), a(phi), a(lam))),
+            // `gate_bin` numbers the fixed gates 1..=8 whatever the bins.
+            fixed => *self.fixed[gate_bin(fixed, 0) as usize - 1].get_or_insert(fresh),
+        };
+        if id == fresh {
+            self.kinds.push(kind);
+        }
+        id
+    }
+}
+
+impl ExecPlan {
+    /// Flattens `circuit` under the schedule `slots`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit contains non-lowered gates, a slot
+    /// references an out-of-range gate, or the circuit has more than
+    /// 2³² qubits or gates.
+    pub fn new(circuit: &Circuit, slots: &[Slot]) -> Self {
+        qcircuit::lower::assert_lowered(circuit, "executor");
+        let narrow = |x: usize| u32::try_from(x).expect("exec plan indices fit in 32 bits");
+        let mut kinds = KindTable::default();
+        let mut ops = Vec::with_capacity(slots.iter().map(Vec::len).sum());
+        let mut slot_ends = Vec::with_capacity(slots.len());
+        for slot in slots {
+            for &gi in slot {
+                ops.push(match circuit.gates()[gi] {
+                    Gate::Cz { a, b } => PlanOp::Cz {
+                        a: narrow(a),
+                        b: narrow(b),
+                    },
+                    Gate::OneQ { q, kind } => PlanOp::OneQ {
+                        q: narrow(q),
+                        kind: kinds.intern(kind),
+                    },
+                    _ => panic!("executor requires a lowered circuit"),
+                });
+            }
+            slot_ends.push(narrow(ops.len()));
+        }
+        ExecPlan {
+            n_qubits: circuit.n_qubits(),
+            kinds: kinds.kinds,
+            ops,
+            slot_ends,
+        }
+    }
+
+    /// Slots in the plan.
+    pub fn slot_count(&self) -> usize {
+        self.slot_ends.len()
+    }
+
+    /// The operations of slot `si`.
+    fn slot(&self, si: usize) -> &[PlanOp] {
+        let start = si.checked_sub(1).map_or(0, |prev| self.slot_ends[prev]);
+        &self.ops[start as usize..self.slot_ends[si] as usize]
+    }
+
+    /// Each kind's draw-table bin under `model`'s params.
+    fn kind_bins(&self, model: &DelayModel<'_>) -> Vec<u64> {
+        self.kinds.iter().map(|&kind| model.bin(kind)).collect()
+    }
+}
+
+/// The DigiQ_opt cost of each slot of one plan under one [`ExecParams`]:
+/// the call's draw tables, each gate kind's bin and firing count, and the
+/// contention marks, carried from slot to slot. [`execute_plan`] charges
+/// DigiQ_opt through it; the differential tests use it to compare costs
+/// slot by slot.
+#[derive(Debug, Clone)]
+pub struct OptSlots<'a> {
+    plan: &'a ExecPlan,
+    model: DelayModel<'a>,
+    ws: OptWorkspace,
+    bins: Vec<u64>,
+    firings: Vec<usize>,
+    bs: usize,
+}
+
+impl<'a> OptSlots<'a> {
+    /// The slot costs of `plan` under `params` and the SIMD group map
+    /// `group_of` (see [`execute`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is not a DigiQ_opt design.
+    pub fn new(plan: &'a ExecPlan, group_of: &[usize], params: &'a ExecParams) -> Self {
+        let ControllerDesign::DigiqOpt { bs } = params.config.design else {
+            panic!("slot costs are a DigiQ_opt model")
+        };
+        let model = DelayModel::new(params, group_of, plan.n_qubits);
+        OptSlots {
+            plan,
+            bins: plan.kind_bins(&model),
+            firings: plan.kinds.iter().map(|&k| model.firing_count(k)).collect(),
+            model,
+            ws: OptWorkspace::new(group_of),
+            bs,
+        }
+    }
+
+    /// The cost of slot `si`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `si` is not a slot of the plan.
+    pub fn cost(&mut self, si: usize) -> OptSlotCost {
+        let ws = &mut self.ws;
+        ws.stamp += 1;
+        let mut cost = OptSlotCost::default();
+        for &op in self.plan.slot(si) {
+            let PlanOp::OneQ { q, kind } = op else {
+                cost.cz_count += 1;
+                continue;
+            };
+            let q = q as usize;
+            let g = ws.group_of.get(q).copied().unwrap_or(ws.group_zero) as usize;
+            if ws.group_seen[g] != ws.stamp {
+                ws.group_seen[g] = ws.stamp;
+                ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS].fill(0);
+                ws.touched.push(g as u32);
+            }
+            let row = self.model.delay_class_row(self.bins[kind as usize], q);
+            for (pos, &class) in row[..self.firings[kind as usize]].iter().enumerate() {
+                let mark = (class as usize * MAX_FIRINGS + pos) * ws.groups + g;
+                if mark >= ws.seen.len() {
+                    let len = (mark + 1).max(2 * ws.seen.len());
+                    ws.seen.resize(len, 0);
+                }
+                if ws.seen[mark] != ws.stamp {
+                    ws.seen[mark] = ws.stamp;
+                    ws.distinct[g * MAX_FIRINGS + pos] += 1;
+                }
+            }
+        }
+        // Per group: sum over firing positions of the contention-expanded
+        // sub-cycles; the slot waits for the slowest group.
+        for &g in &ws.touched {
+            let g = g as usize;
+            let mut group_cycles = 0u64;
+            for &distinct in &ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS] {
+                if distinct > 0 {
+                    let sub = distinct.div_ceil(self.bs as u64);
+                    cost.serialization_cycles += sub - 1;
+                    group_cycles += sub;
+                }
+            }
+            cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
+        }
+        ws.touched.clear();
+        cost
+    }
+}
+
+/// Executes a scheduled circuit under the model, returning the report:
+/// [`execute_plan`] on a plan built for this call.
 ///
 /// `group_of[q]` gives the SIMD group of physical qubit `q` (qubits in a
 /// group share broadcast bitstreams; grouping is by nominal frequency,
@@ -269,81 +419,86 @@ pub fn execute(
     group_of: &[usize],
     params: &ExecParams,
 ) -> ExecReport {
-    qcircuit::lower::assert_lowered(circuit, "executor");
+    execute_plan(&ExecPlan::new(circuit, slots), group_of, params)
+}
+
+/// Executes a plan under the model, returning the report (see
+/// [`execute`] for `group_of`). Bit for bit the same report as executing
+/// the plan's circuit and schedule directly.
+pub fn execute_plan(plan: &ExecPlan, group_of: &[usize], params: &ExecParams) -> ExecReport {
     let cfg = &params.config;
     let cycle = cfg.cycle_ns();
-    let mut model = DelayModel::new(params, group_of, circuit.n_qubits());
     let mut report = ExecReport::default();
+
+    // DigiQ_opt: slot-synchronous SIMD — every slot costs the slowest
+    // group's contention-expanded sub-cycles, with CZs occupying their 60
+    // ns concurrently.
+    if matches!(cfg.design, ControllerDesign::DigiqOpt { .. }) {
+        let mut costs = OptSlots::new(plan, group_of, params);
+        for si in 0..plan.slot_count() {
+            let cost = costs.cost(si);
+            let mut slot_ns = cost.oneq_cycles as f64 * cycle;
+            report.oneq_cycles += cost.oneq_cycles;
+            report.serialization_cycles += cost.serialization_cycles;
+            if cost.cz_count > 0 {
+                slot_ns = slot_ns.max(cfg.cz_ns);
+                report.cz_ns += cfg.cz_ns;
+            }
+            report.total_ns += slot_ns;
+            report.slots += 1;
+        }
+        return report;
+    }
 
     // Designs without cross-qubit resource coupling: exact per-qubit
     // timelines (gates start when their qubits are free; the schedule's
     // crosstalk constraints are upheld because slots already serialize
     // interfering CZs — we keep their relative order via slot sequencing
-    // of the CZ start times).
-    if !matches!(cfg.design, ControllerDesign::DigiqOpt { .. }) {
-        let mut free_at = vec![0.0f64; circuit.n_qubits()];
-        let mut cz_floor = 0.0f64; // enforce slot order among CZs
-        for slot in slots {
-            let mut slot_cz_end = cz_floor;
-            for &gi in slot {
-                match circuit.gates()[gi] {
-                    Gate::Cz { a, b } => {
-                        let start = free_at[a].max(free_at[b]).max(cz_floor);
-                        let end = start + cfg.cz_ns;
-                        free_at[a] = end;
-                        free_at[b] = end;
-                        slot_cz_end = slot_cz_end.max(start);
-                        report.cz_ns += cfg.cz_ns;
-                    }
-                    Gate::OneQ { q, kind } => {
-                        let dur = match cfg.design {
-                            ControllerDesign::ImpossibleMimd | ControllerDesign::SfqMimdNaive => {
-                                cfg.bitstream_ticks as f64 * cfg.clock_period_ns
-                            }
-                            _ => {
-                                let k = model.min_depth(kind, q);
-                                report.oneq_cycles += k as u64;
-                                k as f64 * cycle
-                            }
-                        };
-                        free_at[q] += dur;
-                        if matches!(
-                            cfg.design,
-                            ControllerDesign::ImpossibleMimd | ControllerDesign::SfqMimdNaive
-                        ) {
-                            report.oneq_cycles += 1;
-                        }
-                    }
-                    _ => panic!("executor requires a lowered circuit"),
+    // of the CZ start times). The MIMD designs charge one bitstream per
+    // 1q gate; the decomposing ones draw a depth per gate.
+    let fixed_cost = matches!(
+        cfg.design,
+        ControllerDesign::ImpossibleMimd | ControllerDesign::SfqMimdNaive
+    );
+    let bitstream_ns = cfg.bitstream_ticks as f64 * cfg.clock_period_ns;
+    let mut model = DelayModel::new(params, group_of, plan.n_qubits);
+    let bins = if fixed_cost {
+        Vec::new()
+    } else {
+        plan.kind_bins(&model)
+    };
+    let mut free_at = vec![0.0f64; plan.n_qubits];
+    let mut cz_floor = 0.0f64; // enforce slot order among CZs
+    for si in 0..plan.slot_count() {
+        let mut slot_cz_end = cz_floor;
+        for &op in plan.slot(si) {
+            match op {
+                PlanOp::Cz { a, b } => {
+                    let (a, b) = (a as usize, b as usize);
+                    let start = free_at[a].max(free_at[b]).max(cz_floor);
+                    let end = start + cfg.cz_ns;
+                    free_at[a] = end;
+                    free_at[b] = end;
+                    slot_cz_end = slot_cz_end.max(start);
+                    report.cz_ns += cfg.cz_ns;
+                }
+                PlanOp::OneQ { q, kind } => {
+                    let q = q as usize;
+                    free_at[q] += if fixed_cost {
+                        report.oneq_cycles += 1;
+                        bitstream_ns
+                    } else {
+                        let k = model.min_depth_of_bin(bins[kind as usize], q);
+                        report.oneq_cycles += k as u64;
+                        k as f64 * cycle
+                    };
                 }
             }
-            cz_floor = slot_cz_end;
-            report.slots += 1;
         }
-        report.total_ns = free_at.iter().cloned().fold(0.0, f64::max);
-        return report;
-    }
-
-    // DigiQ_opt: slot-synchronous SIMD — every slot costs the slowest
-    // group's contention-expanded sub-cycles, with CZs occupying their 60
-    // ns concurrently.
-    let bs = match cfg.design {
-        ControllerDesign::DigiqOpt { bs } => bs,
-        _ => unreachable!("non-opt designs returned above"),
-    };
-    let mut ws = OptWorkspace::new(group_of);
-    for slot in slots {
-        let cost = opt_slot_cost(circuit, slot, &mut model, &mut ws, bs);
-        let mut slot_ns = cost.oneq_cycles as f64 * cycle;
-        report.oneq_cycles += cost.oneq_cycles;
-        report.serialization_cycles += cost.serialization_cycles;
-        if cost.cz_count > 0 {
-            slot_ns = slot_ns.max(cfg.cz_ns);
-            report.cz_ns += cfg.cz_ns;
-        }
-        report.total_ns += slot_ns;
+        cz_floor = slot_cz_end;
         report.slots += 1;
     }
+    report.total_ns = free_at.iter().cloned().fold(0.0, f64::max);
     report
 }
 

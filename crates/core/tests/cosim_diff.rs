@@ -14,10 +14,9 @@
 //!   count and unchanged by warm caches.
 
 use digiq_core::cosim::{diff_analytic, simulate, CosimParams, CosimReport};
-use digiq_core::delay_model::DelayModel;
 use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::engine::{CosimSweepReport, EvalEngine, SweepSpec};
-use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams, OptWorkspace};
+use digiq_core::exec::{checkerboard_groups, execute, ExecParams, ExecPlan, OptSlots};
 use qcircuit::bench::Benchmark;
 use qcircuit::ir::Circuit;
 use qcircuit::mapping::Layout;
@@ -123,11 +122,11 @@ fn opt_serialization_is_attributed_to_the_same_slots() {
     // Recompute the analytic per-slot cost through the shared delay model
     // and demand that the co-simulator charged contention to exactly the
     // same slots, cycle for cycle.
-    let mut model = DelayModel::new(&params, &groups, physical.n_qubits());
-    let mut ws = OptWorkspace::new(&groups);
+    let plan = ExecPlan::new(&physical, &slots);
+    let mut costs = OptSlots::new(&plan, &groups, &params);
     let mut attributed = 0u64;
-    for (si, slot) in slots.iter().enumerate() {
-        let cost = opt_slot_cost(&physical, slot, &mut model, &mut ws, 2);
+    for si in 0..slots.len() {
+        let cost = costs.cost(si);
         let cosim_cycles = cosim
             .slot_serialization
             .iter()

@@ -3,7 +3,10 @@
 //! results versus a cold run.
 
 use digiq_core::design::ControllerDesign;
-use digiq_core::engine::{BenchScale, BenchmarkSpec, EvalEngine, SweepReport, SweepSpec};
+use digiq_core::engine::{
+    BenchScale, BenchmarkSpec, EvalEngine, RunControl, SweepReport, SweepSpec,
+};
+use digiq_core::store::SweepJournal;
 use qcircuit::bench::Benchmark;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
@@ -126,4 +129,65 @@ fn paper_and_small_scales_cache_independently() {
     );
     assert!(std::sync::Arc::ptr_eq(&small, &again));
     assert_eq!(engine.cache_stats().circuit_misses, 2);
+}
+
+#[test]
+fn compile_aware_dispatch_keeps_bytes_and_cache_stats_at_any_worker_count() {
+    // Several benchmarks (one listed twice) and seeds, so with more than
+    // one worker the queue hands out jobs out of index order.
+    let mut s = SweepSpec::small_grid(
+        vec![
+            ControllerDesign::DigiqOpt { bs: 2 }.into(),
+            ControllerDesign::DigiqMin { bs: 2 }.into(),
+        ],
+        &[
+            Benchmark::Bv,
+            Benchmark::Qgan,
+            Benchmark::Bv,
+            Benchmark::Ising,
+        ],
+        5,
+        5,
+    )
+    .with_seeds(vec![1, 2, 3]);
+    s.base_seed = 0xD15C;
+    let reference = EvalEngine::new(CostModel::default()).run(&s, 1);
+    for workers in [2, 3, 8] {
+        let report = EvalEngine::new(CostModel::default()).run(&s, workers);
+        assert_eq!(
+            report.to_json_string(),
+            reference.to_json_string(),
+            "{workers} workers"
+        );
+        assert_eq!(report.cache, reference.cache, "{workers} workers");
+    }
+
+    // The journaled path: stop after a few fresh jobs, then resume.
+    for (workers, stop_after) in [(1, 5), (2, 7), (3, 1), (8, 10)] {
+        let dir = std::env::temp_dir().join(format!(
+            "digiq-dispatch-{}-{workers}-{stop_after}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = SweepJournal::open(&dir, s.stable_key()).unwrap();
+        let engine = EvalEngine::new(CostModel::default());
+        let stop = RunControl {
+            interrupt_after: Some(stop_after),
+            stop: None,
+        };
+        assert_eq!(
+            engine.run_journaled(&s, workers, &journal, false, stop),
+            None
+        );
+        assert_eq!(journal.load().len(), stop_after, "{workers} workers");
+        let resumed = EvalEngine::new(CostModel::default())
+            .run_journaled(&s, workers, &journal, true, RunControl::default())
+            .expect("the resumed sweep completes");
+        assert_eq!(
+            resumed.to_json_string(),
+            reference.to_json_string(),
+            "{workers} workers, stopped after {stop_after}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -5,8 +5,11 @@
 //! per call into a table of canonical class ids and counts distinct
 //! classes with generation-stamped marks.
 //!
-//! Every `ExecReport` must be field-equal (`total_ns` to the bit), and on
-//! DigiQ_opt every slot's `OptSlotCost` must be equal too, over: the six
+//! Every `ExecReport` must be field-equal (`total_ns` to the bit), both
+//! from `execute` and from one `ExecPlan` per compiled benchmark reused
+//! across the whole parameter matrix (as the engine reuses a compile's
+//! plan), and on DigiQ_opt every slot's `OptSlotCost` must be equal too,
+//! over: the six
 //! Table IV benchmarks at paper scale on 32×32, compiled by the default
 //! pipeline and by the fusing one (`U` gates); every design, with BS in
 //! {1, 2, 4, 8, 16}; several seeds; `angle_bins` in {0, 7, 48, 200} and
@@ -14,11 +17,12 @@
 //! and a short `group_of`. Debug builds run a reduced matrix;
 //! `scripts/ci.sh` runs the full one in release.
 
-use digiq_core::delay_model::DelayModel;
 use digiq_core::design::{ControllerDesign, SystemConfig};
-use digiq_core::exec::{checkerboard_groups, execute, opt_slot_cost, ExecParams, OptWorkspace};
+use digiq_core::exec::{
+    checkerboard_groups, execute, execute_plan, ExecParams, ExecPlan, OptSlots,
+};
 use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
-use qcircuit::ir::{Gate, OneQ};
+use qcircuit::ir::{Circuit, Gate, OneQ};
 use qcircuit::mapping::Layout;
 use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
 use qcircuit::topology::Grid;
@@ -269,11 +273,14 @@ fn designs() -> Vec<ControllerDesign> {
     designs
 }
 
+/// A compiled benchmark and the one plan every check of it executes.
+type Compiled = (Benchmark, CompileArtifact, ExecPlan);
+
 /// The paper-scale benchmarks on the 32×32 grid, compiled once per
 /// pipeline (debug: Qgan, whose slots are the widest, and Ising).
-fn compiled(fuse: bool) -> &'static [(Benchmark, CompileArtifact)] {
-    static PLAIN: OnceLock<Vec<(Benchmark, CompileArtifact)>> = OnceLock::new();
-    static FUSED: OnceLock<Vec<(Benchmark, CompileArtifact)>> = OnceLock::new();
+fn compiled(fuse: bool) -> &'static [Compiled] {
+    static PLAIN: OnceLock<Vec<Compiled>> = OnceLock::new();
+    static FUSED: OnceLock<Vec<Compiled>> = OnceLock::new();
     (if fuse { &FUSED } else { &PLAIN }).get_or_init(|| {
         let grid = Grid::new(32, 32);
         let cfg = PipelineConfig {
@@ -303,7 +310,8 @@ fn compiled(fuse: bool) -> &'static [(Benchmark, CompileArtifact)] {
                     )
                 });
                 assert_eq!(fused, fuse, "{}: U gates iff fused", bench.name());
-                (bench, art)
+                let plan = ExecPlan::new(&art.circuit, art.scheduled());
+                (bench, art, plan)
             })
             .collect()
     })
@@ -331,21 +339,25 @@ fn group_maps() -> Vec<(&'static str, Vec<usize>)> {
 }
 
 /// Runs both models on one compiled benchmark and demands equal reports
-/// and, on DigiQ_opt, equal per-slot costs.
-fn check(label: &str, art: &CompileArtifact, group_of: &[usize], params: &ExecParams) {
+/// (from the shared plan and from a one-off `execute`) and, on
+/// DigiQ_opt, equal per-slot costs.
+fn check(label: &str, (_, art, plan): &Compiled, group_of: &[usize], params: &ExecParams) {
     let (circuit, slots) = (&art.circuit, art.scheduled());
-    let got = execute(circuit, slots, group_of, params);
     let want = oracle::execute(circuit, slots, group_of, params);
-    assert_eq!(got, want, "{label}");
-    assert_eq!(got.total_ns.to_bits(), want.total_ns.to_bits(), "{label}");
-    assert_eq!(got.cz_ns.to_bits(), want.cz_ns.to_bits(), "{label}");
+    for got in [
+        execute_plan(plan, group_of, params),
+        execute(circuit, slots, group_of, params),
+    ] {
+        assert_eq!(got, want, "{label}");
+        assert_eq!(got.total_ns.to_bits(), want.total_ns.to_bits(), "{label}");
+        assert_eq!(got.cz_ns.to_bits(), want.cz_ns.to_bits(), "{label}");
+    }
     if let ControllerDesign::DigiqOpt { bs } = params.config.design {
-        let mut model = DelayModel::new(params, group_of, circuit.n_qubits());
-        let mut ws = OptWorkspace::new(group_of);
+        let mut costs = OptSlots::new(plan, group_of, params);
         let old = oracle::DelayModel::new(params);
         for (si, slot) in slots.iter().enumerate() {
             assert_eq!(
-                opt_slot_cost(circuit, slot, &mut model, &mut ws, bs),
+                costs.cost(si),
                 oracle::opt_slot_cost(circuit, slot, group_of, &old, bs),
                 "{label}: slot {si}"
             );
@@ -358,11 +370,12 @@ fn every_design_and_seed_matches_the_parent_model() {
     let groups = checkerboard_groups(32, 1024, 2);
     let seeds = if FULL { &SEEDS[..] } else { &SEEDS[..1] };
     for fuse in [false, true] {
-        for (bench, art) in compiled(fuse) {
+        for compiled in compiled(fuse) {
             for design in designs() {
                 for &seed in seeds {
-                    let label = format!("{} fuse={fuse} {design} seed={seed:#x}", bench.name());
-                    check(&label, art, &groups, &params(design, seed));
+                    let label =
+                        format!("{} fuse={fuse} {design} seed={seed:#x}", compiled.0.name());
+                    check(&label, compiled, &groups, &params(design, seed));
                 }
             }
         }
@@ -392,7 +405,7 @@ fn draw_parameters_and_group_maps_match_the_parent_model() {
     };
     let maps = group_maps();
     for &fuse in pipelines {
-        for (bench, art) in compiled(fuse) {
+        for compiled in compiled(fuse) {
             for angle_bins in [0, 7, 48, 200] {
                 for variation_classes in [0, 1, 3, 6] {
                     for (map, group_of) in &maps {
@@ -403,13 +416,22 @@ fn draw_parameters_and_group_maps_match_the_parent_model() {
                             let label = format!(
                                 "{} fuse={fuse} {design} bins={angle_bins} \
                                  variation={variation_classes} groups={map}",
-                                bench.name()
+                                compiled.0.name()
                             );
-                            check(&label, art, group_of, &p);
+                            check(&label, compiled, group_of, &p);
                         }
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "executor requires a lowered circuit")]
+fn plans_reject_unlowered_circuits() {
+    let mut c = Circuit::new(4);
+    c.h(0);
+    c.cx(0, 1);
+    let _ = ExecPlan::new(&c, &[vec![0, 1]]);
 }

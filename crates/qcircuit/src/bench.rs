@@ -90,29 +90,41 @@ impl Benchmark {
                     .collect();
                 bernstein_vazirani(&secret)
             }
-            Benchmark::Add1 => cuccaro_adder(((max_qubits - 2) / 2).max(1)),
-            Benchmark::Add2 => {
-                // Block 4; shrink the width until the ancilla layout fits.
-                let mut bits = ((max_qubits / 3).max(4) / 4) * 4;
-                loop {
-                    let c = block_lookahead_adder(bits, 4);
-                    if c.n_qubits() <= max_qubits || bits == 4 {
-                        return c;
-                    }
-                    bits -= 4;
-                }
-            }
+            Benchmark::Add1 => cuccaro_adder(add1_bits(max_qubits)),
+            Benchmark::Add2 => block_lookahead_adder(add2_bits(max_qubits), 4),
             Benchmark::Sqrt10 => {
-                let mut bits = 6;
-                loop {
-                    let target = ((1u64 << (bits / 2)) - 1).pow(2);
-                    let c = grover_sqrt(bits, target);
-                    if c.n_qubits() <= max_qubits || bits == 2 {
-                        return c;
-                    }
-                    bits -= 2;
-                }
+                let bits = sqrt10_bits(max_qubits);
+                grover_sqrt(bits, ((1u64 << (bits / 2)) - 1).pow(2))
             }
+        }
+    }
+
+    /// Qubits of [`Benchmark::scaled`]`(max_qubits, _)`, computed without
+    /// generating it. At most `max_qubits`, except that Add2 and Sqrt10
+    /// never shrink below their smallest instances (15 and 7 qubits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_qubits < 8`.
+    pub fn scaled_qubits(self, max_qubits: usize) -> usize {
+        assert!(max_qubits >= 8, "scaled benchmarks need at least 8 qubits");
+        match self {
+            // BV: max_qubits − 1 secret bits plus the ancilla.
+            Benchmark::Qgan | Benchmark::Ising | Benchmark::Bv => max_qubits,
+            Benchmark::Add1 => 2 * add1_bits(max_qubits) + 2,
+            Benchmark::Add2 => BlockAdderLayout::new(add2_bits(max_qubits), 4).qubits,
+            Benchmark::Sqrt10 => GroverSqrtLayout::new(sqrt10_bits(max_qubits)).qubits,
+        }
+    }
+
+    /// Qubits of [`Benchmark::paper_scale`], computed without generating
+    /// it.
+    pub fn paper_qubits(self) -> usize {
+        match self {
+            Benchmark::Qgan | Benchmark::Ising | Benchmark::Bv => 1024,
+            Benchmark::Add1 => 2 * 256 + 2,
+            Benchmark::Add2 => BlockAdderLayout::new(256, 16).qubits,
+            Benchmark::Sqrt10 => GroverSqrtLayout::new(10).qubits,
         }
     }
 
@@ -137,6 +149,31 @@ impl Benchmark {
             Benchmark::Sqrt10 => grover_sqrt(10, 225),
         }
     }
+}
+
+/// Operand width of the scaled Add1: the widest ripple adder that fits.
+fn add1_bits(max_qubits: usize) -> usize {
+    ((max_qubits - 2) / 2).max(1)
+}
+
+/// Operand width of the scaled Add2 (block 4): shrunk from a third of the
+/// budget until the ancilla layout fits, but never below one block.
+fn add2_bits(max_qubits: usize) -> usize {
+    let mut bits = ((max_qubits / 3).max(4) / 4) * 4;
+    while bits > 4 && BlockAdderLayout::new(bits, 4).qubits > max_qubits {
+        bits -= 4;
+    }
+    bits
+}
+
+/// Radicand width of the scaled Sqrt10: at most 6 bits, shrunk until the
+/// layout fits, but never below 2.
+fn sqrt10_bits(max_qubits: usize) -> usize {
+    let mut bits = 6;
+    while bits > 2 && GroverSqrtLayout::new(bits).qubits > max_qubits {
+        bits -= 2;
+    }
+    bits
 }
 
 /// Bernstein–Vazirani over `secret` (one data qubit per secret bit plus a
@@ -911,6 +948,21 @@ mod tests {
                     c.n_qubits()
                 );
                 assert!(!c.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn qubit_counts_match_the_generated_circuits() {
+        for b in ALL_BENCHMARKS {
+            assert_eq!(b.paper_qubits(), b.paper_scale().n_qubits(), "{}", b.name());
+            for budget in [8, 9, 14, 15, 16, 21, 37, 64, 100] {
+                assert_eq!(
+                    b.scaled_qubits(budget),
+                    b.scaled(budget, 3).n_qubits(),
+                    "{} at budget {budget}",
+                    b.name()
+                );
             }
         }
     }

@@ -226,6 +226,15 @@ impl Circuit {
         }
     }
 
+    /// Creates an empty circuit over `n_qubits` with room for `gates`
+    /// gates, for builders that know their output size.
+    pub fn with_capacity(n_qubits: usize, gates: usize) -> Self {
+        Circuit {
+            n_qubits,
+            gates: Vec::with_capacity(gates),
+        }
+    }
+
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits

@@ -53,10 +53,22 @@ fn emit_ccx(out: &mut Circuit, c1: usize, c2: usize, t: usize) {
     emit_cx(out, c1, c2);
 }
 
+/// Gates each input gate lowers to (see [`lower_to_cz`]).
+fn lowered_len(g: &Gate) -> usize {
+    match g {
+        Gate::Cx { .. } => 3,
+        Gate::Swap { .. } => 9,
+        Gate::Ccx { .. } => 27,
+        Gate::OneQ { .. } | Gate::Cz { .. } => 1,
+    }
+}
+
 /// Lowers a circuit to {1q, CZ}: the output contains only
-/// [`Gate::OneQ`] and [`Gate::Cz`].
+/// [`Gate::OneQ`] and [`Gate::Cz`]. The output is sized exactly up
+/// front, so a large lowering never holds two growing buffers at once.
 pub fn lower_to_cz(c: &Circuit) -> Circuit {
-    let mut out = Circuit::new(c.n_qubits());
+    let len = c.gates().iter().map(lowered_len).sum();
+    let mut out = Circuit::with_capacity(c.n_qubits(), len);
     for g in c.gates() {
         match *g {
             Gate::OneQ { q, kind } => out.push(Gate::OneQ { q, kind }),
@@ -70,6 +82,7 @@ pub fn lower_to_cz(c: &Circuit) -> Circuit {
             Gate::Ccx { c1, c2, t } => emit_ccx(&mut out, c1, c2, t),
         }
     }
+    debug_assert_eq!(out.len(), len, "lowered_len matches the emitters");
     out
 }
 

@@ -11,11 +11,12 @@
 #   scripts/ci.sh --smoke        # also run every bench binary (--small) and
 #                                # the kernel micro-benchmarks in quick mode
 #   scripts/ci.sh --engine-smoke # run a tiny 2-design x 2-benchmark engine
-#                                # sweep with 2 workers and diff its JSON
-#                                # against the checked-in golden file
+#                                # sweep on 1, 2 and 4 workers and diff each
+#                                # JSON against the checked-in golden file
 #   scripts/ci.sh --cosim-smoke  # run the tiny cycle-accurate co-simulation
-#                                # sweep (cosim --smoke) and diff its JSON
-#                                # against tests/golden/cosim_smoke.json
+#                                # sweep (cosim --smoke) on 1, 2 and 4 workers
+#                                # and diff each JSON against
+#                                # tests/golden/cosim_smoke.json
 #   scripts/ci.sh --pipeline-smoke # assert the default compile pipeline still
 #                                # matches tests/golden/engine_smoke.json
 #                                # byte-for-byte, then exercise the alternative
@@ -201,19 +202,22 @@ fi
 echo "no partial_cmp: float ordering is NaN-safe"
 
 # golden_smoke <label> <bin> <golden>: run `<bin> --smoke` (2 designs x
-# 2 benchmarks, 2 workers) and diff its JSON against the committed golden.
+# 2 benchmarks) on 1, 2 and 4 workers and diff each JSON against the
+# committed golden: the job queue's dispatch order must never show.
 golden_smoke() {
-    local label=$1 bin=$2 golden=$3 tmp
-    echo "==> $label smoke: 2 designs x 2 benchmarks, 2 workers, vs golden"
-    tmp=$(mktemp)
-    if ! cargo run -q --release --offline -p digiq-bench --bin "$bin" -- --smoke > "$tmp" \
-        || ! diff -u "$golden" "$tmp"; then
+    local label=$1 bin=$2 golden=$3 tmp workers
+    for workers in 1 2 4; do
+        echo "==> $label smoke: 2 designs x 2 benchmarks, $workers workers, vs golden"
+        tmp=$(mktemp)
+        if ! cargo run -q --release --offline -p digiq-bench --bin "$bin" -- --smoke \
+            --workers "$workers" > "$tmp" || ! diff -u "$golden" "$tmp"; then
+            rm -f "$tmp"
+            echo "$label smoke output on $workers workers diverged from $golden" >&2
+            exit 1
+        fi
         rm -f "$tmp"
-        echo "$label smoke output diverged from $golden" >&2
-        exit 1
-    fi
-    rm -f "$tmp"
-    echo "$label smoke matches golden"
+    done
+    echo "$label smoke matches golden on 1, 2 and 4 workers"
 }
 
 engine_smoke() {
