@@ -211,16 +211,23 @@ fn bench_compile(h: &mut Bench) {
 /// The analytic Fig 9 execution model over the six Table IV benchmarks
 /// at paper scale, compiled once on the 32×32 grid by the default
 /// pipeline: one row per design family the model charges differently,
-/// each executing prebuilt plans as the engine does, plus the one-off
-/// plan build of every compile.
+/// each executing prebuilt plans as the engine does, the Fig 9 BS
+/// siblings charged in one contention pass, and the one-off plan build
+/// of every compile. The same compiles give the cold crosstalk-aware
+/// schedule of the routed Add2, a fresh workspace per iteration as in a
+/// cold sweep round.
 fn bench_exec(h: &mut Bench) {
     use digiq_core::design::{ControllerDesign, SystemConfig};
-    use digiq_core::exec::{checkerboard_groups, execute_plan, ExecParams, ExecPlan};
+    use digiq_core::exec::{
+        checkerboard_groups, execute_opt_siblings, execute_plan, ExecParams, ExecPlan,
+    };
+    use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
     use qcircuit::mapping::Layout;
     use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
+    use qcircuit::schedule::{schedule_crosstalk_aware, ScheduleWorkspace};
     use qcircuit::topology::Grid;
     let grid = Grid::new(32, 32);
-    let compiled: Vec<CompileArtifact> = qcircuit::bench::ALL_BENCHMARKS
+    let compiled: Vec<CompileArtifact> = ALL_BENCHMARKS
         .iter()
         .map(|bench| {
             let circuit = bench.paper_scale();
@@ -231,6 +238,17 @@ fn bench_exec(h: &mut Bench) {
                 .0
         })
         .collect();
+    let add2 = &compiled[ALL_BENCHMARKS
+        .iter()
+        .position(|&b| b == Benchmark::Add2)
+        .expect("Add2 is a Table IV benchmark")];
+    h.bench("schedule_add2_paper_cold", || {
+        schedule_crosstalk_aware(
+            &mut ScheduleWorkspace::new(),
+            black_box(&add2.circuit),
+            &grid,
+        )
+    });
     h.bench("exec_plan_build_paper", || {
         compiled
             .iter()
@@ -242,12 +260,16 @@ fn bench_exec(h: &mut Bench) {
         .map(|art| ExecPlan::new(&art.circuit, art.scheduled()))
         .collect();
     let groups = checkerboard_groups(grid.cols(), grid.n_qubits(), 2);
+    let params_of = |design| {
+        let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
+        params.config.n_qubits = grid.n_qubits();
+        params
+    };
     for (name, design) in [
         ("exec_opt_bs8_paper", ControllerDesign::DigiqOpt { bs: 8 }),
         ("exec_min_paper", ControllerDesign::DigiqMin { bs: 2 }),
     ] {
-        let mut params = ExecParams::new(SystemConfig::paper_default(design, 2));
-        params.config.n_qubits = grid.n_qubits();
+        let params = params_of(design);
         h.bench(name, || {
             plans
                 .iter()
@@ -255,6 +277,16 @@ fn bench_exec(h: &mut Bench) {
                 .sum::<f64>()
         });
     }
+    let siblings: Vec<ExecParams> = [4, 8, 16]
+        .map(|bs| params_of(ControllerDesign::DigiqOpt { bs }))
+        .into();
+    h.bench("exec_opt_siblings_paper", || {
+        plans
+            .iter()
+            .flat_map(|plan| execute_opt_siblings(plan, &groups, black_box(&siblings)))
+            .map(|report| report.total_ns)
+            .sum::<f64>()
+    });
 }
 
 fn bench_synthesis(h: &mut Bench) {

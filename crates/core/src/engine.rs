@@ -33,14 +33,18 @@
 //!   [`ArtifactStore`] (see [`crate::store`]) so no artifact is built
 //!   twice across the sweep: synthesized [`DesignHardware`] per
 //!   (design, groups), generated benchmark circuits per
-//!   (benchmark, scale), compiled [`CompileArtifact`]s as **one entry
-//!   per compile**, keyed by the circuit and layout fingerprints
+//!   (benchmark, scale), each with its [`Circuit::cache_key`] computed
+//!   once ([`BenchmarkCircuit`]), compiled [`CompileArtifact`]s as **one
+//!   entry per compile**, keyed by the circuit and layout fingerprints
 //!   ([`Circuit::cache_key`] / `Layout::cache_key`), the grid and the
 //!   pipeline fingerprint, so [`PipelineConfig::run`] compiles once per
 //!   benchmark and every design and seed reuses it, together with the
 //!   compile's [`ExecPlan`] (built in the same entry) — sequence databases
 //!   / length distributions per [`MinBasisKind`], Impossible-MIMD
-//!   baselines, and co-simulation reports. With a disk-backed store
+//!   baselines, co-simulation reports, and the DigiQ_opt reports of a
+//!   job's **BS siblings** (the spec's DigiQ_opt points at one group
+//!   count), charged in one contention pass per compile and seed
+//!   (`ns::OPT_SIBLINGS`, in memory only). With a disk-backed store
 //!   ([`StoreConfig::cache_dir`], `--cache-dir`), compiles, baselines
 //!   and co-simulations additionally persist across processes, so a
 //!   second run warm-starts with **zero pass builds**; with
@@ -93,7 +97,9 @@
 
 use crate::cosim::{self, CosimParams, CosimReport};
 use crate::design::{ControllerDesign, SystemConfig};
-use crate::exec::{checkerboard_groups, execute_plan, ExecParams, ExecPlan, ExecReport};
+use crate::exec::{
+    checkerboard_groups, execute_opt_siblings, execute_plan, ExecParams, ExecPlan, ExecReport,
+};
 use crate::hardware::{build_hardware, DesignHardware};
 use crate::store::{
     self, lock_unpoisoned, ns, Artifact, ArtifactStore, ClaimHeartbeat, JobClaims, StoreConfig,
@@ -540,6 +546,31 @@ impl SweepSpec {
         }
         jobs
     }
+
+    /// The BS siblings of `point`: the BS values of every DigiQ_opt point
+    /// of the design axis at `point`'s group count, sorted and
+    /// deduplicated, when `point` is DigiQ_opt and the axis holds two or
+    /// more such BS values; empty otherwise. Siblings share one
+    /// contention pass per compile and seed (`EvalEngine::run_job`).
+    fn opt_siblings(&self, point: DesignPoint) -> Vec<usize> {
+        if !matches!(point.design, ControllerDesign::DigiqOpt { .. }) {
+            return Vec::new();
+        }
+        let mut bs: Vec<usize> = self
+            .designs
+            .iter()
+            .filter_map(|d| match d.design {
+                ControllerDesign::DigiqOpt { bs } if d.groups == point.groups => Some(bs),
+                _ => None,
+            })
+            .collect();
+        bs.sort_unstable();
+        bs.dedup();
+        if bs.len() < 2 {
+            bs.clear();
+        }
+        bs
+    }
 }
 
 impl ToJson for SweepSpec {
@@ -977,6 +1008,38 @@ impl Artifact for Compiled {
     }
 }
 
+/// A generated benchmark circuit with its [`Circuit::cache_key`],
+/// computed once when the circuit is generated and kept with it in the
+/// store, so the jobs that share the circuit never rehash its gates.
+/// Derefs to the circuit.
+#[derive(Debug)]
+pub struct BenchmarkCircuit {
+    circuit: Circuit,
+    cache_key: u64,
+}
+
+impl BenchmarkCircuit {
+    fn new(circuit: Circuit) -> Self {
+        BenchmarkCircuit {
+            cache_key: circuit.cache_key(),
+            circuit,
+        }
+    }
+
+    /// The circuit's [`Circuit::cache_key`], computed once.
+    pub fn cache_key(&self) -> u64 {
+        self.cache_key
+    }
+}
+
+impl std::ops::Deref for BenchmarkCircuit {
+    type Target = Circuit;
+
+    fn deref(&self) -> &Circuit {
+        &self.circuit
+    }
+}
+
 /// The compile, execution parameters and group map of one circuit under
 /// one design point, assembled by `EvalEngine::context` for both
 /// evaluation modes.
@@ -991,10 +1054,17 @@ struct EvalContext {
 /// fingerprint, grid rows, grid cols, pipeline fingerprint).
 type CompileKey = (u64, u64, usize, usize, u64);
 
-fn compile_key(circuit: &Circuit, grid: &Grid, pipeline: &PipelineConfig) -> CompileKey {
-    let layout = Layout::snake(circuit.n_qubits(), grid);
+/// The compile key of a circuit with fingerprint `circuit_key` over
+/// `n_qubits` qubits.
+fn compile_key(
+    circuit_key: u64,
+    n_qubits: usize,
+    grid: &Grid,
+    pipeline: &PipelineConfig,
+) -> CompileKey {
+    let layout = Layout::snake(n_qubits, grid);
     (
-        circuit.cache_key(),
+        circuit_key,
         layout.cache_key(),
         grid.rows(),
         grid.cols(),
@@ -1049,14 +1119,34 @@ fn cosim_store_key(key: CompileKey, design: ControllerDesign, groups: usize, see
     )
 }
 
+/// Store key of the DigiQ_opt reports of a job's BS siblings: the compile,
+/// the group count, the exec seed, the draw params and the sorted,
+/// deduplicated BS list.
+fn opt_siblings_store_key(key: CompileKey, params: &ExecParams, siblings: &[usize]) -> u64 {
+    let mut words = vec![
+        key.0,
+        key.1,
+        key.2 as u64,
+        key.3 as u64,
+        key.4,
+        params.config.groups as u64,
+        params.seed,
+        params.opt_l3_threshold.to_bits(),
+        params.angle_bins as u64,
+        params.variation_classes as u64,
+    ];
+    words.extend(siblings.iter().map(|&bs| bs as u64));
+    qsim::rng::stable_hash_str("opt_siblings", &words)
+}
+
 /// Generates a benchmark circuit at a spec entry's scale (the pure
 /// builder behind [`EvalEngine::benchmark_circuit`] and
 /// [`EvalEngine::cold_cache_stats`]).
-fn generate_circuit(spec: BenchmarkSpec, base_seed: u64) -> Circuit {
-    match spec.scale {
+fn generate_circuit(spec: BenchmarkSpec, base_seed: u64) -> BenchmarkCircuit {
+    BenchmarkCircuit::new(match spec.scale {
         BenchScale::Paper => spec.bench.paper_scale(),
         BenchScale::Small { max_qubits } => spec.bench.scaled(max_qubits, base_seed),
-    }
+    })
 }
 
 impl EvalEngine {
@@ -1093,9 +1183,9 @@ impl EvalEngine {
         self.store.stats()
     }
 
-    /// The benchmark circuit for a spec entry, generated at most once per
-    /// (benchmark, scale, seed).
-    pub fn benchmark_circuit(&self, spec: BenchmarkSpec, base_seed: u64) -> Arc<Circuit> {
+    /// The benchmark circuit for a spec entry, generated (and
+    /// fingerprinted) at most once per (benchmark, scale, seed).
+    pub fn benchmark_circuit(&self, spec: BenchmarkSpec, base_seed: u64) -> Arc<BenchmarkCircuit> {
         self.store
             .get_or_build(ns::CIRCUIT, circuit_store_key(spec, base_seed), || {
                 generate_circuit(spec, base_seed)
@@ -1119,7 +1209,8 @@ impl EvalEngine {
         grid: &Grid,
         cfg: &PipelineConfig,
     ) -> Arc<Compiled> {
-        self.compiled(circuit, grid, cfg, compile_key(circuit, grid, cfg))
+        let key = compile_key(circuit.cache_key(), circuit.n_qubits(), grid, cfg);
+        self.compiled(circuit, grid, cfg, key)
     }
 
     /// One whole-compile store lookup under `key`: a miss runs the full
@@ -1260,14 +1351,14 @@ impl EvalEngine {
     fn cold_cache_stats_warm(&self, spec: &SweepSpec) -> CacheStats {
         Self::cold_cache_stats_with(spec, |b| {
             self.store
-                .peek::<Circuit>(ns::CIRCUIT, circuit_store_key(b, spec.base_seed))
+                .peek::<BenchmarkCircuit>(ns::CIRCUIT, circuit_store_key(b, spec.base_seed))
                 .unwrap_or_else(|| generate_circuit(b, spec.base_seed).into())
         })
     }
 
     fn cold_cache_stats_with(
         spec: &SweepSpec,
-        mut circuit_of: impl FnMut(BenchmarkSpec) -> Arc<Circuit>,
+        mut circuit_of: impl FnMut(BenchmarkSpec) -> Arc<BenchmarkCircuit>,
     ) -> CacheStats {
         let grid = Grid::new(spec.grid_rows, spec.grid_cols);
         let jobs = spec.job_count() as u64;
@@ -1387,29 +1478,22 @@ pub struct RunControl<'a> {
 
 impl EvalEngine {
     /// Assembles the per-circuit artifacts — identical for the analytic
-    /// and co-simulation modes: the memoized compile, then the design's
-    /// execution parameters (paper-default system on `grid`, seeded with
-    /// `exec_seed`, with the memoized decomposition-length distribution)
-    /// and the checkerboard group map.
+    /// and co-simulation modes: the memoized compile of `circuit` (whose
+    /// [`Circuit::cache_key`] is `circuit_key`), then the design's
+    /// execution parameters ([`EvalEngine::exec_params`]) and the
+    /// checkerboard group map.
     fn context(
         &self,
         circuit: &Circuit,
+        circuit_key: u64,
         grid: &Grid,
         pipeline: &PipelineConfig,
         point: DesignPoint,
         exec_seed: u64,
     ) -> EvalContext {
-        let key = compile_key(circuit, grid, pipeline);
+        let key = compile_key(circuit_key, circuit.n_qubits(), grid, pipeline);
         let compiled = self.compiled(circuit, grid, pipeline, key);
-
-        let mut config = SystemConfig::paper_default(point.design, point.groups);
-        config.n_qubits = grid.n_qubits();
-        let mut params = ExecParams::new(config);
-        params.seed = exec_seed;
-        if let Some(lengths) = self.min_lengths(point.design) {
-            params.min_lengths = (*lengths).clone();
-        }
-
+        let params = self.exec_params(grid, point, exec_seed);
         let groups = checkerboard_groups(grid.cols(), grid.n_qubits(), point.groups.clamp(1, 2));
         EvalContext {
             key,
@@ -1417,6 +1501,20 @@ impl EvalEngine {
             params,
             groups,
         }
+    }
+
+    /// The execution parameters of `point`: the paper-default system on
+    /// `grid`, seeded with `exec_seed`, with the memoized
+    /// decomposition-length distribution.
+    fn exec_params(&self, grid: &Grid, point: DesignPoint, exec_seed: u64) -> ExecParams {
+        let mut config = SystemConfig::paper_default(point.design, point.groups);
+        config.n_qubits = grid.n_qubits();
+        let mut params = ExecParams::new(config);
+        params.seed = exec_seed;
+        if let Some(lengths) = self.min_lengths(point.design) {
+            params.min_lengths = (*lengths).clone();
+        }
+        params
     }
 
     /// Evaluates one circuit at one design point — the §VI-B flow behind
@@ -1440,25 +1538,32 @@ impl EvalEngine {
         point: DesignPoint,
         exec_seed: u64,
     ) -> BenchmarkReport {
-        let EvalContext {
-            key,
-            compiled,
-            params,
-            groups,
-        } = self.context(circuit, grid, pipeline, point, exec_seed);
-        let exec = execute_plan(&compiled.plan, &groups, &params);
-        // The Impossible MIMD normalization baseline ignores the seed,
-        // the group map and the decomposition distribution, so it is a
-        // pure function of the compiled artifact — memoize it per
-        // compile key instead of re-running it for every design and seed
-        // (and persist it: with a disk-backed store a warm-started sweep
-        // skips the baseline executions too).
+        let ctx = self.context(
+            circuit,
+            circuit.cache_key(),
+            grid,
+            pipeline,
+            point,
+            exec_seed,
+        );
+        let exec = execute_plan(&ctx.compiled.plan, &ctx.groups, &ctx.params);
+        self.normalized(name, &ctx, exec)
+    }
+
+    /// The report of `exec`, normalized to the context's Impossible MIMD
+    /// baseline. The baseline ignores the seed, the group map and the
+    /// decomposition distribution, so it is a pure function of the
+    /// compiled artifact — memoized per compile key instead of re-run for
+    /// every design and seed (and persisted: with a disk-backed store a
+    /// warm-started sweep skips the baseline executions too).
+    fn normalized(&self, name: &str, ctx: &EvalContext, exec: ExecReport) -> BenchmarkReport {
+        let compiled = &ctx.compiled;
         let base_exec =
             self.store
-                .get_or_build_artifact(ns::BASELINE, baseline_store_key(key), || {
-                    let mut base = params.clone();
+                .get_or_build_artifact(ns::BASELINE, baseline_store_key(ctx.key), || {
+                    let mut base = ctx.params.clone();
                     base.config.design = ControllerDesign::ImpossibleMimd;
-                    execute_plan(&compiled.plan, &groups, &base)
+                    execute_plan(&compiled.plan, &ctx.groups, &base)
                 });
         BenchmarkReport {
             benchmark: name.to_string(),
@@ -1470,22 +1575,60 @@ impl EvalEngine {
         }
     }
 
+    /// The DigiQ_opt report of the context's params, read from one store
+    /// entry that holds the reports of every BS in `siblings` (sorted,
+    /// deduplicated, holding the context's BS): the first sibling to look
+    /// it up charges them all in one contention pass
+    /// ([`execute_opt_siblings`]), and the others hit.
+    fn opt_sibling_exec(&self, ctx: &EvalContext, grid: &Grid, siblings: &[usize]) -> ExecReport {
+        let ControllerDesign::DigiqOpt { bs } = ctx.params.config.design else {
+            panic!("BS siblings are DigiQ_opt points")
+        };
+        let groups = ctx.params.config.groups;
+        let key = opt_siblings_store_key(ctx.key, &ctx.params, siblings);
+        let reports = self.store.get_or_build(ns::OPT_SIBLINGS, key, || {
+            let params: Vec<ExecParams> = siblings
+                .iter()
+                .map(|&bs| {
+                    let design = ControllerDesign::DigiqOpt { bs };
+                    self.exec_params(grid, DesignPoint { design, groups }, ctx.params.seed)
+                })
+                .collect();
+            execute_opt_siblings(&ctx.compiled.plan, &ctx.groups, &params)
+        });
+        let at = siblings
+            .binary_search(&bs)
+            .expect("a job is one of its siblings");
+        reports[at].clone()
+    }
+
     /// Evaluates one job (pure given the spec): its benchmark circuit
-    /// through [`EvalEngine::evaluate_circuit`] with the job's derived
-    /// exec seed, plus the design's power when the spec asks for it.
-    /// [`EvalEngine::run`] is this call on every job.
+    /// through [`EvalEngine::evaluate_circuit`]'s flow with the job's
+    /// derived exec seed, plus the design's power when the spec asks for
+    /// it. The circuit's fingerprint comes from its store entry. A
+    /// DigiQ_opt job whose spec holds other DigiQ_opt points at its group
+    /// count reads its report from the one contention pass it shares with
+    /// them ([`SweepSpec`]'s BS siblings); the bytes are those of
+    /// `evaluate_circuit`. [`EvalEngine::run`] is this call on every job.
     pub fn run_job(&self, spec: &SweepSpec, job: &JobSpec) -> JobRecord {
         let grid = Grid::new(spec.grid_rows, spec.grid_cols);
         let circuit = self.benchmark_circuit(job.bench, spec.base_seed);
         let name = job.bench.bench.name();
-        let report = self.evaluate_circuit(
-            name,
+        let ctx = self.context(
             &circuit,
+            circuit.cache_key(),
             &grid,
             &spec.pipeline,
             job.point,
             derive_seed(spec.base_seed, job.seed),
         );
+        let siblings = spec.opt_siblings(job.point);
+        let exec = if siblings.is_empty() {
+            execute_plan(&ctx.compiled.plan, &ctx.groups, &ctx.params)
+        } else {
+            self.opt_sibling_exec(&ctx, &grid, &siblings)
+        };
+        let report = self.normalized(name, &ctx, exec);
         let power_w = if spec.synthesize_hardware {
             self.hardware(job.point.design, job.point.groups)
                 .map(|hw| hw.report.power_w)
@@ -1518,6 +1661,7 @@ impl EvalEngine {
             groups,
         } = self.context(
             &circuit,
+            circuit.cache_key(),
             &grid,
             &spec.pipeline,
             job.point,

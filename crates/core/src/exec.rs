@@ -40,7 +40,10 @@
 //! slot's generation stamp in a workspace reused across slots.
 //! The marks are over canonical class ids assigned by draw *value*, so
 //! two keys whose 64-bit draws collide count once, exactly as
-//! deduplicating the drawn values would.
+//! deduplicating the drawn values would. Only the final `⌈distinct/BS⌉`
+//! charge depends on BS, so [`execute_opt_siblings`] charges several BS
+//! values of one seed and group map in one pass over those counts;
+//! [`execute_plan`] is that pass with a single BS.
 
 use crate::delay_model::{gate_bin, DelayModel, WordMap, MAX_FIRINGS};
 use crate::design::{ControllerDesign, SystemConfig};
@@ -312,11 +315,14 @@ impl ExecPlan {
     }
 }
 
-/// The DigiQ_opt cost of each slot of one plan under one [`ExecParams`]:
-/// the call's draw tables, each gate kind's bin and firing count, and the
-/// contention marks, carried from slot to slot. [`execute_plan`] charges
-/// DigiQ_opt through it; the differential tests use it to compare costs
-/// slot by slot.
+/// The DigiQ_opt cost of each slot of one plan under one or more
+/// [`ExecParams`] that differ only in their configuration (the BS
+/// siblings of [`execute_opt_siblings`]): the call's draw tables, each
+/// gate kind's bin and firing count, and the contention marks, carried
+/// from slot to slot. A slot's distinct delay classes per group and
+/// firing position are counted once; each configuration's BS then
+/// charges those counts. [`execute_plan`] charges DigiQ_opt through it;
+/// the differential tests use it to compare costs slot by slot.
 #[derive(Debug, Clone)]
 pub struct OptSlots<'a> {
     plan: &'a ExecPlan,
@@ -324,7 +330,10 @@ pub struct OptSlots<'a> {
     ws: OptWorkspace,
     bins: Vec<u64>,
     firings: Vec<usize>,
-    bs: usize,
+    /// The BS of each configuration charged.
+    bs: Vec<u64>,
+    /// Each configuration's cost of the last slot counted.
+    costs: Vec<OptSlotCost>,
 }
 
 impl<'a> OptSlots<'a> {
@@ -335,32 +344,62 @@ impl<'a> OptSlots<'a> {
     ///
     /// Panics if `params` is not a DigiQ_opt design.
     pub fn new(plan: &'a ExecPlan, group_of: &[usize], params: &'a ExecParams) -> Self {
-        let ControllerDesign::DigiqOpt { bs } = params.config.design else {
-            panic!("slot costs are a DigiQ_opt model")
-        };
-        let model = DelayModel::new(params, group_of, plan.n_qubits);
+        Self::siblings(plan, group_of, std::slice::from_ref(params))
+    }
+
+    /// The slot costs under every configuration of `params` at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is empty, holds a design other than DigiQ_opt,
+    /// or holds params that differ in anything but their configuration.
+    fn siblings(plan: &'a ExecPlan, group_of: &[usize], params: &'a [ExecParams]) -> Self {
+        let first = &params[0];
+        let bs = params
+            .iter()
+            .map(|p| {
+                assert!(
+                    ExecParams {
+                        config: first.config,
+                        ..p.clone()
+                    } == *first,
+                    "DigiQ_opt siblings share every exec param but the configuration"
+                );
+                match p.config.design {
+                    ControllerDesign::DigiqOpt { bs } => bs as u64,
+                    _ => panic!("slot costs are a DigiQ_opt model"),
+                }
+            })
+            .collect::<Vec<_>>();
+        let model = DelayModel::new(first, group_of, plan.n_qubits);
         OptSlots {
             plan,
             bins: plan.kind_bins(&model),
             firings: plan.kinds.iter().map(|&k| model.firing_count(k)).collect(),
             model,
             ws: OptWorkspace::new(group_of),
+            costs: vec![OptSlotCost::default(); bs.len()],
             bs,
         }
     }
 
-    /// The cost of slot `si`.
+    /// The cost of slot `si` (under the first configuration).
     ///
     /// # Panics
     ///
     /// Panics if `si` is not a slot of the plan.
     pub fn cost(&mut self, si: usize) -> OptSlotCost {
+        self.costs(si)[0]
+    }
+
+    /// The cost of slot `si` under each configuration, in order.
+    fn costs(&mut self, si: usize) -> &[OptSlotCost] {
         let ws = &mut self.ws;
         ws.stamp += 1;
-        let mut cost = OptSlotCost::default();
+        let mut cz_count = 0;
         for &op in self.plan.slot(si) {
             let PlanOp::OneQ { q, kind } = op else {
-                cost.cz_count += 1;
+                cz_count += 1;
                 continue;
             };
             let q = q as usize;
@@ -385,20 +424,26 @@ impl<'a> OptSlots<'a> {
         }
         // Per group: sum over firing positions of the contention-expanded
         // sub-cycles; the slot waits for the slowest group.
-        for &g in &ws.touched {
-            let g = g as usize;
-            let mut group_cycles = 0u64;
-            for &distinct in &ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS] {
-                if distinct > 0 {
-                    let sub = distinct.div_ceil(self.bs as u64);
-                    cost.serialization_cycles += sub - 1;
-                    group_cycles += sub;
+        for (cost, &bs) in self.costs.iter_mut().zip(&self.bs) {
+            *cost = OptSlotCost {
+                cz_count,
+                ..OptSlotCost::default()
+            };
+            for &g in &ws.touched {
+                let g = g as usize;
+                let mut group_cycles = 0u64;
+                for &distinct in &ws.distinct[g * MAX_FIRINGS..(g + 1) * MAX_FIRINGS] {
+                    if distinct > 0 {
+                        let sub = distinct.div_ceil(bs);
+                        cost.serialization_cycles += sub - 1;
+                        group_cycles += sub;
+                    }
                 }
+                cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
             }
-            cost.oneq_cycles = cost.oneq_cycles.max(group_cycles);
         }
         ws.touched.clear();
-        cost
+        &self.costs
     }
 }
 
@@ -426,28 +471,8 @@ pub fn execute(
 /// [`execute`] for `group_of`). Bit for bit the same report as executing
 /// the plan's circuit and schedule directly.
 pub fn execute_plan(plan: &ExecPlan, group_of: &[usize], params: &ExecParams) -> ExecReport {
-    let cfg = &params.config;
-    let cycle = cfg.cycle_ns();
-    let mut report = ExecReport::default();
-
-    // DigiQ_opt: slot-synchronous SIMD — every slot costs the slowest
-    // group's contention-expanded sub-cycles, with CZs occupying their 60
-    // ns concurrently.
-    if matches!(cfg.design, ControllerDesign::DigiqOpt { .. }) {
-        let mut costs = OptSlots::new(plan, group_of, params);
-        for si in 0..plan.slot_count() {
-            let cost = costs.cost(si);
-            let mut slot_ns = cost.oneq_cycles as f64 * cycle;
-            report.oneq_cycles += cost.oneq_cycles;
-            report.serialization_cycles += cost.serialization_cycles;
-            if cost.cz_count > 0 {
-                slot_ns = slot_ns.max(cfg.cz_ns);
-                report.cz_ns += cfg.cz_ns;
-            }
-            report.total_ns += slot_ns;
-            report.slots += 1;
-        }
-        return report;
+    if matches!(params.config.design, ControllerDesign::DigiqOpt { .. }) {
+        return execute_opt_siblings(plan, group_of, std::slice::from_ref(params)).remove(0);
     }
 
     // Designs without cross-qubit resource coupling: exact per-qubit
@@ -456,6 +481,9 @@ pub fn execute_plan(plan: &ExecPlan, group_of: &[usize], params: &ExecParams) ->
     // interfering CZs — we keep their relative order via slot sequencing
     // of the CZ start times). The MIMD designs charge one bitstream per
     // 1q gate; the decomposing ones draw a depth per gate.
+    let cfg = &params.config;
+    let cycle = cfg.cycle_ns();
+    let mut report = ExecReport::default();
     let fixed_cost = matches!(
         cfg.design,
         ControllerDesign::ImpossibleMimd | ControllerDesign::SfqMimdNaive
@@ -500,6 +528,44 @@ pub fn execute_plan(plan: &ExecPlan, group_of: &[usize], params: &ExecParams) ->
     }
     report.total_ns = free_at.iter().cloned().fold(0.0, f64::max);
     report
+}
+
+/// Executes a plan under several DigiQ_opt params at once, returning
+/// one report per params, each bit for bit [`execute_plan`]'s. The params
+/// must differ only in their configuration (the BS siblings of one seed
+/// and group map): the per-gate contention pass, with its delay-class
+/// draws and marks, runs once for all of them, and only the final
+/// `⌈distinct/BS⌉` charge runs per params.
+///
+/// # Panics
+///
+/// Panics if `params` is empty, holds a design other than DigiQ_opt, or
+/// holds params that differ in anything but their configuration.
+pub fn execute_opt_siblings(
+    plan: &ExecPlan,
+    group_of: &[usize],
+    params: &[ExecParams],
+) -> Vec<ExecReport> {
+    // Slot-synchronous SIMD: every slot costs the slowest group's
+    // contention-expanded sub-cycles, with CZs occupying their 60 ns
+    // concurrently.
+    let mut reports = vec![ExecReport::default(); params.len()];
+    let mut costs = OptSlots::siblings(plan, group_of, params);
+    for si in 0..plan.slot_count() {
+        let slot_costs = costs.costs(si);
+        for ((report, cost), p) in reports.iter_mut().zip(slot_costs).zip(params) {
+            let mut slot_ns = cost.oneq_cycles as f64 * p.config.cycle_ns();
+            report.oneq_cycles += cost.oneq_cycles;
+            report.serialization_cycles += cost.serialization_cycles;
+            if cost.cz_count > 0 {
+                slot_ns = slot_ns.max(p.config.cz_ns);
+                report.cz_ns += p.config.cz_ns;
+            }
+            report.total_ns += slot_ns;
+            report.slots += 1;
+        }
+    }
+    reports
 }
 
 /// Builds the checkerboard group map used by the paper's evaluation

@@ -95,6 +95,9 @@ pub mod ns {
     /// Whole compile-pipeline artifacts, one per (circuit, layout, grid,
     /// pipeline config) (persistent).
     pub const COMPILE: &str = "compile";
+    /// DigiQ_opt reports of a job's BS siblings, one entry per (compile,
+    /// group count, exec seed, BS list) (in-memory only).
+    pub const OPT_SIBLINGS: &str = "opt_siblings";
 }
 
 /// A value the store can persist: a JSON codec over [`sfq_hw::json`]

@@ -4,10 +4,12 @@
 
 use digiq_core::design::ControllerDesign;
 use digiq_core::engine::{
-    BenchScale, BenchmarkSpec, EvalEngine, RunControl, SweepReport, SweepSpec,
+    derive_seed, BenchScale, BenchmarkSpec, DesignPoint, EvalEngine, RunControl, SweepReport,
+    SweepSpec,
 };
-use digiq_core::store::SweepJournal;
+use digiq_core::store::{ns, StoreConfig, SweepJournal};
 use qcircuit::bench::Benchmark;
+use qcircuit::topology::Grid;
 use sfq_hw::cost::CostModel;
 use sfq_hw::json::ToJson;
 
@@ -189,5 +191,92 @@ fn compile_aware_dispatch_keeps_bytes_and_cache_stats_at_any_worker_count() {
             "{workers} workers, stopped after {stop_after}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn opt_bs_siblings_share_one_entry_and_keep_the_bytes() {
+    // DigiQ_opt at BS 16, 1, 2 and 1 again at G = 2 are siblings; BS 4 at
+    // G = 1 is alone at its group count, and DigiQ_min is no sibling.
+    // BS 1 and 2 serialize, so each sibling's report is its own.
+    let opt = |bs, groups| DesignPoint {
+        design: ControllerDesign::DigiqOpt { bs },
+        groups,
+    };
+    let mut s = SweepSpec::small_grid(
+        vec![
+            opt(16, 2),
+            ControllerDesign::DigiqMin { bs: 2 }.into(),
+            opt(1, 2),
+            opt(2, 2),
+            opt(1, 2),
+            opt(4, 1),
+        ],
+        &[Benchmark::Bv, Benchmark::Qgan, Benchmark::Ising],
+        5,
+        5,
+    )
+    .with_seeds(vec![1, 2]);
+    s.base_seed = 0x5EB5;
+
+    // Every record equals the one `evaluate_circuit` gives the job alone.
+    let grid = Grid::new(s.grid_rows, s.grid_cols);
+    let alone = EvalEngine::new(CostModel::default());
+    let reference = EvalEngine::new(CostModel::default()).run(&s, 1);
+    for (job, record) in s.jobs().iter().zip(&reference.jobs) {
+        let circuit = alone.benchmark_circuit(job.bench, s.base_seed);
+        let want = alone.evaluate_circuit(
+            job.bench.bench.name(),
+            &circuit,
+            &grid,
+            &s.pipeline,
+            job.point,
+            derive_seed(s.base_seed, job.seed),
+        );
+        assert_eq!(
+            record.report.to_json_string(),
+            want.to_json_string(),
+            "job {}",
+            job.index
+        );
+    }
+    assert_eq!(reference.cache, EvalEngine::cold_cache_stats(&s));
+
+    for workers in [1, 2, 3, 8] {
+        let engine = EvalEngine::new(CostModel::default());
+        let report = engine.run(&s, workers);
+        assert_eq!(
+            report.to_json_string(),
+            reference.to_json_string(),
+            "{workers} workers"
+        );
+        assert_eq!(report.cache, reference.cache, "{workers} workers");
+        // One entry per (benchmark, seed): 4 sibling jobs each, 1 build.
+        let siblings = engine.store().namespace_stats(ns::OPT_SIBLINGS);
+        assert_eq!(
+            (siblings.builds, siblings.misses, siblings.hits),
+            (6, 6, 18),
+            "{workers} workers"
+        );
+    }
+
+    // A store bounded below the run's working set evicts mid-run; the
+    // rebuilt entries give the same bytes.
+    for workers in [1, 3] {
+        let engine = EvalEngine::with_store_config(
+            CostModel::default(),
+            StoreConfig {
+                capacity: Some(3),
+                cache_dir: None,
+            },
+        );
+        let report = engine.run_deterministic(&s, workers);
+        assert_eq!(
+            report.to_json_string(),
+            reference.to_json_string(),
+            "bounded store, {workers} workers"
+        );
+        let evicted = engine.store().namespace_stats(ns::OPT_SIBLINGS).evictions;
+        assert!(evicted > 0, "the bounded store evicts sibling entries");
     }
 }

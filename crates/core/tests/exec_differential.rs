@@ -16,10 +16,15 @@
 //! `variation_classes` in {0, 1, 3, 6}; and the checkerboard, a 3-group
 //! and a short `group_of`. Debug builds run a reduced matrix;
 //! `scripts/ci.sh` runs the full one in release.
+//!
+//! DigiQ_opt BS siblings charged in one contention pass
+//! (`execute_opt_siblings`) must give, params for params, the report of
+//! a separate `execute_plan` call, with every f64 equal to the bit.
 
 use digiq_core::design::{ControllerDesign, SystemConfig};
 use digiq_core::exec::{
-    checkerboard_groups, execute, execute_plan, ExecParams, ExecPlan, OptSlots,
+    checkerboard_groups, execute, execute_opt_siblings, execute_plan, ExecParams, ExecPlan,
+    OptSlots,
 };
 use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
 use qcircuit::ir::{Circuit, Gate, OneQ};
@@ -425,6 +430,60 @@ fn draw_parameters_and_group_maps_match_the_parent_model() {
             }
         }
     }
+}
+
+/// The BS lists the sibling test charges in one pass: one BS, the Fig 9
+/// siblings, an unsorted list with a duplicate, and every BS.
+const BS_LISTS: [&[usize]; 5] = [&[8], &[4, 8, 16], &[16, 2, 8, 2], &[2, 2], &BS];
+
+#[test]
+fn opt_siblings_match_one_execute_plan_per_bs() {
+    let seeds = if FULL { &SEEDS[..] } else { &SEEDS[1..2] };
+    let group_counts: &[usize] = if FULL { &[1, 2, 3] } else { &[1, 2] };
+    for fuse in [false, true] {
+        for compiled in compiled(fuse) {
+            let (_, _, plan) = compiled;
+            for &groups in group_counts {
+                let group_of = checkerboard_groups(32, 1024, groups);
+                for &seed in seeds {
+                    for list in BS_LISTS {
+                        let params: Vec<ExecParams> = list
+                            .iter()
+                            .map(|&bs| {
+                                let design = ControllerDesign::DigiqOpt { bs };
+                                let mut p = params(design, seed);
+                                p.config.groups = groups;
+                                p
+                            })
+                            .collect();
+                        let got = execute_opt_siblings(plan, &group_of, &params);
+                        assert_eq!(got.len(), params.len());
+                        for (got, p) in got.iter().zip(&params) {
+                            let label = format!(
+                                "{} fuse={fuse} groups={groups} seed={seed:#x} \
+                                 BS {list:?}: {}",
+                                compiled.0.name(),
+                                p.config.design
+                            );
+                            let want = execute_plan(plan, &group_of, p);
+                            assert_eq!(*got, want, "{label}");
+                            assert_eq!(got.total_ns.to_bits(), want.total_ns.to_bits(), "{label}");
+                            assert_eq!(got.cz_ns.to_bits(), want.cz_ns.to_bits(), "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "share every exec param but the configuration")]
+fn opt_siblings_refuse_params_with_different_seeds() {
+    let (_, _, plan) = &compiled(false)[0];
+    let design = ControllerDesign::DigiqOpt { bs: 4 };
+    let params = [params(design, SEEDS[0]), params(design, SEEDS[1])];
+    execute_opt_siblings(plan, &checkerboard_groups(32, 1024, 2), &params);
 }
 
 #[test]

@@ -706,7 +706,7 @@ pub fn grover_sqrt(bits: usize, target: u64) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::StateVector;
+    use crate::ir::{Gate, OneQ, StateVector};
 
     /// Loads integer `val` into the qubits `bit(i)` (LSB first) of a
     /// zero-initialized state by listing X positions.
@@ -776,6 +776,21 @@ mod tests {
         }
     }
 
+    /// Runs a reversible classical circuit on the basis state `bits`
+    /// (one bit per qubit). Only X, CX and CCX act classically, so any
+    /// other gate panics: a circuit that passes never leaves the
+    /// computational basis.
+    fn run_classical(c: &Circuit, bits: &mut [bool]) {
+        for &g in c.gates() {
+            match g {
+                Gate::OneQ { q, kind: OneQ::X } => bits[q] ^= true,
+                Gate::Cx { c, t } => bits[t] ^= bits[c],
+                Gate::Ccx { c1, c2, t } => bits[t] ^= bits[c1] && bits[c2],
+                other => panic!("{other:?} is not a classical reversible gate"),
+            }
+        }
+    }
+
     #[test]
     fn block_adder_adds_exhaustively() {
         // 4-bit operands, 2-bit blocks: 18 qubits — exhaustive over 256
@@ -788,21 +803,19 @@ mod tests {
                 x_load(&mut c, a_val, |i| lay.a(i), n);
                 x_load(&mut c, b_val, |i| lay.b(i), n);
                 c.extend(&block_lookahead_adder(n, 2));
-                let mut sv = StateVector::zero(lay.qubits);
-                sv.apply_circuit(&c);
-                let (idx, p) = sv.argmax();
-                assert!(p > 1.0 - 1e-9, "state not classical");
-                let bit = |q: usize| (idx >> (lay.qubits - 1 - q)) & 1;
+                let mut bits = vec![false; lay.qubits];
+                run_classical(&c, &mut bits);
+                let bit = |q: usize| u64::from(bits[q]);
                 let mut sum = 0u64;
                 for i in 0..n {
-                    sum |= (bit(lay.b(i)) as u64) << i;
+                    sum |= bit(lay.b(i)) << i;
                 }
-                let carry = bit(lay.carry(lay.n_blocks())) as u64;
+                let carry = bit(lay.carry(lay.n_blocks()));
                 assert_eq!(sum, (a_val + b_val) & 15, "sum a={a_val} b={b_val}");
                 assert_eq!(carry, (a_val + b_val) >> 4, "carry a={a_val} b={b_val}");
                 let mut a_after = 0u64;
                 for i in 0..n {
-                    a_after |= (bit(lay.a(i)) as u64) << i;
+                    a_after |= bit(lay.a(i)) << i;
                 }
                 assert_eq!(a_after, a_val, "a not restored");
             }

@@ -450,38 +450,53 @@ impl Circuit {
     pub fn moments(&self) -> Vec<Vec<usize>> {
         let mut scratch = MomentScratch::default();
         self.moments_into(&mut scratch);
-        scratch.moments.truncate(scratch.active);
-        scratch.moments
+        (0..scratch.count())
+            .map(|mi| scratch.moment(mi).to_vec())
+            .collect()
     }
 
     /// ASAP layering into reusable scratch buffers: the workspace form
     /// of [`Circuit::moments`] the schedulers run so repeated compiles
-    /// stop allocating per dependency level. Read the result with
-    /// [`MomentScratch::slots`].
+    /// stop allocating per dependency level. Each gate's level is
+    /// computed first, then the gate indices are counting-sorted by level
+    /// into one flat buffer, so each moment keeps program order. Read the
+    /// result with [`MomentScratch::count`] and [`MomentScratch::moment`].
     pub fn moments_into(&self, scratch: &mut MomentScratch) {
-        scratch.level.clear();
-        scratch.level.resize(self.n_qubits, 0);
-        scratch.active = 0;
-        for (i, g) in self.gates.iter().enumerate() {
+        let MomentScratch {
+            level,
+            gate_level,
+            starts,
+            order,
+        } = scratch;
+        level.clear();
+        level.resize(self.n_qubits, 0);
+        gate_level.clear();
+        starts.clear();
+        for g in &self.gates {
             let qs = g.qubits_inline();
-            let l = qs
-                .as_slice()
-                .iter()
-                .map(|&q| scratch.level[q])
-                .max()
-                .unwrap_or(0);
+            let l = qs.as_slice().iter().map(|&q| level[q]).max().unwrap_or(0);
             for &q in &qs {
-                scratch.level[q] = l + 1;
+                level[q] = l + 1;
             }
-            while scratch.active <= l {
-                if scratch.active == scratch.moments.len() {
-                    scratch.moments.push(Vec::new());
-                } else {
-                    scratch.moments[scratch.active].clear();
-                }
-                scratch.active += 1;
+            gate_level.push(l);
+            // `starts[l + 1]` counts level `l` until the prefix sum below.
+            if starts.len() < l + 2 {
+                starts.resize(l + 2, 0);
             }
-            scratch.moments[l].push(i);
+            starts[l + 1] += 1;
+        }
+        for mi in 1..starts.len() {
+            starts[mi] += starts[mi - 1];
+        }
+        // Place each gate at its level's next free position: `level` is
+        // reused as the per-moment cursor.
+        level.clear();
+        level.extend_from_slice(starts);
+        order.clear();
+        order.resize(self.gates.len(), 0);
+        for (i, &l) in gate_level.iter().enumerate() {
+            order[level[l]] = i;
+            level[l] += 1;
         }
     }
 
@@ -497,20 +512,34 @@ impl Circuit {
 }
 
 /// Reusable scratch for [`Circuit::moments_into`]: per-qubit dependency
-/// levels plus a pool of moment buckets that grows to the deepest
-/// circuit seen and is then reused allocation-free.
+/// levels, each gate's level, and the moments as one flat buffer of gate
+/// indices with per-moment offsets. It grows to the largest circuit seen
+/// and is then reused allocation-free.
 #[derive(Debug, Default)]
 pub struct MomentScratch {
     level: Vec<usize>,
-    moments: Vec<Vec<usize>>,
-    active: usize,
+    gate_level: Vec<usize>,
+    /// Start of each moment in `order`, plus the end of the last one
+    /// (empty when the last circuit layered had no gates).
+    starts: Vec<usize>,
+    /// Gate indices, moment after moment, in program order within each.
+    order: Vec<usize>,
 }
 
 impl MomentScratch {
-    /// The moments of the last [`Circuit::moments_into`] call (gate
-    /// indices per parallel layer, in program order).
-    pub fn slots(&self) -> &[Vec<usize>] {
-        &self.moments[..self.active]
+    /// The number of moments of the last [`Circuit::moments_into`] call.
+    pub fn count(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Moment `mi` of the last [`Circuit::moments_into`] call: its gate
+    /// indices, in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mi` is not below [`MomentScratch::count`].
+    pub fn moment(&self, mi: usize) -> &[usize] {
+        &self.order[self.starts[mi]..self.starts[mi + 1]]
     }
 }
 

@@ -92,7 +92,7 @@ pub fn schedule_crosstalk_aware(ws: &mut ScheduleWorkspace, c: &Circuit, grid: &
     // First ASAP moments (dependency layering)…
     c.moments_into(&mut ws.moments);
     let mut slots: Vec<Slot> = Vec::new();
-    for mi in 0..ws.moments.slots().len() {
+    for mi in 0..ws.moments.count() {
         let epoch = ws.next_epoch();
         let ScheduleWorkspace {
             moments,
@@ -102,7 +102,7 @@ pub fn schedule_crosstalk_aware(ws: &mut ScheduleWorkspace, c: &Circuit, grid: &
             blk_mask,
             ..
         } = &mut *ws;
-        let moment = &moments.slots()[mi];
+        let moment = moments.moment(mi);
         // …then split each moment's CZs into non-interfering groups
         // (greedy colouring in index order).
         oneq.clear();

@@ -15,12 +15,19 @@
 //! workspace shared by the whole test across strategies and grid sizes,
 //! so state left behind by an earlier call can never leak into a result.
 //!
+//! The flat ASAP layering (`Circuit::moments_into`: levels first, then a
+//! counting sort into one buffer) is checked the same way against the
+//! nested one-`Vec`-per-moment layering it replaced, on random circuits
+//! and on the six paper benchmarks as compiled (debug builds compile two
+//! of them; `scripts/ci.sh` runs all six in release).
+//!
 //! It also pins the allocation contract itself: compile passes tally one
 //! alloc per materialized output artifact (route 2, schedule 1), scratch
 //! is never tallied, and — because only outputs count — a cold call
 //! tallies exactly the same as a warm one.
 
-use qcircuit::ir::{Circuit, Gate};
+use qcircuit::bench::{Benchmark, ALL_BENCHMARKS};
+use qcircuit::ir::{Circuit, Gate, MomentScratch};
 use qcircuit::mapping::{route, Layout, RouteWorkspace, RoutedCircuit};
 use qcircuit::pipeline::RouteStrategy;
 use qcircuit::schedule::{
@@ -231,8 +238,51 @@ fn ref_route_lookahead(
     }
 }
 
+/// The nested ASAP layering: per-qubit levels and a pool of moment
+/// buckets, one heap `Vec` per dependency level.
+#[derive(Debug, Default)]
+struct RefMomentScratch {
+    level: Vec<usize>,
+    moments: Vec<Vec<usize>>,
+    active: usize,
+}
+
+fn ref_moments_into(c: &Circuit, scratch: &mut RefMomentScratch) {
+    scratch.level.clear();
+    scratch.level.resize(c.n_qubits(), 0);
+    scratch.active = 0;
+    for (i, g) in c.gates().iter().enumerate() {
+        let qs = g.qubits_inline();
+        let l = qs
+            .as_slice()
+            .iter()
+            .map(|&q| scratch.level[q])
+            .max()
+            .unwrap_or(0);
+        for &q in &qs {
+            scratch.level[q] = l + 1;
+        }
+        while scratch.active <= l {
+            if scratch.active == scratch.moments.len() {
+                scratch.moments.push(Vec::new());
+            } else {
+                scratch.moments[scratch.active].clear();
+            }
+            scratch.active += 1;
+        }
+        scratch.moments[l].push(i);
+    }
+}
+
+fn ref_moments(c: &Circuit) -> Vec<Vec<usize>> {
+    let mut scratch = RefMomentScratch::default();
+    ref_moments_into(c, &mut scratch);
+    scratch.moments.truncate(scratch.active);
+    scratch.moments
+}
+
 fn ref_schedule_crosstalk_aware(c: &Circuit, grid: &Grid) -> Vec<Slot> {
-    let moments = c.moments();
+    let moments = ref_moments(c);
     let mut slots: Vec<Slot> = Vec::new();
     for moment in moments {
         let mut oneq: Slot = Vec::new();
@@ -436,6 +486,64 @@ fn asap_scheduler_matches_dependency_moments() {
             c.moments(),
             "asap diverged (seed {seed})"
         );
+    }
+}
+
+/// Checks `Circuit::moments` and `moments_into` through the shared
+/// `scratch` against the nested layering.
+fn check_moments(scratch: &mut MomentScratch, c: &Circuit, label: &str) {
+    let want = ref_moments(c);
+    assert_eq!(c.moments(), want, "{label}: moments diverged");
+    c.moments_into(scratch);
+    assert_eq!(scratch.count(), want.len(), "{label}: moment count");
+    for (mi, moment) in want.iter().enumerate() {
+        assert_eq!(scratch.moment(mi), &moment[..], "{label}: moment {mi}");
+    }
+}
+
+#[test]
+fn flat_moments_match_nested_layering_on_random_circuits() {
+    // One scratch across every size, so a short or empty circuit follows
+    // a deeper one.
+    let scratch = &mut MomentScratch::default();
+    let route_ws = &mut RouteWorkspace::new();
+    for (grid, n, seed) in cases(8) {
+        let c = random_lowered(seed.wrapping_add(4000), n, 10 + 15 * seed as usize);
+        check_moments(scratch, &c, &format!("random seed {seed}"));
+        let routed = route(
+            route_ws,
+            &c,
+            &grid,
+            &Layout::snake(n, &grid),
+            RouteStrategy::Greedy,
+        );
+        check_moments(scratch, &routed.circuit, &format!("routed seed {seed}"));
+        let phys = qcircuit::lower::lower_to_cz(&routed.circuit);
+        check_moments(scratch, &phys, &format!("lowered seed {seed}"));
+        check_moments(scratch, &Circuit::new(n), "empty");
+    }
+}
+
+#[test]
+fn flat_moments_match_nested_layering_on_paper_circuits() {
+    use qcircuit::pipeline::{CompileArtifact, PipelineConfig};
+    let full = !cfg!(debug_assertions);
+    let benches: &[Benchmark] = if full {
+        &ALL_BENCHMARKS
+    } else {
+        &[Benchmark::Qgan, Benchmark::Ising]
+    };
+    let grid = Grid::new(32, 32);
+    let scratch = &mut MomentScratch::default();
+    for &bench in benches {
+        let circuit = bench.paper_scale();
+        let layout = Layout::snake(circuit.n_qubits(), &grid);
+        // The compiled circuit is the output of lower, route and
+        // lower_swaps: what the scheduler layers.
+        let (art, _) = PipelineConfig::default()
+            .run(CompileArtifact::new(circuit, layout), &grid)
+            .expect("paper benchmark compiles");
+        check_moments(scratch, &art.circuit, bench.name());
     }
 }
 

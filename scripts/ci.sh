@@ -107,6 +107,12 @@ cargo test -q --release --offline -p calib --test bitstream_differential
 echo "==> exec model differential test (release)"
 cargo test -q --release --offline -p digiq-core --test exec_differential
 
+# Debug layers two of the six paper benchmarks; run the flat-moments
+# differential (against the nested one-Vec-per-moment layering) and the
+# router/scheduler references in release, on all six.
+echo "==> compile kernel differential test (release)"
+cargo test -q --release --offline -p qcircuit --test route_differential
+
 # And for the CZ echo optimizer: debug runs a reduced drift grid and does
 # not vectorize, so run its differential (stack-array objective, in-place
 # Nelder–Mead, against the allocating one) in release on the full matrix.

@@ -347,7 +347,7 @@ fn pass_pipeline_strategies_through_the_facade() {
         pipeline: lookahead,
     };
     assert_eq!(
-        *engine.benchmark_circuit(spec.benchmarks[0], spec.base_seed),
+        **engine.benchmark_circuit(spec.benchmarks[0], spec.base_seed),
         qgan
     );
     let cosim = engine.run_cosim(&spec, 1);
